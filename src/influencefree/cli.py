@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isqrt
+from math import isfinite, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +86,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
+
+
+def _finite_float(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are malformed."""
+    value = float(text)
+    if not isfinite(value):
+        raise DocumentError(f"invalid JSON: non-finite number {text}")
+    return value
 
 
 def _load(path: str) -> dict:
@@ -95,7 +103,7 @@ def _load(path: str) -> dict:
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -587,36 +595,22 @@ def _cmd_decompose(args):
 def _cmd_extremality(args):
     a, _ = matrix_from_document(_load(args.path), "input")
     try:
-        verdict = extremality_probe(a, tol=args.feas_tol, max_iter=args.max_iter)
+        verdict = extremality_probe(a, tol=args.tol)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    config = {"feas_tol": args.feas_tol, "max_iter": args.max_iter}
+    doc = {"residual": verdict.residual, "config": {"tol": args.tol}}
     if verdict.status == "decomposable_nontrivially":
         n = isqrt(verdict.certificate.shape[0])
-        return (
-            EXIT_OK,
-            {
-                "verdict": "decomposable-nontrivially",
-                "residual": verdict.residual,
-                "certificate": matrix_to_document(verdict.certificate, (n, n)),
-                "iterations": verdict.info.get("iterations"),
-                "config": config,
-            },
+        doc.update(
+            verdict="decomposable-nontrivially",
+            certificate=matrix_to_document(verdict.certificate, (n, n)),
         )
-    if verdict.status == "rigid":
-        return (
-            EXIT_REFUTED,
-            {
-                "verdict": "rigid",
-                "residual": verdict.residual,
-                "iterations": verdict.info.get("iterations"),
-                "config": config,
-            },
-        )
-    return (
-        EXIT_INCONCLUSIVE,
-        {"verdict": "inconclusive", "residual": verdict.residual, "config": config},
+        return (EXIT_OK, doc)
+    doc.update(
+        verdict="rigid",
+        witness=None if verdict.witness is None else vector_to_document(verdict.witness),
     )
+    return (EXIT_REFUTED, doc)
 
 
 def _cmd_pivot(args):
@@ -707,7 +701,7 @@ def _cmd_witness_demo(args):
 
 
 def _cmd_selftest(args):
-    from .acceptance import run_all
+    from .acceptance import TIME_BUDGETS, run_all
 
     results = []
     for res in run_all(progress=sys.stderr):
@@ -717,6 +711,8 @@ def _cmd_selftest(args):
                 "name": res.name,
                 "passed": res.passed,
                 "detail": res.detail,
+                "elapsed": res.elapsed,
+                "budget": TIME_BUDGETS[res.number],
             }
         )
     ok = all(r["passed"] for r in results)
@@ -803,8 +799,8 @@ def build_parser() -> _Parser:
     _add_input(s); _add_feas(s)
     s.add_argument("--dims", type=_dims_arg, default=None, help="factor dims as dA,dB")
 
-    s = sub("extremality", _cmd_extremality, "probe a conjugation map for a co-positive part")
-    _add_input(s); _add_feas(s)
+    s = sub("extremality", _cmd_extremality, "decide whether a conjugation map has a co-positive part")
+    _add_input(s); _add_tol(s)
 
     s = sub("pivot", _cmd_pivot, "verify an entangled-projection transfer identity")
     _add_input(s); _add_tol(s)
@@ -843,7 +839,11 @@ def run(argv) -> int:
     except ValueError as exc:
         _emit({"verdict": "malformed-input", "reason": str(exc)})
         return EXIT_MALFORMED
-    _emit(doc)
+    try:
+        _emit(doc)
+    except ValueError:
+        _emit({"verdict": "malformed-input", "reason": "the result holds a non-finite number"})
+        return EXIT_MALFORMED
     return code
 
 

@@ -5,8 +5,8 @@ screened by see-saw minimization of <xy|W|xy> over the two product factors:
 for a fixed Alice vector the optimal Bob vector is the minimal eigenvector of
 the contracted operator, and alternating the two eigenvector steps is
 monotone non-increasing. Membership in PSD + PSD^Gamma (the decomposable
-cone at the operator level) runs Dykstra alternating projections, as does
-the extremality probe for conjugation maps.
+cone at the operator level) runs Dykstra alternating projections. Whether a
+conjugation map sheds a co-CP part is decided exactly by one eigenvalue.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class SeesawResult:
     min_value: float
     witness_x: np.ndarray
     witness_y: np.ndarray
-    restarts_used: int
+    best_restart: int  # 1-based index of the restart that reached min_value
     iterations: int
     converged: bool
 
@@ -256,7 +256,7 @@ def is_popt(
         return ConeVerdict(
             "refuted", min_value=seesaw.min_value,
             witness=(seesaw.witness_x, seesaw.witness_y),
-            info={"psd": False, "restarts_used": seesaw.restarts_used},
+            info={"psd": False, "best_restart": seesaw.best_restart},
         )
     membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=dykstra_max_iter)
     if membership.status == "member":
@@ -271,24 +271,22 @@ def is_popt(
     )
 
 
-def extremality_probe(
-    a,
-    tol: float = FEAS_TOL,
-    max_iter: int = 20000,
-) -> ConeVerdict:
-    """Probe whether X -> AXA† sheds a co-CP part.
+def extremality_probe(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
+    """Decide whether X -> AXA† sheds a nonzero co-CP part.
 
-    Feasibility problem on the Choi level: find H with H^Gamma PSD,
-    Ch(phi_A) − H PSD, and Tr H = 1 (the trace slice excludes the trivial
-    H = 0). Three-set Dykstra: corrections on the two cones, none on the
-    affine slice. Infeasibility (detected as a stall above tol) reports
-    "rigid"; a feasible H is returned as "decomposable_nontrivially" with the
-    certificate; otherwise inconclusive.
+    The Choi operator C = Ch(phi_A) is the rank-one |v><v| on the vectorized
+    A, and conjugation maps are extreme rays of the positive cone (Størmer
+    1963). So every H with 0 ⪯ H ⪯ C is c·C, and a nonzero H with H^Gamma
+    PSD exists iff C^Gamma is PSD. The eigenvalues of C^Gamma are σ_i² and
+    ±σ_iσ_j (i < j) for the singular values σ of A, so the smallest is
+    −σ₁σ₂ and the split exists iff rank A <= 1, at every scale of A.
 
-    A conjugation by a matrix of rank >= 2 is rigid: its Choi operator is a
-    projector onto an entangled direction, and nothing PSD under partial
-    transposition fits underneath it. Rank-1 conjugations with Frobenius
-    norm >= 1 admit the feasible point |v><v| on the normalized Choi vector.
+    decomposable_nontrivially: λ_min(C^Gamma) >= −tol·Tr C; the certificate
+    is H = C / max(Tr C, 2), of trace 1 when ‖A‖_F² >= 2 and C/2 otherwise,
+    so H and C − H are both nonzero. rigid: the witness u has
+    <u|C^Gamma|u> < 0 and the residual is the scale-free margin
+    σ₁σ₂ / ‖A‖_F². A = 0 is rigid with no witness: nothing nonzero fits
+    under C = 0.
     """
     from .choimaps import choi_from_conjugation
 
@@ -297,54 +295,17 @@ def extremality_probe(
     if a.shape[0] != a.shape[1]:
         raise ValueError("extremality probe expects a square matrix")
     c_a = choi_from_conjugation(a).choi
-    d = n * n
-    dims = (n, n)
-    h = c_a / max(float(np.trace(c_a).real), 1.0)
-    u1 = np.zeros_like(h)
-    u2 = np.zeros_like(h)
-    best = np.inf
-    window_best = np.inf
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        h_in = h + u1
-        gamma = psd_part(partial_transpose(h_in, dims, 1))
-        h = partial_transpose(gamma, dims, 1)
-        u1 = h_in - h
-
-        h_in = h + u2
-        h = c_a - psd_part(c_a - h_in)
-        u2 = h_in - h
-
-        h = h + (1.0 - float(np.trace(h).real)) / d * np.eye(d)
-
-        residual = _probe_residual(h, c_a, dims, d)
-        if residual <= tol:
-            return ConeVerdict(
-                "decomposable_nontrivially",
-                residual=residual,
-                certificate=h,
-                info={"iterations": it},
-            )
-        best = min(best, residual)
-        if it % STALL_WINDOW == 0:
-            if window_best - best <= STALL_RELATIVE * max(1.0, best):
-                return ConeVerdict(
-                    "rigid", residual=residual, info={"iterations": it, "stalled": True}
-                )
-            window_best = best
-    return ConeVerdict("inconclusive", residual=residual, info={"iterations": max_iter})
-
-
-def _probe_residual(h, c_a, dims, d) -> float:
-    """Distance of the iterate from each of the probe's three sets (max)."""
-    neg_gamma = _negative_norm(partial_transpose(h, dims, 1))
-    neg_under = _negative_norm(c_a - h)
-    trace_gap = abs(float(np.trace(h).real) - 1.0) / np.sqrt(d)
-    return max(neg_gamma, neg_under, trace_gap)
-
-
-def _negative_norm(w) -> float:
-    m = as_matrix(w)
-    vals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    neg = vals[vals < 0]
-    return float(np.linalg.norm(neg)) if len(neg) else 0.0
+    t = float(np.trace(c_a).real)
+    lam, u = min_eig(partial_transpose(c_a, (n, n), 1))
+    info = {"iterations": 0, "min_eig": lam}
+    if t == 0.0:
+        return ConeVerdict("rigid", info=info)
+    residual = max(-lam, 0.0) / t
+    if lam >= -tol * t:
+        return ConeVerdict(
+            "decomposable_nontrivially",
+            residual=residual,
+            certificate=c_a / max(t, 2.0),
+            info=info,
+        )
+    return ConeVerdict("rigid", residual=residual, witness=u, info=info)

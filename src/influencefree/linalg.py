@@ -7,6 +7,7 @@ whose product must equal the matrix dimension.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -79,7 +80,7 @@ def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"factor dimensions must be >= 1, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if m.shape[0] != total or m.shape[1] != total:
         raise ValueError(
             f"matrix of shape {m.shape} does not match factor dims {dims} "
@@ -116,7 +117,7 @@ def partial_trace(w, dims: Sequence[int], factor: int) -> np.ndarray:
     t = m.reshape(dims + dims)
     t = np.trace(t, axis1=factor, axis2=k + factor)
     rest = [d for i, d in enumerate(dims) if i != factor]
-    n = int(np.prod(rest)) if rest else 1
+    n = math.prod(rest)
     return t.reshape(n, n)
 
 

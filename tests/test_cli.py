@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+from influencefree.acceptance import TIME_BUDGETS
 from influencefree.choimaps import state_eval, swap_operator, unnormalized_q
 from influencefree.cli import run
 from influencefree.jsonio import matrix_to_document
@@ -16,6 +18,17 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def invoke_strict(capsys, *argv):
+    """Like invoke, but stdout must be strict JSON (no NaN or Infinity tokens)."""
+    code = run(list(argv))
+    out = capsys.readouterr().out
+    return code, json.loads(out, parse_constant=_no_constant)
+
+
+def _no_constant(name):
+    raise AssertionError(f"stdout holds the non-JSON token {name}")
 
 
 def write_doc(tmp_path, name, doc):
@@ -91,6 +104,17 @@ def test_verify_state_accepts_and_refutes(tmp_path, capsys):
     assert doc["witness"]["sum"] == pytest.approx(0.9)
 
 
+def test_verify_state_rejects_nan_table_value(tmp_path, capsys):
+    path = write_doc(
+        tmp_path, "nan.json",
+        {"space": chain_space(), "table": {"a": math.nan, "x": 0.6, "b": 0.4}},
+    )
+    code, doc = invoke_strict(capsys, "verify-state", path)
+    assert code == 65
+    assert doc["verdict"] == "malformed-input"
+    assert "NaN" in doc["reason"]
+
+
 def test_verify_state_multiset_space(tmp_path, capsys):
     path = write_doc(
         tmp_path, "multi.json",
@@ -137,6 +161,14 @@ def test_influence_free_verdicts(tmp_path, capsys):
     assert doc["alice_to_bob"] == pytest.approx(0.2)
     assert doc["bob_to_alice"] == pytest.approx(0.0, abs=1e-12)
     assert doc["witness"]["direction"] == "alice->bob"
+
+
+def test_influence_free_rejects_nan_pair_value(tmp_path, capsys):
+    doc = pr_box_doc()
+    doc["table"][0][2] = math.nan
+    code, out = invoke_strict(capsys, "influence-free", write_doc(tmp_path, "nan.json", doc))
+    assert code == 65
+    assert out["verdict"] == "malformed-input"
 
 
 def test_fns_tests_counts_and_cap(tmp_path, capsys):
@@ -289,6 +321,29 @@ def test_ppt_check(tmp_path, capsys):
     assert code == 0
 
 
+def test_ppt_check_rejects_nan_entry(tmp_path, capsys):
+    doc = matrix_to_document(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
+    doc["entries"][0][0] = math.nan
+    code, out = invoke_strict(capsys, "ppt-check", write_doc(tmp_path, "nan.json", doc))
+    assert code == 65
+    assert out["verdict"] == "malformed-input"
+    # an overflowing literal is non-finite too
+    overflow = tmp_path / "inf.json"
+    overflow.write_text(json.dumps(doc).replace("NaN", "1e999"))
+    code, out = invoke_strict(capsys, "ppt-check", str(overflow))
+    assert code == 65
+    assert "1e999" in out["reason"]
+
+
+def test_overflowing_result_is_malformed(tmp_path, capsys):
+    # finite input whose Choi operator overflows: never emit an Infinity token
+    big = {"kind": "conjugation", "matrix": matrix_to_document(np.diag([1e200, 1.0]))}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = invoke_strict(capsys, "choi", write_doc(tmp_path, "big.json", big))
+    assert code == 65
+    assert out["verdict"] == "malformed-input"
+
+
 def test_popt_certified_and_byte_stable(tmp_path, capsys):
     path = write_doc(
         tmp_path, "s.json", matrix_to_document(swap_operator(2) / 2, (2, 2))
@@ -365,9 +420,13 @@ def test_extremality_verdicts(tmp_path, capsys):
     assert doc["verdict"] == "decomposable-nontrivially"
     assert doc["certificate"]["rows"] == 4
     identity = write_doc(tmp_path, "id.json", matrix_to_document(np.eye(2)))
-    code, doc = invoke(capsys, "extremality", identity)
+    code, doc = invoke(capsys, "extremality", identity, "--tol", "1e-9")
     assert code == 1
     assert doc["verdict"] == "rigid"
+    assert doc["residual"] == pytest.approx(0.5)
+    assert doc["witness"]["length"] == 4
+    code, doc = invoke(capsys, "extremality", identity, "--max-iter", "10")
+    assert code == 64
     rect = write_doc(tmp_path, "rect.json", matrix_to_document(np.ones((2, 3))))
     code, doc = invoke(capsys, "extremality", rect)
     assert code == 65
@@ -451,3 +510,7 @@ def test_selftest_runs_every_criterion(capsys):
     assert doc["verdict"] == "pass"
     assert [c["number"] for c in doc["criteria"]] == list(range(1, 12))
     assert all(c["passed"] for c in doc["criteria"])
+    assert [c["budget"] for c in doc["criteria"]] == [
+        TIME_BUDGETS[i] for i in range(1, 12)
+    ]
+    assert all(c["elapsed"] > 0 for c in doc["criteria"])

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from influencefree.choimaps import state_eval, swap_operator, unnormalized_q
+from influencefree.choimaps import (
+    choi_from_conjugation,
+    state_eval,
+    swap_operator,
+    unnormalized_q,
+)
 from influencefree.cones import (
     decomposable_sum_membership,
     extremality_probe,
@@ -13,7 +18,7 @@ from influencefree.cones import (
     popt_minimize,
 )
 from influencefree.linalg import frobenius, partial_transpose
-from influencefree.sampling import random_hermitian
+from influencefree.sampling import random_hermitian, random_rank
 
 
 def boundary_member() -> np.ndarray:
@@ -54,7 +59,7 @@ def test_popt_minimize_deterministic_witness():
     assert r1.min_value == r2.min_value
     assert np.array_equal(r1.witness_x, r2.witness_x)
     assert np.array_equal(r1.witness_y, r2.witness_y)
-    assert 1 <= r1.restarts_used <= 8
+    assert 1 <= r1.best_restart <= 8
     got = state_eval(w, (2, 2), r1.witness_x, r1.witness_y)
     assert got == pytest.approx(r1.min_value, abs=1e-12)
     with pytest.raises(ValueError):
@@ -85,7 +90,7 @@ def test_is_popt_refuted_with_witness():
     assert v.min_value == pytest.approx(-1.0)
     x, y = v.witness
     assert state_eval(w, (2, 2), x, y) == pytest.approx(v.min_value, abs=1e-12)
-    assert v.info["restarts_used"] >= 1
+    assert v.info["best_restart"] >= 1
 
 
 def test_is_popt_decomposition_branch():
@@ -152,8 +157,6 @@ def test_extremality_rank_one_is_decomposable():
     v = extremality_probe(a)
     assert v.status == "decomposable_nontrivially"
     h = v.certificate
-    from influencefree.choimaps import choi_from_conjugation
-
     c_a = choi_from_conjugation(a).choi
     assert np.trace(h).real == pytest.approx(1.0, abs=1e-6)
     assert np.linalg.eigvalsh(partial_transpose(h, (2, 2), 1)).min() >= -2e-7
@@ -161,8 +164,39 @@ def test_extremality_rank_one_is_decomposable():
 
 
 def test_extremality_identity_conjugation_is_rigid():
-    v = extremality_probe(np.eye(2), max_iter=200000)
+    v = extremality_probe(np.eye(2))
     assert v.status == "rigid"
-    assert v.residual > 1e-7
+    assert v.info == {"iterations": 0, "min_eig": pytest.approx(-1.0)}
+    # sigma1 * sigma2 / ||A||_F^2 for the identity
+    assert v.residual == pytest.approx(0.5)
     with pytest.raises(ValueError):
         extremality_probe(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("scale", [1e-3, 0.5, 1.0, 1e3])
+def test_extremality_verdict_is_scale_invariant(n, rank, scale):
+    a = scale * random_rank(np.random.default_rng(31 + n), n, rank)
+    v = extremality_probe(a)
+    c_a = choi_from_conjugation(a).choi
+    slack = 1e-9 * np.trace(c_a).real
+    if rank == 1:
+        assert v.status == "decomposable_nontrivially"
+        h = v.certificate
+        assert np.linalg.eigvalsh(partial_transpose(h, (n, n), 1)).min() >= -slack
+        assert np.linalg.eigvalsh(c_a - h).min() >= -slack
+        assert frobenius(h) > slack and frobenius(c_a - h) > slack
+    else:
+        assert v.status == "rigid"
+        u = v.witness
+        value = np.real(u.conj() @ partial_transpose(c_a, (n, n), 1) @ u)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert value == pytest.approx(-sv[0] * sv[1], rel=1e-9)
+        assert v.residual == pytest.approx(sv[0] * sv[1] / np.sum(sv**2), rel=1e-9)
+
+
+def test_extremality_zero_map_is_rigid():
+    v = extremality_probe(np.zeros((2, 2)))
+    assert v.status == "rigid"
+    assert v.witness is None and v.certificate is None
