@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
+    finite_matrix,
     min_eig,
     partial_transpose,
     psd_part,
@@ -65,7 +66,7 @@ class DecompositionCertificate:
 
 def is_psd(w, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Member iff the smallest eigenvalue is >= -tol; witness eigenvector else."""
-    lam, vec = min_eig(w)
+    lam, vec = min_eig(finite_matrix(w))
     if lam >= -tol:
         return ConeVerdict("member", min_value=lam)
     return ConeVerdict("refuted", min_value=lam, witness=vec)
@@ -73,7 +74,7 @@ def is_psd(w, tol: float = DEFAULT_TOL) -> ConeVerdict:
 
 def is_ppt(w, dims: Sequence[int], tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Member iff the partial transpose is PSD within tol."""
-    gamma = partial_transpose(w, dims, 1)
+    gamma = partial_transpose(finite_matrix(w), dims, 1)
     verdict = is_psd(gamma, tol=tol)
     verdict.info["checked"] = "partial transpose of second factor"
     return verdict
@@ -160,7 +161,7 @@ def decomposable_sum_membership(
     residual after the cone step is ‖W − P − Q‖_F: member when it drops to
     tol, refuted when it stalls above tol, inconclusive at max_iter.
     """
-    m = as_matrix(w)
+    m = finite_matrix(w)
     dims = tuple(int(d) for d in dims)
     p = m.copy()
     q = np.zeros_like(m)
@@ -236,7 +237,7 @@ def is_popt(
     positive-on-pure-tensors cone coincides with PSD + PSD^Gamma.
     likely: no violation found and no certificate obtained.
     """
-    m = as_matrix(w)
+    m = finite_matrix(w)
     psd = is_psd(m, tol=tol)
     if psd:
         return ConeVerdict(
@@ -290,7 +291,7 @@ def extremality_probe(a, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """
     from .choimaps import choi_from_conjugation
 
-    a = as_matrix(a)
+    a = finite_matrix(a)
     n = a.shape[1]
     if a.shape[0] != a.shape[1]:
         raise ValueError("extremality probe expects a square matrix")

@@ -68,7 +68,8 @@ class ProductState:
                 if (x, y) not in table:
                     raise ValueError(f"table is missing the pair ({x!r}, {y!r})")
                 v = table[(x, y)]
-                if v < -tolerance or v > 1.0 + tolerance:
+                # negated so that NaN, which fails every comparison, is refused too
+                if not -tolerance <= v <= 1.0 + tolerance:
                     raise ValueError(f"table value {v} at ({x!r}, {y!r}) outside [0, 1]")
         for ea in alice.tests:
             for eb in bob.tests:

@@ -36,6 +36,18 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def finite_matrix(m) -> np.ndarray:
+    """as_matrix, refusing NaN and infinite entries with ValueError.
+
+    Every comparison against NaN is false, so a NaN entry would otherwise
+    pass each tolerance test downstream and end in an affirmative verdict.
+    """
+    a = as_matrix(m)
+    if not np.isfinite(a).all():
+        raise ValueError(f"a {a.shape[0]}x{a.shape[1]} matrix has non-finite entries")
+    return a
+
+
 def frobenius(m) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(as_matrix(m)))
@@ -46,11 +58,12 @@ class HermitianOperator:
 
     The input is symmetrized to (M + M†)/2 and the discarded part's Frobenius
     norm is recorded as `hermiticity_defect`. A defect above the admission
-    threshold (default 1e-9 · ‖M‖_F) is an error rather than a silent repair.
+    threshold (default 1e-9 · ‖M‖_F) is an error rather than a silent repair,
+    and so is a NaN or infinite entry.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        m = as_matrix(matrix)
+        m = finite_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"Hermitian operator must be square, got {m.shape}")
         anti = (m - m.conj().T) / 2.0

@@ -98,10 +98,11 @@ def _random_state(
 ) -> dict[str, float] | None:
     """Random state via per-test proportional rescaling; None if it won't settle."""
     f = {x: float(rng.uniform(0.05, 1.0)) for x in ts.outcomes}
+    value = f.__getitem__
     for _ in range(rounds):
         worst = 0.0
         for t in ts.tests:
-            s = sum(f[x] for x in t)
+            s = sum(map(value, t))
             if s <= 0:
                 return None
             worst = max(worst, abs(s - 1.0))
@@ -130,18 +131,18 @@ def signalling_table(
         for x in alice.outcomes
         for y in bob.outcomes
     }
+    cells = [[(x, y) for x in ea for y in eb] for ea in alice.tests for eb in bob.tests]
+    value = table.__getitem__
     done = False
     for _ in range(rounds):
         worst = 0.0
-        for ea in alice.tests:
-            for eb in bob.tests:
-                s = sum(table[(x, y)] for x in ea for y in eb)
-                if s <= 0:
-                    return None
-                worst = max(worst, abs(s - 1.0))
-                for x in ea:
-                    for y in eb:
-                        table[(x, y)] /= s
+        for cell in cells:
+            s = sum(map(value, cell))
+            if s <= 0:
+                return None
+            worst = max(worst, abs(s - 1.0))
+            for pair in cell:
+                table[pair] /= s
         if worst < 1e-13:
             done = True
             break

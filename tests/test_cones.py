@@ -30,6 +30,24 @@ def boundary_member() -> np.ndarray:
     return np.outer(psi, psi) + partial_transpose(np.outer(phi, phi), (2, 2), 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda w: is_psd(w),
+        lambda w: is_ppt(w, (2, 2)),
+        lambda w: is_popt(w, (2, 2), seed=1),
+        lambda w: decomposable_sum_membership(w, (2, 2)),
+        lambda w: extremality_probe(w),
+    ],
+    ids=["is_psd", "is_ppt", "is_popt", "membership", "extremality"],
+)
+def test_entry_points_reject_non_finite_operators(entry, bad):
+    w = np.diag([bad, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        entry(w)
+
+
 def test_is_psd_verdicts():
     member = is_psd(np.diag([1.0, 2.0]))
     assert bool(member) and member.status == "member"

@@ -62,6 +62,14 @@ def test_product_state_validates_table():
         ProductState(alice, bob, negative)
 
 
+def test_product_state_rejects_nan_table_value():
+    alice = TestSpace(["p", "q"], [("p", "q")])
+    bob = TestSpace(["r", "s"], [("r", "s")])
+    table = {("p", "r"): np.nan, ("p", "s"): 0.5, ("q", "r"): 0.25, ("q", "s"): 0.25}
+    with pytest.raises(ValueError, match="outside"):
+        ProductState(alice, bob, table)
+
+
 def test_cartesian_tests_enumerate_products():
     tests = cartesian_tests(FNS_ALICE, FNS_BOB)
     assert len(tests) == 2

@@ -95,6 +95,12 @@ def test_hermitian_operator_admission_and_defect():
     assert np.allclose(loose.matrix, loose.matrix.conj().T)
 
 
+def test_hermitian_operator_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianOperator(np.diag([bad, 1.0]))
+
+
 def test_min_eig_and_psd_part():
     w = np.diag([3.0, -2.0, 0.5])
     lam, vec = min_eig(w)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from influencefree.choimaps import swap_operator, unnormalized_q
-from influencefree.linalg import frobenius, kron, partial_trace
-from influencefree.sampling import random_hermitian
+from influencefree.linalg import frobenius, kron, partial_trace, permute_systems
+from influencefree.sampling import random_hermitian, random_psd
 from influencefree.teleport import (
-    FourPartyLayout,
     antisymmetric_projector,
     bell_projector,
     corollary_check,
@@ -22,19 +21,6 @@ from influencefree.teleport import (
     weyl_basis,
     weyl_operator,
 )
-
-
-def test_layout_bookkeeping():
-    layout = FourPartyLayout(2)
-    assert layout.dims == (2, 2, 2, 2)
-    assert layout.total_dim == 16
-    assert layout.alice_factors == (0, 1)
-    assert layout.outer_factors == (0, 3)
-    assert layout.inner_factors == (1, 2)
-    with pytest.raises(ValueError):
-        FourPartyLayout(0)
-    with pytest.raises(ValueError):
-        FourPartyLayout(2, order=("A1", "B1", "A2", "B2"))
 
 
 def test_bell_and_twisted_projectors():
@@ -184,3 +170,103 @@ def test_desideratum_demo_report():
     # the negativity needs both entangled ingredients
     assert r.psd_replacement_min >= -1e-10
     assert r.product_replacement_min >= -1e-10
+
+
+def _dense_sandwich(g, n, t, side):
+    """P G P for P = t on the projected pair, built with kron on the n^4 space."""
+    eye = np.eye(n * n)
+    proj = kron(t, eye) if side == "alice" else kron(eye, t)
+    return proj @ g @ proj, float(np.real(np.trace(proj @ g)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_contractions_match_the_dense_embedding(n):
+    rng = np.random.default_rng(70 + n)
+    w = random_hermitian(rng, n * n)
+    g = embed_with_entangled_pair(w, n)
+    t = bell_projector(n)
+    for side, pivot, shape in (
+        ("alice", pivot_alice, kron(t, w)),
+        ("bob", pivot_bob, kron(w, t)),
+    ):
+        sandwich, alpha = _dense_sandwich(g, n, t, side)
+        rep = pivot(w, n)
+        assert rep.alpha == pytest.approx(alpha, abs=1e-13)
+        assert rep.frobenius_gap == pytest.approx(
+            frobenius(sandwich - alpha * shape), abs=1e-13
+        )
+    for v in weyl_basis(n):
+        sandwich, alpha = _dense_sandwich(g, n, twisted_bell_projector(n, v), "alice")
+        res = pivot_general(w, n, v)
+        assert res.alpha == pytest.approx(alpha, abs=1e-13)
+        bob = partial_trace(sandwich, (n * n, n * n), 0)
+        assert frobenius(res.bob_operator.matrix - bob) <= 1e-13
+
+    w1 = random_hermitian(rng, n * n, trace=1.0)
+    b = random_psd(rng, n * n)
+    g1 = embed_with_entangled_pair(w1, n)
+    lhs, rhs = corollary_check(w1, b, n)
+    assert lhs == pytest.approx(float(np.real(np.trace(kron(t, b) @ g1))), abs=1e-12)
+    _, alpha = _dense_sandwich(g1, n, t, "alice")
+    assert rhs == pytest.approx(alpha * float(np.real(np.trace(w1 @ b))), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_desideratum_minima_match_dense_traces(n):
+    seed = 11
+    r = desideratum_violation_demo(n, seed=seed)
+    effects = [antisymmetric_projector(n), symmetric_projector(n)]
+    effects += [twisted_bell_projector(n, v) for v in weyl_basis(n)]
+    tests = [kron(twisted_bell_projector(n, v), b) for v in weyl_basis(n) for b in effects]
+
+    def dense_min(g):
+        return min(float(np.real(np.trace(test @ g))) for test in tests)
+
+    pure = np.zeros((n * n, n * n))
+    pure[0, 0] = 1.0
+    mixed = np.eye(n * n) / (n * n)
+    psd = random_psd(np.random.default_rng(seed), n * n, trace=1.0)
+    psd_min = min(dense_min(embed_with_entangled_pair(x, n)) for x in (mixed, pure, psd))
+    w = swap_operator(n) / n
+    product_min = min(
+        dense_min(permute_systems(kron(w, inner), (n,) * 4, (0, 2, 3, 1)))
+        for inner in (mixed, pure)
+    )
+    assert r.psd_replacement_min == pytest.approx(psd_min, abs=1e-12)
+    assert r.product_replacement_min == pytest.approx(product_min, abs=1e-12)
+
+
+def test_pivots_at_scale():
+    # at n = 8 the dense embedding alone would be a 4096 x 4096 complex matrix
+    n = 8
+    rng = np.random.default_rng(80)
+    w = random_hermitian(rng, n * n, trace=1.0)
+    bound = 1e-9 * max(1.0, frobenius(w))
+    for rep in (pivot_alice(w, n), pivot_bob(w, n)):
+        assert rep.alpha == pytest.approx(1.0 / n**2, abs=1e-12)
+        assert rep.frobenius_gap <= bound
+    a, b = rng.integers(n, size=2)
+    res = pivot_general(w, n, weyl_operator(n, a, b))
+    assert res.alpha == pytest.approx(1.0 / n**2, abs=1e-12)
+    assert res.gap <= 1e-9
+    effect = random_psd(rng, n * n)
+    lhs, _ = corollary_check(w, effect, n)
+    expected = float(np.real(np.trace(w @ effect))) / n**2
+    assert lhs == pytest.approx(expected, abs=1e-9 * frobenius(w) * frobenius(effect))
+
+
+def test_desideratum_demo_at_scale():
+    n = 6
+    r = desideratum_violation_demo(n)
+    assert r.negative_value == pytest.approx((1 - n) / (2 * n**2), abs=1e-12)
+    assert r.popt_verdict.status == "certified"
+    assert r.psd_replacement_min >= -1e-10
+    assert r.product_replacement_min >= -1e-10
+
+
+def test_pivots_reject_non_finite_operators():
+    w = swap_operator(2) / 2.0
+    with pytest.raises(ValueError, match="non-finite"):
+        pivot_alice(np.diag([np.nan, 1.0, 1.0, 1.0]), 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        corollary_check(w, np.diag([np.nan, 1.0, 1.0, 1.0]), 2)
