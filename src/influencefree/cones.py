@@ -18,7 +18,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    as_matrix,
     finite_matrix,
     min_eig,
     partial_transpose,
@@ -108,7 +107,7 @@ def popt_minimize(
     product vectors; a value below -tol refutes positivity on pure tensors
     and the witness pair certifies it.
     """
-    m = as_matrix(w)
+    m = finite_matrix(w)
     da, db = int(dims[0]), int(dims[1])
     if m.shape != (da * db, da * db):
         raise ValueError(f"operator shape {m.shape} does not match dims {dims}")

@@ -7,16 +7,23 @@ deduplicated as outcome sets), marginals, conditional states, and the Bayes
 consistency identities. The central equivalence: a table is a state on every
 forward two-stage test exactly when Alice's marginal does not depend on
 Bob's choice of test (and mirrored).
+
+A table on X x Y is held as a |X| x |Y| array and each side's tests as its
+incidence matrix, so every sum over test cells is a matrix product.
+Enumerated two-stage tests carry a 0/1 mask over X x Y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .linalg import DEFAULT_TOL, CapExceededError
-from .testspace import TestSpace, is_state
+from .testspace import TestSpace
 
 Pair = tuple[str, str]
 
@@ -28,11 +35,16 @@ class TwoStageTest:
     `first` is the initiating side's test; `assignment` maps each of its
     outcomes to the test the responding side then performs. Outcome pairs are
     always stored as (alice outcome, bob outcome) regardless of direction.
+    Enumerated tests also carry `mask`, a read-only flat boolean array over
+    X x Y marking their outcome pairs, with `axes` the (alice, bob) outcome
+    orders it is indexed by; a test built by hand has neither.
     """
 
     direction: str  # "forward" (Alice first) or "backward" (Bob first)
     first: tuple[str, ...]
     assignment: tuple[tuple[str, tuple[str, ...]], ...]
+    mask: np.ndarray | None = field(default=None, compare=False, repr=False)
+    axes: tuple[tuple[str, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -42,19 +54,17 @@ class TwoStageTest:
             raise ValueError("assignment must cover exactly the initiating test's outcomes")
 
     def outcome_pairs(self) -> frozenset[Pair]:
-        pairs = []
-        lookup = dict(self.assignment)
-        for first_outcome in self.first:
-            for second_outcome in lookup[first_outcome]:
-                if self.direction == "forward":
-                    pairs.append((first_outcome, second_outcome))
-                else:
-                    pairs.append((second_outcome, first_outcome))
-        return frozenset(pairs)
+        """The (alice, bob) outcome pairs this test can produce."""
+        if self.direction == "forward":
+            return frozenset(chain.from_iterable(iproduct((x,), r) for x, r in self.assignment))
+        return frozenset(chain.from_iterable(iproduct(r, (y,)) for y, r in self.assignment))
 
 
 class ProductState:
-    """A table on X x Y that is a state on the Cartesian product A x B."""
+    """A table on X x Y that is a state on the Cartesian product A x B.
+
+    `values[i, j]` is the (read-only) value at (alice.outcomes[i], bob.outcomes[j]).
+    """
 
     def __init__(
         self,
@@ -63,69 +73,77 @@ class ProductState:
         table: Mapping[Pair, float],
         tolerance: float = DEFAULT_TOL,
     ):
-        for x in alice.outcomes:
-            for y in bob.outcomes:
-                if (x, y) not in table:
-                    raise ValueError(f"table is missing the pair ({x!r}, {y!r})")
-                v = table[(x, y)]
-                # negated so that NaN, which fails every comparison, is refused too
-                if not -tolerance <= v <= 1.0 + tolerance:
-                    raise ValueError(f"table value {v} at ({x!r}, {y!r}) outside [0, 1]")
-        for ea in alice.tests:
-            for eb in bob.tests:
-                s = sum(table[(x, y)] for x in ea for y in eb)
-                if abs(s - 1.0) > tolerance:
-                    raise ValueError(
-                        f"product test {ea} x {eb} sums to {s}, not 1 within {tolerance}"
-                    )
+        try:
+            cells = list(map(table.__getitem__, iproduct(alice.outcomes, bob.outcomes)))
+        except KeyError as exc:
+            raise ValueError(f"table is missing the pair {exc.args[0]}") from None
+        values = np.array(cells, dtype=float).reshape(len(alice.outcomes), len(bob.outcomes))
+        # negated so that NaN, which fails every comparison, is refused too
+        outside = ~((values >= -tolerance) & (values <= 1.0 + tolerance))
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ValueError(
+                f"table value {values[i, j]} at ({alice.outcomes[i]!r}, "
+                f"{bob.outcomes[j]!r}) outside [0, 1]"
+            )
+        sums = alice.incidence @ values @ bob.incidence.T
+        off = np.abs(sums - 1.0) > tolerance
+        if off.any():
+            r, c = np.argwhere(off)[0]
+            raise ValueError(
+                f"product test {alice.tests[r]} x {bob.tests[c]} sums to {sums[r, c]}, "
+                f"not 1 within {tolerance}"
+            )
+        values.flags.writeable = False
         self.alice = alice
         self.bob = bob
-        self.table = {
-            (x, y): float(table[(x, y)]) for x in alice.outcomes for y in bob.outcomes
-        }
+        self.values = values
         self.tolerance = tolerance
 
     def __call__(self, x: str, y: str) -> float:
-        return self.table[(x, y)]
+        return float(self.values[self.alice.outcome_index(x), self.bob.outcome_index(y)])
 
 
 def cartesian_tests(a: TestSpace, b: TestSpace) -> list[list[Pair]]:
     """All product tests E x F, one per pair of component tests."""
-    return [[(x, y) for x in e for y in f] for e in a.tests for f in b.tests]
+    return [list(iproduct(e, f)) for e, f in iproduct(a.tests, b.tests)]
 
 
-def _count_assignments(initiator: TestSpace, responder: TestSpace) -> int:
-    return sum(len(responder.tests) ** len(e) for e in initiator.tests)
+def _two_stage(direction: str, a: TestSpace, b: TestSpace, cap: int) -> list[TwoStageTest]:
+    """Every initiating test with every map from its outcomes to responding tests."""
+    first, second = (a, b) if direction == "forward" else (b, a)
+    required = sum(len(second.tests) ** len(e) for e in first.tests)
+    if required > cap:
+        raise CapExceededError(
+            f"{direction} enumeration needs {required} tests, cap is {cap}", required=required
+        )
+    index = {x: i for i, x in enumerate(first.outcomes)}
+    responses = second.incidence.astype(bool)
+    axes = (a.outcomes, b.outcomes)
+    out = []
+    for e in first.tests:
+        choices = list(iproduct(range(len(second.tests)), repeat=len(e)))
+        # masks[k, x, y]: outcome x of `first`, y of `second`, under choice k
+        masks = np.zeros((len(choices), len(first.outcomes), len(second.outcomes)), bool)
+        masks[:, [index[x] for x in e], :] = responses[np.array(choices)]
+        if direction == "backward":
+            masks = masks.transpose(0, 2, 1)
+        masks = masks.reshape(len(choices), -1)
+        masks.flags.writeable = False
+        for choice, mask in zip(choices, masks):
+            assignment = tuple(zip(e, map(second.tests.__getitem__, choice)))
+            out.append(TwoStageTest(direction, e, assignment, mask, axes))
+    return out
 
 
 def forward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> list[TwoStageTest]:
     """All two-stage tests where Alice initiates: every E and every map E -> B."""
-    required = _count_assignments(a, b)
-    if required > cap:
-        raise CapExceededError(
-            f"forward enumeration needs {required} tests, cap is {cap}", required=required
-        )
-    out = []
-    for e in a.tests:
-        for choice in iproduct(range(len(b.tests)), repeat=len(e)):
-            assignment = tuple((x, b.tests[choice[i]]) for i, x in enumerate(e))
-            out.append(TwoStageTest("forward", e, assignment))
-    return out
+    return _two_stage("forward", a, b, cap)
 
 
 def backward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> list[TwoStageTest]:
     """All two-stage tests where Bob initiates: every F and every map F -> A."""
-    required = _count_assignments(b, a)
-    if required > cap:
-        raise CapExceededError(
-            f"backward enumeration needs {required} tests, cap is {cap}", required=required
-        )
-    out = []
-    for f in b.tests:
-        for choice in iproduct(range(len(a.tests)), repeat=len(f)):
-            assignment = tuple((y, a.tests[choice[i]]) for i, y in enumerate(f))
-            out.append(TwoStageTest("backward", f, assignment))
-    return out
+    return _two_stage("backward", a, b, cap)
 
 
 def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> list[TwoStageTest]:
@@ -134,25 +152,21 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> list[TwoStageTest
     Constant assignments reproduce the Cartesian tests, which therefore appear
     exactly once; the forward representative is kept on collisions.
     """
-    seen: dict[frozenset[Pair], TwoStageTest] = {}
-    out = []
+    unique: dict[bytes, TwoStageTest] = {}
     for t in forward_tests(a, b, cap) + backward_tests(a, b, cap):
-        key = t.outcome_pairs()
-        if key not in seen:
-            seen[key] = t
-            out.append(t)
-    return out
+        unique.setdefault(t.mask.tobytes(), t)
+    return list(unique.values())
 
 
-def _resolve_test(space: TestSpace, test) -> tuple[str, ...]:
+def _test_index(space: TestSpace, test) -> int:
     if isinstance(test, int):
         if not 0 <= test < len(space.tests):
             raise ValueError(f"test index {test} out of range")
-        return space.tests[test]
+        return test
     t = tuple(test)
-    for candidate in space.tests:
+    for r, candidate in enumerate(space.tests):
         if set(candidate) == set(t):
-            return candidate
+            return r
     raise ValueError(f"{t} is not a test of the given side")
 
 
@@ -163,11 +177,11 @@ def marginal(omega: ProductState, side: str, test) -> dict[str, float]:
     collection) must be a test of the *other* side.
     """
     if side == "alice":
-        f = _resolve_test(omega.bob, test)
-        return {x: sum(omega.table[(x, y)] for y in f) for x in omega.alice.outcomes}
+        f = omega.bob.incidence[_test_index(omega.bob, test)]
+        return dict(zip(omega.alice.outcomes, (omega.values @ f).tolist()))
     if side == "bob":
-        e = _resolve_test(omega.alice, test)
-        return {y: sum(omega.table[(x, y)] for x in e) for y in omega.bob.outcomes}
+        e = omega.alice.incidence[_test_index(omega.alice, test)]
+        return dict(zip(omega.bob.outcomes, (e @ omega.values).tolist()))
     raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
 
 
@@ -197,47 +211,51 @@ class InfluenceVerdict:
         return "alice->bob"
 
 
-def _direction_report(
-    outcomes: Sequence[str], sums_by_test: Mapping[str, list[float]]
-) -> DirectionReport:
-    worst, where = 0.0, None
-    for x in outcomes:
-        sums = sums_by_test[x]
-        for i in range(len(sums)):
-            for j in range(i + 1, len(sums)):
-                d = abs(sums[i] - sums[j])
-                if d > worst:
-                    worst, where = d, (x, (i, j))
-    if where is None:
+def _direction_report(outcomes: tuple[str, ...], sums: np.ndarray) -> DirectionReport:
+    """Largest |sums[x, i] - sums[x, j]|, i < j, first in (x, (i, j)) order on ties;
+    sums[x, k] is the marginal at outcome x under the other side's test k."""
+    n = sums.shape[1]
+    gaps = np.abs(sums[:, :, None] - sums[:, None, :]).ravel()
+    # each block gaps[x] is symmetric with a zero diagonal, so the first
+    # maximum in flat order is the lexicographically first (i, j) with i < j
+    k = int(gaps.argmax())
+    if not gaps[k] > 0.0:
         return DirectionReport(0.0, None, None)
-    return DirectionReport(worst, where[0], where[1])
+    x, ij = divmod(k, n * n)
+    return DirectionReport(float(gaps[k]), outcomes[x], divmod(ij, n))
 
 
 def is_influence_free(omega: ProductState, tol: float = 1e-10) -> InfluenceVerdict:
     """Check that each side's marginal ignores the other side's choice of test."""
-    alice_sums = {
-        x: [sum(omega.table[(x, y)] for y in f) for f in omega.bob.tests]
-        for x in omega.alice.outcomes
-    }
-    bob_sums = {
-        y: [sum(omega.table[(x, y)] for x in e) for e in omega.alice.tests]
-        for y in omega.bob.outcomes
-    }
-    to_alice = _direction_report(omega.alice.outcomes, alice_sums)
-    to_bob = _direction_report(omega.bob.outcomes, bob_sums)
+    to_alice = _direction_report(omega.alice.outcomes, omega.values @ omega.bob.incidence.T)
+    to_bob = _direction_report(omega.bob.outcomes, (omega.alice.incidence @ omega.values).T)
     worst = max(to_alice.max_deviation, to_bob.max_deviation)
     return InfluenceVerdict(worst <= tol, to_alice, to_bob, worst)
+
+
+def _pair_mask(t: TwoStageTest, omega: ProductState) -> np.ndarray:
+    """The test's mask over omega's X x Y, rebuilt from its labels when it has none."""
+    if t.mask is not None and t.axes == (omega.alice.outcomes, omega.bob.outcomes):
+        return t.mask
+    mask = np.zeros(omega.values.shape, bool)
+    for x, y in t.outcome_pairs():
+        mask[omega.alice.outcome_index(x), omega.bob.outcome_index(y)] = True
+    return mask.ravel()
 
 
 def is_state_on_two_stage(
     omega: ProductState, tests: Iterable[TwoStageTest], tol: float = 1e-10
 ) -> bool:
-    """True iff the table sums to 1 over every given two-stage test's outcomes."""
-    for t in tests:
-        s = sum(omega.table[pair] for pair in t.outcome_pairs())
-        if abs(s - 1.0) > tol:
-            return False
-    return True
+    """True iff the table sums to 1 over every given two-stage test's outcomes.
+
+    Each sum adds raw table cells through the test's pair mask, never
+    marginals, so this stays an independent check of the influence verdict.
+    """
+    masks = [_pair_mask(t, omega) for t in tests]
+    if not masks:
+        return True
+    sums = np.einsum("tc,c->t", np.array(masks), omega.values.ravel())
+    return bool(np.all(np.abs(sums - 1.0) <= tol))
 
 
 def condition(
@@ -256,16 +274,15 @@ def condition(
             f"{verdict.max_deviation:.3e} ({verdict.direction})"
         )
     if side == "alice":
-        p = marginal(omega, "alice", 0)[on]
-        if p <= tol:
-            raise ValueError(f"cannot condition on zero-probability outcome {on!r}")
-        return {y: omega.table[(on, y)] / p for y in omega.bob.outcomes}
-    if side == "bob":
-        p = marginal(omega, "bob", 0)[on]
-        if p <= tol:
-            raise ValueError(f"cannot condition on zero-probability outcome {on!r}")
-        return {x: omega.table[(x, on)] / p for x in omega.alice.outcomes}
-    raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+        row, other = omega.values[omega.alice.outcome_index(on)], omega.bob
+    elif side == "bob":
+        row, other = omega.values[:, omega.bob.outcome_index(on)], omega.alice
+    else:
+        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    p = row @ other.incidence[0]
+    if p <= tol:
+        raise ValueError(f"cannot condition on zero-probability outcome {on!r}")
+    return dict(zip(other.outcomes, (row / p).tolist()))
 
 
 def bayes_mixture_check(
@@ -275,18 +292,13 @@ def bayes_mixture_check(
 
     Zero-probability Alice outcomes contribute 0 to the mixture by convention.
     """
-    e = _resolve_test(omega.alice, alice_test)
-    wa = marginal(omega, "alice", 0)
-    wb = marginal(omega, "bob", 0)
-    worst = 0.0
-    for y in omega.bob.outcomes:
-        mix = 0.0
-        for a in e:
-            p = wa[a]
-            if p > tol:
-                mix += p * (omega.table[(a, y)] / p)
-        worst = max(worst, abs(mix - wb[y]))
-    return worst
+    e = omega.alice.incidence[_test_index(omega.alice, alice_test)]
+    wa = omega.values @ omega.bob.incidence[0]
+    wb = omega.alice.incidence[0] @ omega.values
+    keep = (e > 0) & (wa > tol)
+    p = wa[keep, None]
+    mix = (p * (omega.values[keep] / p)).sum(axis=0)
+    return float(np.abs(mix - wb).max())
 
 
 def operational_bayes_check(omega: ProductState, a: str, b: str) -> float:
@@ -295,10 +307,10 @@ def operational_bayes_check(omega: ProductState, a: str, b: str) -> float:
     Both sides equal w(a,b) for an influence-free state, so the residual is a
     pure floating-point quantity there.
     """
-    wa = marginal(omega, "alice", 0)[a]
-    wb = marginal(omega, "bob", 0)[b]
+    i, j = omega.alice.outcome_index(a), omega.bob.outcome_index(b)
+    wa = omega.values[i] @ omega.bob.incidence[0]
+    wb = omega.alice.incidence[0] @ omega.values[:, j]
     if wa <= 0 or wb <= 0:
         raise ValueError("operational Bayes check needs strictly positive marginals")
-    cond_b_given_a = omega.table[(a, b)] / wa
-    cond_a_given_b = omega.table[(a, b)] / wb
-    return abs(cond_b_given_a * wa - cond_a_given_b * wb)
+    v = omega.values[i, j]
+    return float(abs(v / wa * wa - v / wb * wb))

@@ -5,8 +5,11 @@ Everything takes an explicit numpy Generator; nothing touches global RNG state.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
+from .coupling import ProductState, is_influence_free
 from .testspace import TestSpace
 
 
@@ -81,22 +84,21 @@ def product_state_table(
     side's space defeats the fitting (e.g. admits no state at all).
     """
     weights = rng.dirichlet(np.ones(mixture))
-    table = {(x, y): 0.0 for x in alice.outcomes for y in bob.outcomes}
+    table = np.zeros((len(alice.outcomes), len(bob.outcomes)))
     for w in weights:
         fa = _random_state(rng, alice)
         fb = _random_state(rng, bob)
         if fa is None or fb is None:
             return None
-        for x in alice.outcomes:
-            for y in bob.outcomes:
-                table[(x, y)] += w * fa[x] * fb[y]
-    return table
+        # table[x, y] accumulates (w * fa[x]) * fb[y] in mixture order
+        table += np.outer(w * np.array(list(fa.values())), list(fb.values()))
+    return dict(zip(product(alice.outcomes, bob.outcomes), table.ravel().tolist()))
 
 
 def _random_state(
     rng: np.random.Generator, ts: TestSpace, rounds: int = 4000
 ) -> dict[str, float] | None:
-    """Random state via per-test proportional rescaling; None if it won't settle."""
+    """Random state via per-test proportional fitting, keyed in outcome order; None if unsettled."""
     f = {x: float(rng.uniform(0.05, 1.0)) for x in ts.outcomes}
     value = f.__getitem__
     for _ in range(rounds):
@@ -126,12 +128,9 @@ def signalling_table(
     None if fitting fails in `rounds` passes or the sample comes out too close
     to influence-free to be a decisive instance.
     """
-    table = {
-        (x, y): float(rng.uniform(0.05, 1.0))
-        for x in alice.outcomes
-        for y in bob.outcomes
-    }
-    cells = [[(x, y) for x in ea for y in eb] for ea in alice.tests for eb in bob.tests]
+    pairs = list(product(alice.outcomes, bob.outcomes))
+    table = dict(zip(pairs, rng.uniform(0.05, 1.0, size=len(pairs)).tolist()))
+    cells = [list(product(ea, eb)) for ea, eb in product(alice.tests, bob.tests)]
     value = table.__getitem__
     done = False
     for _ in range(rounds):
@@ -148,19 +147,6 @@ def signalling_table(
             break
     if not done:
         return None
-    dev = _signalling_deviation(table, alice, bob)
-    if dev < min_deviation:
+    if is_influence_free(ProductState(alice, bob, table)).max_deviation < min_deviation:
         return None
     return table
-
-
-def _signalling_deviation(table, alice: TestSpace, bob: TestSpace) -> float:
-    """Largest marginal deviation across either side's choice of test."""
-    worst = 0.0
-    for x in alice.outcomes:
-        sums = [sum(table[(x, y)] for y in f) for f in bob.tests]
-        worst = max(worst, max(sums) - min(sums))
-    for y in bob.outcomes:
-        sums = [sum(table[(x, y)] for x in e) for e in alice.tests]
-        worst = max(worst, max(sums) - min(sums))
-    return worst

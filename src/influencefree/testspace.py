@@ -3,7 +3,9 @@
 A test space is an outcome set X together with a covering family of non-empty
 tests (subsets of X); a state assigns [0,1] values summing to 1 over every
 test. E-test spaces allow multiset tests (outcomes with multiplicity).
-Tables are plain mappings outcome -> float.
+Each space carries its tests as a read-only incidence matrix (tests x
+outcomes, entries the multiplicities), so a test sum is a matrix-vector
+product. Tables come in as mappings outcome -> float and must be finite.
 """
 
 from __future__ import annotations
@@ -17,12 +19,24 @@ import numpy as np
 from .linalg import DEFAULT_TOL, CapExceededError
 
 
+def _incidence(index: Mapping[str, int], weighted_tests) -> np.ndarray:
+    """Read-only tests x outcomes matrix; each test is (outcome, weight) pairs."""
+    rows = [[0.0] * len(index) for _ in weighted_tests]
+    for row, t in zip(rows, weighted_tests):
+        for x, w in t:
+            row[index[x]] = w
+    a = np.array(rows, dtype=float).reshape(len(rows), len(index))
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class TestSpace:
     """Outcome labels (ordered, opaque strings) plus a family of set tests."""
 
     outcomes: tuple[str, ...]
     tests: tuple[tuple[str, ...], ...]
+    incidence: np.ndarray = field(compare=False, repr=False)  # 0/1, tests x outcomes
 
     def __init__(self, outcomes, tests):
         outcomes = tuple(str(x) for x in outcomes)
@@ -45,6 +59,8 @@ class TestSpace:
             raise ValueError(f"tests do not cover outcomes {sorted(set(outcomes) - covered)}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "tests", tuple(canon))
+        weighted = [[(x, 1) for x in t] for t in canon]
+        object.__setattr__(self, "incidence", _incidence(index, weighted))
 
     def outcome_index(self, x: str) -> int:
         try:
@@ -59,6 +75,7 @@ class ETestSpace:
 
     outcomes: tuple[str, ...]
     tests: tuple[tuple[tuple[str, int], ...], ...]
+    incidence: np.ndarray = field(compare=False, repr=False)  # multiplicities
 
     def __init__(self, outcomes, tests):
         outcomes = tuple(str(x) for x in outcomes)
@@ -78,58 +95,48 @@ class ETestSpace:
             canon.append(tuple(sorted(positive.items(), key=lambda kv: index[kv[0]])))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "tests", tuple(canon))
+        object.__setattr__(self, "incidence", _incidence(index, canon))
 
 
-def _require_all_outcomes(outcomes, f: Mapping[str, float]):
-    missing = [x for x in outcomes if x not in f]
+def _values(space: TestSpace | ETestSpace, f: Mapping[str, float]) -> np.ndarray:
+    """The table as a vector in outcome order; missing or non-finite values raise."""
+    missing = [x for x in space.outcomes if x not in f]
     if missing:
         raise ValueError(f"table is missing outcomes {missing}")
+    v = np.array([f[x] for x in space.outcomes], dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("table values must be finite")
+    return v
 
 
-def is_state(ts: TestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
-    """True iff values lie in [0,1] and every test sums to 1, all within tol."""
-    _require_all_outcomes(ts.outcomes, f)
-    for x in ts.outcomes:
-        v = f[x]
-        if v < -tol or v > 1.0 + tol:
-            return False
-    for t in ts.tests:
-        if abs(sum(f[x] for x in t) - 1.0) > tol:
-            return False
-    return True
+def is_state(ts: TestSpace | ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
+    """True iff values lie in [0,1] and every incidence-weighted test sum is 1, within tol."""
+    v = _values(ts, f)
+    in_range = np.all((v >= -tol) & (v <= 1.0 + tol))
+    return bool(in_range and np.all(np.abs(ts.incidence @ v - 1.0) <= tol))
 
 
 def is_estate(ets: ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
     """is_state for multiset tests: multiplicity-weighted sums must be 1."""
-    _require_all_outcomes(ets.outcomes, f)
-    for x in ets.outcomes:
-        v = f[x]
-        if v < -tol or v > 1.0 + tol:
-            return False
-    for t in ets.tests:
-        if abs(sum(m * f[x] for x, m in t) - 1.0) > tol:
-            return False
-    return True
+    return is_state(ets, f, tol)
 
 
 def is_positive_weight(
     ts: TestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL
 ) -> float | None:
     """Return the common test-sum K if f >= 0 with constant test sums, else None."""
-    _require_all_outcomes(ts.outcomes, f)
-    if any(f[x] < -tol for x in ts.outcomes):
+    v = _values(ts, f)
+    if np.any(v < -tol):
         return None
-    sums = [sum(f[x] for x in t) for t in ts.tests]
-    k = sums[0]
-    if any(abs(s - k) > tol for s in sums):
+    sums = ts.incidence @ v
+    if np.any(np.abs(sums - sums[0]) > tol):
         return None
-    return float(k)
+    return float(sums[0])
 
 
 def variation_norm(ts: TestSpace, f: Mapping[str, float]) -> float:
     """max over tests E of sum_{x in E} |f(x)| (the variation of f)."""
-    _require_all_outcomes(ts.outcomes, f)
-    return max(sum(abs(f[x]) for x in t) for t in ts.tests)
+    return float((ts.incidence @ np.abs(_values(ts, f))).max())
 
 
 def weight_space_dimension(ts: TestSpace, cap: int = 16) -> tuple[int, int]:
@@ -146,11 +153,7 @@ def weight_space_dimension(ts: TestSpace, cap: int = 16) -> tuple[int, int]:
         raise CapExceededError(
             f"{m} outcomes exceeds the vertex-enumeration cap {cap}", required=m
         )
-    index = {x: i for i, x in enumerate(ts.outcomes)}
-    a = np.zeros((len(ts.tests), m))
-    for r, t in enumerate(ts.tests):
-        for x in t:
-            a[r, index[x]] = 1.0
+    a = ts.incidence
 
     if len(ts.tests) <= 1:
         dim_constant = m

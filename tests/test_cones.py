@@ -39,8 +39,9 @@ def boundary_member() -> np.ndarray:
         lambda w: is_popt(w, (2, 2), seed=1),
         lambda w: decomposable_sum_membership(w, (2, 2)),
         lambda w: extremality_probe(w),
+        lambda w: popt_minimize(w, (2, 2), seed=1),
     ],
-    ids=["is_psd", "is_ppt", "is_popt", "membership", "extremality"],
+    ids=["is_psd", "is_ppt", "is_popt", "membership", "extremality", "popt_minimize"],
 )
 def test_entry_points_reject_non_finite_operators(entry, bad):
     w = np.diag([bad, 1.0, 1.0, 1.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from influencefree.coupling import (
+    DirectionReport,
     ProductState,
     TwoStageTest,
     backward_tests,
@@ -19,7 +20,7 @@ from influencefree.coupling import (
     operational_bayes_check,
 )
 from influencefree.linalg import CapExceededError
-from influencefree.sampling import product_state_table, random_test_space
+from influencefree.sampling import product_state_table, random_test_space, signalling_table
 from influencefree.testspace import TestSpace
 
 
@@ -52,6 +53,9 @@ def test_product_state_validates_table():
     good = {("p", "r"): 0.5, ("p", "s"): 0.0, ("q", "r"): 0.25, ("q", "s"): 0.25}
     omega = ProductState(alice, bob, good)
     assert omega("p", "r") == 0.5
+    assert np.array_equal(omega.values, [[0.5, 0.0], [0.25, 0.25]])
+    assert not omega.values.flags.writeable
+    assert not hasattr(omega, "table")
     with pytest.raises(ValueError):
         ProductState(alice, bob, {("p", "r"): 1.0})
     bad_sum = {**good, ("q", "s"): 0.35}
@@ -225,3 +229,83 @@ def test_product_mixture_tables_are_influence_free(seed):
     omega = ProductState(alice, bob, table)
     verdict = is_influence_free(omega, tol=1e-10)
     assert verdict.free
+
+
+def brute_direction(outcomes, other_tests, cell):
+    """Worst |marginal under test i - under test j| by scanning label pairs.
+
+    Returns every (gap, outcome, (i, j)) candidate in scan order and the
+    first one with the largest gap (strictly larger replaces).
+    """
+    candidates, best = [], (0.0, None, None)
+    for x in outcomes:
+        sums = [sum(cell(x, y) for y in f) for f in other_tests]
+        for i in range(len(sums)):
+            for j in range(i + 1, len(sums)):
+                candidates.append((abs(sums[i] - sums[j]), x, (i, j)))
+                if candidates[-1][0] > best[0]:
+                    best = candidates[-1]
+    return candidates, best
+
+
+def assert_matches_brute_force(report, candidates, best):
+    assert report.max_deviation == pytest.approx(best[0], rel=0, abs=1e-12)
+    if best[1] is None:
+        assert (report.outcome, report.tests) == (None, None)
+        return
+    gap = {(x, ij): g for g, x, ij in candidates}
+    # the reported witness attains the maximum up to rounding, and is the
+    # brute-force witness whenever no other candidate comes that close
+    assert gap[(report.outcome, report.tests)] >= best[0] - 1e-12
+    if sum(g >= best[0] - 1e-12 for g, _, _ in candidates) == 1:
+        assert (report.outcome, report.tests) == best[1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_array_verdicts_match_label_brute_force(seed, free):
+    rng = np.random.default_rng(seed)
+    alice = random_test_space(rng, "a", max_outcomes=5, max_tests=3, max_test_size=3)
+    bob = random_test_space(rng, "b", max_outcomes=5, max_tests=3, max_test_size=3)
+    table = (product_state_table if free else signalling_table)(rng, alice, bob)
+    if table is None:
+        return
+    omega = ProductState(alice, bob, table)
+    verdict = is_influence_free(omega)
+    to_alice = brute_direction(alice.outcomes, bob.tests, lambda x, y: table[(x, y)])
+    to_bob = brute_direction(bob.outcomes, alice.tests, lambda y, x: table[(x, y)])
+    assert_matches_brute_force(verdict.bob_to_alice, *to_alice)
+    assert_matches_brute_force(verdict.alice_to_bob, *to_bob)
+
+    fwd, bwd = forward_tests(alice, bob), backward_tests(alice, bob)
+    fns = fns_tests(alice, bob)
+    pair_sets = [t.outcome_pairs() for t in fwd + bwd]
+    assert len(fns) == len(set(pair_sets))
+    for tests in (fwd, bwd, fns):
+        sums = [sum(table[p] for p in t.outcome_pairs()) for t in tests]
+        expected = all(abs(s - 1.0) <= 1e-10 for s in sums)
+        assert is_state_on_two_stage(omega, tests) == expected
+        # tests built by hand carry no mask and are read through their labels
+        by_hand = [TwoStageTest(t.direction, t.first, t.assignment) for t in tests]
+        assert is_state_on_two_stage(omega, by_hand) == expected
+    for t in fwd + bwd:
+        i, j = np.nonzero(t.mask.reshape(omega.values.shape))
+        marked = {(alice.outcomes[a], bob.outcomes[b]) for a, b in zip(i, j)}
+        assert marked == t.outcome_pairs()
+
+
+def test_influence_witness_tie_break():
+    """Exact ties pick the first outcome, then the lexicographically first (i, j)."""
+    alice = TestSpace(["a1", "a2"], [("a1", "a2")])
+    bob = TestSpace(
+        ["b1", "b2", "b3", "b4", "b5", "b6"], [("b1", "b2"), ("b3", "b4"), ("b5", "b6")]
+    )
+    # Alice's marginal at a1 is 1/4, 3/4, 1/4 under Bob's tests (at a2: 3/4, 1/4, 3/4),
+    # so the gap 1/2 occurs at (0, 1) and (1, 2) for both outcomes
+    rows = {"a1": [0.25, 0.0, 0.5, 0.25, 0.25, 0.0], "a2": [0.5, 0.25, 0.25, 0.0, 0.25, 0.5]}
+    table = {(x, y): v for x, row in rows.items() for y, v in zip(bob.outcomes, row)}
+    verdict = is_influence_free(ProductState(alice, bob, table))
+    assert verdict.bob_to_alice == DirectionReport(0.5, "a1", (0, 1))
+    assert verdict.alice_to_bob == DirectionReport(0.0, None, None)
+    flipped = ProductState(bob, alice, {(y, x): v for (x, y), v in table.items()})
+    assert is_influence_free(flipped).alice_to_bob == DirectionReport(0.5, "a1", (0, 1))

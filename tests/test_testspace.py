@@ -1,5 +1,8 @@
 """Test spaces, states, weights, and the small-polytope dimension helper."""
 
+import math
+
+import numpy as np
 import pytest
 
 from influencefree.linalg import CapExceededError
@@ -35,6 +38,34 @@ def test_constructor_canonicalizes_and_validates():
     with pytest.raises(ValueError):
         CHAIN.outcome_index("nope")
     assert CHAIN.outcome_index("x") == 1
+
+
+def test_incidence_matrices():
+    assert np.array_equal(CHAIN.incidence, [[1, 1, 0], [0, 1, 1]])
+    assert not CHAIN.incidence.flags.writeable
+    ets = ETestSpace(["u", "v", "w"], [(("w", 1), ("u", 2)), (("v", 3),)])
+    assert np.array_equal(ets.incidence, [[2, 0, 1], [0, 3, 0]])
+    assert TestSpace([], []).incidence.shape == (0, 0)
+
+
+PAIR = TestSpace(["a", "b"], [("a", "b")])
+EPAIR = ETestSpace(["a", "b"], [(("a", 1), ("b", 1))])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda f: is_state(PAIR, f),
+        lambda f: is_estate(EPAIR, f),
+        lambda f: is_positive_weight(PAIR, f),
+        lambda f: variation_norm(PAIR, f),
+    ],
+    ids=["is_state", "is_estate", "is_positive_weight", "variation_norm"],
+)
+def test_table_checks_reject_non_finite_values(check, bad):
+    with pytest.raises(ValueError, match="finite"):
+        check({"a": bad, "b": 0.5})
 
 
 def test_is_state_on_chain():
