@@ -82,13 +82,13 @@ class _UsageError(Exception):
     pass
 
 
+class _Refusal(Exception):
+    """A handler declines to answer: exit 1 with (verdict, reason) and no config."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _emit(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _finite_float(text: str) -> float:
@@ -113,31 +113,100 @@ def _load(path: str) -> dict:
     return doc
 
 
-def _dims_arg(s: str) -> tuple[int, int]:
-    parts = s.split(",")
+# ---------------------------------------------------------------------------
+# options: each is declared once; a value out of range is a usage error
+
+
+def _ranged(convert, accept, expected: str):
+    """Option type: `convert` the text, and refuse a value `accept` rejects."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            message = f"invalid {convert.__name__} value: {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+
+    return parse
+
+
+_tolerance = _ranged(float, lambda v: isfinite(v) and v >= 0, "a finite number >= 0")
+_count = _ranged(int, lambda v: v >= 1, "a positive integer")
+_seed = _ranged(int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _int_pair(form: str, positive: bool):
+    """Parser of two comma-separated integers written as `form`."""
+    kind = "positive integers" if positive else "integers"
+
+    def parse(text: str) -> tuple[int, int]:
+        try:
+            pair = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected two integers as {form}") from None
+        if len(pair) != 2 or (positive and min(pair) < 1):
+            raise argparse.ArgumentTypeError(f"expected two {kind} as {form}")
+        return pair
+
+    return parse
+
+
+class _Option:
+    """A flag, its argparse settings, and whether the result's config echoes it."""
+
+    def __init__(self, flag: str, echo: bool = True, **settings):
+        self.flag = flag
+        self.echo = echo
+        self.settings = settings
+        self.dest = flag[2:].replace("-", "_")
+
+    def but(self, **changes) -> _Option:
+        return _Option(self.flag, **{"echo": self.echo, **self.settings, **changes})
+
+
+_TOL = _Option("--tol", type=_tolerance, default=1e-9, help="numerical tolerance")
+_FEAS = (
+    _Option("--feas-tol", type=_tolerance, default=1e-7, help="feasibility residual tolerance"),
+    _Option("--max-iter", type=_count, default=20000, help="projection iteration cap"),
+)
+_DIMS = _Option("--dims", type=_int_pair("dA,dB", True), default=None, help="factor dims as dA,dB")
+_N = _Option("--n", type=_count, default=None, help="local dimension (inferred when omitted)")
+_SEED = _Option("--seed", type=_seed, required=True, help="see-saw restart seed")
+_RESTARTS = _Option("--restarts", type=_count, default=64, help="see-saw restarts")
+_CAP = _Option("--cap", type=_count, default=20000, help="enumeration size cap")
+# pivot reports the side and Weyl indices it used as result fields
+_SIDE = _Option("--side", echo=False, choices=("alice", "bob", "general"), default="alice")
+_WEYL = _Option("--weyl", echo=False, type=_int_pair("a,b", False), default=(0, 0),
+                help="Weyl indices a,b (general side)")
+
+
+# ---------------------------------------------------------------------------
+# document loaders: each turns (document, where, args) into one handler input
+
+
+def _document(doc, where, args):
+    return doc
+
+
+def _matrix(doc, where, args):
+    return matrix_from_document(doc, where)[0]
+
+
+def _operator(doc, where, args) -> np.ndarray:
+    """A Hermitian operator; a command that takes --dims and got none reads the document's."""
+    m, doc_dims = matrix_from_document(doc, where)
+    if hasattr(args, "dims") and args.dims is None:
+        args.dims = _document_dims(doc_dims)
     try:
-        d = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected two integers as dA,dB")
-    if len(d) != 2 or any(x < 1 for x in d):
-        raise argparse.ArgumentTypeError("expected two positive integers as dA,dB")
-    return d
+        return HermitianOperator(m).matrix
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
 
 
-def _weyl_arg(s: str) -> tuple[int, int]:
-    parts = s.split(",")
-    try:
-        d = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected two integers as a,b")
-    if len(d) != 2:
-        raise argparse.ArgumentTypeError("expected two integers as a,b")
-    return d
-
-
-def _bipartite_dims(args, doc_dims) -> tuple[int, int]:
-    if getattr(args, "dims", None):
-        return args.dims
+def _document_dims(doc_dims) -> tuple[int, int]:
     if doc_dims is not None:
         if len(doc_dims) != 2:
             raise DocumentError(f"need exactly two factor dims, document has {list(doc_dims)}")
@@ -145,26 +214,17 @@ def _bipartite_dims(args, doc_dims) -> tuple[int, int]:
     raise DocumentError('bipartite dims required: set "dims" in the document or pass --dims')
 
 
-def _local_dim(args, rows: int) -> int:
-    if getattr(args, "n", None):
-        n = args.n
+def _local_dim(n, rows: int) -> int:
+    if n is None:
+        n = isqrt(rows)
         if n * n != rows:
-            raise DocumentError(f"--n {n} does not match a {rows}x{rows} operator")
-        return n
-    n = isqrt(rows)
-    if n * n != rows:
-        raise DocumentError(f"operator dimension {rows} is not a perfect square")
+            raise DocumentError(f"operator dimension {rows} is not a perfect square")
+    elif n * n != rows:
+        raise DocumentError(f"--n {n} does not match a {rows}x{rows} operator")
     return n
 
 
-def _admit_hermitian(m, where: str) -> np.ndarray:
-    try:
-        return HermitianOperator(m).matrix
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from exc
-
-
-def _map_from_document(doc, where: str = "map") -> LinearMapChoi:
+def _map(doc, where: str, args=None) -> LinearMapChoi:
     kind = _require(doc, "kind", str, where)
     try:
         if kind == "identity":
@@ -185,11 +245,11 @@ def _map_from_document(doc, where: str = "map") -> LinearMapChoi:
                 raise DocumentError(f'{where}: a "choi" map needs din/dout or matrix dims')
             return LinearMapChoi(m, din, dout)
         if kind == "compose":
-            outer = _map_from_document(_require(doc, "outer", dict, where), f"{where}.outer")
-            inner = _map_from_document(_require(doc, "inner", dict, where), f"{where}.inner")
+            outer = _map(_require(doc, "outer", dict, where), f"{where}.outer")
+            inner = _map(_require(doc, "inner", dict, where), f"{where}.inner")
             return compose_maps(outer, inner)
         if kind == "basis-transpose":
-            base = _map_from_document(_require(doc, "map", dict, where), f"{where}.map")
+            base = _map(_require(doc, "map", dict, where), f"{where}.map")
             u, _ = matrix_from_document(_require(doc, "basis", dict, where), f"{where}.basis")
             return transpose_in_basis(base, u)
     except DocumentError:
@@ -199,24 +259,65 @@ def _map_from_document(doc, where: str = "map") -> LinearMapChoi:
     raise DocumentError(f"{where}: unknown map kind {kind!r}")
 
 
-def _build_product_state(doc, tol: float) -> ProductState:
+def _state(doc, where, args) -> ProductState:
     alice, bob, table = product_state_documents(doc)
     try:
-        return ProductState(alice, bob, table, tolerance=max(tol, 1e-9))
+        return ProductState(alice, bob, table, tolerance=max(args.tol, 1e-9))
     except ValueError as exc:
         raise DocumentError(f"table is not a state on the product: {exc}") from exc
 
 
+def _field(key: str, load):
+    """Loader of the sub-document under `key`, which error reasons name."""
+    return lambda doc, where, args: load(_require(doc, key, dict, where), key, args)
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit code, output document)
+# subcommand handlers: each takes (args, *inputs) and returns (exit code,
+# result fields); the dispatcher adds config
 
 
-def _cmd_verify_state(args):
-    doc = _load(args.path)
+def _yes_no(ok, yes: str, no: str, **fields):
+    code, label = (EXIT_OK, yes) if ok else (EXIT_REFUTED, no)
+    return code, {"verdict": label, **fields}
+
+
+def _spectral(verdict, yes: str, no: str):
+    """A PSD verdict: its least eigenvalue, and an eigenvector when negative."""
+    ok = bool(verdict)
+    witness = None if ok else vector_to_document(verdict.witness)
+    return _yes_no(ok, yes, no, min_value=verdict.min_value, witness=witness)
+
+
+def _cp_check(args, m):
+    """complete positivity via the Choi operator"""
+    return _spectral(is_cp(m, tol=args.tol), "completely-positive", "not-completely-positive")
+
+
+def _co_cp_check(args, m):
+    """complete co-positivity via the partial transpose"""
+    verdict = is_co_cp(m, tol=args.tol)
+    return _spectral(verdict, "co-completely-positive", "not-co-completely-positive")
+
+
+def _ppt_check(args, w):
+    """positivity of the partial transpose"""
+    return _spectral(is_ppt(w, args.dims, tol=args.tol), "ppt", "not-ppt")
+
+
+def _certificate(cert, dims) -> dict:
+    return {
+        "p": matrix_to_document(cert.p, dims),
+        "q": matrix_to_document(cert.q, dims),
+        "residual": cert.residual,
+    }
+
+
+def _verify_state(args, doc):
+    """check a table against a test space"""
     space = testspace_from_document(_require(doc, "space", dict, "input"))
     table = value_table_from_document(_require(doc, "table", dict, "input"))
-    tol = args.tol
-    ok = is_state(space, table, tol)
+    ok = is_state(space, table, args.tol)
     values = np.array([table[x] for x in space.outcomes])
     range_gap = np.maximum(-values, values - 1.0)
     sums = space.incidence @ values
@@ -224,51 +325,35 @@ def _cmd_verify_state(args):
     witness = None
     if not ok:
         r, x = int(sum_gap.argmax()), int(range_gap.argmax())
-        if sum_gap[r] > tol:
+        if sum_gap[r] > args.tol:
             witness = {"sum": float(sums[r]), "test": testspace_to_document(space)["tests"][r]}
         else:
             witness = {"outcome": space.outcomes[x], "value": table[space.outcomes[x]]}
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "state" if ok else "not-state",
-            "residual": max(0.0, float(range_gap.max()), float(sum_gap.max())),
-            "witness": witness,
-            "config": {"tol": tol},
-        },
-    )
+    residual = max(0.0, float(range_gap.max()), float(sum_gap.max()))
+    return _yes_no(ok, "state", "not-state", residual=residual, witness=witness)
 
 
-def _cmd_influence_free(args):
-    omega = _build_product_state(_load(args.path), args.tol)
+def _influence_free(args, omega):
+    """check marginals ignore the far test choice"""
     verdict = is_influence_free(omega, tol=args.tol)
     witness = None
     if not verdict.free:
-        rep = (
-            verdict.bob_to_alice
-            if verdict.bob_to_alice.max_deviation >= verdict.alice_to_bob.max_deviation
-            else verdict.alice_to_bob
-        )
-        witness = {
-            "direction": verdict.direction,
-            "outcome": rep.outcome,
-            "tests": list(rep.tests),
-        }
-    return (
-        EXIT_OK if verdict.free else EXIT_REFUTED,
-        {
-            "verdict": "influence-free" if verdict.free else "influenced",
-            "residual": verdict.max_deviation,
-            "bob_to_alice": verdict.bob_to_alice.max_deviation,
-            "alice_to_bob": verdict.alice_to_bob.max_deviation,
-            "witness": witness,
-            "config": {"tol": args.tol},
-        },
+        # the larger deviation; bob_to_alice on a tie
+        rep = max(verdict.bob_to_alice, verdict.alice_to_bob, key=lambda r: r.max_deviation)
+        witness = {"direction": verdict.direction, "outcome": rep.outcome, "tests": list(rep.tests)}
+    return _yes_no(
+        verdict.free,
+        "influence-free",
+        "influenced",
+        residual=verdict.max_deviation,
+        bob_to_alice=verdict.bob_to_alice.max_deviation,
+        alice_to_bob=verdict.alice_to_bob.max_deviation,
+        witness=witness,
     )
 
 
-def _cmd_fns_tests(args):
-    doc = _load(args.path)
+def _fns_tests(args, doc):
+    """enumerate two-stage tests of a coupled pair"""
     alice = testspace_from_document(_require(doc, "alice", dict, "input"), "alice")
     bob = testspace_from_document(_require(doc, "bob", dict, "input"), "bob")
     if isinstance(alice, ETestSpace) or isinstance(bob, ETestSpace):
@@ -276,50 +361,33 @@ def _cmd_fns_tests(args):
     forward = forward_tests(alice, bob, cap=args.cap)
     backward = backward_tests(alice, bob, cap=args.cap)
     combined = fns_tests(alice, bob, cap=args.cap)
-    return (
-        EXIT_OK,
-        {
-            "verdict": "enumerated",
-            "forward_count": len(forward),
-            "backward_count": len(backward),
-            "fns_count": len(combined),
-            "tests": [two_stage_test_to_document(t) for t in combined],
-            "config": {"cap": args.cap},
-        },
-    )
+    return EXIT_OK, {
+        "verdict": "enumerated",
+        "forward_count": len(forward),
+        "backward_count": len(backward),
+        "fns_count": len(combined),
+        "tests": [two_stage_test_to_document(t) for t in combined],
+    }
 
 
-def _cmd_condition(args):
-    doc = _load(args.path)
+def _condition(args, omega, doc):
+    """conditional state given one observed outcome"""
     on = _require(doc, "on", str, "input")
     side = doc.get("side", "alice")
     if side not in ("alice", "bob"):
         raise DocumentError(f'side must be "alice" or "bob", got {side!r}')
-    omega = _build_product_state(doc, args.tol)
     outcomes = omega.alice.outcomes if side == "alice" else omega.bob.outcomes
     if on not in outcomes:
         raise DocumentError(f"{on!r} is not an outcome of the {side} side")
     try:
         conditional = condition(omega, on, side=side, tol=args.tol)
     except ValueError as exc:
-        return (
-            EXIT_REFUTED,
-            {"verdict": "refused", "reason": str(exc), "config": {"tol": args.tol}},
-        )
-    return (
-        EXIT_OK,
-        {
-            "verdict": "conditioned",
-            "on": on,
-            "side": side,
-            "conditional": {k: v for k, v in sorted(conditional.items())},
-            "config": {"tol": args.tol},
-        },
-    )
+        return EXIT_REFUTED, {"verdict": "refused", "reason": str(exc)}
+    return EXIT_OK, {"verdict": "conditioned", "on": on, "side": side, "conditional": conditional}
 
 
-def _cmd_bayes_check(args):
-    omega = _build_product_state(_load(args.path), args.tol)
+def _bayes_check(args, omega):
+    """mixture and symmetric Bayes consistency residuals"""
     mixture_alice = max(
         bayes_mixture_check(omega, i, tol=args.tol) for i in range(len(omega.alice.tests))
     )
@@ -340,326 +408,157 @@ def _cmd_bayes_check(args):
             if wa[x] > args.tol and wb[y] > args.tol:
                 operational = max(operational, operational_bayes_check(omega, x, y))
     residual = max(mixture_alice, mixture_bob, operational)
-    ok = residual <= args.tol
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "consistent" if ok else "inconsistent",
-            "residual": residual,
-            "mixture_alice": mixture_alice,
-            "mixture_bob": mixture_bob,
-            "operational": operational,
-            "config": {"tol": args.tol},
-        },
+    return _yes_no(
+        residual <= args.tol,
+        "consistent",
+        "inconsistent",
+        residual=residual,
+        mixture_alice=mixture_alice,
+        mixture_bob=mixture_bob,
+        operational=operational,
     )
 
 
-def _cmd_reconstruct(args):
-    m, doc_dims = matrix_from_document(_load(args.path), "input")
-    da, db = _bipartite_dims(args, doc_dims)
-    w = _admit_hermitian(m, "input")
+def _reconstruct(args, w):
+    """rebuild an operator from its product-vector values"""
+    da, db = args.dims
     if w.shape[0] != da * db:
         raise DocumentError(f"operator dimension {w.shape[0]} does not equal {da}*{db}")
-    rebuilt = reconstruct_operator(
-        lambda x, y: state_eval(w, (da, db), x, y), da, db
-    )
+    rebuilt = reconstruct_operator(lambda x, y: state_eval(w, (da, db), x, y), da, db)
     gap = frobenius(w - rebuilt)
-    ok = gap <= args.tol
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "roundtrip-exact" if ok else "roundtrip-mismatch",
-            "gap": gap,
-            "reconstruction": matrix_to_document(rebuilt, (da, db)),
-            "config": {"tol": args.tol},
-        },
+    return _yes_no(
+        gap <= args.tol,
+        "roundtrip-exact",
+        "roundtrip-mismatch",
+        gap=gap,
+        reconstruction=matrix_to_document(rebuilt, (da, db)),
     )
 
 
-def _cmd_choi(args):
-    m = _map_from_document(_load(args.path), "input")
+def _choi(args, m):
+    """assemble the Choi operator of a described map"""
     tr_choi, tr_phi1 = trace_condition(m)
-    return (
-        EXIT_OK,
-        {
-            "verdict": "choi",
-            "din": m.din,
-            "dout": m.dout,
-            "choi": matrix_to_document(m.choi, (m.din, m.dout)),
-            "trace_choi": tr_choi,
-            "trace_phi_identity": tr_phi1,
-        },
-    )
+    return EXIT_OK, {
+        "verdict": "choi",
+        "din": m.din,
+        "dout": m.dout,
+        "choi": matrix_to_document(m.choi, (m.din, m.dout)),
+        "trace_choi": tr_choi,
+        "trace_phi_identity": tr_phi1,
+    }
 
 
-def _cmd_apply_map(args):
-    doc = _load(args.path)
-    m = _map_from_document(_require(doc, "map", dict, "input"))
-    x, _ = matrix_from_document(_require(doc, "operand", dict, "input"), "operand")
-    try:
-        result = apply_map(m, x)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    return (EXIT_OK, {"verdict": "applied", "result": matrix_to_document(result)})
+def _apply_map(args, m, x):
+    """apply a described map to an operand matrix"""
+    return EXIT_OK, {"verdict": "applied", "result": matrix_to_document(apply_map(m, x))}
 
 
-def _cmd_kraus(args):
-    m = _map_from_document(_load(args.path), "input")
+def _kraus(args, m):
+    """extract Kraus operators of a completely positive map"""
     try:
         ks = hk_representation(m, tol=args.tol)
     except ValueError as exc:
-        return (
-            EXIT_REFUTED,
-            {"verdict": "not-completely-positive", "reason": str(exc)},
-        )
-    rebuilt = np.zeros_like(m.choi)
-    for a in ks.operators:
-        rebuilt = rebuilt + choi_from_conjugation(a).choi
-    residual = frobenius(rebuilt - m.choi)
-    return (
-        EXIT_OK,
-        {
-            "verdict": "kraus",
-            "count": len(ks.operators),
-            "operators": [matrix_to_document(a) for a in ks.operators],
-            "residual": residual,
-            "config": {"tol": args.tol},
-        },
-    )
+        raise _Refusal("not-completely-positive", str(exc)) from exc
+    rebuilt = sum((choi_from_conjugation(a).choi for a in ks.operators), np.zeros_like(m.choi))
+    return EXIT_OK, {
+        "verdict": "kraus",
+        "count": len(ks.operators),
+        "operators": [matrix_to_document(a) for a in ks.operators],
+        "residual": frobenius(rebuilt - m.choi),
+    }
 
 
-def _cmd_cp_check(args):
-    m = _map_from_document(_load(args.path), "input")
-    verdict = is_cp(m, tol=args.tol)
-    ok = bool(verdict)
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "completely-positive" if ok else "not-completely-positive",
-            "min_value": verdict.min_value,
-            "witness": None if ok else vector_to_document(verdict.witness),
-            "config": {"tol": args.tol},
-        },
-    )
-
-
-def _cmd_co_cp_check(args):
-    m = _map_from_document(_load(args.path), "input")
-    try:
-        verdict = is_co_cp(m, tol=args.tol)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    ok = bool(verdict)
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "co-completely-positive" if ok else "not-co-completely-positive",
-            "min_value": verdict.min_value,
-            "witness": None if ok else vector_to_document(verdict.witness),
-            "config": {"tol": args.tol},
-        },
-    )
-
-
-def _cmd_ppt_check(args):
-    m, doc_dims = matrix_from_document(_load(args.path), "input")
-    dims = _bipartite_dims(args, doc_dims)
-    w = _admit_hermitian(m, "input")
-    verdict = is_ppt(w, dims, tol=args.tol)
-    ok = bool(verdict)
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "ppt" if ok else "not-ppt",
-            "min_value": verdict.min_value,
-            "witness": None if ok else vector_to_document(verdict.witness),
-            "config": {"dims": list(dims), "tol": args.tol},
-        },
-    )
-
-
-def _cmd_popt(args):
-    m, doc_dims = matrix_from_document(_load(args.path), "input")
-    dims = _bipartite_dims(args, doc_dims)
-    w = _admit_hermitian(m, "input")
+def _popt(args, w):
+    """positivity on product vectors: certify or refute"""
     verdict = is_popt(
         w,
-        dims,
+        args.dims,
         seed=args.seed,
         restarts=args.restarts,
         tol=args.tol,
         feas_tol=args.feas_tol,
         dykstra_max_iter=args.max_iter,
     )
-    config = {
-        "dims": list(dims),
-        "feas_tol": args.feas_tol,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    doc = {"min_value": verdict.min_value}
     if verdict.status == "certified":
-        doc = {
-            "verdict": "certified-popt",
-            "branch": verdict.info["branch"],
-            "psd": verdict.info["psd"],
-            "min_value": verdict.min_value,
-            "config": config,
-        }
+        doc.update(verdict="certified-popt", branch=verdict.info["branch"], psd=verdict.info["psd"])
         if verdict.certificate is not None:
-            doc["certificate"] = {
-                "p": matrix_to_document(verdict.certificate.p, dims),
-                "q": matrix_to_document(verdict.certificate.q, dims),
-                "residual": verdict.certificate.residual,
-            }
-        return (EXIT_OK, doc)
+            doc["certificate"] = _certificate(verdict.certificate, args.dims)
+        return EXIT_OK, doc
     if verdict.status == "refuted":
         x, y = verdict.witness
-        return (
-            EXIT_REFUTED,
-            {
-                "verdict": "refuted-popt",
-                "min_value": verdict.min_value,
-                "witness": {"x": vector_to_document(x), "y": vector_to_document(y)},
-                "config": config,
-            },
-        )
-    return (
-        EXIT_INCONCLUSIVE,
-        {
-            "verdict": "likely-popt",
-            "min_value": verdict.min_value,
-            "membership": verdict.info.get("membership"),
-            "config": config,
-        },
-    )
+        witness = {"x": vector_to_document(x), "y": vector_to_document(y)}
+        doc.update(verdict="refuted-popt", witness=witness)
+        return EXIT_REFUTED, doc
+    doc.update(verdict="likely-popt", membership=verdict.info.get("membership"))
+    return EXIT_INCONCLUSIVE, doc
 
 
-def _cmd_decompose(args):
-    m, doc_dims = matrix_from_document(_load(args.path), "input")
-    dims = _bipartite_dims(args, doc_dims)
-    w = _admit_hermitian(m, "input")
-    verdict = decomposable_sum_membership(w, dims, tol=args.feas_tol, max_iter=args.max_iter)
-    config = {"dims": list(dims), "feas_tol": args.feas_tol, "max_iter": args.max_iter}
+def _decompose(args, w):
+    """split into positive plus co-positive parts"""
+    verdict = decomposable_sum_membership(w, args.dims, tol=args.feas_tol, max_iter=args.max_iter)
+    doc = {
+        "verdict": verdict.status,
+        "residual": verdict.residual,
+        "iterations": verdict.info.get("iterations"),
+    }
     if verdict.status == "member":
-        cert = verdict.certificate
-        return (
-            EXIT_OK,
-            {
-                "verdict": "member",
-                "residual": verdict.residual,
-                "certificate": {
-                    "p": matrix_to_document(cert.p, dims),
-                    "q": matrix_to_document(cert.q, dims),
-                    "residual": cert.residual,
-                },
-                "iterations": verdict.info.get("iterations"),
-                "config": config,
-            },
-        )
-    if verdict.status == "refuted":
-        return (
-            EXIT_REFUTED,
-            {
-                "verdict": "refuted",
-                "residual": verdict.residual,
-                "iterations": verdict.info.get("iterations"),
-                "config": config,
-            },
-        )
-    return (
-        EXIT_INCONCLUSIVE,
-        {
-            "verdict": "inconclusive",
-            "residual": verdict.residual,
-            "iterations": verdict.info.get("iterations"),
-            "config": config,
-        },
-    )
+        doc["certificate"] = _certificate(verdict.certificate, args.dims)
+    return {"member": EXIT_OK, "refuted": EXIT_REFUTED}.get(verdict.status, EXIT_INCONCLUSIVE), doc
 
 
-def _cmd_extremality(args):
-    a, _ = matrix_from_document(_load(args.path), "input")
-    try:
-        verdict = extremality_probe(a, tol=args.tol)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    doc = {"residual": verdict.residual, "config": {"tol": args.tol}}
-    if verdict.status == "decomposable_nontrivially":
+def _extremality(args, a):
+    """decide whether a conjugation map has a co-positive part"""
+    verdict = extremality_probe(a, tol=args.tol)
+    split = verdict.status == "decomposable_nontrivially"
+    if split:
         n = isqrt(verdict.certificate.shape[0])
-        doc.update(
-            verdict="decomposable-nontrivially",
-            certificate=matrix_to_document(verdict.certificate, (n, n)),
-        )
-        return (EXIT_OK, doc)
-    doc.update(
-        verdict="rigid",
-        witness=None if verdict.witness is None else vector_to_document(verdict.witness),
-    )
-    return (EXIT_REFUTED, doc)
+        fields = {"certificate": matrix_to_document(verdict.certificate, (n, n))}
+    else:
+        witness = verdict.witness
+        fields = {"witness": None if witness is None else vector_to_document(witness)}
+    return _yes_no(split, "decomposable-nontrivially", "rigid", residual=verdict.residual, **fields)
 
 
-def _cmd_pivot(args):
-    m, doc_dims = matrix_from_document(_load(args.path), "input")
-    w = _admit_hermitian(m, "input")
-    n = _local_dim(args, w.shape[0])
+def _pivot(args, w):
+    """verify an entangled-projection transfer identity"""
+    n = args.n
     if args.side in ("alice", "bob"):
         report = pivot_alice(w, n) if args.side == "alice" else pivot_bob(w, n)
-        bound = args.tol * max(1.0, frobenius(w))
-        ok = report.frobenius_gap <= bound
-        return (
-            EXIT_OK if ok else EXIT_REFUTED,
-            {
-                "verdict": "identity-holds" if ok else "identity-violated",
-                "side": args.side,
-                "alpha": report.alpha,
-                "gap": report.frobenius_gap,
-                "config": {"n": n, "tol": args.tol},
-            },
-        )
-    a, b = args.weyl
-    result = pivot_general(w, n, weyl_operator(n, a, b))
-    ok = result.gap <= args.tol
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "identity-holds" if ok else "identity-violated",
+        ok = report.frobenius_gap <= args.tol * max(1.0, frobenius(w))
+        fields = {"side": args.side, "alpha": report.alpha, "gap": report.frobenius_gap}
+    else:
+        a, b = args.weyl
+        result = pivot_general(w, n, weyl_operator(n, a, b))
+        ok = result.gap <= args.tol
+        fields = {
             "side": "general",
             "weyl": [a % n, b % n],
             "alpha": result.alpha,
             "gap": result.gap,
             "bob_operator": matrix_to_document(result.bob_operator.matrix, (n, n)),
             "expected": matrix_to_document(result.expected.matrix, (n, n)),
-            "config": {"n": n, "tol": args.tol},
-        },
-    )
+        }
+    return _yes_no(ok, "identity-holds", "identity-violated", **fields)
 
 
-def _cmd_corollary(args):
-    doc = _load(args.path)
-    wm, _ = matrix_from_document(_require(doc, "w", dict, "input"), "w")
-    bm, _ = matrix_from_document(_require(doc, "b", dict, "input"), "b")
-    n = _local_dim(args, wm.shape[0])
-    try:
-        lhs, rhs = corollary_check(wm, bm, n)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+def _corollary(args, w, b):
+    """product-effect value versus alpha times Tr(WB)"""
+    lhs, rhs = corollary_check(w, b, args.n)
     gap = abs(lhs - rhs)
-    ok = gap <= args.tol
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "corollary-holds" if ok else "corollary-gap",
-            "lhs": lhs,
-            "rhs": rhs,
-            "gap": gap,
-            "negative": bool(lhs < -1e-6),
-            "config": {"n": n, "tol": args.tol},
-        },
+    return _yes_no(
+        gap <= args.tol,
+        "corollary-holds",
+        "corollary-gap",
+        lhs=lhs,
+        rhs=rhs,
+        gap=gap,
+        negative=bool(lhs < -1e-6),
     )
 
 
-def _cmd_witness_demo(args):
+def _witness_demo(args):
+    """end-to-end negative product-test demonstration"""
     report = desideratum_violation_demo(args.n, seed=args.seed)
     ok = (
         report.negative_value < -1e-6
@@ -667,170 +566,129 @@ def _cmd_witness_demo(args):
         and report.psd_replacement_min >= -1e-10
         and report.product_replacement_min >= -1e-10
     )
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {
-            "verdict": "violation-exhibited" if ok else "violation-not-found",
-            "negative_value": report.negative_value,
-            "alpha": report.alpha,
-            "popt": {
-                "status": report.popt_verdict.status,
-                "branch": report.popt_verdict.info.get("branch"),
-            },
-            "psd_replacement_min": report.psd_replacement_min,
-            "product_replacement_min": report.product_replacement_min,
-            "alice_effect": matrix_to_document(report.alice_effect, (args.n, args.n)),
-            "bob_effect": matrix_to_document(report.bob_effect, (args.n, args.n)),
-            "config": {"n": args.n, "seed": args.seed},
+    return _yes_no(
+        ok,
+        "violation-exhibited",
+        "violation-not-found",
+        negative_value=report.negative_value,
+        alpha=report.alpha,
+        popt={
+            "status": report.popt_verdict.status,
+            "branch": report.popt_verdict.info.get("branch"),
         },
+        psd_replacement_min=report.psd_replacement_min,
+        product_replacement_min=report.product_replacement_min,
+        alice_effect=matrix_to_document(report.alice_effect, (args.n, args.n)),
+        bob_effect=matrix_to_document(report.bob_effect, (args.n, args.n)),
     )
 
 
-def _cmd_selftest(args):
+def _selftest(args):
+    """run the full acceptance suite"""
     from .acceptance import TIME_BUDGETS, run_all
 
-    results = []
-    for res in run_all(progress=sys.stderr):
-        results.append(
-            {
-                "number": res.number,
-                "name": res.name,
-                "passed": res.passed,
-                "detail": res.detail,
-                "elapsed": res.elapsed,
-                "budget": TIME_BUDGETS[res.number],
-            }
-        )
-    ok = all(r["passed"] for r in results)
-    return (
-        EXIT_OK if ok else EXIT_REFUTED,
-        {"verdict": "pass" if ok else "fail", "criteria": results},
-    )
+    results = [
+        {
+            "number": res.number,
+            "name": res.name,
+            "passed": res.passed,
+            "detail": res.detail,
+            "elapsed": res.elapsed,
+            "budget": TIME_BUDGETS[res.number],
+        }
+        for res in run_all(progress=sys.stderr)
+    ]
+    return _yes_no(all(r["passed"] for r in results), "pass", "fail", criteria=results)
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table: name -> (handler, document loaders, options); a handler's
+# docstring is its help line, and a command with loaders reads one document
+
+_COMMANDS = {
+    "verify-state": (_verify_state, (_document,), (_TOL,)),
+    "influence-free": (_influence_free, (_state,), (_TOL,)),
+    "fns-tests": (_fns_tests, (_document,), (_CAP,)),
+    "condition": (_condition, (_state, _document), (_TOL,)),
+    "bayes-check": (_bayes_check, (_state,), (_TOL,)),
+    # the reconstruction carries the dims
+    "reconstruct": (_reconstruct, (_operator,), (_TOL, _DIMS.but(echo=False))),
+    "choi": (_choi, (_map,), ()),
+    "apply-map": (_apply_map, (_field("map", _map), _field("operand", _matrix)), ()),
+    "kraus": (_kraus, (_map,), (_TOL,)),
+    "cp-check": (_cp_check, (_map,), (_TOL,)),
+    "co-cp-check": (_co_cp_check, (_map,), (_TOL,)),
+    "ppt-check": (_ppt_check, (_operator,), (_TOL, _DIMS)),
+    "popt": (_popt, (_operator,), (_TOL, *_FEAS, _DIMS, _SEED, _RESTARTS)),
+    "decompose": (_decompose, (_operator,), (*_FEAS, _DIMS)),
+    "extremality": (_extremality, (_matrix,), (_TOL,)),
+    "pivot": (_pivot, (_operator,), (_TOL, _SIDE, _WEYL, _N)),
+    "corollary": (_corollary, (_field("w", _matrix), _field("b", _matrix)), (_TOL, _N)),
+    "witness-demo": (
+        _witness_demo,
+        (),
+        (_N.but(default=2, help=None), _SEED.but(required=False, default=2026, help=None)),
+    ),
+    "selftest": (_selftest, (), ()),
+}
 
 
-def _add_input(sub):
-    sub.add_argument("path", nargs="?", default="-", help="input JSON file, - for stdin")
-
-
-def _add_tol(sub):
-    sub.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
-
-
-def _add_feas(sub):
-    sub.add_argument("--feas-tol", type=float, default=1e-7, dest="feas_tol",
-                     help="feasibility residual tolerance")
-    sub.add_argument("--max-iter", type=int, default=20000, dest="max_iter",
-                     help="projection iteration cap")
+def _answer(args):
+    """Load and admit the document, run the handler, and echo the options as config."""
+    handler, loaders, options = _COMMANDS[args.command]
+    inputs = ()
+    if loaders:
+        doc = _load(args.path)
+        inputs = [load(doc, "input", args) for load in loaders]
+        if hasattr(args, "n"):
+            # the local dimension of a document's operator follows from its size
+            args.n = _local_dim(args.n, inputs[0].shape[0])
+    code, fields = handler(args, *inputs)
+    config = {o.dest: getattr(args, o.dest) for o in options if o.echo}
+    if config:
+        fields["config"] = config
+    return code, fields
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="influencefree", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name, func, help_text):
-        s = subs.add_parser(name, help=help_text)
-        s.set_defaults(func=func)
-        return s
-
-    s = sub("verify-state", _cmd_verify_state, "check a table against a test space")
-    _add_input(s); _add_tol(s)
-
-    s = sub("influence-free", _cmd_influence_free, "check marginals ignore the far test choice")
-    _add_input(s); _add_tol(s)
-
-    s = sub("fns-tests", _cmd_fns_tests, "enumerate two-stage tests of a coupled pair")
-    _add_input(s)
-    s.add_argument("--cap", type=int, default=20000, help="enumeration size cap")
-
-    s = sub("condition", _cmd_condition, "conditional state given one observed outcome")
-    _add_input(s); _add_tol(s)
-
-    s = sub("bayes-check", _cmd_bayes_check, "mixture and symmetric Bayes consistency residuals")
-    _add_input(s); _add_tol(s)
-
-    s = sub("reconstruct", _cmd_reconstruct, "rebuild an operator from its product-vector values")
-    _add_input(s); _add_tol(s)
-    s.add_argument("--dims", type=_dims_arg, default=None, help="factor dims as dA,dB")
-
-    s = sub("choi", _cmd_choi, "assemble the Choi operator of a described map")
-    _add_input(s)
-
-    s = sub("apply-map", _cmd_apply_map, "apply a described map to an operand matrix")
-    _add_input(s)
-
-    s = sub("kraus", _cmd_kraus, "extract Kraus operators of a completely positive map")
-    _add_input(s); _add_tol(s)
-
-    s = sub("cp-check", _cmd_cp_check, "complete positivity via the Choi operator")
-    _add_input(s); _add_tol(s)
-
-    s = sub("co-cp-check", _cmd_co_cp_check, "complete co-positivity via the partial transpose")
-    _add_input(s); _add_tol(s)
-
-    s = sub("ppt-check", _cmd_ppt_check, "positivity of the partial transpose")
-    _add_input(s); _add_tol(s)
-    s.add_argument("--dims", type=_dims_arg, default=None, help="factor dims as dA,dB")
-
-    s = sub("popt", _cmd_popt, "positivity on product vectors: certify or refute")
-    _add_input(s); _add_tol(s); _add_feas(s)
-    s.add_argument("--dims", type=_dims_arg, default=None, help="factor dims as dA,dB")
-    s.add_argument("--seed", type=int, required=True, help="see-saw restart seed")
-    s.add_argument("--restarts", type=int, default=64, help="see-saw restarts")
-
-    s = sub("decompose", _cmd_decompose, "split into positive plus co-positive parts")
-    _add_input(s); _add_feas(s)
-    s.add_argument("--dims", type=_dims_arg, default=None, help="factor dims as dA,dB")
-
-    s = sub("extremality", _cmd_extremality, "decide whether a conjugation map has a co-positive part")
-    _add_input(s); _add_tol(s)
-
-    s = sub("pivot", _cmd_pivot, "verify an entangled-projection transfer identity")
-    _add_input(s); _add_tol(s)
-    s.add_argument("--side", choices=("alice", "bob", "general"), default="alice")
-    s.add_argument("--weyl", type=_weyl_arg, default=(0, 0), help="Weyl indices a,b (general side)")
-    s.add_argument("--n", type=int, default=None, help="local dimension (inferred when omitted)")
-
-    s = sub("corollary", _cmd_corollary, "product-effect value versus alpha times Tr(WB)")
-    _add_input(s); _add_tol(s)
-    s.add_argument("--n", type=int, default=None, help="local dimension (inferred when omitted)")
-
-    s = sub("witness-demo", _cmd_witness_demo, "end-to-end negative product-test demonstration")
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--seed", type=int, default=2026)
-
-    sub("selftest", _cmd_selftest, "run the full acceptance suite")
-
+    for name, (handler, loaders, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=handler.__doc__)
+        if loaders:
+            sub.add_argument("path", nargs="?", default="-", help="input JSON file, - for stdin")
+        for option in options:
+            sub.add_argument(option.flag, **option.settings)
     return parser
 
 
-def run(argv) -> int:
-    parser = build_parser()
+def _emit(code: int, doc: dict) -> int:
+    """Print doc as strict JSON and return code; a non-finite result is malformed."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _emit({"verdict": "usage-error", "reason": str(exc)})
-        return EXIT_USAGE
-    try:
-        code, doc = args.func(args)
-    except DocumentError as exc:
-        _emit({"verdict": "malformed-input", "reason": str(exc)})
-        return EXIT_MALFORMED
-    except CapExceededError as exc:
-        _emit({"verdict": "inconclusive", "reason": str(exc), "required": exc.required})
-        return EXIT_INCONCLUSIVE
-    except ValueError as exc:
-        _emit({"verdict": "malformed-input", "reason": str(exc)})
-        return EXIT_MALFORMED
-    try:
-        _emit(doc)
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
-        _emit({"verdict": "malformed-input", "reason": "the result holds a non-finite number"})
-        return EXIT_MALFORMED
+        doc = {"verdict": "malformed-input", "reason": "the result holds a non-finite number"}
+        return _emit(EXIT_MALFORMED, doc)
+    print(text)
     return code
+
+
+def run(argv) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _emit(EXIT_USAGE, {"verdict": "usage-error", "reason": str(exc)})
+    try:
+        code, doc = _answer(args)
+    except _Refusal as exc:
+        verdict, reason = exc.args
+        code, doc = EXIT_REFUTED, {"verdict": verdict, "reason": reason}
+    except CapExceededError as exc:
+        doc = {"verdict": "inconclusive", "reason": str(exc), "required": exc.required}
+        code = EXIT_INCONCLUSIVE
+    except ValueError as exc:
+        code, doc = EXIT_MALFORMED, {"verdict": "malformed-input", "reason": str(exc)}
+    return _emit(code, doc)
 
 
 def main() -> None:

@@ -107,6 +107,8 @@ def popt_minimize(
     product vectors; a value below -tol refutes positivity on pure tensors
     and the witness pair certifies it.
     """
+    if restarts < 1:
+        raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
     m = finite_matrix(w)
     da, db = int(dims[0]), int(dims[1])
     if m.shape != (da * db, da * db):

@@ -7,6 +7,8 @@ Decoding failures raise DocumentError with a one-line reason.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .testspace import ETestSpace, TestSpace
@@ -66,9 +68,9 @@ def matrix_from_document(doc, where: str = "matrix") -> tuple[np.ndarray, tuple[
         ):
             raise DocumentError(f"{where}.dims: expected a list of positive integers")
         dims = tuple(raw)
-        if int(np.prod(dims)) != rows or rows != cols:
+        if math.prod(dims) != rows or rows != cols:
             raise DocumentError(
-                f"{where}.dims: product {int(np.prod(dims))} does not match a "
+                f"{where}.dims: product {math.prod(dims)} does not match a "
                 f"square {rows}x{cols} matrix"
             )
     return m, dims

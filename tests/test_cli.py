@@ -357,6 +357,17 @@ def test_popt_certified_and_byte_stable(tmp_path, capsys):
     assert doc["psd"] is False
     assert run(["popt", path, "--seed", "1"]) == 0
     assert capsys.readouterr().out == first
+    # config echoes every option that shaped the verdict
+    assert doc["config"] == {
+        "dims": [2, 2],
+        "feas_tol": 1e-7,
+        "max_iter": 20000,
+        "restarts": 64,
+        "seed": 1,
+        "tol": 1e-9,
+    }
+    code, doc = invoke(capsys, "popt", path, "--seed", "1", "--max-iter", "7")
+    assert doc["config"]["max_iter"] == 7
 
 
 def test_popt_requires_seed(tmp_path, capsys):
@@ -367,6 +378,41 @@ def test_popt_requires_seed(tmp_path, capsys):
     assert code == 64
     assert doc["verdict"] == "usage-error"
     assert "--seed" in doc["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["ppt-check", "{w}", "--tol", "nan"], "--tol"),
+        (["ppt-check", "{w}", "--tol", "-1"], "--tol"),
+        (["ppt-check", "{w}", "--tol", "inf"], "--tol"),
+        (["popt", "{w}", "--seed", "1", "--feas-tol=-inf"], "--feas-tol"),
+        (["decompose", "{w}", "--max-iter", "0"], "--max-iter"),
+        (["popt", "{w}", "--seed", "1", "--restarts", "0"], "--restarts"),
+        (["popt", "{w}", "--seed", "1", "--restarts", "-3"], "--restarts"),
+        (["pivot", "{w}", "--n", "0"], "--n"),
+        (["witness-demo", "--n", "0"], "--n"),
+        (["witness-demo", "--seed", "-1"], "--seed"),
+        (["popt", "{w}", "--seed", "-1"], "--seed"),
+        (["fns-tests", "{w}", "--cap", "0"], "--cap"),
+    ],
+)
+def test_option_values_out_of_range_are_usage_errors(tmp_path, capsys, argv, option):
+    # minus the swap is neither PSD nor PPT, so popt reaches the see-saw
+    path = write_doc(tmp_path, "w.json", matrix_to_document(-swap_operator(2), (2, 2)))
+    code, doc = invoke_strict(capsys, *[path if a == "{w}" else a for a in argv])
+    assert code == 64
+    assert doc["verdict"] == "usage-error"
+    assert option in doc["reason"]
+
+
+@pytest.mark.parametrize("command", ["pivot", "ppt-check"])
+def test_dims_whose_product_wraps_in_int64_are_malformed(tmp_path, capsys, command):
+    doc = matrix_to_document(np.eye(4) / 4)
+    doc["dims"] = [4611686018427387905, 4]  # 2**64 + 4, which wraps to 4 in int64
+    code, out = invoke_strict(capsys, command, write_doc(tmp_path, "w.json", doc))
+    assert code == 65
+    assert out["reason"].startswith("input.dims")
 
 
 def test_popt_refuted_witness_re_evaluates(tmp_path, capsys):

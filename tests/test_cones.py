@@ -85,6 +85,15 @@ def test_popt_minimize_deterministic_witness():
         popt_minimize(w, (2, 3), seed=5)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_popt_minimize_needs_a_restart(restarts):
+    # without a restart there is no witness: is_popt used to fail on None
+    with pytest.raises(ValueError, match="restart"):
+        popt_minimize(-swap_operator(2), (2, 2), seed=1, restarts=restarts)
+    with pytest.raises(ValueError, match="restart"):
+        is_popt(-swap_operator(2), (2, 2), seed=1, restarts=restarts)
+
+
 def test_popt_minimize_swap_floor():
     r = popt_minimize(swap_operator(2), (2, 2), seed=3, restarts=16)
     assert abs(r.min_value) <= 1e-9

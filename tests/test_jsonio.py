@@ -43,6 +43,8 @@ def test_matrix_roundtrip_with_dims():
         {"rows": 2, "cols": 2, "entries": [[1, 0]] * 4, "dims": [3]},
         {"rows": 2, "cols": 2, "entries": [[1, 0]] * 4, "dims": ["2"]},
         {"rows": 2, "cols": 3, "entries": [[1, 0]] * 6, "dims": [2, 3]},
+        # the product is 2**64 + 4, which wraps to 4 in int64
+        {"rows": 4, "cols": 4, "entries": [[1, 0]] * 16, "dims": [4611686018427387905, 4]},
     ],
 )
 def test_matrix_document_rejections(doc):
