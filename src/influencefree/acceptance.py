@@ -24,6 +24,7 @@ from .choimaps import (
     unnormalized_q,
 )
 from .cones import (
+    FEAS_TOL,
     decomposable_sum_membership,
     extremality_probe,
     is_popt,
@@ -341,34 +342,64 @@ def criterion_7() -> CriterionResult:
     return _result(7, "extremality-probe", start, not problems, detail)
 
 
+# Criterion 8 operators that 2 000 projections leave undecided: k = 85 is a
+# member after 2 450 iterations; k = 91 has a see-saw floor of +8e-4, so it
+# is POPT and hence decomposable on two qubits, but its residual is still
+# 2.6e-5 after 20 000 iterations.
+UNSETTLED_8 = (85, 91)
+
+
+def _split_holds(w, cert) -> bool:
+    """P and Q^Gamma are PSD and P + Q is W within FEAS_TOL, recomputed."""
+    q_gamma = partial_transpose(cert.q, (2, 2), 1)
+    return bool(
+        np.linalg.eigvalsh(cert.p).min() >= -1e-10
+        and np.linalg.eigvalsh(q_gamma).min() >= -1e-10
+        and frobenius(w - cert.p - cert.q) <= FEAS_TOL
+    )
+
+
+def _witness_holds(w, z) -> bool:
+    """Z and Z^Gamma are PSD and Tr(ZW) < 0, recomputed: Z separates W from
+    PSD + PSD^Gamma."""
+    return bool(
+        np.linalg.eigvalsh(z).min() >= 0.0
+        and np.linalg.eigvalsh(partial_transpose(z, (2, 2), 1)).min() >= 0.0
+        and np.trace(z @ w).real < 0.0
+    )
+
+
 def criterion_8() -> CriterionResult:
-    """On two qubits the see-saw and the membership split never disagree."""
+    """On two qubits each operator is split or refuted with a checked
+    certificate, and the see-saw agrees with every verdict."""
     start = time.perf_counter()
     problems = []
     rng = np.random.default_rng(808)
     center = np.eye(4) / 4.0
-    n_member = n_joint_refuted = n_inconclusive = 0
+    counts = {"member": 0, "refuted": 0, "inconclusive": 0}
     for k in range(200):
         w0 = random_hermitian(rng, 4, trace=1.0)
         scale = float(rng.uniform(0.05, 1.0))
         w = center + scale * (w0 - center)
         floor = popt_minimize(w, (2, 2), seed=8000 + k, restarts=32).min_value
         mem = decomposable_sum_membership(w, (2, 2), max_iter=2000)
+        counts[mem.status] += 1
         if mem.status == "member":
-            n_member += 1
+            if not _split_holds(w, mem.certificate):
+                problems.append(f"k={k}: the member certificate fails its re-check")
             if floor < -2e-7:
                 problems.append(f"k={k}: member with product value {floor:.3e}")
         elif mem.status == "refuted":
+            if not _witness_holds(w, mem.witness):
+                problems.append(f"k={k}: the refutation witness fails its re-check")
             if floor >= -1e-9:
-                problems.append(f"k={k}: refuted but the see-saw found no violation")
-            if floor < -1e-6:
-                n_joint_refuted += 1
-        else:
-            n_inconclusive += 1
+                problems.append(f"k={k}: refuted but the see-saw floor is {floor:.3e}")
+        elif k not in UNSETTLED_8:
+            problems.append(f"k={k}: {mem.status} after {mem.info['iterations']} iterations")
     detail = _detail(
         problems,
-        f"{n_member} members, {n_joint_refuted} joint refutations, "
-        f"{n_inconclusive} inconclusive, no conflicts",
+        f"{counts['member']} members, {counts['refuted']} refuted, both with checked "
+        f"certificates, {counts['inconclusive']} inconclusive, no conflicts",
     )
     return _result(8, "seesaw-membership-agreement", start, not problems, detail)
 

@@ -82,10 +82,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Refusal(Exception):
-    """A handler declines to answer: exit 1 with (verdict, reason) and no config."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -458,7 +454,7 @@ def _kraus(args, m):
     try:
         ks = hk_representation(m, tol=args.tol)
     except ValueError as exc:
-        raise _Refusal("not-completely-positive", str(exc)) from exc
+        return EXIT_REFUTED, {"verdict": "not-completely-positive", "reason": str(exc)}
     rebuilt = sum((choi_from_conjugation(a).choi for a in ks.operators), np.zeros_like(m.choi))
     return EXIT_OK, {
         "verdict": "kraus",
@@ -504,6 +500,8 @@ def _decompose(args, w):
     }
     if verdict.status == "member":
         doc["certificate"] = _certificate(verdict.certificate, args.dims)
+    elif verdict.status == "refuted":
+        doc["witness"] = matrix_to_document(verdict.witness, args.dims)
     return {"member": EXIT_OK, "refuted": EXIT_REFUTED}.get(verdict.status, EXIT_INCONCLUSIVE), doc
 
 
@@ -680,9 +678,6 @@ def run(argv) -> int:
         return _emit(EXIT_USAGE, {"verdict": "usage-error", "reason": str(exc)})
     try:
         code, doc = _answer(args)
-    except _Refusal as exc:
-        verdict, reason = exc.args
-        code, doc = EXIT_REFUTED, {"verdict": verdict, "reason": reason}
     except CapExceededError as exc:
         doc = {"verdict": "inconclusive", "reason": str(exc), "required": exc.required}
         code = EXIT_INCONCLUSIVE

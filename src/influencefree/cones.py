@@ -5,8 +5,10 @@ screened by see-saw minimization of <xy|W|xy> over the two product factors:
 for a fixed Alice vector the optimal Bob vector is the minimal eigenvector of
 the contracted operator, and alternating the two eigenvector steps is
 monotone non-increasing. Membership in PSD + PSD^Gamma (the decomposable
-cone at the operator level) runs Dykstra alternating projections. Whether a
-conjugation map sheds a co-CP part is decided exactly by one eigenvalue.
+cone at the operator level) runs Dykstra alternating projections, whose
+residual doubles as a dual witness in PSD ∩ PPT when W is not a member.
+Both loops are array code over small stacks. Whether a conjugation map sheds
+a co-CP part is decided exactly by one eigenvalue.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from .linalg import (
 )
 
 FEAS_TOL = 1e-7
-STALL_WINDOW = 500
-STALL_RELATIVE = 1e-12
+# the membership loop tries its residual as a dual witness this often
+WITNESS_EVERY = 10
+# slack of the witness shift, relative to its Frobenius norm
+WITNESS_MARGIN = 1e-12
 
 
 @dataclass
@@ -79,16 +83,6 @@ def is_ppt(w, dims: Sequence[int], tol: float = DEFAULT_TOL) -> ConeVerdict:
     return verdict
 
 
-def _contract_alice(w4: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(<x| (x) I) W (|x> (x) I), a dB x dB Hermitian contraction."""
-    return np.einsum("ijkl,i,k->jl", w4, x.conj(), x)
-
-
-def _contract_bob(w4: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(I (x) <y|) W (I (x) |y>), a dA x dA Hermitian contraction."""
-    return np.einsum("ijkl,j,l->ik", w4, y.conj(), y)
-
-
 def popt_minimize(
     w,
     dims: Sequence[int],
@@ -101,11 +95,13 @@ def popt_minimize(
     """Alternating eigenvector minimization of <xy|W|xy> over product vectors.
 
     Each half-step replaces one side's vector by the minimal eigenvector of
-    the other side's contraction, so the objective never increases. The best
-    fixed point over seeded random restarts is returned (ties keep the lowest
-    restart index). The result is an upper bound on the true minimum over
-    product vectors; a value below -tol refutes positivity on pure tensors
-    and the witness pair certifies it.
+    the other side's contraction, so the objective never increases. All
+    seeded random restarts run as one stack: a half-step is one batched
+    contraction and one eigh on a (restarts, d, d) stack, and a restart that
+    has converged is frozen. The best fixed point is returned (ties keep the
+    lowest restart index). The result is an upper bound on the true minimum
+    over product vectors; a value below -tol refutes positivity on pure
+    tensors and the witness pair certifies it.
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
@@ -114,37 +110,50 @@ def popt_minimize(
     if m.shape != (da * db, da * db):
         raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
     w4 = m.reshape(da, db, da, db)
-    rng = np.random.default_rng(seed)
-    best: SeesawResult | None = None
-    for r in range(restarts):
-        x = rng.standard_normal(da) + 1j * rng.standard_normal(da)
-        x /= np.linalg.norm(x)
-        value = np.inf
-        iterations = 0
-        converged = False
-        y = None
-        for _ in range(max(1, max_iter)):
-            iterations += 1
-            _, y = _min_vec(_contract_alice(w4, x))
-            # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
-            new_value, x = _min_vec(_contract_bob(w4, y))
-            if new_value > value + 1e-12:
-                raise AssertionError(
-                    f"see-saw objective increased: {value} -> {new_value}"
-                )
-            if value - new_value <= 1e-14 * max(1.0, abs(new_value)):
-                value = new_value
-                converged = True
-                break
-            value = new_value
-        if best is None or value < best.min_value:
-            best = SeesawResult(value, x, y, r + 1, iterations, converged)
-    return best
+    g = np.random.default_rng(seed).standard_normal((restarts, 2, da))
+    x = g[:, 0] + 1j * g[:, 1]
+    # one dot product per row, summed as np.linalg.norm sums a single vector
+    x /= np.sqrt(x.real[:, None] @ x.real[:, :, None] + x.imag[:, None] @ x.imag[:, :, None])[:, 0]
+    y = np.empty((restarts, db), dtype=complex)
+    value = np.full(restarts, np.inf)
+    iterations = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    live = np.arange(restarts)
+    for _ in range(max(1, max_iter)):
+        xs = x[live]
+        _, ys = _min_vecs(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
+        # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
+        new_value, xs = _min_vecs(np.einsum("ijkl,rj,rl->rik", w4, ys.conj(), ys))
+        old_value = value[live]
+        rising = new_value > old_value + 1e-12
+        if rising.any():
+            r = int(np.argmax(rising))
+            raise AssertionError(
+                f"see-saw objective increased: {old_value[r]} -> {new_value[r]}"
+            )
+        done = old_value - new_value <= 1e-14 * np.maximum(1.0, np.abs(new_value))
+        value[live], x[live], y[live] = new_value, xs, ys
+        iterations[live] += 1
+        converged[live] = done
+        live = live[~done]
+        if live.size == 0:
+            break
+    best = int(np.argmin(value))
+    return SeesawResult(
+        float(value[best]), x[best], y[best], best + 1, int(iterations[best]), bool(converged[best])
+    )
 
 
-def _min_vec(h: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return float(vals[0]), vecs[:, 0]
+def _min_vecs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least eigenvalue and its eigenvector for each matrix of a stack."""
+    vals, vecs = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
+    return vals[:, 0], vecs[:, :, 0]
+
+
+def _gamma_index(n: int, dims: Sequence[int]) -> np.ndarray:
+    """Flat indices with X^Gamma.ravel() == X.ravel()[index] for every n x n X."""
+    cells = np.arange(n * n, dtype=float).reshape(n, n)
+    return partial_transpose(cells, dims, 1).real.astype(np.intp).ravel()
 
 
 def decomposable_sum_membership(
@@ -153,68 +162,81 @@ def decomposable_sum_membership(
     tol: float = FEAS_TOL,
     max_iter: int = 20000,
 ) -> ConeVerdict:
-    """Decide W ∈ PSD + PSD^Gamma by Dykstra alternating projections.
+    """Decide W ∈ K = PSD + PSD^Gamma by Dykstra alternating projections.
 
-    Iterates on pairs (P, Q): project onto the product cone {P psd} x
-    {Q^Gamma psd} (independent eigenvalue clipping, the second after
-    transposing a factor), then onto the affine set {P + Q = W} (shift both
-    by half the gap). Dykstra corrections apply to the cone step only. The
-    residual after the cone step is ‖W − P − Q‖_F: member when it drops to
-    tol, refuted when it stalls above tol, inconclusive at max_iter.
+    Iterates on pairs (P, Q), held with their Dykstra corrections as (2, d, d)
+    stacks of (P, Q^Gamma): Gamma is linear, so the cone step is one eigh of
+    the stack with its eigenvalues clipped, and Q returns through one
+    precomputed index permutation. The affine step onto {P + Q = W} shifts
+    both by half the gap. After the cone step R = W − P − Q: member when
+    ‖R‖_F drops to tol. R tends to the projection of W onto the polar cone
+    (Moreau), so every WITNESS_EVERY iterations −R is tried as a dual witness
+    Z ∈ K* = PSD ∩ PPT with Tr(ZW) < 0 (see _dual_witness): refuted, with Z
+    as the witness, when it verifies; inconclusive at max_iter. Every verdict
+    carries the last cone-feasible pair as its certificate.
     """
+    if max_iter < 1:
+        raise ValueError(f"membership needs at least one iteration, got {max_iter}")
     m = finite_matrix(w)
-    dims = tuple(int(d) for d in dims)
-    p = m.copy()
-    q = np.zeros_like(m)
-    u_p = np.zeros_like(m)
-    u_q = np.zeros_like(m)
-    best = np.inf
-    window_best = np.inf
-    cone_p = p
-    cone_q = q
-    residual = float(np.linalg.norm(m - p - q))
-    verdict = None
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError(f"membership expects a square operator, got shape {m.shape}")
+    gamma = _gamma_index(n, dims)
+    # row 0 leaves a matrix as it is and row 1 partially transposes it
+    both = np.stack([np.arange(n * n), gamma]).reshape(2, n, n)
+    s = np.stack([m, np.zeros_like(m)])
+    u = np.zeros_like(s)
+    z = None
     for it in range(1, max_iter + 1):
         # cone step with Dykstra corrections
-        p_in, q_in = p + u_p, q + u_q
-        p = psd_part(p_in)
-        q_gamma = psd_part(partial_transpose(q_in, dims, 1))
-        q = partial_transpose(q_gamma, dims, 1)
-        u_p = p_in - p
-        u_q = q_in - q
-        # p and q now sit exactly in their cones; keep this pair so every
-        # verdict reports a cone-feasible certificate and its true residual.
-        cone_p, cone_q = p, q
-        residual = float(np.linalg.norm(m - p - q))
+        s_in = s + u
+        s = psd_part(s_in)
+        u = s_in - s
+        # s now sits exactly in the cones; every verdict reports this pair
+        p, q = s[0], s[1].ravel()[gamma].reshape(n, n)
+        r = m - p - q
+        residual = float(np.linalg.norm(r))
         if residual <= tol:
-            cert = DecompositionCertificate(p, q, residual)
-            verdict = ConeVerdict(
-                "member", residual=residual, certificate=cert,
-                info={"iterations": it},
-            )
+            status = "member"
             break
-        best = min(best, residual)
-        if it % STALL_WINDOW == 0:
-            if window_best - best <= STALL_RELATIVE * max(1.0, best):
-                verdict = ConeVerdict(
-                    "refuted", residual=residual,
-                    certificate=DecompositionCertificate(p, q, residual),
-                    info={"iterations": it, "stalled": True},
-                )
+        if it % WITNESS_EVERY == 0:
+            z = _dual_witness(m, r, gamma)
+            if z is not None:
+                status = "refuted"
                 break
-            window_best = best
         # affine step
-        shift = (m - p - q) / 2.0
-        p = p + shift
-        q = q + shift
-    if verdict is None:
-        verdict = ConeVerdict(
-            "inconclusive",
-            residual=residual,
-            certificate=DecompositionCertificate(cone_p, cone_q, residual),
-            info={"iterations": max_iter},
-        )
-    return verdict
+        s = s + r.ravel()[both] / 2.0
+    else:
+        status = "inconclusive"
+    return ConeVerdict(
+        status,
+        residual=residual,
+        witness=z,
+        certificate=DecompositionCertificate(p, q, residual),
+        info={"iterations": it},
+    )
+
+
+def _dual_witness(m: np.ndarray, r: np.ndarray, gamma: np.ndarray) -> np.ndarray | None:
+    """Z ∈ PSD ∩ PPT with Tr(ZW) < 0 built from the residual R, or None.
+
+    Z = −herm(R) + (ε + margin)·I, with ε = max(0, −λ_min(Z), −λ_min(Z^Gamma))
+    before the shift, lies in K* = PSD ∩ PPT, and the margin (WITNESS_MARGIN
+    relative to ‖Z‖_F) keeps eigvalsh rounding from undoing the shift. Every
+    element of K has Tr(ZW) >= 0 against such a Z. The answer rests on the
+    same re-check a reader would make: two eigvalsh calls and one trace.
+    """
+    n = m.shape[0]
+
+    def floor(a):  # least eigenvalue of A and of A^Gamma
+        return min(np.linalg.eigvalsh(a)[0], np.linalg.eigvalsh(a.ravel()[gamma].reshape(n, n))[0])
+
+    z = -(r + r.conj().T) / 2.0
+    z = z + (max(0.0, -floor(z)) + WITNESS_MARGIN * np.linalg.norm(z)) * np.eye(n)
+    # Tr(ZW) for Hermitian Z
+    if np.vdot(z, m).real < 0.0 and floor(z) >= 0.0:
+        return z
+    return None
 
 
 def is_popt(

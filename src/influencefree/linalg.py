@@ -176,8 +176,11 @@ def min_eig(w) -> tuple[float, np.ndarray]:
 
 
 def psd_part(w) -> np.ndarray:
-    """Projection of a Hermitian matrix onto the PSD cone (clip eigenvalues)."""
-    m = as_matrix(w)
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ vecs.conj().T
+    """Projection of a Hermitian matrix onto the PSD cone (clip eigenvalues).
+
+    A (k, d, d) array is a stack: each matrix is projected, by one eigh call.
+    """
+    m = w if isinstance(w, np.ndarray) and w.ndim == 3 else as_matrix(w)
+    vals, vecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    clipped = np.clip(vals, 0.0, None)[..., None, :]
+    return (vecs * clipped) @ vecs.conj().swapaxes(-1, -2)

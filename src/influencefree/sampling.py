@@ -13,12 +13,6 @@ from .coupling import ProductState, is_influence_free
 from .testspace import TestSpace
 
 
-def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-uniform unit vector from a normalized complex Gaussian sample."""
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def random_hermitian(rng: np.random.Generator, d: int, trace: float | None = None) -> np.ndarray:
     """GUE-style Hermitian matrix, optionally rescaled/shifted to a given trace."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -10,7 +10,8 @@ import pytest
 from influencefree.acceptance import TIME_BUDGETS
 from influencefree.choimaps import state_eval, swap_operator, unnormalized_q
 from influencefree.cli import run
-from influencefree.jsonio import matrix_to_document
+from influencefree.jsonio import matrix_from_document, matrix_to_document
+from influencefree.linalg import partial_transpose
 from influencefree.teleport import antisymmetric_projector
 
 
@@ -282,9 +283,10 @@ def test_kraus_extraction_and_refusal(tmp_path, capsys):
     assert doc["count"] == 1
     assert doc["residual"] <= 1e-10
     transpose = write_doc(tmp_path, "t.json", {"kind": "transpose", "dim": 2})
-    code, doc = invoke(capsys, "kraus", transpose)
+    code, doc = invoke(capsys, "kraus", transpose, "--tol", "1e-6")
     assert code == 1
     assert doc["verdict"] == "not-completely-positive"
+    assert doc["config"] == {"tol": 1e-6}
 
 
 def test_cp_and_co_cp_checks(tmp_path, capsys):
@@ -454,6 +456,12 @@ def test_decompose_refuted(tmp_path, capsys):
     assert code == 1
     assert doc["verdict"] == "refuted"
     assert doc["residual"] == pytest.approx(1.0, abs=1e-9)
+    # the witness alone re-checks the verdict: Z and Z^Gamma PSD, Tr(ZW) < 0
+    z, dims = matrix_from_document(doc["witness"])
+    assert dims == (2, 2)
+    assert np.linalg.eigvalsh(z).min() >= 0.0
+    assert np.linalg.eigvalsh(partial_transpose(z, dims, 1)).min() >= 0.0
+    assert np.trace(z @ w).real < 0.0
 
 
 def test_extremality_verdicts(tmp_path, capsys):

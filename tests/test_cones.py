@@ -10,6 +10,8 @@ from influencefree.choimaps import (
     unnormalized_q,
 )
 from influencefree.cones import (
+    WITNESS_EVERY,
+    SeesawResult,
     decomposable_sum_membership,
     extremality_probe,
     is_popt,
@@ -18,7 +20,7 @@ from influencefree.cones import (
     popt_minimize,
 )
 from influencefree.linalg import frobenius, partial_transpose
-from influencefree.sampling import random_hermitian, random_rank
+from influencefree.sampling import random_hermitian, random_psd, random_rank
 
 
 def boundary_member() -> np.ndarray:
@@ -83,6 +85,54 @@ def test_popt_minimize_deterministic_witness():
     assert got == pytest.approx(r1.min_value, abs=1e-12)
     with pytest.raises(ValueError):
         popt_minimize(w, (2, 3), seed=5)
+
+
+def serial_seesaw(w, dims, seed, restarts, max_iter):
+    """The see-saw one restart at a time: the reference for popt_minimize."""
+    da, db = dims
+    w4 = np.asarray(w, dtype=complex).reshape(da, db, da, db)
+
+    def min_vec(h):
+        vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        return float(vals[0]), vecs[:, 0]
+
+    rng = np.random.default_rng(seed)
+    best = None
+    for r in range(restarts):
+        x = rng.standard_normal(da) + 1j * rng.standard_normal(da)
+        x /= np.linalg.norm(x)
+        value, iterations, converged = np.inf, 0, False
+        for _ in range(max_iter):
+            iterations += 1
+            _, y = min_vec(np.einsum("ijkl,i,k->jl", w4, x.conj(), x))
+            new_value, x = min_vec(np.einsum("ijkl,j,l->ik", w4, y.conj(), y))
+            assert new_value <= value + 1e-12
+            if value - new_value <= 1e-14 * max(1.0, abs(new_value)):
+                value, converged = new_value, True
+                break
+            value = new_value
+        if best is None or value < best.min_value:
+            best = SeesawResult(value, x, y, r + 1, iterations, converged)
+    return best
+
+
+@pytest.mark.parametrize("max_iter", [3, 200])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_batched_seesaw_matches_serial_reference(dims, max_iter):
+    rng = np.random.default_rng(sum(dims) + max_iter)
+    d = dims[0] * dims[1]
+    # -swap reaches -1 from many restarts, so near-ties test the tie-break
+    operators = [random_hermitian(rng, d, trace=1.0) for _ in range(6)]
+    operators.append(-swap_operator(dims[0]) if dims[0] == dims[1] else random_psd(rng, d))
+    for k, w in enumerate(operators):
+        got = popt_minimize(w, dims, seed=k, restarts=16, max_iter=max_iter)
+        want = serial_seesaw(w, dims, seed=k, restarts=16, max_iter=max_iter)
+        assert got.min_value == want.min_value
+        assert np.array_equal(got.witness_x, want.witness_x)
+        assert np.array_equal(got.witness_y, want.witness_y)
+        assert (got.best_restart, got.iterations, got.converged) == (
+            want.best_restart, want.iterations, want.converged
+        )
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
@@ -158,24 +208,50 @@ def test_membership_refutes_at_an_exact_fixed_point():
     w = np.diag([1.0, 1.0, 1.0, -1.0])
     v = decomposable_sum_membership(w, (2, 2))
     assert v.status == "refuted"
-    assert v.info["stalled"] is True
+    assert v.info["iterations"] == WITNESS_EVERY
     assert v.residual == pytest.approx(1.0, abs=1e-9)
+    _assert_dual_witness(v.witness, w, (2, 2))
     _assert_cone_feasible(v.certificate, w)
 
 
 def test_membership_inconclusive_carries_cone_feasible_pair():
-    # the stall check first runs at iteration 500, so a 300-iteration budget
-    # ends inconclusive; the reported pair must still sit exactly in the cones
+    # the residual is first tried as a witness at iteration WITNESS_EVERY, so
+    # a shorter budget ends inconclusive; the pair must still sit in the cones
     w = np.diag([1.0, 1.0, 1.0, -1.0])
-    v = decomposable_sum_membership(w, (2, 2), max_iter=300)
+    v = decomposable_sum_membership(w, (2, 2), max_iter=WITNESS_EVERY - 1)
     assert v.status == "inconclusive"
+    assert v.info["iterations"] == WITNESS_EVERY - 1
+    assert v.witness is None
     assert v.residual >= 1.0 - 1e-9
     _assert_cone_feasible(v.certificate, w)
 
 
-def _assert_cone_feasible(cert, w):
+@pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, 7.0, 1e4])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_membership_refutation_is_scale_invariant(scale, dims):
+    # a PSD part of trace 1/2 minus a product projector |v><v|: <v|W|v> < 0,
+    # so W is not decomposable at any positive scale
+    rng = np.random.default_rng(sum(dims))
+    x, y = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in dims)
+    v = np.kron(x / np.linalg.norm(x), y / np.linalg.norm(y))
+    w = random_psd(rng, len(v), trace=0.5) - np.outer(v, v.conj())
+    verdict = decomposable_sum_membership(scale * w, dims)
+    assert verdict.status == "refuted"
+    _assert_dual_witness(verdict.witness, scale * w, dims)
+    _assert_cone_feasible(verdict.certificate, scale * w, dims)
+
+
+def _assert_dual_witness(z, w, dims):
+    """Z and Z^Gamma are PSD and Tr(ZW) < 0: Z separates W from PSD + PSD^Gamma."""
+    assert np.array_equal(z, z.conj().T)
+    assert np.linalg.eigvalsh(z).min() >= 0.0
+    assert np.linalg.eigvalsh(partial_transpose(z, dims, 1)).min() >= 0.0
+    assert np.trace(z @ w).real < 0.0
+
+
+def _assert_cone_feasible(cert, w, dims=(2, 2)):
     assert np.linalg.eigvalsh((cert.p + cert.p.conj().T) / 2).min() >= -1e-10
-    q_gamma = partial_transpose(cert.q, (2, 2), 1)
+    q_gamma = partial_transpose(cert.q, dims, 1)
     assert np.linalg.eigvalsh((q_gamma + q_gamma.conj().T) / 2).min() >= -1e-10
     assert frobenius(w - cert.p - cert.q) == pytest.approx(cert.residual, abs=1e-12)
 

@@ -142,3 +142,6 @@ def test_psd_part_is_positive_and_idempotent(seed):
     p = psd_part(w)
     assert np.linalg.eigvalsh(p).min() >= -1e-12
     assert np.allclose(psd_part(p), p)
+    # a stack is projected matrix by matrix, with the same arithmetic
+    stack = np.stack([w, _random_hermitian(rng, 4), -w])
+    assert np.array_equal(psd_part(stack), np.stack([psd_part(a) for a in stack]))
