@@ -342,13 +342,6 @@ def criterion_7() -> CriterionResult:
     return _result(7, "extremality-probe", start, not problems, detail)
 
 
-# Criterion 8 operators that 2 000 projections leave undecided: k = 85 is a
-# member after 2 450 iterations; k = 91 has a see-saw floor of +8e-4, so it
-# is POPT and hence decomposable on two qubits, but its residual is still
-# 2.6e-5 after 20 000 iterations.
-UNSETTLED_8 = (85, 91)
-
-
 def _split_holds(w, cert) -> bool:
     """P and Q^Gamma are PSD and P + Q is W within FEAS_TOL, recomputed."""
     q_gamma = partial_transpose(cert.q, (2, 2), 1)
@@ -394,7 +387,7 @@ def criterion_8() -> CriterionResult:
                 problems.append(f"k={k}: the refutation witness fails its re-check")
             if floor >= -1e-9:
                 problems.append(f"k={k}: refuted but the see-saw floor is {floor:.3e}")
-        elif k not in UNSETTLED_8:
+        else:
             problems.append(f"k={k}: {mem.status} after {mem.info['iterations']} iterations")
     detail = _detail(
         problems,

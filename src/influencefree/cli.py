@@ -165,8 +165,9 @@ class _Option:
 
 _TOL = _Option("--tol", type=_tolerance, default=1e-9, help="numerical tolerance")
 _FEAS = (
-    _Option("--feas-tol", type=_tolerance, default=1e-7, help="feasibility residual tolerance"),
-    _Option("--max-iter", type=_count, default=20000, help="projection iteration cap"),
+    _Option("--feas-tol", type=_tolerance, default=1e-7,
+            help="decomposition residual tolerance, relative to ||W||_F"),
+    _Option("--max-iter", type=_count, default=20000, help="membership Newton step cap"),
 )
 _DIMS = _Option("--dims", type=_int_pair("dA,dB", True), default=None, help="factor dims as dA,dB")
 _N = _Option("--n", type=_count, default=None, help="local dimension (inferred when omitted)")

@@ -5,9 +5,10 @@ screened by see-saw minimization of <xy|W|xy> over the two product factors:
 for a fixed Alice vector the optimal Bob vector is the minimal eigenvector of
 the contracted operator, and alternating the two eigenvector steps is
 monotone non-increasing. Membership in PSD + PSD^Gamma (the decomposable
-cone at the operator level) runs Dykstra alternating projections, whose
-residual doubles as a dual witness in PSD ∩ PPT when W is not a member.
-Both loops are array code over small stacks. Whether a conjugation map sheds
+cone at the operator level) is a two-block semidefinite program, solved by
+a log-barrier interior-point method in a few dozen Newton steps: its primal
+iterate, clipped into the cones, certifies a member, and its dual estimate
+is a witness in PSD ∩ PPT when W is not one. Whether a conjugation map sheds
 a co-CP part is decided exactly by one eigenvalue.
 """
 
@@ -27,8 +28,12 @@ from .linalg import (
 )
 
 FEAS_TOL = 1e-7
-# the membership loop tries its residual as a dual witness this often
-WITNESS_EVERY = 10
+# the barrier parameter μ is divided by this once an iterate is centered
+BARRIER_SHRINK = 16.0
+# Newton decrement below which an iterate counts as centered
+CENTERED = 0.25
+# floor of μ relative to ‖W‖_F: below it the Newton system is rounding noise
+BARRIER_FLOOR = 1e-15
 # slack of the witness shift, relative to its Frobenius norm
 WITNESS_MARGIN = 1e-12
 
@@ -162,18 +167,22 @@ def decomposable_sum_membership(
     tol: float = FEAS_TOL,
     max_iter: int = 20000,
 ) -> ConeVerdict:
-    """Decide W ∈ K = PSD + PSD^Gamma by Dykstra alternating projections.
+    """Decide W ∈ K = PSD + PSD^Gamma by a log-barrier interior-point method.
 
-    Iterates on pairs (P, Q), held with their Dykstra corrections as (2, d, d)
-    stacks of (P, Q^Gamma): Gamma is linear, so the cone step is one eigh of
-    the stack with its eigenvalues clipped, and Q returns through one
-    precomputed index permutation. The affine step onto {P + Q = W} shifts
-    both by half the gap. After the cone step R = W − P − Q: member when
-    ‖R‖_F drops to tol. R tends to the projection of W onto the polar cone
-    (Moreau), so every WITNESS_EVERY iterations −R is tried as a dual witness
-    Z ∈ K* = PSD ∩ PPT with Tr(ZW) < 0 (see _dual_witness): refuted, with Z
-    as the witness, when it verifies; inconclusive at max_iter. Every verdict
-    carries the last cone-feasible pair as its certificate.
+    Solves min t subject to X1 = P + tI ⪰ 0 and X2 = (W − P)^Gamma + tI ⪰ 0
+    over Hermitian P and real t, whose optimum is <= 0 iff W ∈ K. Each
+    iteration examines the current iterate, then takes one damped Newton
+    step on t/μ − log det X1 − log det X2, and divides μ by BARRIER_SHRINK
+    once the step is short enough to call the iterate centered. Iterates
+    scale with W, so every verdict is scale invariant.
+
+    member: the cone-clipped pair P_c = psd_part(P), Q_c = Gamma(psd_part(
+    Q^Gamma)) with Q = W − P meets ‖W − P_c − Q_c‖_F <= tol·‖W‖_F (W = 0 is
+    a member at once). refuted: the barrier's dual estimate Z = μ(X1⁻¹ +
+    Gamma(X2⁻¹))/2, which sits in K* = PSD ∩ PPT on the central path,
+    passes _dual_witness. inconclusive: max_iter iterates (the start and
+    max_iter − 1 Newton steps) or μ at its floor BARRIER_FLOOR·‖W‖_F. Every
+    verdict carries the last clipped pair as its certificate.
     """
     if max_iter < 1:
         raise ValueError(f"membership needs at least one iteration, got {max_iter}")
@@ -182,43 +191,81 @@ def decomposable_sum_membership(
     if m.shape != (n, n):
         raise ValueError(f"membership expects a square operator, got shape {m.shape}")
     gamma = _gamma_index(n, dims)
-    # row 0 leaves a matrix as it is and row 1 partially transposes it
-    both = np.stack([np.arange(n * n), gamma]).reshape(2, n, n)
-    s = np.stack([m, np.zeros_like(m)])
-    u = np.zeros_like(s)
+
+    def g(a):  # partial transpose of a matrix or of each matrix of a stack
+        return a.reshape(a.shape[:-2] + (n * n,))[..., gamma].reshape(a.shape)
+
+    scale = float(np.linalg.norm(m))
+    eye = np.eye(n)
+    # start at P = W, so a PSD operator is a member at the first iterate
+    p = m
+    t = max(0.0, -np.linalg.eigvalsh(m)[0]) + scale
+    mu = None
     z = None
     for it in range(1, max_iter + 1):
-        # cone step with Dykstra corrections
-        s_in = s + u
-        s = psd_part(s_in)
-        u = s_in - s
-        # s now sits exactly in the cones; every verdict reports this pair
-        p, q = s[0], s[1].ravel()[gamma].reshape(n, n)
-        r = m - p - q
-        residual = float(np.linalg.norm(r))
-        if residual <= tol:
+        # P and Q^Gamma: X1 and X2 without their shift tI
+        blocks = np.stack([p, g(m - p)])
+        clipped = psd_part(blocks)
+        p_c, q_c = clipped[0], g(clipped[1])
+        residual = float(np.linalg.norm(m - p_c - q_c))
+        if residual <= tol * scale:
             status = "member"
             break
-        if it % WITNESS_EVERY == 0:
-            z = _dual_witness(m, r, gamma)
-            if z is not None:
-                status = "refuted"
-                break
-        # affine step
-        s = s + r.ravel()[both] / 2.0
-    else:
-        status = "inconclusive"
+        s = np.linalg.inv(blocks + t * eye)
+        if mu is None:
+            # the start is centered in t: the gradient's t-component vanishes
+            mu = 1.0 / np.trace(s, axis1=1, axis2=2).real.sum()
+        z = _dual_witness(m, -mu * (s[0] + g(s[1])) / 2.0, gamma)
+        if z is not None:
+            status = "refuted"
+            break
+        if it == max_iter or mu < BARRIER_FLOOR * scale:
+            status = "inconclusive"
+            break
+        p, t, decrement = _newton_step(p, t, mu, s, gamma)
+        if decrement < CENTERED:
+            mu /= BARRIER_SHRINK
     return ConeVerdict(
         status,
         residual=residual,
         witness=z,
-        certificate=DecompositionCertificate(p, q, residual),
+        certificate=DecompositionCertificate(p_c, q_c, residual),
         info={"iterations": it},
     )
 
 
+def _newton_step(p, t, mu, s, gamma):
+    """One damped Newton step on t/μ − log det X1 − log det X2 from (P, t).
+
+    s stacks X1⁻¹ and X2⁻¹. The system runs over the n² complex entries of
+    P plus t; its matrix maps a Hermitian P to a Hermitian one and t to a
+    real number, so the solution is a Hermitian ΔP and a real Δt, the same
+    as in a real Hermitian basis. A step of 1/(1 + decrement) stays inside
+    both cones (the barrier is self-concordant). Returns the new P and t
+    and the Newton decrement.
+    """
+    n = p.shape[0]
+    nn = n * n
+    # kron(S, S^T), the Hessian of −log det X in row-major coordinates
+    k = (s[:, :, None, :, None] * s.swapaxes(1, 2)[:, None, :, None, :]).reshape(2, nn, nn)
+    s2 = s @ s
+    h = np.empty((nn + 1, nn + 1), dtype=complex)
+    h[:nn, :nn] = k[0] + k[1][gamma[:, None], gamma]
+    h[:nn, nn] = s2[0].ravel() - s2[1].ravel()[gamma]
+    h[nn, :nn] = h[:nn, nn].conj()
+    h[nn, nn] = np.trace(s2, axis1=1, axis2=2).real.sum()
+    grad = np.append(
+        s[1].ravel()[gamma] - s[0].ravel(), 1.0 / mu - np.trace(s, axis1=1, axis2=2).real.sum()
+    )
+    step = np.linalg.solve(h, -grad)
+    decrement = float(np.sqrt(max(0.0, -np.vdot(grad, step).real)))
+    alpha = 1.0 if decrement < CENTERED else 1.0 / (1.0 + decrement)
+    dp = step[:nn].reshape(n, n)
+    return p + alpha * (dp + dp.conj().T) / 2.0, t + alpha * step[nn].real, decrement
+
+
 def _dual_witness(m: np.ndarray, r: np.ndarray, gamma: np.ndarray) -> np.ndarray | None:
-    """Z ∈ PSD ∩ PPT with Tr(ZW) < 0 built from the residual R, or None.
+    """Z ∈ PSD ∩ PPT with Tr(ZW) < 0 built from the candidate −R, or None.
 
     Z = −herm(R) + (ε + margin)·I, with ε = max(0, −λ_min(Z), −λ_min(Z^Gamma))
     before the shift, lies in K* = PSD ∩ PPT, and the margin (WITNESS_MARGIN
@@ -255,10 +302,13 @@ def is_popt(
     refuted: the see-saw found a product pair with value < -tol (witness).
     certified: W is PSD, or its partial transpose is PSD, or it splits as
     PSD + PSD^Gamma (each branch implies every product value is >= 0; the
-    branch taken is recorded in info). In a 2x2-by-2x2 space the certified/
-    refuted dichotomy is exhaustive up to boundary cases, since there the
-    positive-on-pure-tensors cone coincides with PSD + PSD^Gamma.
-    likely: no violation found and no certificate obtained.
+    branch taken is recorded in info). In 2x2 and 2x3 the positive-on-pure-
+    tensors cone coincides with PSD + PSD^Gamma (Størmer, Woronowicz), so
+    there the membership test settles every operator the see-saw does not
+    refute, on the cone's boundary too, unless dykstra_max_iter (a cap on
+    its Newton steps) runs out.
+    likely: no violation found and no certificate obtained; info records the
+    membership status.
     """
     m = finite_matrix(w)
     psd = is_psd(m, tol=tol)

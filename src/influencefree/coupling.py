@@ -53,6 +53,20 @@ class TwoStageTest:
         if assigned != set(self.first):
             raise ValueError("assignment must cover exactly the initiating test's outcomes")
 
+    @classmethod
+    def _enumerated(cls, direction, first, assignment, mask, axes) -> TwoStageTest:
+        """A test valid by construction, built without __post_init__'s check."""
+        test = object.__new__(cls)
+        # frozen: each field is set the way the generated __init__ sets it
+        # (writing into __dict__ instead would double the object's size)
+        set_field = object.__setattr__
+        set_field(test, "direction", direction)
+        set_field(test, "first", first)
+        set_field(test, "assignment", assignment)
+        set_field(test, "mask", mask)
+        set_field(test, "axes", axes)
+        return test
+
     def outcome_pairs(self) -> frozenset[Pair]:
         """The (alice, bob) outcome pairs this test can produce."""
         if self.direction == "forward":
@@ -132,7 +146,7 @@ def _two_stage(direction: str, a: TestSpace, b: TestSpace, cap: int) -> list[Two
         masks.flags.writeable = False
         for choice, mask in zip(choices, masks):
             assignment = tuple(zip(e, map(second.tests.__getitem__, choice)))
-            out.append(TwoStageTest(direction, e, assignment, mask, axes))
+            out.append(TwoStageTest._enumerated(direction, e, assignment, mask, axes))
     return out
 
 

@@ -10,7 +10,7 @@ from influencefree.choimaps import (
     unnormalized_q,
 )
 from influencefree.cones import (
-    WITNESS_EVERY,
+    FEAS_TOL,
     SeesawResult,
     decomposable_sum_membership,
     extremality_probe,
@@ -183,8 +183,8 @@ def test_is_popt_decomposition_branch():
 
 
 def test_is_popt_likely_when_membership_is_starved():
-    # one Dykstra iteration cannot reach the boundary member, so the verdict
-    # degrades to likely with the membership status recorded
+    # the starting iterate alone does not split the boundary member, so the
+    # verdict degrades to likely with the membership status recorded
     w = boundary_member()
     v = is_popt(w, (2, 2), seed=11, dykstra_max_iter=1)
     assert v.status == "likely"
@@ -204,29 +204,30 @@ def test_membership_psd_is_instant():
 
 def test_membership_refutes_at_an_exact_fixed_point():
     # diag(1,1,1,-1) sits at Frobenius distance exactly 1 from the cone sum:
-    # <e1 e1|W|e1 e1> = -1 while every cone element is >= 0 there
+    # <e1 e1|W|e1 e1> = -1 while every cone element is >= 0 there, so no
+    # cone-feasible pair comes closer than 1
     w = np.diag([1.0, 1.0, 1.0, -1.0])
     v = decomposable_sum_membership(w, (2, 2))
     assert v.status == "refuted"
-    assert v.info["iterations"] == WITNESS_EVERY
-    assert v.residual == pytest.approx(1.0, abs=1e-9)
+    assert v.residual >= 1.0 - 1e-9
     _assert_dual_witness(v.witness, w, (2, 2))
     _assert_cone_feasible(v.certificate, w)
 
 
 def test_membership_inconclusive_carries_cone_feasible_pair():
-    # the residual is first tried as a witness at iteration WITNESS_EVERY, so
-    # a shorter budget ends inconclusive; the pair must still sit in the cones
+    # one iteration short of the refutation the budget ends inconclusive;
+    # the pair must still sit in the cones, no closer than distance 1
     w = np.diag([1.0, 1.0, 1.0, -1.0])
-    v = decomposable_sum_membership(w, (2, 2), max_iter=WITNESS_EVERY - 1)
+    budget = decomposable_sum_membership(w, (2, 2)).info["iterations"] - 1
+    v = decomposable_sum_membership(w, (2, 2), max_iter=budget)
     assert v.status == "inconclusive"
-    assert v.info["iterations"] == WITNESS_EVERY - 1
+    assert v.info["iterations"] == budget
     assert v.witness is None
     assert v.residual >= 1.0 - 1e-9
     _assert_cone_feasible(v.certificate, w)
 
 
-@pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, 7.0, 1e4])
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 0.3, 1.0, 7.0, 1e4])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
 def test_membership_refutation_is_scale_invariant(scale, dims):
     # a PSD part of trace 1/2 minus a product projector |v><v|: <v|W|v> < 0,
@@ -238,6 +239,29 @@ def test_membership_refutation_is_scale_invariant(scale, dims):
     verdict = decomposable_sum_membership(scale * w, dims)
     assert verdict.status == "refuted"
     _assert_dual_witness(verdict.witness, scale * w, dims)
+    _assert_cone_feasible(verdict.certificate, scale * w, dims)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 0.3, 1.0, 7.0, 1e4])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_membership_on_the_boundary_is_scale_invariant(scale, dims):
+    # P + Q^Gamma with P and Q^Gamma rank one and both vanishing on one
+    # product vector: decomposable, but on the boundary of the cone sum
+    rng = np.random.default_rng(10 + sum(dims))
+    x, y = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in dims)
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+
+    def orthogonal_to(u):
+        g = rng.standard_normal(len(u)) + 1j * rng.standard_normal(len(u))
+        g -= np.vdot(u, g) * u
+        return g / np.linalg.norm(g)
+
+    phi, chi = orthogonal_to(np.kron(x, y)), orthogonal_to(np.kron(x, y.conj()))
+    w = np.outer(phi, phi.conj()) + partial_transpose(np.outer(chi, chi.conj()), dims, 1)
+    assert abs(np.vdot(np.kron(x, y), w @ np.kron(x, y))) <= 1e-12
+    verdict = decomposable_sum_membership(scale * w, dims)
+    assert verdict.status == "member"
+    assert verdict.residual <= FEAS_TOL * frobenius(scale * w)
     _assert_cone_feasible(verdict.certificate, scale * w, dims)
 
 

@@ -101,8 +101,14 @@ def test_two_stage_test_validation():
         TwoStageTest("sideways", ("x1",), (("x1", ("y1",)),))
     with pytest.raises(ValueError):
         TwoStageTest("forward", ("x1", "x2"), (("x1", ("y1",)),))
+    with pytest.raises(ValueError):
+        TwoStageTest("forward", ("x1",), (("x1", ("y1",)), ("x2", ("y2",))))
     t = TwoStageTest("backward", ("y1", "y2"), (("y1", ("x1",)), ("y2", ("x2",))))
     assert t.outcome_pairs() == frozenset({("x1", "y1"), ("x2", "y2")})
+    # enumeration builds its tests without the check: each passes it anyway
+    # and equals the test built by hand from the same fields
+    for e in forward_tests(FNS_ALICE, FNS_BOB) + backward_tests(FNS_ALICE, FNS_BOB):
+        assert TwoStageTest(e.direction, e.first, e.assignment) == e
 
 
 def test_enumeration_cap():
