@@ -9,6 +9,8 @@ input dimension n is
 with Q = sum_ij |i><j| (x) |i><j| the unnormalized maximally entangled
 operator. Block (i,j) of the Choi operator is phi applied to the matrix unit
 E_ij. Only Hermiticity-preserving maps are representable (Hermitian Choi).
+Application, composition, the swap and the reconstruction are reshapes and
+contractions of the 4-index tensor W[i,a,j,b], not loops over matrix units.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    HermitianOperator,
-    as_matrix,
-    hermitian_eig,
-    kron,
-    partial_transpose,
-)
+from .linalg import DEFAULT_TOL, HermitianOperator, as_matrix, hermitian_eig, partial_transpose
 
 
 def unnormalized_q(n: int) -> np.ndarray:
@@ -36,12 +31,9 @@ def unnormalized_q(n: int) -> np.ndarray:
 
 
 def swap_operator(n: int) -> np.ndarray:
-    """The swap S|x>|y> = |y>|x|; equals the Choi operator of transposition."""
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            s[i * n + j, j * n + i] = 1.0
-    return s
+    """The swap S|x>|y> = |y>|x>, the identity with its two column factors
+    exchanged; equals the Choi operator of transposition."""
+    return np.eye(n * n, dtype=complex).reshape(n, n, n, n).swapaxes(2, 3).reshape(n * n, n * n)
 
 
 class LinearMapChoi:
@@ -98,21 +90,20 @@ def apply_map(m: LinearMapChoi, x) -> np.ndarray:
 
 
 def compose_maps(f: LinearMapChoi, g: LinearMapChoi) -> LinearMapChoi:
-    """Choi operator of f∘g, assembled by applying f∘g to the matrix units."""
+    """Choi operator of f∘g as one contraction of the two Choi tensors.
+
+    Block (i,j) of W_{f∘g} is f applied to block (i,j) of W_g, so
+    W_{f∘g}[i,a,j,b] = sum_kl W_g[i,k,j,l] · W_f[k,a,l,b].
+    """
     if f.din != g.dout:
         raise ValueError(
             f"cannot compose: inner dimensions differ ({f.din} vs {g.dout})"
         )
     din, dout = g.din, f.dout
-    choi = np.zeros((din * dout, din * dout), dtype=complex)
-    c4 = choi.reshape(din, dout, din, dout)
-    for i in range(din):
-        for j in range(din):
-            e = np.zeros((din, din), dtype=complex)
-            e[i, j] = 1.0
-            c4[i, :, j, :] = apply_map(f, apply_map(g, e))
-    # Matrix-unit assembly keeps Hermiticity up to rounding; admit with the
-    # same defect bookkeeping as any other construction.
+    cg = g.choi.reshape(din, f.din, din, f.din)
+    cf = f.choi.reshape(f.din, dout, f.din, dout)
+    choi = np.einsum("ikjl,kalb->iajb", cg, cf).reshape(din * dout, din * dout)
+    # Hermitian up to rounding; admit with the usual defect bookkeeping
     return LinearMapChoi(choi, din, dout, tol=1e-7)
 
 
@@ -188,64 +179,43 @@ def state_eval(w, dims: tuple[int, int], x, y, tol: float = 1e-10) -> float:
     return float(np.real(v.conj() @ w @ v))
 
 
-def _polarization_family(d: int) -> list[np.ndarray]:
-    """d² unit vectors whose projectors form a basis of the Hermitian matrices.
-
-    Basis vectors e_i, then (e_i+e_j)/sqrt2 and (e_i+i·e_j)/sqrt2 for i<j.
-    """
-    vs = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d, dtype=complex)
-            v[i], v[j] = 1.0, 1.0
-            vs.append(v / np.sqrt(2))
-            v = np.zeros(d, dtype=complex)
-            v[i], v[j] = 1.0, 1.0j
-            vs.append(v / np.sqrt(2))
-    return vs
-
-
-def _check_family(d: int) -> list[np.ndarray]:
-    """Held-out product directions used to detect inconsistent evaluators."""
-    vs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d, dtype=complex)
-            v[i], v[j] = 1.0, -1.0
-            vs.append(v / np.sqrt(2))
-            v = np.zeros(d, dtype=complex)
-            v[i], v[j] = 1.0, -1.0j
-            vs.append(v / np.sqrt(2))
-    return vs
+def _pair_family(d: int, phases: tuple[complex, ...]) -> np.ndarray:
+    """Rows (e_i + c·e_j)/sqrt2 for each pair i<j and, within a pair, each c."""
+    i, j = np.triu_indices(d, 1)
+    e = np.eye(d)
+    return (e[i] + np.multiply.outer(phases, e[j])).swapaxes(0, 1).reshape(-1, d) / np.sqrt(2)
 
 
 def reconstruct_operator(evaluate, da: int, db: int, tol: float = 1e-7) -> np.ndarray:
     """The unique Hermitian W with <xy|W|xy> = evaluate(x, y) on product vectors.
 
-    Evaluates on the polarization family of each side (d² projectors forming a
-    Hermitian basis), solves the Gram-coupled linear system, and validates the
-    result against held-out product directions; a residual above tol means the
+    Each side's polarization family e_i, (e_i + e_j)/sqrt2, (e_i + i·e_j)/sqrt2
+    (i<j) has d² projectors forming a Hermitian basis, with Gram matrix
+    |<v_k|v_l>|². The two Gram solves give coefficients c_kl and W is one
+    contraction sum_kl c_kl P_k (x) Q_l of the projector stacks. The phases -1
+    and -i give held-out directions; a residual above tol there means the
     evaluator is not of the required form.
     """
-    fam_a = _polarization_family(da)
-    fam_b = _polarization_family(db)
-    proj_a = [np.outer(v, v.conj()) for v in fam_a]
-    proj_b = [np.outer(v, v.conj()) for v in fam_b]
-    gram_a = np.array([[np.trace(p @ q).real for q in proj_a] for p in proj_a])
-    gram_b = np.array([[np.trace(p @ q).real for q in proj_b] for p in proj_b])
-    m = np.array([[float(evaluate(x, y)) for y in fam_b] for x in fam_a])
-    coeff = np.linalg.solve(gram_a, np.linalg.solve(gram_b, m.T).T)
-    w = np.zeros((da * db, da * db), dtype=complex)
-    for k in range(da * da):
-        for l in range(db * db):
-            if coeff[k, l] != 0.0:
-                w += coeff[k, l] * kron(proj_a[k], proj_b[l])
+    fam_a = np.concatenate([np.eye(da), _pair_family(da, (1, 1j))])
+    fam_b = np.concatenate([np.eye(db), _pair_family(db, (1, 1j))])
+    # a one-dimensional side has no pairs and is checked on its basis vector
+    check_a = _pair_family(da, (-1, -1j)) if da > 1 else fam_a
+    check_b = _pair_family(db, (-1, -1j)) if db > 1 else fam_b
+
+    def table(xs, ys):
+        return np.array([[float(evaluate(x, y)) for y in ys] for x in xs])
+
+    gram_a = np.abs(fam_a.conj() @ fam_a.T) ** 2
+    gram_b = np.abs(fam_b.conj() @ fam_b.T) ** 2
+    coeff = np.linalg.solve(gram_a, np.linalg.solve(gram_b, table(fam_a, fam_b).T).T)
+    proj_a = np.einsum("ka,kb->kab", fam_a, fam_a.conj())
+    proj_b = np.einsum("lc,ld->lcd", fam_b, fam_b.conj())
+    w = np.einsum("kl,kab,lcd->acbd", coeff, proj_a, proj_b).reshape(da * db, da * db)
     w = (w + w.conj().T) / 2.0
-    worst = 0.0
-    for x in _check_family(da) or fam_a[:1]:
-        for y in _check_family(db) or fam_b[:1]:
-            worst = max(worst, abs(state_eval(w, (da, db), x, y) - float(evaluate(x, y))))
-    if worst > tol:
+    v = np.einsum("pa,qc->pqac", check_a, check_b).reshape(-1, da * db)
+    held_out = np.einsum("na,ab,nb->n", v.conj(), w, v).real.reshape(len(check_a), -1)
+    worst = float(np.abs(held_out - table(check_a, check_b)).max())
+    if not worst <= tol:
         raise ValueError(
             f"evaluator is inconsistent with any Hermitian operator "
             f"(held-out residual {worst:.3e})"

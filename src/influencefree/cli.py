@@ -474,7 +474,7 @@ def _popt(args, w):
         restarts=args.restarts,
         tol=args.tol,
         feas_tol=args.feas_tol,
-        dykstra_max_iter=args.max_iter,
+        membership_max_iter=args.max_iter,
     )
     doc = {"min_value": verdict.min_value}
     if verdict.status == "certified":

@@ -95,7 +95,6 @@ def popt_minimize(
     seed: int,
     restarts: int = 64,
     max_iter: int = 200,
-    tol: float = DEFAULT_TOL,
 ) -> SeesawResult:
     """Alternating eigenvector minimization of <xy|W|xy> over product vectors.
 
@@ -105,8 +104,8 @@ def popt_minimize(
     contraction and one eigh on a (restarts, d, d) stack, and a restart that
     has converged is frozen. The best fixed point is returned (ties keep the
     lowest restart index). The result is an upper bound on the true minimum
-    over product vectors; a value below -tol refutes positivity on pure
-    tensors and the witness pair certifies it.
+    over product vectors; a negative value refutes positivity on pure tensors
+    and the witness pair certifies it.
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
@@ -295,7 +294,7 @@ def is_popt(
     max_iter: int = 200,
     tol: float = DEFAULT_TOL,
     feas_tol: float = FEAS_TOL,
-    dykstra_max_iter: int = 20000,
+    membership_max_iter: int = 20000,
 ) -> ConeVerdict:
     """Three-valued positivity-on-pure-tensors verdict.
 
@@ -305,8 +304,8 @@ def is_popt(
     branch taken is recorded in info). In 2x2 and 2x3 the positive-on-pure-
     tensors cone coincides with PSD + PSD^Gamma (Størmer, Woronowicz), so
     there the membership test settles every operator the see-saw does not
-    refute, on the cone's boundary too, unless dykstra_max_iter (a cap on
-    its Newton steps) runs out.
+    refute, on the cone's boundary too, unless membership_max_iter (a cap
+    on its Newton iterates) runs out.
     likely: no violation found and no certificate obtained; info records the
     membership status.
     """
@@ -323,16 +322,14 @@ def is_popt(
             "certified",
             info={"branch": "ppt", "psd": False},
         )
-    seesaw = popt_minimize(
-        m, dims, seed=seed, restarts=restarts, max_iter=max_iter, tol=tol
-    )
+    seesaw = popt_minimize(m, dims, seed=seed, restarts=restarts, max_iter=max_iter)
     if seesaw.min_value < -tol:
         return ConeVerdict(
             "refuted", min_value=seesaw.min_value,
             witness=(seesaw.witness_x, seesaw.witness_y),
             info={"psd": False, "best_restart": seesaw.best_restart},
         )
-    membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=dykstra_max_iter)
+    membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=membership_max_iter)
     if membership.status == "member":
         return ConeVerdict(
             "certified", min_value=seesaw.min_value,

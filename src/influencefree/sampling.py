@@ -12,6 +12,11 @@ import numpy as np
 from .coupling import ProductState, is_influence_free
 from .testspace import TestSpace
 
+_MIXTURE = 3  # product states per influence-free table
+_STATE_ROUNDS = 4000  # fitting rounds for one side's state
+_SIGNALLING_ROUNDS = 1000  # fitting rounds for a signalling table
+_MIN_DEVIATION = 1e-6  # least marginal deviation of a decisive signalling table
+
 
 def random_hermitian(rng: np.random.Generator, d: int, trace: float | None = None) -> np.ndarray:
     """GUE-style Hermitian matrix, optionally rescaled/shifted to a given trace."""
@@ -70,14 +75,14 @@ def random_test_space(
 
 
 def product_state_table(
-    rng: np.random.Generator, alice: TestSpace, bob: TestSpace, mixture: int = 3
+    rng: np.random.Generator, alice: TestSpace, bob: TestSpace
 ) -> dict[tuple[str, str], float] | None:
     """Influence-free table: a convex mixture of product states.
 
     Component states come from per-test proportional fitting; None if either
     side's space defeats the fitting (e.g. admits no state at all).
     """
-    weights = rng.dirichlet(np.ones(mixture))
+    weights = rng.dirichlet(np.ones(_MIXTURE))
     table = np.zeros((len(alice.outcomes), len(bob.outcomes)))
     for w in weights:
         fa = _random_state(rng, alice)
@@ -85,62 +90,57 @@ def product_state_table(
         if fa is None or fb is None:
             return None
         # table[x, y] accumulates (w * fa[x]) * fb[y] in mixture order
-        table += np.outer(w * np.array(list(fa.values())), list(fb.values()))
+        table += np.outer(w * np.array(fa), fb)
     return dict(zip(product(alice.outcomes, bob.outcomes), table.ravel().tolist()))
 
 
-def _random_state(
-    rng: np.random.Generator, ts: TestSpace, rounds: int = 4000
-) -> dict[str, float] | None:
-    """Random state via per-test proportional fitting, keyed in outcome order; None if unsettled."""
-    f = {x: float(rng.uniform(0.05, 1.0)) for x in ts.outcomes}
-    value = f.__getitem__
+def _test_indices(ts: TestSpace) -> list[list[int]]:
+    """Each test as the list of its outcome indices, in outcome order."""
+    return [np.flatnonzero(row).tolist() for row in ts.incidence]
+
+
+def _fit(values: list[float], tests: list[list[int]], rounds: int) -> list[float] | None:
+    """Gauss–Seidel proportional fitting in place: rescale each test to sum 1 in
+    turn until a round starts with every sum within 1e-13 of 1; None if a test
+    sum is not positive or `rounds` run out."""
+    value = values.__getitem__
     for _ in range(rounds):
         worst = 0.0
-        for t in ts.tests:
+        for t in tests:
             s = sum(map(value, t))
             if s <= 0:
                 return None
             worst = max(worst, abs(s - 1.0))
-            for x in t:
-                f[x] /= s
+            for i in t:
+                values[i] /= s
         if worst < 1e-13:
-            return f
+            return values
     return None
 
 
+def _random_state(rng: np.random.Generator, ts: TestSpace) -> list[float] | None:
+    """Random state in outcome order via per-test proportional fitting; None if unsettled."""
+    start = [float(rng.uniform(0.05, 1.0)) for _ in ts.outcomes]
+    return _fit(start, _test_indices(ts), _STATE_ROUNDS)
+
+
 def signalling_table(
-    rng: np.random.Generator,
-    alice: TestSpace,
-    bob: TestSpace,
-    rounds: int = 1000,
-    min_deviation: float = 1e-6,
+    rng: np.random.Generator, alice: TestSpace, bob: TestSpace
 ) -> dict[tuple[str, str], float] | None:
     """Random table normalized per product test by iterative proportional fitting.
 
     Returns a state on the Cartesian product that is (generically) signalling;
-    None if fitting fails in `rounds` passes or the sample comes out too close
-    to influence-free to be a decisive instance.
+    None if fitting fails in its rounds or the sample comes out too close to
+    influence-free to be a decisive instance.
     """
     pairs = list(product(alice.outcomes, bob.outcomes))
-    table = dict(zip(pairs, rng.uniform(0.05, 1.0, size=len(pairs)).tolist()))
-    cells = [list(product(ea, eb)) for ea, eb in product(alice.tests, bob.tests)]
-    value = table.__getitem__
-    done = False
-    for _ in range(rounds):
-        worst = 0.0
-        for cell in cells:
-            s = sum(map(value, cell))
-            if s <= 0:
-                return None
-            worst = max(worst, abs(s - 1.0))
-            for pair in cell:
-                table[pair] /= s
-        if worst < 1e-13:
-            done = True
-            break
-    if not done:
+    nb = len(bob.outcomes)
+    tests = product(_test_indices(alice), _test_indices(bob))
+    cells = [[i * nb + j for i, j in product(ea, eb)] for ea, eb in tests]
+    values = _fit(rng.uniform(0.05, 1.0, size=len(pairs)).tolist(), cells, _SIGNALLING_ROUNDS)
+    if values is None:
         return None
-    if is_influence_free(ProductState(alice, bob, table)).max_deviation < min_deviation:
+    table = dict(zip(pairs, values))
+    if is_influence_free(ProductState(alice, bob, table)).max_deviation < _MIN_DEVIATION:
         return None
     return table

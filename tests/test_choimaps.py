@@ -46,6 +46,15 @@ def test_swap_operator_action():
     assert np.allclose(s @ s, np.eye(4))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_swap_operator_entries(n):
+    want = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            want[i * n + j, j * n + i] = 1.0
+    assert np.array_equal(swap_operator(n), want)
+
+
 def test_transpose_map_choi_is_swap():
     for n in (2, 3):
         assert np.allclose(transpose_map(n).choi, swap_operator(n))
@@ -81,6 +90,30 @@ def test_compose_maps():
     assert np.allclose(apply_map(comp, x), apply_map(f, apply_map(g, x)))
     with pytest.raises(ValueError):
         compose_maps(identity_map(3), g)
+
+
+def matrix_unit_compose(f, g):
+    """f∘g applied to each matrix unit, one Choi block at a time: the reference for compose_maps."""
+    din, dout = g.din, f.dout
+    c4 = np.zeros((din, dout, din, dout), dtype=complex)
+    for i in range(din):
+        for j in range(din):
+            e = np.zeros((din, din), dtype=complex)
+            e[i, j] = 1.0
+            c4[i, :, j, :] = apply_map(f, apply_map(g, e))
+    return c4.reshape(din * dout, din * dout)
+
+
+@pytest.mark.parametrize("chain", [(2, 3, 4), (3, 2, 2), (1, 2, 3), (2, 2, 2)])
+def test_compose_maps_matches_matrix_unit_reference(chain):
+    d0, d1, d2 = chain
+    rng = np.random.default_rng(sum(chain))
+    g = LinearMapChoi(random_hermitian(rng, d0 * d1), d0, d1)
+    f = LinearMapChoi(random_hermitian(rng, d1 * d2), d1, d2)
+    got = compose_maps(f, g)
+    want = matrix_unit_compose(f, g)
+    assert (got.din, got.dout) == (d0, d2)
+    assert frobenius(got.choi - want) <= 1e-12 * max(1.0, frobenius(want))
 
 
 def test_cp_and_co_cp_verdicts():
@@ -151,3 +184,18 @@ def test_reconstruct_operator_roundtrip_and_rejection():
     # a non-bilinear evaluator fails the held-out validation
     with pytest.raises(ValueError):
         reconstruct_operator(lambda x, y: float(abs(np.vdot(x, y)) ** 4), 2, 2)
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (1, 2)])
+def test_reconstruct_operator_roundtrip_in_other_shapes(dims):
+    da, db = dims
+    rng = np.random.default_rng(17 + da)
+    w = random_hermitian(rng, da * db, trace=1.0)
+    rec = reconstruct_operator(lambda x, y: state_eval(w, dims, x, y), da, db)
+    assert frobenius(w - rec) <= 1e-10
+
+
+def test_reconstruct_operator_rejects_nan_values():
+    # a NaN residual compares false with tol, so it must not pass as consistent
+    with pytest.raises(ValueError):
+        reconstruct_operator(lambda x, y: float("nan"), 2, 2)

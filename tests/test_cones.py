@@ -186,7 +186,7 @@ def test_is_popt_likely_when_membership_is_starved():
     # the starting iterate alone does not split the boundary member, so the
     # verdict degrades to likely with the membership status recorded
     w = boundary_member()
-    v = is_popt(w, (2, 2), seed=11, dykstra_max_iter=1)
+    v = is_popt(w, (2, 2), seed=11, membership_max_iter=1)
     assert v.status == "likely"
     assert v.min_value >= -1e-9
     assert v.info["membership"] == "inconclusive"
