@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .choimaps import (
     choi_from_conjugation,
     hk_representation,
     is_cp,
+    kraus_residual,
     reconstruct_operator,
     state_eval,
     swap_operator,
@@ -29,16 +30,15 @@ from .cones import (
     extremality_probe,
     is_popt,
     popt_minimize,
+    witness_holds,
 )
 from .coupling import (
     ProductState,
     backward_tests,
-    bayes_mixture_check,
+    bayes_residuals,
     forward_tests,
     is_influence_free,
     is_state_on_two_stage,
-    marginal,
-    operational_bayes_check,
 )
 from .linalg import frobenius, kron, min_eig, partial_transpose
 from .sampling import (
@@ -62,23 +62,6 @@ from .teleport import (
 )
 
 
-# Wall-clock budget in seconds per criterion number: the gate in
-# tests/test_acceptance.py and the budget `selftest` reports.
-TIME_BUDGETS = {
-    1: 1.0,
-    2: 10.0,
-    3: 30.0,
-    4: 1.0,
-    5: 10.0,
-    6: 5.0,
-    7: 60.0,
-    8: 60.0,
-    9: 5.0,
-    10: 2.0,
-    11: 1.0,
-}
-
-
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
@@ -88,8 +71,33 @@ class CriterionResult:
     elapsed: float
 
 
-def _result(number: int, name: str, start: float, passed, detail: str) -> CriterionResult:
-    return CriterionResult(number, name, bool(passed), detail, time.perf_counter() - start)
+# Filled by @_criterion in definition order: the zero-argument runs, and the
+# wall-clock budget in seconds per criterion number (the gate in
+# tests/test_acceptance.py and the budget `selftest` reports).
+CRITERIA = []
+TIME_BUDGETS = {}
+
+
+def _criterion(number: int, name: str, budget: float):
+    """Register a check returning (problems, ok_text) as a timed criterion.
+
+    The registered run passes when the check reports no problems; its detail
+    is ok_text then, and the first problems otherwise.
+    """
+
+    def register(check):
+        @wraps(check)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            problems, ok_text = check()
+            detail = _detail(problems, ok_text)
+            return CriterionResult(number, name, not problems, detail, time.perf_counter() - start)
+
+        CRITERIA.append(run)
+        TIME_BUDGETS[number] = budget
+        return run
+
+    return register
 
 
 def _detail(problems: list[str], ok_text: str) -> str:
@@ -101,9 +109,9 @@ def _detail(problems: list[str], ok_text: str) -> str:
     return shown
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "swap-dichotomy", budget=1.0)
+def criterion_1():
     """Swap operator: not positive, partial transpose is Q, certified on products."""
-    start = time.perf_counter()
     problems = []
     s = swap_operator(2)
     lam, _ = min_eig(s)
@@ -122,16 +130,14 @@ def criterion_1() -> CriterionResult:
         )
     if verdict.info.get("psd") is not False:
         problems.append("psd flag should be False for the swap operator")
-    detail = _detail(
-        problems,
-        f"min eig {lam:.6f}, see-saw floor {floor:.1e}, certified via partial transpose",
+    return problems, (
+        f"min eig {lam:.6f}, see-saw floor {floor:.1e}, certified via partial transpose"
     )
-    return _result(1, "swap-dichotomy", start, not problems, detail)
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "pivot-identities", budget=10.0)
+def criterion_2():
     """Entangled projection on either side rescales the swapped-in operator."""
-    start = time.perf_counter()
     problems = []
     common = {}
     worst_gap = 0.0
@@ -156,16 +162,14 @@ def criterion_2() -> CriterionResult:
         if spread > 1e-10:
             problems.append(f"n={n}: alpha spread {spread:.3e} across draws")
         common[n] = alphas[0]
-    detail = _detail(
-        problems,
-        f"alpha(2)={common[2]:.12f}, alpha(3)={common[3]:.12f}, worst gap {worst_gap:.1e}",
+    return problems, (
+        f"alpha(2)={common[2]:.12f}, alpha(3)={common[3]:.12f}, worst gap {worst_gap:.1e}"
     )
-    return _result(2, "pivot-identities", start, not problems, detail)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "general-pivot", budget=30.0)
+def criterion_3():
     """Twisted projections hand Bob the operator conjugated by the chosen unitary."""
-    start = time.perf_counter()
     problems = []
     worst = 0.0
     for n in (2, 3):
@@ -179,13 +183,12 @@ def criterion_3() -> CriterionResult:
                     worst = max(worst, res.gap)
                     if res.gap > 1e-9:
                         problems.append(f"n={n} weyl({a},{b}): relative gap {res.gap:.3e}")
-    detail = _detail(problems, f"worst relative gap {worst:.1e} over the full phase-shift basis")
-    return _result(3, "general-pivot", start, not problems, detail)
+    return problems, f"worst relative gap {worst:.1e} over the full phase-shift basis"
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "corollary-witness", budget=1.0)
+def criterion_4():
     """Product-effect value equals alpha * Tr(WB) and goes negative on the witness."""
-    start = time.perf_counter()
     problems = []
     rng = np.random.default_rng(404)
     worst = 0.0
@@ -201,8 +204,7 @@ def criterion_4() -> CriterionResult:
         problems.append(f"witness value {wit_lhs:.3e} is not negative")
     if abs(wit_lhs - wit_rhs) > 1e-12:
         problems.append("witness value disagrees with alpha * Tr(WB)")
-    detail = _detail(problems, f"worst identity gap {worst:.1e}, witness value {wit_lhs:.6f}")
-    return _result(4, "corollary-witness", start, not problems, detail)
+    return problems, f"worst identity gap {worst:.1e}, witness value {wit_lhs:.6f}"
 
 
 @lru_cache(maxsize=1)
@@ -227,9 +229,9 @@ def _shared_instances():
     return tuple(free + sig)
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "two-stage-equivalence", budget=10.0)
+def criterion_5():
     """Being a state on one-then-the-other tests matches marginal insensitivity."""
-    start = time.perf_counter()
     problems = []
     instances = _shared_instances()
     if len(instances) < 500:
@@ -255,16 +257,12 @@ def criterion_5() -> CriterionResult:
             problems.append("a signalling table came out influence-free")
     if mismatches:
         problems.append(f"{mismatches} instances broke the two-stage equivalence")
-    detail = _detail(
-        problems,
-        f"{len(instances)} instances ({n_free} free), equivalence held on all",
-    )
-    return _result(5, "two-stage-equivalence", start, not problems, detail)
+    return problems, f"{len(instances)} instances ({n_free} free), equivalence held on all"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "chk-kraus", budget=5.0)
+def criterion_6():
     """Complete positivity, Choi positivity, and Kraus extraction agree."""
-    start = time.perf_counter()
     problems = []
     rng = np.random.default_rng(606)
     for k in range(50):
@@ -278,20 +276,17 @@ def criterion_6() -> CriterionResult:
         cp = bool(is_cp(m))
         psd = bool(np.linalg.eigvalsh(m.choi).min() >= -1e-9)
         try:
-            ks = hk_representation(m)
-            rebuilt = sum(choi_from_conjugation(a).choi for a in ks.operators)
-            hk_ok = bool(frobenius(rebuilt - m.choi) <= 1e-10)
+            hk_ok = kraus_residual(m, hk_representation(m)) <= 1e-10
         except ValueError:
             hk_ok = False
         if not (cp == psd == hk_ok):
             problems.append(f"map {k} ({din}->{dout}): cp={cp} choi-psd={psd} kraus={hk_ok}")
-    detail = _detail(problems, "50 maps, three characterizations agreed on each")
-    return _result(6, "chk-kraus", start, not problems, detail)
+    return problems, "50 maps, three characterizations agreed on each"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "extremality-probe", budget=60.0)
+def criterion_7():
     """Conjugation by a rank-1 operator splits off at every scale; higher rank stays rigid."""
-    start = time.perf_counter()
     problems = []
     rng = np.random.default_rng(707)
     for n in (2, 3):
@@ -334,12 +329,10 @@ def criterion_7() -> CriterionResult:
                 )
             if abs(verdict.residual - sv[0] * sv[1] / np.sum(sv**2)) > 1e-9:
                 problems.append(f"rank-{rank} n={n}: margin {verdict.residual:.6f}")
-    detail = _detail(
-        problems,
+    return problems, (
         "rank-1 split off at norms 0.5-1.5 with valid certificates, "
-        "rank>=2 rigid with witnesses at -s1*s2",
+        "rank>=2 rigid with witnesses at -s1*s2"
     )
-    return _result(7, "extremality-probe", start, not problems, detail)
 
 
 def _split_holds(w, cert) -> bool:
@@ -352,20 +345,10 @@ def _split_holds(w, cert) -> bool:
     )
 
 
-def _witness_holds(w, z) -> bool:
-    """Z and Z^Gamma are PSD and Tr(ZW) < 0, recomputed: Z separates W from
-    PSD + PSD^Gamma."""
-    return bool(
-        np.linalg.eigvalsh(z).min() >= 0.0
-        and np.linalg.eigvalsh(partial_transpose(z, (2, 2), 1)).min() >= 0.0
-        and np.trace(z @ w).real < 0.0
-    )
-
-
-def criterion_8() -> CriterionResult:
+@_criterion(8, "seesaw-membership-agreement", budget=60.0)
+def criterion_8():
     """On two qubits each operator is split or refuted with a checked
     certificate, and the see-saw agrees with every verdict."""
-    start = time.perf_counter()
     problems = []
     rng = np.random.default_rng(808)
     center = np.eye(4) / 4.0
@@ -383,23 +366,21 @@ def criterion_8() -> CriterionResult:
             if floor < -2e-7:
                 problems.append(f"k={k}: member with product value {floor:.3e}")
         elif mem.status == "refuted":
-            if not _witness_holds(w, mem.witness):
+            if not witness_holds(w, (2, 2), mem.witness):
                 problems.append(f"k={k}: the refutation witness fails its re-check")
             if floor >= -1e-9:
                 problems.append(f"k={k}: refuted but the see-saw floor is {floor:.3e}")
         else:
             problems.append(f"k={k}: {mem.status} after {mem.info['iterations']} iterations")
-    detail = _detail(
-        problems,
+    return problems, (
         f"{counts['member']} members, {counts['refuted']} refuted, both with checked "
-        f"certificates, {counts['inconclusive']} inconclusive, no conflicts",
+        f"certificates, {counts['inconclusive']} inconclusive, no conflicts"
     )
-    return _result(8, "seesaw-membership-agreement", start, not problems, detail)
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "gleason-roundtrip", budget=5.0)
+def criterion_9():
     """Product-vector values determine the operator; the overlap rule gives swap."""
-    start = time.perf_counter()
     problems = []
     rng = np.random.default_rng(909)
     worst = 0.0
@@ -416,15 +397,12 @@ def criterion_9() -> CriterionResult:
         swap_worst = max(swap_worst, frobenius(rec - swap_operator(d)))
     if swap_worst > 1e-8:
         problems.append(f"overlap-squared rule missed swap by {swap_worst:.3e}")
-    detail = _detail(
-        problems, f"roundtrip gap {worst:.1e}, overlap rule gave swap within {swap_worst:.1e}"
-    )
-    return _result(9, "gleason-roundtrip", start, not problems, detail)
+    return problems, f"roundtrip gap {worst:.1e}, overlap rule gave swap within {swap_worst:.1e}"
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "bayes-identities", budget=2.0)
+def criterion_10():
     """Mixture and symmetric Bayes identities hold on every influence-free table."""
-    start = time.perf_counter()
     problems = []
     worst = 0.0
     count = 0
@@ -432,29 +410,17 @@ def criterion_10() -> CriterionResult:
         if kind != "free":
             continue
         count += 1
-        omega = ProductState(alice, bob, table)
-        for i in range(len(alice.tests)):
-            worst = max(worst, bayes_mixture_check(omega, i))
-        flipped = ProductState(bob, alice, {(y, x): v for (x, y), v in table.items()})
-        for i in range(len(bob.tests)):
-            worst = max(worst, bayes_mixture_check(flipped, i))
-        wa = marginal(omega, "alice", 0)
-        wb = marginal(omega, "bob", 0)
-        for x in alice.outcomes:
-            for y in bob.outcomes:
-                if wa[x] > 1e-9 and wb[y] > 1e-9:
-                    worst = max(worst, operational_bayes_check(omega, x, y))
+        worst = max(worst, *bayes_residuals(ProductState(alice, bob, table)))
     if count == 0:
         problems.append("no influence-free instances to check")
     if worst > 1e-12:
         problems.append(f"worst Bayes residual {worst:.3e} above 1e-12")
-    detail = _detail(problems, f"{count} influence-free tables, worst residual {worst:.1e}")
-    return _result(10, "bayes-identities", start, not problems, detail)
+    return problems, f"{count} influence-free tables, worst residual {worst:.1e}"
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "sandwich-lemma", budget=1.0)
+def criterion_11():
     """Compressing a matrix unit between the pair projectors keeps only the diagonal."""
-    start = time.perf_counter()
     problems = []
     worst = 0.0
     for n in (2, 3):
@@ -470,23 +436,7 @@ def criterion_11() -> CriterionResult:
                         worst = max(worst, gap)
                         if gap > 1e-12:
                             problems.append(f"n={n} unit ({x},{y},{u},{v}): gap {gap:.3e}")
-    detail = _detail(problems, f"all matrix units for n in (2, 3), worst gap {worst:.1e}")
-    return _result(11, "sandwich-lemma", start, not problems, detail)
-
-
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-)
+    return problems, f"all matrix units for n in (2, 3), worst gap {worst:.1e}"
 
 
 def run_all(progress=None) -> list[CriterionResult]:

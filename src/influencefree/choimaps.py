@@ -165,6 +165,13 @@ def hk_representation(m: LinearMapChoi, tol: float = DEFAULT_TOL) -> KrausSet:
     return KrausSet(tuple(ops))
 
 
+def kraus_residual(m: LinearMapChoi, kraus: KrausSet) -> float:
+    """‖sum_i Ch(X -> A_i X A_i†) − Ch(m)‖_F, recomputed from the operators:
+    how far the Kraus set misses the map."""
+    rebuilt = sum((choi_from_conjugation(a).choi for a in kraus.operators), np.zeros_like(m.choi))
+    return float(np.linalg.norm(rebuilt - m.choi))
+
+
 def state_eval(w, dims: tuple[int, int], x, y, tol: float = 1e-10) -> float:
     """<x (x) y| W |x (x) y> for unit vectors x, y; real for Hermitian W."""
     w = as_matrix(w)
@@ -175,7 +182,7 @@ def state_eval(w, dims: tuple[int, int], x, y, tol: float = 1e-10) -> float:
     y = np.asarray(y, dtype=complex).reshape(db)
     if abs(np.linalg.norm(x) - 1.0) > tol or abs(np.linalg.norm(y) - 1.0) > tol:
         raise ValueError("state_eval requires unit vectors")
-    v = np.kron(x, y)
+    v = np.outer(x, y).ravel()  # x ⊗ y, bit for bit as np.kron(x, y)
     return float(np.real(v.conj() @ w @ v))
 
 

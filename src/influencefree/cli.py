@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
 from math import isfinite, isqrt
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .choimaps import (
     identity_map,
     is_co_cp,
     is_cp,
+    kraus_residual,
     state_eval,
     trace_condition,
     transpose_in_basis,
@@ -40,13 +40,11 @@ from .cones import (
 from .coupling import (
     ProductState,
     backward_tests,
-    bayes_mixture_check,
+    bayes_residuals,
     condition,
     fns_tests,
     forward_tests,
     is_influence_free,
-    marginal,
-    operational_bayes_check,
 )
 from .jsonio import (
     DocumentError,
@@ -335,8 +333,7 @@ def _influence_free(args, omega):
     verdict = is_influence_free(omega, tol=args.tol)
     witness = None
     if not verdict.free:
-        # the larger deviation; bob_to_alice on a tie
-        rep = max(verdict.bob_to_alice, verdict.alice_to_bob, key=lambda r: r.max_deviation)
+        rep = verdict.worst
         witness = {"direction": verdict.direction, "outcome": rep.outcome, "tests": list(rep.tests)}
     return _yes_no(
         verdict.free,
@@ -385,25 +382,7 @@ def _condition(args, omega, doc):
 
 def _bayes_check(args, omega):
     """mixture and symmetric Bayes consistency residuals"""
-    mixture_alice = max(
-        bayes_mixture_check(omega, i, tol=args.tol) for i in range(len(omega.alice.tests))
-    )
-    flipped = ProductState(
-        omega.bob,
-        omega.alice,
-        dict(zip(product(omega.bob.outcomes, omega.alice.outcomes), omega.values.T.ravel())),
-        tolerance=max(args.tol, 1e-9),
-    )
-    mixture_bob = max(
-        bayes_mixture_check(flipped, i, tol=args.tol) for i in range(len(omega.bob.tests))
-    )
-    wa = marginal(omega, "alice", 0)
-    wb = marginal(omega, "bob", 0)
-    operational = 0.0
-    for x in omega.alice.outcomes:
-        for y in omega.bob.outcomes:
-            if wa[x] > args.tol and wb[y] > args.tol:
-                operational = max(operational, operational_bayes_check(omega, x, y))
+    mixture_alice, mixture_bob, operational = bayes_residuals(omega, tol=args.tol)
     residual = max(mixture_alice, mixture_bob, operational)
     return _yes_no(
         residual <= args.tol,
@@ -456,12 +435,11 @@ def _kraus(args, m):
         ks = hk_representation(m, tol=args.tol)
     except ValueError as exc:
         return EXIT_REFUTED, {"verdict": "not-completely-positive", "reason": str(exc)}
-    rebuilt = sum((choi_from_conjugation(a).choi for a in ks.operators), np.zeros_like(m.choi))
     return EXIT_OK, {
         "verdict": "kraus",
         "count": len(ks.operators),
         "operators": [matrix_to_document(a) for a in ks.operators],
-        "residual": frobenius(rebuilt - m.choi),
+        "residual": kraus_residual(m, ks),
     }
 
 

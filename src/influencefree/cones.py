@@ -82,10 +82,7 @@ def is_psd(w, tol: float = DEFAULT_TOL) -> ConeVerdict:
 
 def is_ppt(w, dims: Sequence[int], tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Member iff the partial transpose is PSD within tol."""
-    gamma = partial_transpose(finite_matrix(w), dims, 1)
-    verdict = is_psd(gamma, tol=tol)
-    verdict.info["checked"] = "partial transpose of second factor"
-    return verdict
+    return is_psd(partial_transpose(finite_matrix(w), dims, 1), tol=tol)
 
 
 def popt_minimize(
@@ -109,6 +106,8 @@ def popt_minimize(
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"the see-saw needs at least one iteration, got {max_iter}")
     m = finite_matrix(w)
     da, db = int(dims[0]), int(dims[1])
     if m.shape != (da * db, da * db):
@@ -123,7 +122,7 @@ def popt_minimize(
     iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
-    for _ in range(max(1, max_iter)):
+    for _ in range(max_iter):
         xs = x[live]
         _, ys = _min_vecs(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
         # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
@@ -179,7 +178,7 @@ def decomposable_sum_membership(
     Q^Gamma)) with Q = W − P meets ‖W − P_c − Q_c‖_F <= tol·‖W‖_F (W = 0 is
     a member at once). refuted: the barrier's dual estimate Z = μ(X1⁻¹ +
     Gamma(X2⁻¹))/2, which sits in K* = PSD ∩ PPT on the central path,
-    passes _dual_witness. inconclusive: max_iter iterates (the start and
+    passes witness_holds. inconclusive: max_iter iterates (the start and
     max_iter − 1 Newton steps) or μ at its floor BARRIER_FLOOR·‖W‖_F. Every
     verdict carries the last clipped pair as its certificate.
     """
@@ -214,7 +213,7 @@ def decomposable_sum_membership(
         if mu is None:
             # the start is centered in t: the gradient's t-component vanishes
             mu = 1.0 / np.trace(s, axis1=1, axis2=2).real.sum()
-        z = _dual_witness(m, -mu * (s[0] + g(s[1])) / 2.0, gamma)
+        z = _dual_witness(m, -mu * (s[0] + g(s[1])) / 2.0, dims)
         if z is not None:
             status = "refuted"
             break
@@ -263,26 +262,31 @@ def _newton_step(p, t, mu, s, gamma):
     return p + alpha * (dp + dp.conj().T) / 2.0, t + alpha * step[nn].real, decrement
 
 
-def _dual_witness(m: np.ndarray, r: np.ndarray, gamma: np.ndarray) -> np.ndarray | None:
+def _dual_witness(m: np.ndarray, r: np.ndarray, dims: Sequence[int]) -> np.ndarray | None:
     """Z ∈ PSD ∩ PPT with Tr(ZW) < 0 built from the candidate −R, or None.
 
     Z = −herm(R) + (ε + margin)·I, with ε = max(0, −λ_min(Z), −λ_min(Z^Gamma))
     before the shift, lies in K* = PSD ∩ PPT, and the margin (WITNESS_MARGIN
-    relative to ‖Z‖_F) keeps eigvalsh rounding from undoing the shift. Every
-    element of K has Tr(ZW) >= 0 against such a Z. The answer rests on the
-    same re-check a reader would make: two eigvalsh calls and one trace.
+    relative to ‖Z‖_F) keeps eigvalsh rounding from undoing the shift. The
+    answer rests on the re-check a reader would make, witness_holds.
     """
-    n = m.shape[0]
-
-    def floor(a):  # least eigenvalue of A and of A^Gamma
-        return min(np.linalg.eigvalsh(a)[0], np.linalg.eigvalsh(a.ravel()[gamma].reshape(n, n))[0])
-
     z = -(r + r.conj().T) / 2.0
-    z = z + (max(0.0, -floor(z)) + WITNESS_MARGIN * np.linalg.norm(z)) * np.eye(n)
-    # Tr(ZW) for Hermitian Z
-    if np.vdot(z, m).real < 0.0 and floor(z) >= 0.0:
-        return z
-    return None
+    floor = min(np.linalg.eigvalsh(z)[0], np.linalg.eigvalsh(partial_transpose(z, dims, 1))[0])
+    z = z + (max(0.0, -floor) + WITNESS_MARGIN * np.linalg.norm(z)) * np.eye(m.shape[0])
+    return z if witness_holds(m, dims, z) else None
+
+
+def witness_holds(w, dims: Sequence[int], z) -> bool:
+    """True iff Tr(ZW) < 0, Z ⪰ 0 and Z^Gamma ⪰ 0, recomputed for Hermitian Z.
+
+    Such a Z separates W from PSD + PSD^Gamma: every element of that cone has
+    Tr(ZW) >= 0 against it. The trace is checked first, as the cheapest.
+    """
+    return bool(
+        np.vdot(z, w).real < 0.0  # Tr(ZW) for Hermitian Z
+        and np.linalg.eigvalsh(z)[0] >= 0.0
+        and np.linalg.eigvalsh(partial_transpose(z, dims, 1))[0] >= 0.0
+    )
 
 
 def is_popt(

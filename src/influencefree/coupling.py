@@ -216,13 +216,18 @@ class InfluenceVerdict:
     max_deviation: float
 
     @property
+    def worst(self) -> DirectionReport:
+        """The report with the larger deviation; bob_to_alice on a tie."""
+        if self.bob_to_alice.max_deviation >= self.alice_to_bob.max_deviation:
+            return self.bob_to_alice
+        return self.alice_to_bob
+
+    @property
     def direction(self) -> str | None:
         """Direction of the worst influence, None when free."""
         if self.free:
             return None
-        if self.bob_to_alice.max_deviation >= self.alice_to_bob.max_deviation:
-            return "bob->alice"
-        return "alice->bob"
+        return "bob->alice" if self.worst is self.bob_to_alice else "alice->bob"
 
 
 def _direction_report(outcomes: tuple[str, ...], sums: np.ndarray) -> DirectionReport:
@@ -328,3 +333,21 @@ def operational_bayes_check(omega: ProductState, a: str, b: str) -> float:
         raise ValueError("operational Bayes check needs strictly positive marginals")
     v = omega.values[i, j]
     return float(abs(v / wa * wa - v / wb * wb))
+
+
+def bayes_residuals(omega: ProductState, tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+    """Worst bayes_mixture_check over Alice's tests, over Bob's (on the table
+    with the sides swapped), and worst operational_bayes_check over the pairs
+    whose two marginals exceed tol; all three are rounding on a free table."""
+    mixture_alice = max(bayes_mixture_check(omega, i, tol) for i in range(len(omega.alice.tests)))
+    swapped = dict(zip(iproduct(omega.bob.outcomes, omega.alice.outcomes), omega.values.T.ravel()))
+    flipped = ProductState(omega.bob, omega.alice, swapped, tolerance=omega.tolerance)
+    mixture_bob = max(bayes_mixture_check(flipped, i, tol) for i in range(len(omega.bob.tests)))
+    wa = marginal(omega, "alice", 0)
+    wb = marginal(omega, "bob", 0)
+    operational = 0.0
+    for x in omega.alice.outcomes:
+        for y in omega.bob.outcomes:
+            if wa[x] > tol and wb[y] > tol:
+                operational = max(operational, operational_bayes_check(omega, x, y))
+    return mixture_alice, mixture_bob, operational

@@ -30,6 +30,9 @@ TIME_BUDGETS = {
 def test_criteria_are_numbered_in_order():
     assert len(CRITERIA) == 11
     assert TIME_BUDGETS == acceptance.TIME_BUDGETS
+    assert sorted(acceptance.TIME_BUDGETS) == list(range(1, 12))
+    for i, criterion in enumerate(CRITERIA):
+        assert criterion.__name__ == f"criterion_{i + 1}"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from influencefree.choimaps import (
+    KrausSet,
     LinearMapChoi,
     apply_map,
     choi_from_conjugation,
@@ -12,6 +13,7 @@ from influencefree.choimaps import (
     identity_map,
     is_co_cp,
     is_cp,
+    kraus_residual,
     reconstruct_operator,
     state_eval,
     swap_operator,
@@ -161,6 +163,19 @@ def test_hk_representation_rebuilds_choi():
         hk_representation(transpose_map(2))
 
 
+def test_kraus_residual_measures_the_missing_part():
+    rng = np.random.default_rng(16)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m = LinearMapChoi(g @ g.conj().T, 2, 3)
+    ks = hk_representation(m)
+    assert kraus_residual(m, ks) <= 1e-10
+    # dropping one operator leaves exactly its own Choi operator unexplained
+    partial = KrausSet(ks.operators[1:])
+    expected = frobenius(choi_from_conjugation(ks.operators[0]).choi)
+    assert kraus_residual(m, partial) == pytest.approx(expected, rel=1e-9)
+    assert kraus_residual(m, KrausSet(())) == pytest.approx(frobenius(m.choi))
+
+
 def test_trace_condition():
     tr_choi, tr_phi1 = trace_condition(identity_map(3))
     assert tr_choi == pytest.approx(3.0)
@@ -174,6 +189,18 @@ def test_state_eval_requires_unit_vectors():
     assert state_eval(s, (2, 2), x, y) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         state_eval(s, (2, 2), 2.0 * x, y)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 2), (4, 4), (7, 2)])
+def test_state_eval_is_bit_identical_to_the_kron_form(dims):
+    da, db = dims
+    rng = np.random.default_rng(da * 10 + db)
+    for _ in range(50):
+        w = random_hermitian(rng, da * db)
+        x, y = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims)
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        v = np.kron(x, y)
+        assert state_eval(w, dims, x, y) == float(np.real(v.conj() @ w @ v))
 
 
 def test_reconstruct_operator_roundtrip_and_rejection():

@@ -18,6 +18,7 @@ from influencefree.cones import (
     is_ppt,
     is_psd,
     popt_minimize,
+    witness_holds,
 )
 from influencefree.linalg import frobenius, partial_transpose
 from influencefree.sampling import random_hermitian, random_psd, random_rank
@@ -67,7 +68,6 @@ def test_is_ppt_verdicts():
     refuted = is_ppt(unnormalized_q(2), (2, 2))
     assert refuted.status == "refuted"
     assert refuted.min_value == pytest.approx(-1.0)
-    assert "checked" in refuted.info
     product = np.kron(np.diag([1.0, 2.0]), np.diag([0.5, 3.0]))
     assert bool(is_ppt(product, (2, 2)))
 
@@ -85,6 +85,13 @@ def test_popt_minimize_deterministic_witness():
     assert got == pytest.approx(r1.min_value, abs=1e-12)
     with pytest.raises(ValueError):
         popt_minimize(w, (2, 3), seed=5)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_popt_minimize_refuses_an_empty_iteration_budget(max_iter):
+    w = random_hermitian(np.random.default_rng(42), 4)
+    with pytest.raises(ValueError, match="at least one iteration"):
+        popt_minimize(w, (2, 2), seed=5, max_iter=max_iter)
 
 
 def serial_seesaw(w, dims, seed, restarts, max_iter):
@@ -271,6 +278,23 @@ def _assert_dual_witness(z, w, dims):
     assert np.linalg.eigvalsh(z).min() >= 0.0
     assert np.linalg.eigvalsh(partial_transpose(z, dims, 1)).min() >= 0.0
     assert np.trace(z @ w).real < 0.0
+
+
+def test_witness_holds_accepts_a_separating_z_and_rejects_each_failure():
+    # |11><11| is PSD with a PSD partial transpose, and <11|W|11> = -1
+    w = np.diag([1.0, 1.0, 1.0, -1.0])
+    z = np.diag([0.0, 0.0, 0.0, 1.0])
+    assert witness_holds(w, (2, 2), z)
+    _assert_dual_witness(z, w, (2, 2))
+    # Tr(ZW) >= 0: the identity is in both cones but Tr(Z·1) = 1, and 0 is not < 0
+    assert not witness_holds(np.eye(4), (2, 2), z)
+    assert not witness_holds(np.zeros((4, 4)), (2, 2), z)
+    # each of the two spectral conditions alone: Tr(-Z) < 0 for both of these
+    s, q = swap_operator(2), unnormalized_q(2)
+    assert np.linalg.eigvalsh(partial_transpose(s, (2, 2), 1)).min() >= -1e-12
+    assert not witness_holds(-np.eye(4), (2, 2), s)  # Z = S has eigenvalue -1
+    assert np.linalg.eigvalsh(q).min() >= -1e-12
+    assert not witness_holds(-np.eye(4), (2, 2), q)  # Z^Gamma = S has eigenvalue -1
 
 
 def _assert_cone_feasible(cert, w, dims=(2, 2)):

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from influencefree.coupling import (
     DirectionReport,
+    InfluenceVerdict,
     ProductState,
     TwoStageTest,
     backward_tests,
     bayes_mixture_check,
+    bayes_residuals,
     cartesian_tests,
     condition,
     fns_tests,
@@ -221,6 +223,52 @@ def test_bayes_residuals_vanish_on_pr_box():
     )
     with pytest.raises(ValueError):
         operational_bayes_check(omega0, "q", "r")
+
+
+def loop_bayes_residuals(omega, tol):
+    """The three Bayes residuals as explicit loops over tests and outcome pairs."""
+    table = {(x, y): omega(x, y) for x in omega.alice.outcomes for y in omega.bob.outcomes}
+    flipped = ProductState(omega.bob, omega.alice, {(y, x): v for (x, y), v in table.items()})
+    mixture_alice = max(bayes_mixture_check(omega, i, tol) for i in range(len(omega.alice.tests)))
+    mixture_bob = max(bayes_mixture_check(flipped, i, tol) for i in range(len(omega.bob.tests)))
+    wa = marginal(omega, "alice", 0)
+    wb = marginal(omega, "bob", 0)
+    operational = 0.0
+    for x in omega.alice.outcomes:
+        for y in omega.bob.outcomes:
+            if wa[x] > tol and wb[y] > tol:
+                operational = max(operational, operational_bayes_check(omega, x, y))
+    return mixture_alice, mixture_bob, operational
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_bayes_residuals_match_the_loops(tol):
+    rng = np.random.default_rng(210)
+    alice, bob = random_test_space(rng, "a"), random_test_space(rng, "b")
+    table = None
+    while table is None:
+        table = signalling_table(rng, alice, bob)
+    # a point mass: outcomes of zero marginal on both sides are skipped
+    point = ProductState(
+        TestSpace(["p", "q"], [("p", "q")]),
+        TestSpace(["r", "s"], [("r", "s")]),
+        {("p", "r"): 1.0, ("p", "s"): 0.0, ("q", "r"): 0.0, ("q", "s"): 0.0},
+    )
+    for omega in (pr_box(), signalling_box(), ProductState(alice, bob, table), point):
+        assert bayes_residuals(omega, tol) == loop_bayes_residuals(omega, tol)
+    assert max(bayes_residuals(pr_box())) <= 1e-15
+    assert max(bayes_residuals(signalling_box())) > 1e-3
+
+
+def test_worst_direction_takes_bob_to_alice_on_a_tie():
+    small = DirectionReport(0.1, "a1", (0, 1))
+    large = DirectionReport(0.3, "b2", (0, 1))
+    tied = DirectionReport(0.3, "a2", (1, 2))
+    assert InfluenceVerdict(False, small, large, 0.3).worst is large
+    assert InfluenceVerdict(False, large, small, 0.3).worst is large
+    verdict = InfluenceVerdict(False, tied, large, 0.3)
+    assert verdict.worst is tied and verdict.direction == "bob->alice"
+    assert InfluenceVerdict(False, small, large, 0.3).direction == "alice->bob"
 
 
 @settings(max_examples=25, deadline=None)
