@@ -42,7 +42,6 @@ from .coupling import (
     backward_tests,
     bayes_residuals,
     condition,
-    fns_tests,
     forward_tests,
     is_influence_free,
 )
@@ -67,7 +66,7 @@ from .teleport import (
     pivot_general,
     weyl_operator,
 )
-from .testspace import ETestSpace, is_state
+from .testspace import ETestSpace, state_check
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -312,19 +311,14 @@ def _verify_state(args, doc):
     """check a table against a test space"""
     space = testspace_from_document(_require(doc, "space", dict, "input"))
     table = value_table_from_document(_require(doc, "table", dict, "input"))
-    ok = is_state(space, table, args.tol)
-    values = np.array([table[x] for x in space.outcomes])
-    range_gap = np.maximum(-values, values - 1.0)
-    sums = space.incidence @ values
-    sum_gap = np.abs(sums - 1.0)
+    ok, residual, worst = state_check(space, table, args.tol)
     witness = None
-    if not ok:
-        r, x = int(sum_gap.argmax()), int(range_gap.argmax())
-        if sum_gap[r] > args.tol:
-            witness = {"sum": float(sums[r]), "test": testspace_to_document(space)["tests"][r]}
+    if worst is not None:
+        kind, where, value = worst
+        if kind == "test":
+            witness = {"sum": value, "test": testspace_to_document(space)["tests"][where]}
         else:
-            witness = {"outcome": space.outcomes[x], "value": table[space.outcomes[x]]}
-    residual = max(0.0, float(range_gap.max()), float(sum_gap.max()))
+            witness = {"outcome": where, "value": value}
     return _yes_no(ok, "state", "not-state", residual=residual, witness=witness)
 
 
@@ -354,7 +348,7 @@ def _fns_tests(args, doc):
         raise DocumentError("test enumeration needs set tests, not multisets")
     forward = forward_tests(alice, bob, cap=args.cap)
     backward = backward_tests(alice, bob, cap=args.cap)
-    combined = fns_tests(alice, bob, cap=args.cap)
+    combined = (forward + backward).distinct()
     return EXIT_OK, {
         "verdict": "enumerated",
         "forward_count": len(forward),

@@ -10,15 +10,20 @@ Bob's choice of test (and mirrored).
 
 A table on X x Y is held as a |X| x |Y| array and each side's tests as its
 incidence matrix, so every sum over test cells is a matrix product.
-Enumerated two-stage tests carry a 0/1 mask over X x Y.
+Enumerated two-stage tests are the rows of one boolean mask matrix over
+X x Y (a TwoStageTests sequence); a TwoStageTest object is built only when
+one row is indexed, so a state check is one matrix-vector product.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from itertools import product as iproduct
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -35,8 +40,8 @@ class TwoStageTest:
     `first` is the initiating side's test; `assignment` maps each of its
     outcomes to the test the responding side then performs. Outcome pairs are
     always stored as (alice outcome, bob outcome) regardless of direction.
-    Enumerated tests also carry `mask`, a read-only flat boolean array over
-    X x Y marking their outcome pairs, with `axes` the (alice, bob) outcome
+    A test indexed out of a TwoStageTests also carries `mask`, its read-only
+    row of the mask matrix over X x Y, with `axes` the (alice, bob) outcome
     orders it is indexed by; a test built by hand has neither.
     """
 
@@ -52,20 +57,6 @@ class TwoStageTest:
         assigned = {k for k, _ in self.assignment}
         if assigned != set(self.first):
             raise ValueError("assignment must cover exactly the initiating test's outcomes")
-
-    @classmethod
-    def _enumerated(cls, direction, first, assignment, mask, axes) -> TwoStageTest:
-        """A test valid by construction, built without __post_init__'s check."""
-        test = object.__new__(cls)
-        # frozen: each field is set the way the generated __init__ sets it
-        # (writing into __dict__ instead would double the object's size)
-        set_field = object.__setattr__
-        set_field(test, "direction", direction)
-        set_field(test, "first", first)
-        set_field(test, "assignment", assignment)
-        set_field(test, "mask", mask)
-        set_field(test, "axes", axes)
-        return test
 
     def outcome_pairs(self) -> frozenset[Pair]:
         """The (alice, bob) outcome pairs this test can produce."""
@@ -123,7 +114,72 @@ def cartesian_tests(a: TestSpace, b: TestSpace) -> list[list[Pair]]:
     return [list(iproduct(e, f)) for e, f in iproduct(a.tests, b.tests)]
 
 
-def _two_stage(direction: str, a: TestSpace, b: TestSpace, cap: int) -> list[TwoStageTest]:
+class _Block(NamedTuple):
+    """The rows of a TwoStageTests that share one initiating test."""
+
+    direction: str
+    first: tuple[str, ...]  # the initiating test
+    responses: tuple[tuple[str, ...], ...]  # the responding side's tests
+    choices: np.ndarray  # (rows, len(first)): the response picked per outcome of first
+
+
+class TwoStageTests(Sequence):
+    """Enumerated two-stage tests as rows of one read-only boolean mask matrix.
+
+    `masks[t]` marks test t's outcome pairs over X x Y, flattened in the
+    (alice, bob) outcome orders `axes`. The rows come in `blocks`, one per
+    initiating test in enumeration order. Indexing builds the row's
+    TwoStageTest; `+` joins two sequences on the same axes.
+    """
+
+    def __init__(self, axes, masks: np.ndarray, blocks: Iterable[_Block]):
+        self.axes = axes
+        self.masks = masks
+        self.blocks = tuple(blocks)
+        self._starts = list(accumulate((len(b.choices) for b in self.blocks), initial=0))
+        if self._starts[-1] != len(masks):
+            raise ValueError(f"{len(masks)} mask rows for {self._starts[-1]} choice rows")
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i) -> TwoStageTest:
+        i = range(len(self))[operator.index(i)]  # negative i counts from the end
+        k = bisect_right(self._starts, i) - 1
+        block = self.blocks[k]
+        responses = map(block.responses.__getitem__, block.choices[i - self._starts[k]].tolist())
+        assignment = tuple(zip(block.first, responses))
+        return TwoStageTest(block.direction, block.first, assignment, self.masks[i], self.axes)
+
+    def __iter__(self):
+        # not Sequence's default, which ends quietly at any IndexError
+        return map(self.__getitem__, range(len(self)))
+
+    def __add__(self, other):
+        if not isinstance(other, TwoStageTests):
+            return NotImplemented
+        if other.axes != self.axes:
+            raise ValueError("cannot join two-stage tests over different outcome axes")
+        masks = np.concatenate([self.masks, other.masks])
+        masks.flags.writeable = False
+        return TwoStageTests(self.axes, masks, self.blocks + other.blocks)
+
+    def distinct(self) -> TwoStageTests:
+        """The tests with distinct outcome sets, each at its first occurrence, in order."""
+        packed = np.packbits(self.masks, axis=1)
+        rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        keep = np.zeros(len(self), bool)
+        keep[np.unique(rows, return_index=True)[1]] = True
+        blocks = [
+            b._replace(choices=b.choices[keep[lo:hi]])
+            for b, lo, hi in zip(self.blocks, self._starts, self._starts[1:])
+        ]
+        masks = self.masks[keep]
+        masks.flags.writeable = False
+        return TwoStageTests(self.axes, masks, blocks)
+
+
+def _two_stage(direction: str, a: TestSpace, b: TestSpace, cap: int) -> TwoStageTests:
     """Every initiating test with every map from its outcomes to responding tests."""
     first, second = (a, b) if direction == "forward" else (b, a)
     required = sum(len(second.tests) ** len(e) for e in first.tests)
@@ -133,43 +189,51 @@ def _two_stage(direction: str, a: TestSpace, b: TestSpace, cap: int) -> list[Two
         )
     index = {x: i for i, x in enumerate(first.outcomes)}
     responses = second.incidence.astype(bool)
-    axes = (a.outcomes, b.outcomes)
-    out = []
+    # masks[k, x, y]: outcome x of `first`, y of `second`, in test k
+    masks = np.zeros((required, len(first.outcomes), len(second.outcomes)), bool)
+    blocks, lo = [], 0
     for e in first.tests:
-        choices = list(iproduct(range(len(second.tests)), repeat=len(e)))
-        # masks[k, x, y]: outcome x of `first`, y of `second`, under choice k
-        masks = np.zeros((len(choices), len(first.outcomes), len(second.outcomes)), bool)
-        masks[:, [index[x] for x in e], :] = responses[np.array(choices)]
-        if direction == "backward":
-            masks = masks.transpose(0, 2, 1)
-        masks = masks.reshape(len(choices), -1)
-        masks.flags.writeable = False
-        for choice, mask in zip(choices, masks):
-            assignment = tuple(zip(e, map(second.tests.__getitem__, choice)))
-            out.append(TwoStageTest._enumerated(direction, e, assignment, mask, axes))
-    return out
+        # rows in itertools.product order over one response per outcome of e
+        choices = np.indices((len(second.tests),) * len(e)).reshape(len(e), -1).T
+        rows = slice(lo, lo + len(choices))
+        masks[rows, [index[x] for x in e], :] = np.take(responses, choices, axis=0)
+        blocks.append(_Block(direction, e, second.tests, choices))
+        lo += len(choices)
+    if direction == "backward":
+        masks = masks.transpose(0, 2, 1)
+    masks = masks.reshape(required, len(a.outcomes) * len(b.outcomes))
+    masks.flags.writeable = False
+    return TwoStageTests((a.outcomes, b.outcomes), masks, blocks)
 
 
-def forward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> list[TwoStageTest]:
-    """All two-stage tests where Alice initiates: every E and every map E -> B."""
+def forward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
+    """All two-stage tests where Alice initiates: every E and every map E -> B.
+
+    The tests are the rows of one mask matrix; each TwoStageTest is built
+    when its row is indexed.
+    """
     return _two_stage("forward", a, b, cap)
 
 
-def backward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> list[TwoStageTest]:
-    """All two-stage tests where Bob initiates: every F and every map F -> A."""
+def backward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
+    """All two-stage tests where Bob initiates: every F and every map F -> A.
+
+    The tests are the rows of one mask matrix; each TwoStageTest is built
+    when its row is indexed.
+    """
     return _two_stage("backward", a, b, cap)
 
 
-def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> list[TwoStageTest]:
+def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
     """Two-stage tests in both directions, deduplicated by outcome set.
 
-    Constant assignments reproduce the Cartesian tests, which therefore appear
-    exactly once; the forward representative is kept on collisions.
+    The forward and backward mask matrices are stacked and each distinct row
+    is kept at its first occurrence, so the forward representative wins on
+    collisions. Constant assignments reproduce the Cartesian tests, which
+    therefore appear exactly once. Each TwoStageTest is built when its row
+    is indexed; the cap applies to each direction.
     """
-    unique: dict[bytes, TwoStageTest] = {}
-    for t in forward_tests(a, b, cap) + backward_tests(a, b, cap):
-        unique.setdefault(t.mask.tobytes(), t)
-    return list(unique.values())
+    return (forward_tests(a, b, cap) + backward_tests(a, b, cap)).distinct()
 
 
 def _test_index(space: TestSpace, test) -> int:
@@ -269,11 +333,17 @@ def is_state_on_two_stage(
 
     Each sum adds raw table cells through the test's pair mask, never
     marginals, so this stays an independent check of the influence verdict.
+    A TwoStageTests on omega's axes is summed through its mask matrix as it
+    stands; any other tests have their masks stacked one by one.
     """
-    masks = [_pair_mask(t, omega) for t in tests]
-    if not masks:
+    axes = (omega.alice.outcomes, omega.bob.outcomes)
+    if isinstance(tests, TwoStageTests) and tests.axes == axes:
+        masks = tests.masks
+    else:
+        masks = np.array([_pair_mask(t, omega) for t in tests])
+    if not len(masks):
         return True
-    sums = np.einsum("tc,c->t", np.array(masks), omega.values.ravel())
+    sums = np.einsum("tc,c->t", masks, omega.values.ravel())
     return bool(np.all(np.abs(sums - 1.0) <= tol))
 
 

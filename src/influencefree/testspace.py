@@ -109,11 +109,35 @@ def _values(space: TestSpace | ETestSpace, f: Mapping[str, float]) -> np.ndarray
     return v
 
 
-def is_state(ts: TestSpace | ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
-    """True iff values lie in [0,1] and every incidence-weighted test sum is 1, within tol."""
+def state_check(
+    ts: TestSpace | ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL
+) -> tuple[bool, float, tuple[str, int | str, float] | None]:
+    """(ok, residual, worst) for the table f on ts.
+
+    ok: values lie in [0,1] and every incidence-weighted test sum is 1, within
+    tol. residual: the largest distance of a value outside [0,1] or of a test
+    sum from 1 (0 when there is none). worst, None when ok: ("test", index,
+    sum) for the test whose sum is furthest from 1 when that is off by more
+    than tol, else ("outcome", label, value) for the value furthest outside.
+    """
     v = _values(ts, f)
     in_range = np.all((v >= -tol) & (v <= 1.0 + tol))
-    return bool(in_range and np.all(np.abs(ts.incidence @ v - 1.0) <= tol))
+    sums = ts.incidence @ v
+    sum_gap = np.abs(sums - 1.0)
+    ok = bool(in_range and np.all(sum_gap <= tol))
+    range_gap = np.maximum(-v, v - 1.0)
+    residual = max(0.0, float(range_gap.max(initial=0.0)), float(sum_gap.max(initial=0.0)))
+    if ok:
+        return ok, residual, None
+    r, x = int(sum_gap.argmax()), int(range_gap.argmax())
+    if sum_gap[r] > tol:
+        return ok, residual, ("test", r, float(sums[r]))
+    return ok, residual, ("outcome", ts.outcomes[x], float(v[x]))
+
+
+def is_state(ts: TestSpace | ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
+    """True iff values lie in [0,1] and every incidence-weighted test sum is 1, within tol."""
+    return state_check(ts, f, tol)[0]
 
 
 def is_estate(ets: ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:

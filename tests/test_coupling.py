@@ -1,5 +1,7 @@
 """Coupled test spaces: products, influence, conditioning, Bayes residuals."""
 
+from itertools import product as iproduct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +11,7 @@ from influencefree.coupling import (
     InfluenceVerdict,
     ProductState,
     TwoStageTest,
+    TwoStageTests,
     backward_tests,
     bayes_mixture_check,
     bayes_residuals,
@@ -121,6 +124,22 @@ def test_enumeration_cap():
     with pytest.raises(CapExceededError) as exc:
         forward_tests(FNS_ALICE, big_bob, cap=10)
     assert exc.value.required > 10
+
+
+def test_enumeration_caps_each_direction():
+    # six Alice tests of two outcomes against one Bob test of two: forward
+    # needs 6 * 1**2 tests, backward 6**2
+    big_alice = TestSpace(
+        [f"x{i}" for i in range(6)],
+        [(f"x{i}", f"x{(i + 1) % 6}") for i in range(6)],
+    )
+    bob = TestSpace(["y1", "y2"], [("y1", "y2")])
+    assert len(forward_tests(big_alice, bob, cap=10)) == 6
+    for enumerate_tests in (backward_tests, fns_tests):
+        with pytest.raises(CapExceededError) as exc:
+            enumerate_tests(big_alice, bob, cap=10)
+        assert exc.value.required == 36
+    assert len(fns_tests(big_alice, bob, cap=36)) == 6 + 36 - 6
 
 
 def test_pr_box_is_influence_free_with_uniform_marginals():
@@ -368,3 +387,130 @@ def test_influence_witness_tie_break():
     assert verdict.alice_to_bob == DirectionReport(0.0, None, None)
     flipped = ProductState(bob, alice, {(y, x): v for (x, y), v in table.items()})
     assert is_influence_free(flipped).alice_to_bob == DirectionReport(0.5, "a1", (0, 1))
+
+
+def reference_two_stage(direction, a, b):
+    """The per-object enumeration: one TwoStageTest per choice of responses,
+    in itertools.product order within each initiating test."""
+    first, second = (a, b) if direction == "forward" else (b, a)
+    index = {x: i for i, x in enumerate(first.outcomes)}
+    responses = second.incidence.astype(bool)
+    out = []
+    for e in first.tests:
+        choices = list(iproduct(range(len(second.tests)), repeat=len(e)))
+        masks = np.zeros((len(choices), len(first.outcomes), len(second.outcomes)), bool)
+        masks[:, [index[x] for x in e], :] = responses[np.array(choices)]
+        if direction == "backward":
+            masks = masks.transpose(0, 2, 1)
+        masks = masks.reshape(len(choices), -1)
+        for choice, mask in zip(choices, masks):
+            assignment = tuple(zip(e, map(second.tests.__getitem__, choice)))
+            out.append(TwoStageTest(direction, e, assignment, mask, (a.outcomes, b.outcomes)))
+    return out
+
+
+def reference_fns(a, b):
+    """Forward then backward reference tests, the first of each mask kept."""
+    unique = {}
+    for t in reference_two_stage("forward", a, b) + reference_two_stage("backward", a, b):
+        unique.setdefault(t.mask.tobytes(), t)
+    return list(unique.values())
+
+
+CHAIN_ALICE = TestSpace([f"a{i}" for i in range(5)], [("a0", "a1", "a2"), ("a2", "a3", "a4")])
+CHAIN_BOB = TestSpace([f"b{i}" for i in range(4)], [("b0", "b1"), ("b1", "b2"), ("b2", "b3")])
+
+
+def space_pairs():
+    pairs = [
+        (FNS_ALICE, FNS_BOB),
+        (pr_box().alice, pr_box().bob),
+        (signalling_box().alice, signalling_box().bob),
+        (CHAIN_ALICE, CHAIN_BOB),
+        (CHAIN_BOB, FNS_BOB),
+    ]
+    rng = np.random.default_rng(1010)
+    pairs += [(random_test_space(rng, "a"), random_test_space(rng, "b")) for _ in range(20)]
+    return pairs
+
+
+@pytest.mark.parametrize("alice, bob", space_pairs())
+def test_mask_matrix_enumeration_matches_per_object_reference(alice, bob):
+    axes = (alice.outcomes, bob.outcomes)
+    values = np.random.default_rng(7).random(len(alice.outcomes) * len(bob.outcomes))
+    fwd = forward_tests(alice, bob)
+    cases = (
+        (fwd, reference_two_stage("forward", alice, bob)),
+        (backward_tests(alice, bob), reference_two_stage("backward", alice, bob)),
+        (fns_tests(alice, bob), reference_fns(alice, bob)),
+    )
+    for tests, reference in cases:
+        assert isinstance(tests, TwoStageTests)
+        assert len(tests) == len(reference)
+        assert tests.axes == axes
+        assert not tests.masks.flags.writeable
+        assert np.array_equal(tests.masks, np.array([t.mask for t in reference]))
+        # the state check's einsum sees the same bool rows, so its sums agree bit for bit
+        assert np.array_equal(
+            np.einsum("tc,c->t", tests.masks, values),
+            np.einsum("tc,c->t", np.array([t.mask for t in reference]), values),
+        )
+        indexed = list(tests)
+        assert len(indexed) == len(reference)
+        for i, (t, ref) in enumerate(zip(indexed, reference)):
+            assert (t.direction, t.first, t.assignment) == (ref.direction, ref.first, ref.assignment)
+            assert np.array_equal(t.mask, ref.mask) and t.axes == axes
+            assert tests[i - len(tests)] == ref
+    forward_masks = {t.mask.tobytes() for t in fwd}
+    for t in fns_tests(alice, bob):
+        if t.mask.tobytes() in forward_masks:
+            assert t.direction == "forward"
+
+
+def test_two_stage_tests_as_a_sequence():
+    fwd, bwd = forward_tests(FNS_ALICE, FNS_BOB), backward_tests(FNS_ALICE, FNS_BOB)
+    both = fwd + bwd
+    assert len(both) == 6 and both[4] == bwd[0] and both[-1] == bwd[-1]
+    assert not both[0].mask.flags.writeable
+    with pytest.raises(IndexError):
+        fwd[4]
+    with pytest.raises(TypeError):
+        fwd + list(bwd)
+    flipped = TestSpace(FNS_BOB.outcomes[::-1], FNS_BOB.tests)
+    with pytest.raises(ValueError, match="axes"):
+        fwd + forward_tests(FNS_ALICE, flipped)
+    # a side with no tests initiates nothing and answers nothing
+    empty = TestSpace([], [])
+    for enumerate_tests in (forward_tests, backward_tests, fns_tests):
+        for alice, bob in ((empty, FNS_BOB), (FNS_ALICE, empty)):
+            assert len(enumerate_tests(alice, bob)) == 0
+
+
+def test_two_stage_verdict_agrees_on_sequence_list_and_hand_built_tests():
+    rng = np.random.default_rng(1011)
+    omegas = [pr_box(), signalling_box()]
+    while len(omegas) < 8:
+        alice, bob = random_test_space(rng, "a"), random_test_space(rng, "b")
+        table = (product_state_table if len(omegas) % 2 else signalling_table)(rng, alice, bob)
+        if table is not None:
+            omegas.append(ProductState(alice, bob, table))
+    verdicts = set()
+    for omega in omegas:
+        # the same tests enumerated on Bob's outcomes in reverse order carry
+        # masks on other axes, so they are read through their labels
+        reordered = TestSpace(omega.bob.outcomes[::-1], omega.bob.tests)
+        for enumerate_tests in (forward_tests, backward_tests, fns_tests):
+            tests = enumerate_tests(omega.alice, omega.bob)
+            verdict = is_state_on_two_stage(omega, tests)
+            by_hand = [TwoStageTest(t.direction, t.first, t.assignment) for t in tests]
+            assert is_state_on_two_stage(omega, list(tests)) == verdict
+            assert is_state_on_two_stage(omega, by_hand) == verdict
+            other_axes = enumerate_tests(omega.alice, reordered)
+            assert is_state_on_two_stage(omega, other_axes) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    omega = pr_box()
+    empty = TwoStageTests((omega.alice.outcomes, omega.bob.outcomes), np.zeros((0, 16), bool), ())
+    assert len(empty) == 0 and list(empty) == []
+    assert is_state_on_two_stage(omega, empty)
+    assert is_state_on_two_stage(omega, [])

@@ -12,6 +12,7 @@ from influencefree.testspace import (
     is_estate,
     is_positive_weight,
     is_state,
+    state_check,
     variation_norm,
     weight_space_dimension,
 )
@@ -76,6 +77,19 @@ def test_is_state_on_chain():
     assert is_state(CHAIN, {"a": 0.25 + 5e-10, "x": 0.75, "b": 0.25}, tol=1e-9)
     with pytest.raises(ValueError):
         is_state(CHAIN, {"a": 1.0, "x": 0.0})
+
+
+def test_state_check_reports_residual_and_worst():
+    assert state_check(CHAIN, {"a": 0.25, "x": 0.75, "b": 0.25}) == (True, 0.0, None)
+    ok, residual, worst = state_check(CHAIN, {"a": 0.25, "x": 0.75, "b": 0.3})
+    assert not ok and residual == pytest.approx(0.05) and worst == ("test", 1, 1.05)
+    # every test sums to 1, so the outcome furthest outside [0, 1] is named
+    ok, residual, worst = state_check(CHAIN, {"a": -0.1, "x": 1.1, "b": -0.1})
+    assert not ok and residual == pytest.approx(0.1) and worst == ("outcome", "x", 1.1)
+    # within tol: ok, with the gap still reported
+    ok, residual, worst = state_check(CHAIN, {"a": 0.25 + 5e-10, "x": 0.75, "b": 0.25}, tol=1e-9)
+    assert ok and 0 < residual <= 1e-9 and worst is None
+    assert state_check(TestSpace([], []), {}) == (True, 0.0, None)
 
 
 def test_estate_weights_multiplicities():
