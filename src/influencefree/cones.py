@@ -92,6 +92,7 @@ def popt_minimize(
     seed: int,
     restarts: int = 64,
     max_iter: int = 200,
+    stop_below: float | None = None,
 ) -> SeesawResult:
     """Alternating eigenvector minimization of <xy|W|xy> over product vectors.
 
@@ -99,10 +100,16 @@ def popt_minimize(
     the other side's contraction, so the objective never increases. All
     seeded random restarts run as one stack: a half-step is one batched
     contraction and one eigh on a (restarts, d, d) stack, and a restart that
-    has converged is frozen. The best fixed point is returned (ties keep the
-    lowest restart index). The result is an upper bound on the true minimum
-    over product vectors; a negative value refutes positivity on pure tensors
-    and the witness pair certifies it.
+    has converged is frozen. Without stop_below, every restart runs to its
+    fixed point (or to max_iter sweeps) and the best is returned, ties
+    keeping the lowest restart index. With stop_below, the first sweep after
+    which the lowest value is below stop_below picks that restart (ties to
+    the lowest index); every other restart is frozen where it stands, and the
+    picked one is polished to its own fixed point within the same max_iter
+    sweeps, so min_value is still a see-saw fixed point and is returned. The
+    result is an upper bound on the true minimum over product vectors; a
+    negative value refutes positivity on pure tensors and the witness pair
+    certifies it.
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
@@ -122,6 +129,7 @@ def popt_minimize(
     iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
+    picked = None
     for _ in range(max_iter):
         xs = x[live]
         _, ys = _min_vecs(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
@@ -139,9 +147,13 @@ def popt_minimize(
         iterations[live] += 1
         converged[live] = done
         live = live[~done]
+        if picked is None and stop_below is not None and value.min() < stop_below:
+            picked = int(np.argmin(value))
+            live = live[live == picked]
         if live.size == 0:
             break
-    best = int(np.argmin(value))
+    # the picked restart is returned even if rounding lifts it above a tie
+    best = int(np.argmin(value)) if picked is None else picked
     return SeesawResult(
         float(value[best]), x[best], y[best], best + 1, int(iterations[best]), bool(converged[best])
     )
@@ -303,6 +315,10 @@ def is_popt(
     """Three-valued positivity-on-pure-tensors verdict.
 
     refuted: the see-saw found a product pair with value < -tol (witness).
+    The see-saw stops at its first refutation: once a restart is below -tol
+    only that one is polished to its fixed point. The objective never
+    increases, so, up to rounding at -tol itself, the verdict is the one a
+    run of every restart to convergence would give.
     certified: W is PSD, or its partial transpose is PSD, or it splits as
     PSD + PSD^Gamma (each branch implies every product value is >= 0; the
     branch taken is recorded in info). In 2x2 and 2x3 the positive-on-pure-
@@ -326,7 +342,9 @@ def is_popt(
             "certified",
             info={"branch": "ppt", "psd": False},
         )
-    seesaw = popt_minimize(m, dims, seed=seed, restarts=restarts, max_iter=max_iter)
+    seesaw = popt_minimize(
+        m, dims, seed=seed, restarts=restarts, max_iter=max_iter, stop_below=-tol
+    )
     if seesaw.min_value < -tol:
         return ConeVerdict(
             "refuted", min_value=seesaw.min_value,

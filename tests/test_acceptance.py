@@ -4,6 +4,8 @@ Each criterion prints one visible [PASS]/[FAIL] line with its measured detail
 so the run log shows the full scoreboard even when everything is green.
 """
 
+import hashlib
+
 import pytest
 
 from influencefree import acceptance
@@ -52,4 +54,19 @@ def test_acceptance_criterion(criterion, capsys):
     budget = acceptance.TIME_BUDGETS[res.number]
     assert res.elapsed < budget, (
         f"criterion {res.number} took {res.elapsed:.2f}s, budget {budget:.0f}s"
+    )
+
+
+# Defined after the gate, so criterion 5 still pays for generating its
+# instances inside its own timing and this test reads the cached tuple.
+def test_criterion_5_instances_are_pinned():
+    # sha256 over each instance's space labels and kind, then each table cell
+    # as its labels and the float.hex of its value, in the table's order
+    digest = hashlib.sha256()
+    for alice, bob, table, kind in acceptance._shared_instances():
+        digest.update(repr((alice.outcomes, alice.tests, bob.outcomes, bob.tests, kind)).encode())
+        for (x, y), value in table.items():
+            digest.update(f"{x} {y} {float(value).hex()}\n".encode())
+    assert digest.hexdigest() == (
+        "baf085178b866ea630f394945e7f894670d7096f5f468ebce0ac264b7d4dad34"
     )

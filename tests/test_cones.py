@@ -1,5 +1,8 @@
 """Cone verdicts: PSD/PPT, product see-saw, sum membership, extremality probe."""
 
+import bisect
+import functools
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from influencefree.cones import (
     popt_minimize,
     witness_holds,
 )
-from influencefree.linalg import frobenius, partial_transpose
+from influencefree.linalg import DEFAULT_TOL as TOL, frobenius, partial_transpose
 from influencefree.sampling import random_hermitian, random_psd, random_rank
 
 
@@ -94,8 +97,8 @@ def test_popt_minimize_refuses_an_empty_iteration_budget(max_iter):
         popt_minimize(w, (2, 2), seed=5, max_iter=max_iter)
 
 
-def serial_seesaw(w, dims, seed, restarts, max_iter):
-    """The see-saw one restart at a time: the reference for popt_minimize."""
+def serial_restarts(w, dims, seed, restarts, max_iter):
+    """The see-saw one restart at a time, each run to its own fixed point."""
     da, db = dims
     w4 = np.asarray(w, dtype=complex).reshape(da, db, da, db)
 
@@ -104,7 +107,6 @@ def serial_seesaw(w, dims, seed, restarts, max_iter):
         return float(vals[0]), vecs[:, 0]
 
     rng = np.random.default_rng(seed)
-    best = None
     for r in range(restarts):
         x = rng.standard_normal(da) + 1j * rng.standard_normal(da)
         x /= np.linalg.norm(x)
@@ -118,8 +120,15 @@ def serial_seesaw(w, dims, seed, restarts, max_iter):
                 value, converged = new_value, True
                 break
             value = new_value
-        if best is None or value < best.min_value:
-            best = SeesawResult(value, x, y, r + 1, iterations, converged)
+        yield SeesawResult(value, x, y, r + 1, iterations, converged)
+
+
+def serial_seesaw(w, dims, seed, restarts, max_iter):
+    """The reference for popt_minimize: the best restart, ties to the lowest index."""
+    best = None
+    for result in serial_restarts(w, dims, seed, restarts, max_iter):
+        if best is None or result.min_value < best.min_value:
+            best = result
     return best
 
 
@@ -140,6 +149,100 @@ def test_batched_seesaw_matches_serial_reference(dims, max_iter):
         assert (got.best_restart, got.iterations, got.converged) == (
             want.best_restart, want.iterations, want.converged
         )
+
+
+SEESAW_DIMS = [(2, 2), (2, 3), (3, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def seesaw_corpus(dims):
+    """−swap when the factors match (its many tied restarts test the pick),
+    then 40 seeded Hermitian operators, every other one shifted next to the
+    product boundary (its see-saw floor moved within ±0.05 of 0)."""
+    rng = np.random.default_rng(100 * dims[0] + dims[1])
+    d = dims[0] * dims[1]
+    operators = [-swap_operator(dims[0])] if dims[0] == dims[1] else []
+    for k in range(40):
+        h = random_hermitian(rng, d)
+        if k % 2:
+            floor = popt_minimize(h, dims, seed=k, restarts=16).min_value
+            h = h - (floor + rng.uniform(-0.05, 0.05)) * np.eye(d)
+        operators.append(h)
+    return tuple(operators)
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_early_stop_keeps_every_is_popt_verdict(dims):
+    # the objective never increases, so a restart below -tol at some sweep
+    # means the full run ends below -tol too, and the converse is immediate
+    statuses = set()
+    for k, w in enumerate(seesaw_corpus(dims)):
+        full = popt_minimize(w, dims, seed=k, restarts=16)
+        verdict = is_popt(w, dims, seed=k, restarts=16)
+        assert (verdict.status == "refuted") == (full.min_value < -TOL), k
+        statuses.add(verdict.status)
+    assert statuses == {"refuted", "certified"}
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_early_stop_polishes_the_first_restart_below(dims):
+    refuted = 0
+    for k, w in enumerate(seesaw_corpus(dims)):
+        full = popt_minimize(w, dims, seed=k, restarts=8)
+        if full.min_value >= -TOL:
+            continue
+        # a threshold the full minimum never crosses leaves the run as it was
+        never = popt_minimize(w, dims, seed=k, restarts=8, stop_below=2.0 * full.min_value)
+        assert never.min_value == full.min_value
+        assert np.array_equal(never.witness_x, full.witness_x)
+        assert np.array_equal(never.witness_y, full.witness_y)
+        assert (never.best_restart, never.iterations, never.converged) == (
+            full.best_restart, full.iterations, full.converged
+        )
+        # the second threshold sits just above the full minimum, so it is
+        # crossed late; once on the (3, 3) corpus by a restart converging in
+        # that very sweep, which then has nothing left to polish
+        for stop in (-TOL, full.min_value * (1.0 - 1e-12)):
+            got = popt_minimize(w, dims, seed=k, restarts=8, stop_below=stop)
+
+            def capped(sweeps):
+                return popt_minimize(w, dims, seed=k, restarts=8, max_iter=sweeps)
+
+            # the restart picked is the lowest (ties to the lowest index)
+            # after the first sweep whose minimum is below the threshold
+            first = 1 + bisect.bisect_left(
+                range(1, 201), True, key=lambda s: capped(s).min_value < stop
+            )
+            assert got.best_restart == capped(first).best_restart
+            want = list(serial_restarts(w, dims, k, got.best_restart, 200))[-1]
+            assert got.converged and want.converged
+            assert got.min_value == want.min_value < stop
+            assert np.array_equal(got.witness_x, want.witness_x)
+            assert np.array_equal(got.witness_y, want.witness_y)
+            assert got.iterations == want.iterations
+            assert got.min_value >= full.min_value
+            value = state_eval(w, dims, got.witness_x, got.witness_y)
+            assert value == pytest.approx(got.min_value, abs=1e-12 * max(1.0, abs(value)))
+        refuted += 1
+        if refuted == 10:
+            break
+    assert refuted == 10
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_early_stop_refutation_survives_rescaling(dims):
+    # tol is absolute, so a rescaled operator may cross it at another sweep
+    refuted = 0
+    for k, w in enumerate(seesaw_corpus(dims)[:16]):
+        if is_popt(w, dims, seed=k, restarts=16).status != "refuted":
+            continue
+        refuted += 1
+        for scale in (0.1, 10.0):
+            verdict = is_popt(scale * w, dims, seed=k, restarts=16)
+            assert verdict.status == "refuted", (k, scale)
+            x, y = verdict.witness
+            assert state_eval(scale * w, dims, x, y) == pytest.approx(verdict.min_value, abs=1e-10)
+    assert refuted >= 8
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
