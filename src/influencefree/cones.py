@@ -111,6 +111,16 @@ def popt_minimize(
     negative value refutes positivity on pure tensors and the witness pair
     certifies it.
     """
+    return _drain(_seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below))
+
+
+def _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
+    """popt_minimize's see-saw, paused after each sweep.
+
+    Yields the lowest restart value after each sweep and returns the
+    SeesawResult popt_minimize reports. The arguments are checked at the
+    first next().
+    """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
     if max_iter < 1:
@@ -147,9 +157,11 @@ def popt_minimize(
         iterations[live] += 1
         converged[live] = done
         live = live[~done]
-        if picked is None and stop_below is not None and value.min() < stop_below:
+        lowest = float(value.min())
+        if picked is None and stop_below is not None and lowest < stop_below:
             picked = int(np.argmin(value))
             live = live[live == picked]
+        yield lowest
         if live.size == 0:
             break
     # the picked restart is returned even if rounding lifts it above a tie
@@ -157,6 +169,15 @@ def popt_minimize(
     return SeesawResult(
         float(value[best]), x[best], y[best], best + 1, int(iterations[best]), bool(converged[best])
     )
+
+
+def _drain(sweeps):
+    """Run a paused see-saw to its end and return its result."""
+    while True:
+        try:
+            next(sweeps)
+        except StopIteration as end:
+            return end.value
 
 
 def _min_vecs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,9 +301,14 @@ def _dual_witness(m: np.ndarray, r: np.ndarray, dims: Sequence[int]) -> np.ndarr
     Z = −herm(R) + (ε + margin)·I, with ε = max(0, −λ_min(Z), −λ_min(Z^Gamma))
     before the shift, lies in K* = PSD ∩ PPT, and the margin (WITNESS_MARGIN
     relative to ‖Z‖_F) keeps eigvalsh rounding from undoing the shift. The
-    answer rests on the re-check a reader would make, witness_holds.
+    answer rests on the re-check a reader would make, witness_holds. When
+    Tr(Z₀W) >= 0 and Tr W >= 0 for the unshifted Z₀ = −herm(R), None is
+    returned before any eigenvalue is computed: a shift s·I with s >= 0 only
+    adds s·Tr W, so Tr(ZW) cannot become negative.
     """
     z = -(r + r.conj().T) / 2.0
+    if np.vdot(z, m).real >= 0.0 and np.trace(m).real >= 0.0:
+        return None
     floor = min(np.linalg.eigvalsh(z)[0], np.linalg.eigvalsh(partial_transpose(z, dims, 1))[0])
     z = z + (max(0.0, -floor) + WITNESS_MARGIN * np.linalg.norm(z)) * np.eye(m.shape[0])
     return z if witness_holds(m, dims, z) else None
@@ -314,20 +340,34 @@ def is_popt(
 ) -> ConeVerdict:
     """Three-valued positivity-on-pure-tensors verdict.
 
-    refuted: the see-saw found a product pair with value < -tol (witness).
-    The see-saw stops at its first refutation: once a restart is below -tol
-    only that one is polished to its fixed point. The objective never
-    increases, so, up to rounding at -tol itself, the verdict is the one a
-    run of every restart to convergence would give.
-    certified: W is PSD, or its partial transpose is PSD, or it splits as
-    PSD + PSD^Gamma (each branch implies every product value is >= 0; the
-    branch taken is recorded in info). In 2x2 and 2x3 the positive-on-pure-
-    tensors cone coincides with PSD + PSD^Gamma (Størmer, Woronowicz), so
-    there the membership test settles every operator the see-saw does not
-    refute, on the cone's boundary too, unless membership_max_iter (a cap
-    on its Newton iterates) runs out.
-    likely: no violation found and no certificate obtained; info records the
-    membership status.
+    The phases run in this order, each only if the earlier ones decided
+    nothing:
+    1. PSD, then PPT: certified (branch psd or ppt).
+    2. One batched sweep of the see-saw, with the stop rule of popt_minimize
+       at -tol.
+    3. If no restart is below -tol yet, membership in PSD + PSD^Gamma with
+       an absolute residual of at most tol (relative tol / ‖W‖_F, capped at
+       feas_tol). A member gives ⟨xy|W|xy⟩ >= -tol on every unit product
+       vector, so no see-saw could refute it, and the solver's iterates do
+       not depend on its tol, so at feas_tol it would stop as a member too:
+       certified (branch decomposition) without further sweeps.
+    4. Otherwise the paused see-saw resumes from where it stood. The
+       objective never increases, and once a restart is below -tol only
+       that one is polished to its fixed point, so, up to rounding at -tol
+       itself, the verdict is the one a run of every restart to convergence
+       would give: refuted, with the product pair as witness.
+    5. Otherwise membership at feas_tol (relative to ‖W‖_F): certified
+       (branch decomposition) on a member, likely else.
+    In 2x2 and 2x3 the positive-on-pure-tensors cone coincides with PSD +
+    PSD^Gamma (Størmer, Woronowicz), so there membership settles every
+    operator the see-saw does not refute, on the cone's boundary too, unless
+    membership_max_iter (a cap on its Newton iterates) runs out.
+
+    min_value is λ_min(W) in the psd branch and None in the ppt branch. In
+    the decomposition branch it is the lowest see-saw value after the first
+    sweep when phase 3 certifies, and the converged see-saw value when
+    phase 5 does; refuted and likely report the converged value. likely
+    records the membership status in info.
     """
     m = finite_matrix(w)
     psd = is_psd(m, tol=tol)
@@ -342,9 +382,14 @@ def is_popt(
             "certified",
             info={"branch": "ppt", "psd": False},
         )
-    seesaw = popt_minimize(
-        m, dims, seed=seed, restarts=restarts, max_iter=max_iter, stop_below=-tol
-    )
+    sweeps = _seesaw_sweeps(m, dims, seed, restarts, max_iter, -tol)
+    lowest = next(sweeps)
+    if lowest >= -tol:
+        tight = min(feas_tol, tol / float(np.linalg.norm(m)))
+        membership = decomposable_sum_membership(m, dims, tol=tight, max_iter=membership_max_iter)
+        if membership.status == "member":
+            return _decomposition(lowest, membership)
+    seesaw = _drain(sweeps)
     if seesaw.min_value < -tol:
         return ConeVerdict(
             "refuted", min_value=seesaw.min_value,
@@ -353,14 +398,19 @@ def is_popt(
         )
     membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=membership_max_iter)
     if membership.status == "member":
-        return ConeVerdict(
-            "certified", min_value=seesaw.min_value,
-            certificate=membership.certificate,
-            info={"branch": "decomposition", "psd": False},
-        )
+        return _decomposition(seesaw.min_value, membership)
     return ConeVerdict(
         "likely", min_value=seesaw.min_value,
         info={"psd": False, "membership": membership.status},
+    )
+
+
+def _decomposition(min_value: float, membership: ConeVerdict) -> ConeVerdict:
+    """is_popt's certified verdict on a member of PSD + PSD^Gamma."""
+    return ConeVerdict(
+        "certified", min_value=min_value,
+        certificate=membership.certificate,
+        info={"branch": "decomposition", "psd": False},
     )
 
 

@@ -147,6 +147,25 @@ def permute_systems(w, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return t.transpose(axes).reshape(m.shape)
 
 
+def _hermitian_eigh(w) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of (M + M†)/2 (ascending), refusing a visibly non-Hermitian M.
+
+    The check is against a loose relative threshold, 1e-8 · max(‖M‖_F, 1).
+    """
+    m = as_matrix(w)
+    nrm = float(np.linalg.norm(m))
+    if float(np.linalg.norm(m - m.conj().T)) > 1e-8 * max(nrm, 1.0):
+        raise ValueError("eigendecomposition asked of a visibly non-Hermitian matrix")
+    return np.linalg.eigh((m + m.conj().T) / 2.0)
+
+
+def _fix_phase(v: np.ndarray) -> None:
+    """Turn v in place so that its largest-magnitude component is real and positive."""
+    c = v[int(np.argmax(np.abs(v)))]
+    if abs(c) > 0:
+        v *= np.conj(c) / abs(c)
+
+
 def hermitian_eig(w) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns.
 
@@ -154,25 +173,24 @@ def hermitian_eig(w) -> tuple[np.ndarray, np.ndarray]:
     Each eigenvector's phase is fixed so that its largest-magnitude component
     is real and positive, for reproducible output.
     """
-    m = as_matrix(w)
-    nrm = float(np.linalg.norm(m))
-    if float(np.linalg.norm(m - m.conj().T)) > 1e-8 * max(nrm, 1.0):
-        raise ValueError("hermitian_eig called on a visibly non-Hermitian matrix")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    vals, vecs = _hermitian_eigh(w)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     for j in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        c = vecs[i, j]
-        if abs(c) > 0:
-            vecs[:, j] *= np.conj(c) / abs(c)
+        _fix_phase(vecs[:, j])
     return vals.real, vecs
 
 
 def min_eig(w) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and its (phase-fixed) eigenvector."""
-    vals, vecs = hermitian_eig(w)
-    return float(vals[-1]), vecs[:, -1]
+    """Smallest eigenvalue and its eigenvector, phase-fixed as in hermitian_eig.
+
+    Only the returned vector is phase-fixed, so the pair equals the last one
+    of hermitian_eig bit for bit.
+    """
+    vals, vecs = _hermitian_eigh(w)
+    vec = vecs[:, 0].copy()
+    _fix_phase(vec)
+    return float(vals[0]), vec
 
 
 def psd_part(w) -> np.ndarray:

@@ -14,7 +14,9 @@ from influencefree.choimaps import (
 )
 from influencefree.cones import (
     FEAS_TOL,
+    WITNESS_MARGIN,
     SeesawResult,
+    _dual_witness,
     decomposable_sum_membership,
     extremality_probe,
     is_popt,
@@ -34,6 +36,23 @@ def boundary_member() -> np.ndarray:
     phi = np.zeros(4)
     phi[1] = phi[2] = 1 / np.sqrt(2)
     return np.outer(psi, psi) + partial_transpose(np.outer(phi, phi), (2, 2), 1)
+
+
+def product_boundary_operator(rng, dims) -> np.ndarray:
+    """P + Q^Gamma with P and Q^Gamma rank one, both vanishing on one product
+    vector |xy>: decomposable, but on the boundary of the cone sum."""
+    x, y = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in dims)
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+
+    def orthogonal_to(u):
+        g = rng.standard_normal(len(u)) + 1j * rng.standard_normal(len(u))
+        g -= np.vdot(u, g) * u
+        return g / np.linalg.norm(g)
+
+    phi, chi = orthogonal_to(np.kron(x, y)), orthogonal_to(np.kron(x, y.conj()))
+    w = np.outer(phi, phi.conj()) + partial_transpose(np.outer(chi, chi.conj()), dims, 1)
+    assert abs(np.vdot(np.kron(x, y), w @ np.kron(x, y))) <= 1e-12
+    return w
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -171,17 +190,136 @@ def seesaw_corpus(dims):
     return tuple(operators)
 
 
+def is_popt_without_shortcut(w, dims, seed, restarts, max_iter=200, membership_max_iter=20000):
+    """is_popt's verdict without the first-sweep shortcut: the whole see-saw
+    first, then membership at FEAS_TOL. Returns the status and the see-saw
+    result (None in the psd and ppt branches)."""
+    if is_psd(w) or is_ppt(w, dims):
+        return "certified", None
+    full = popt_minimize(w, dims, seed=seed, restarts=restarts, max_iter=max_iter, stop_below=-TOL)
+    if full.min_value < -TOL:
+        return "refuted", full
+    membership = decomposable_sum_membership(w, dims, max_iter=membership_max_iter)
+    return ("certified" if membership.status == "member" else "likely"), full
+
+
+def membership_statuses(monkeypatch) -> list:
+    """Record the status of every membership call that is_popt makes."""
+    statuses = []
+
+    def recorded(*args, **kwargs):
+        verdict = decomposable_sum_membership(*args, **kwargs)
+        statuses.append(verdict.status)
+        return verdict
+
+    monkeypatch.setattr("influencefree.cones.decomposable_sum_membership", recorded)
+    return statuses
+
+
+def assert_shortcut_certificate(w, dims, cert):
+    """P ⪰ 0, Q^Gamma ⪰ 0 and λ_min(W − P − Q) >= −tol, recomputed."""
+    slack = 1e-12 * frobenius(w)
+    q_gamma = partial_transpose(cert.q, dims, 1)
+    assert np.linalg.eigvalsh(cert.p).min() >= -slack
+    assert np.linalg.eigvalsh(q_gamma).min() >= -slack
+    assert np.linalg.eigvalsh(w - cert.p - cert.q).min() >= -TOL
+
+
 @pytest.mark.parametrize("dims", SEESAW_DIMS)
-def test_early_stop_keeps_every_is_popt_verdict(dims):
-    # the objective never increases, so a restart below -tol at some sweep
-    # means the full run ends below -tol too, and the converse is immediate
-    statuses = set()
-    for k, w in enumerate(seesaw_corpus(dims)):
-        full = popt_minimize(w, dims, seed=k, restarts=16)
-        verdict = is_popt(w, dims, seed=k, restarts=16)
-        assert (verdict.status == "refuted") == (full.min_value < -TOL), k
-        statuses.add(verdict.status)
+def test_early_stop_keeps_every_is_popt_verdict(dims, monkeypatch):
+    # refuted at some sweep iff the full run ends below -tol, as the
+    # objective never increases; a member at absolute residual tol has no
+    # product value below -tol, and a member at that residual is a member at
+    # FEAS_TOL, as the solver's iterates do not depend on its tol
+    rng = np.random.default_rng(7 * dims[0] + dims[1])
+    operators = list(seesaw_corpus(dims))
+    if dims != (3, 3):
+        operators += [product_boundary_operator(rng, dims) for _ in range(10)]
+    calls = membership_statuses(monkeypatch)
+    statuses, paths = set(), set()
+    for k, w0 in enumerate(operators):
+        for scale in (0.1, 1.0, 10.0):
+            w = scale * w0
+            want, full = is_popt_without_shortcut(w, dims, seed=k, restarts=16)
+            calls.clear()
+            verdict = is_popt(w, dims, seed=k, restarts=16)
+            assert verdict.status == want, (k, scale)
+            statuses.add(verdict.status)
+            if full is None:
+                continue
+            # membership is asked only when the first sweep refutes nothing
+            first = popt_minimize(w, dims, seed=k, restarts=16, max_iter=1)
+            assert (first.min_value < -TOL) == (not calls), (k, scale)
+            if calls[:1] == ["member"]:
+                paths.add("shortcut")
+                assert verdict.info["branch"] == "decomposition"
+                assert_shortcut_certificate(w, dims, verdict.certificate)
+                assert verdict.min_value == first.min_value
+            elif calls:
+                paths.add("fallback")
+                assert verdict.min_value == full.min_value
+            # a starved membership always falls back to the whole see-saw
+            if scale != 1.0:
+                continue
+            want, _ = is_popt_without_shortcut(w, dims, seed=k, restarts=16, membership_max_iter=1)
+            calls.clear()
+            starved = is_popt(w, dims, seed=k, restarts=16, membership_max_iter=1)
+            assert starved.status == want, (k, scale)
+            if calls:
+                paths.add("fallback")
+            assert starved.min_value == full.min_value
+            if want == "refuted":
+                assert np.array_equal(starved.witness[0], full.witness_x)
+                assert np.array_equal(starved.witness[1], full.witness_y)
     assert statuses == {"refuted", "certified"}
+    assert paths == {"shortcut", "fallback"}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_first_sweep_is_also_the_last(dims):
+    # with max_iter=1 the paused see-saw has nothing left to resume
+    rng = np.random.default_rng(40 + sum(dims))
+    boundary = product_boundary_operator(rng, dims)
+    d = dims[0] * dims[1]
+    refuted = np.diag([1.0] * (d - 1) + [-1.0])
+    for k, w in enumerate((boundary, refuted)):
+        want, full = is_popt_without_shortcut(w, dims, seed=k, restarts=8, max_iter=1)
+        verdict = is_popt(w, dims, seed=k, restarts=8, max_iter=1)
+        assert verdict.status == want == ("certified", "refuted")[k]
+        if want == "refuted":
+            assert verdict.min_value == full.min_value
+            assert np.array_equal(verdict.witness[0], full.witness_x)
+            assert np.array_equal(verdict.witness[1], full.witness_y)
+        else:
+            assert verdict.info["branch"] == "decomposition"
+            assert_shortcut_certificate(w, dims, verdict.certificate)
+
+
+def test_dual_witness_skip_loses_no_witness():
+    # with Tr(Z0 W) >= 0 and Tr W >= 0 the shifted Z = Z0 + s·I, s >= 0, has
+    # Tr(ZW) = Tr(Z0 W) + s·Tr W >= 0, so it could never separate W; every
+    # other pair is turned to meet that condition, the rest are left as drawn
+    rng = np.random.default_rng(2024)
+    skipped = found = 0
+    for k in range(480):
+        dims = SEESAW_DIMS[k % 3]
+        d = dims[0] * dims[1]
+        w, r = random_hermitian(rng, d), random_hermitian(rng, d)
+        z0 = -(r + r.conj().T) / 2.0
+        if k % 2:
+            w = w if np.trace(w).real >= 0.0 else -w
+            r, z0 = (r, z0) if np.vdot(z0, w).real >= 0.0 else (-r, -z0)
+        # the shifted candidate of _dual_witness, as it is built without the skip
+        floor = min(np.linalg.eigvalsh(z0)[0], np.linalg.eigvalsh(partial_transpose(z0, dims, 1))[0])
+        z = z0 + (max(0.0, -floor) + WITNESS_MARGIN * np.linalg.norm(z0)) * np.eye(d)
+        holds = witness_holds(w, dims, z)
+        if np.vdot(z0, w).real >= 0.0 and np.trace(w).real >= 0.0:
+            skipped += 1
+            assert floor < 0.0 and not holds, k
+        got = _dual_witness(w, r, dims)
+        assert np.array_equal(got, z) if holds else got is None, k
+        found += holds
+    assert skipped >= 240 and found >= 40, (skipped, found)
 
 
 @pytest.mark.parametrize("dims", SEESAW_DIMS)
@@ -355,20 +493,7 @@ def test_membership_refutation_is_scale_invariant(scale, dims):
 @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.3, 1.0, 7.0, 1e4])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
 def test_membership_on_the_boundary_is_scale_invariant(scale, dims):
-    # P + Q^Gamma with P and Q^Gamma rank one and both vanishing on one
-    # product vector: decomposable, but on the boundary of the cone sum
-    rng = np.random.default_rng(10 + sum(dims))
-    x, y = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in dims)
-    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
-
-    def orthogonal_to(u):
-        g = rng.standard_normal(len(u)) + 1j * rng.standard_normal(len(u))
-        g -= np.vdot(u, g) * u
-        return g / np.linalg.norm(g)
-
-    phi, chi = orthogonal_to(np.kron(x, y)), orthogonal_to(np.kron(x, y.conj()))
-    w = np.outer(phi, phi.conj()) + partial_transpose(np.outer(chi, chi.conj()), dims, 1)
-    assert abs(np.vdot(np.kron(x, y), w @ np.kron(x, y))) <= 1e-12
+    w = product_boundary_operator(np.random.default_rng(10 + sum(dims)), dims)
     verdict = decomposable_sum_membership(scale * w, dims)
     assert verdict.status == "member"
     assert verdict.residual <= FEAS_TOL * frobenius(scale * w)

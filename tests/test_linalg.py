@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from influencefree.choimaps import swap_operator
 from influencefree.linalg import (
     HermitianOperator,
     as_matrix,
@@ -120,6 +121,21 @@ def test_hermitian_eig_descending_and_rejects_nonhermitian():
     assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, h)
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_min_eig_is_the_last_pair_of_hermitian_eig():
+    # the identity and the swap have degenerate spectra, so the largest
+    # magnitude of an eigenvector is reached more than once there
+    rng = np.random.default_rng(11)
+    cases = [_random_hermitian(rng, d) for d in (1, 2, 3, 4, 6, 9) for _ in range(5)]
+    cases += [np.eye(4), np.eye(9), swap_operator(2), swap_operator(3), -swap_operator(3)]
+    for m in cases:
+        lam, vec = min_eig(m)
+        vals, vecs = hermitian_eig(m)
+        assert lam == vals[-1]
+        assert np.array_equal(vec, vecs[:, -1])
+    with pytest.raises(ValueError):
+        min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @settings(max_examples=40, deadline=None)
