@@ -36,6 +36,10 @@ CENTERED = 0.25
 BARRIER_FLOOR = 1e-15
 # slack of the witness shift, relative to its Frobenius norm
 WITNESS_MARGIN = 1e-12
+# rounding of a see-saw value, relative to max(1, ‖W‖_F)
+SEESAW_ROUNDING = 1e-12
+# about the least residual membership reaches on the cone's boundary, relative to ‖W‖_F
+MEMBERSHIP_ROUNDING = 1e-13
 
 
 @dataclass
@@ -111,15 +115,17 @@ def popt_minimize(
     negative value refutes positivity on pure tensors and the witness pair
     certifies it.
     """
-    return _drain(_seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below))
+    for _, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
+        pass
+    return result
 
 
 def _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
     """popt_minimize's see-saw, paused after each sweep.
 
-    Yields the lowest restart value after each sweep and returns the
-    SeesawResult popt_minimize reports. The arguments are checked at the
-    first next().
+    Yields (lowest restart value, None) after each sweep but the last, and
+    (lowest restart value, the SeesawResult popt_minimize reports) after the
+    last. The arguments are checked at the first next().
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
@@ -130,6 +136,8 @@ def _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
     if m.shape != (da * db, da * db):
         raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
     w4 = m.reshape(da, db, da, db)
+    # eigh rounds each value to within a few ulps of ‖W‖, not of the value
+    slack = SEESAW_ROUNDING * max(1.0, float(np.linalg.norm(m)))
     g = np.random.default_rng(seed).standard_normal((restarts, 2, da))
     x = g[:, 0] + 1j * g[:, 1]
     # one dot product per row, summed as np.linalg.norm sums a single vector
@@ -140,13 +148,13 @@ def _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
     picked = None
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         xs = x[live]
         _, ys = _min_vecs(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
         # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
         new_value, xs = _min_vecs(np.einsum("ijkl,rj,rl->rik", w4, ys.conj(), ys))
         old_value = value[live]
-        rising = new_value > old_value + 1e-12
+        rising = new_value > old_value + slack
         if rising.any():
             r = int(np.argmax(rising))
             raise AssertionError(
@@ -161,23 +169,14 @@ def _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
         if picked is None and stop_below is not None and lowest < stop_below:
             picked = int(np.argmin(value))
             live = live[live == picked]
-        yield lowest
-        if live.size == 0:
+        if live.size == 0 or sweep == max_iter:
             break
+        yield lowest, None
     # the picked restart is returned even if rounding lifts it above a tie
     best = int(np.argmin(value)) if picked is None else picked
-    return SeesawResult(
+    yield lowest, SeesawResult(
         float(value[best]), x[best], y[best], best + 1, int(iterations[best]), bool(converged[best])
     )
-
-
-def _drain(sweeps):
-    """Run a paused see-saw to its end and return its result."""
-    while True:
-        try:
-            next(sweeps)
-        except StopIteration as end:
-            return end.value
 
 
 def _min_vecs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +214,16 @@ def decomposable_sum_membership(
     max_iter − 1 Newton steps) or μ at its floor BARRIER_FLOOR·‖W‖_F. Every
     verdict carries the last clipped pair as its certificate.
     """
+    return _membership(w, dims, tol, tol, max_iter)[0]
+
+
+def _membership(w, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVerdict]:
+    """decomposable_sum_membership at tol, and the verdict it gives at loose_tol >= tol.
+
+    The iterates do not depend on the tolerance, so a run at loose_tol ends
+    as a member at the first iterate whose residual meets loose_tol, unless
+    the run at tol ends earlier, and then with the same verdict.
+    """
     if max_iter < 1:
         raise ValueError(f"membership needs at least one iteration, got {max_iter}")
     m = finite_matrix(w)
@@ -233,12 +242,25 @@ def decomposable_sum_membership(
     t = max(0.0, -np.linalg.eigvalsh(m)[0]) + scale
     mu = None
     z = None
+    loose = None
+
+    def verdict(status):
+        return ConeVerdict(
+            status,
+            residual=residual,
+            witness=z,
+            certificate=DecompositionCertificate(p_c, q_c, residual),
+            info={"iterations": it},
+        )
+
     for it in range(1, max_iter + 1):
         # P and Q^Gamma: X1 and X2 without their shift tI
         blocks = np.stack([p, g(m - p)])
         clipped = psd_part(blocks)
         p_c, q_c = clipped[0], g(clipped[1])
         residual = float(np.linalg.norm(m - p_c - q_c))
+        if loose is None and residual <= loose_tol * scale:
+            loose = verdict("member")
         if residual <= tol * scale:
             status = "member"
             break
@@ -256,13 +278,8 @@ def decomposable_sum_membership(
         p, t, decrement = _newton_step(p, t, mu, s, gamma)
         if decrement < CENTERED:
             mu /= BARRIER_SHRINK
-    return ConeVerdict(
-        status,
-        residual=residual,
-        witness=z,
-        certificate=DecompositionCertificate(p_c, q_c, residual),
-        info={"iterations": it},
-    )
+    last = verdict(status)
+    return last, last if loose is None else loose
 
 
 def _newton_step(p, t, mu, s, gamma):
@@ -343,31 +360,42 @@ def is_popt(
     The phases run in this order, each only if the earlier ones decided
     nothing:
     1. PSD, then PPT: certified (branch psd or ppt).
-    2. One batched sweep of the see-saw, with the stop rule of popt_minimize
-       at -tol.
-    3. If no restart is below -tol yet, membership in PSD + PSD^Gamma with
-       an absolute residual of at most tol (relative tol / ‖W‖_F, capped at
-       feas_tol). A member gives ⟨xy|W|xy⟩ >= -tol on every unit product
-       vector, so no see-saw could refute it, and the solver's iterates do
-       not depend on its tol, so at feas_tol it would stop as a member too:
-       certified (branch decomposition) without further sweeps.
-    4. Otherwise the paused see-saw resumes from where it stood. The
-       objective never increases, and once a restart is below -tol only
-       that one is polished to its fixed point, so, up to rounding at -tol
-       itself, the verdict is the one a run of every restart to convergence
-       would give: refuted, with the product pair as witness.
-    5. Otherwise membership at feas_tol (relative to ‖W‖_F): certified
+    2. The see-saw of popt_minimize with its stop rule at -tol, one batched
+       sweep at a time, until it stalls: a sweep that is not its last
+       lowered the lowest restart value by no more than that value's height
+       above -tol, so at its pace the next sweep would not refute. The first
+       sweep never counts, since it starts from random vectors. A value
+       within rounding of 0 (SEESAW_ROUNDING·max(1, ‖W‖_F)) does not count
+       either: the see-saw has then settled on the cone's boundary and ends
+       by itself within a few sweeps, sooner than membership would reach
+       the residual of phase 3.
+    3. At the stall, membership in PSD + PSD^Gamma with an absolute residual
+       of at most tol (relative tol / ‖W‖_F, capped at feas_tol). A member
+       gives ⟨xy|W|xy⟩ >= -tol on every unit product vector, so no see-saw
+       could refute it: certified (branch decomposition) without further
+       sweeps. The solver's iterates do not depend on its tol, so the same
+       run also notes the verdict it gives at feas_tol, for phase 5. No
+       stall is looked for when tol < MEMBERSHIP_ROUNDING·‖W‖_F, a residual
+       membership does not reach.
+    4. Otherwise the see-saw resumes from where it stood and runs to its
+       end. The objective never increases, and once a restart is below -tol
+       only that one is polished to its fixed point, so, up to rounding at
+       -tol itself, the verdict is the one a run of every restart to
+       convergence would give: refuted, with the product pair as witness.
+    5. Otherwise membership at feas_tol (relative to ‖W‖_F), noted in phase
+       3 or solved now if the see-saw ended without a stall: certified
        (branch decomposition) on a member, likely else.
-    In 2x2 and 2x3 the positive-on-pure-tensors cone coincides with PSD +
-    PSD^Gamma (Størmer, Woronowicz), so there membership settles every
-    operator the see-saw does not refute, on the cone's boundary too, unless
-    membership_max_iter (a cap on its Newton iterates) runs out.
+    The verdict is the one phases 1, 4 and 5 alone would give; phase 3 only
+    saves sweeps. In 2x2 and 2x3 the positive-on-pure-tensors cone coincides
+    with PSD + PSD^Gamma (Størmer, Woronowicz), so there membership settles
+    every operator the see-saw does not refute, on the cone's boundary too,
+    unless membership_max_iter (a cap on its Newton iterates) runs out.
 
     min_value is λ_min(W) in the psd branch and None in the ppt branch. In
-    the decomposition branch it is the lowest see-saw value after the first
-    sweep when phase 3 certifies, and the converged see-saw value when
-    phase 5 does; refuted and likely report the converged value. likely
-    records the membership status in info.
+    the decomposition branch it is the lowest see-saw value at the stall
+    when phase 3 certifies, and the converged see-saw value when phase 5
+    does; refuted and likely report the converged value. likely records the
+    membership status in info.
     """
     m = finite_matrix(w)
     psd = is_psd(m, tol=tol)
@@ -382,21 +410,28 @@ def is_popt(
             "certified",
             info={"branch": "ppt", "psd": False},
         )
-    sweeps = _seesaw_sweeps(m, dims, seed, restarts, max_iter, -tol)
-    lowest = next(sweeps)
-    if lowest >= -tol:
-        tight = min(feas_tol, tol / float(np.linalg.norm(m)))
-        membership = decomposable_sum_membership(m, dims, tol=tight, max_iter=membership_max_iter)
-        if membership.status == "member":
-            return _decomposition(lowest, membership)
-    seesaw = _drain(sweeps)
+    membership = None
+    norm = float(np.linalg.norm(m))
+    asks = tol >= MEMBERSHIP_ROUNDING * norm
+    rounding = SEESAW_ROUNDING * max(1.0, norm)
+    previous = np.inf
+    for lowest, seesaw in _seesaw_sweeps(m, dims, seed, restarts, max_iter, -tol):
+        stalled = seesaw is None and rounding < lowest and previous - lowest <= lowest + tol
+        if asks and stalled:
+            asks = False
+            tight = min(feas_tol, tol / norm)
+            shortcut, membership = _membership(m, dims, tight, feas_tol, membership_max_iter)
+            if shortcut.status == "member":
+                return _decomposition(lowest, shortcut)
+        previous = lowest
     if seesaw.min_value < -tol:
         return ConeVerdict(
             "refuted", min_value=seesaw.min_value,
             witness=(seesaw.witness_x, seesaw.witness_y),
             info={"psd": False, "best_restart": seesaw.best_restart},
         )
-    membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=membership_max_iter)
+    if membership is None:
+        membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=membership_max_iter)
     if membership.status == "member":
         return _decomposition(seesaw.min_value, membership)
     return ConeVerdict(

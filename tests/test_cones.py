@@ -14,9 +14,13 @@ from influencefree.choimaps import (
 )
 from influencefree.cones import (
     FEAS_TOL,
+    MEMBERSHIP_ROUNDING,
+    SEESAW_ROUNDING,
     WITNESS_MARGIN,
     SeesawResult,
     _dual_witness,
+    _membership,
+    _seesaw_sweeps,
     decomposable_sum_membership,
     extremality_probe,
     is_popt,
@@ -191,7 +195,7 @@ def seesaw_corpus(dims):
 
 
 def is_popt_without_shortcut(w, dims, seed, restarts, max_iter=200, membership_max_iter=20000):
-    """is_popt's verdict without the first-sweep shortcut: the whole see-saw
+    """is_popt's verdict without the membership shortcut: the whole see-saw
     first, then membership at FEAS_TOL. Returns the status and the see-saw
     result (None in the psd and ppt branches)."""
     if is_psd(w) or is_ppt(w, dims):
@@ -203,16 +207,34 @@ def is_popt_without_shortcut(w, dims, seed, restarts, max_iter=200, membership_m
     return ("certified" if membership.status == "member" else "likely"), full
 
 
-def membership_statuses(monkeypatch) -> list:
-    """Record the status of every membership call that is_popt makes."""
+def first_stall(w, dims, seed, restarts, max_iter=200):
+    """The lowest see-saw value after the first sweep, not the last, that
+    lowered it by no more than its height above -tol while it was above
+    rounding, or None; None too if tol is below membership's rounding."""
+    norm = frobenius(w)
+    if TOL < MEMBERSHIP_ROUNDING * norm:
+        return None
+    previous = np.inf
+    for lowest, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, -TOL):
+        above_rounding = lowest > SEESAW_ROUNDING * max(1.0, norm)
+        if result is None and above_rounding and previous - lowest <= lowest + TOL:
+            return lowest
+        previous = lowest
+    return None
+
+
+def stall_statuses(monkeypatch) -> list:
+    """Record the tight status of every membership run that is_popt starts
+    at a stall, where it asks a tighter tol than the FEAS_TOL it notes."""
     statuses = []
 
-    def recorded(*args, **kwargs):
-        verdict = decomposable_sum_membership(*args, **kwargs)
-        statuses.append(verdict.status)
-        return verdict
+    def recorded(w, dims, tol, loose_tol, max_iter):
+        tight, loose = _membership(w, dims, tol, loose_tol, max_iter)
+        if tol < loose_tol:
+            statuses.append(tight.status)
+        return tight, loose
 
-    monkeypatch.setattr("influencefree.cones.decomposable_sum_membership", recorded)
+    monkeypatch.setattr("influencefree.cones._membership", recorded)
     return statuses
 
 
@@ -232,67 +254,115 @@ def test_early_stop_keeps_every_is_popt_verdict(dims, monkeypatch):
     # product value below -tol, and a member at that residual is a member at
     # FEAS_TOL, as the solver's iterates do not depend on its tol
     rng = np.random.default_rng(7 * dims[0] + dims[1])
-    operators = list(seesaw_corpus(dims))
+    cases = [(w, 200) for w in seesaw_corpus(dims)]
+    # with max_iter=2 a stall in the second sweep is in the last one, where
+    # the see-saw has ended and membership is asked at FEAS_TOL alone
+    cases += [(w, 2) for w in seesaw_corpus(dims)[:6]]
     if dims != (3, 3):
-        operators += [product_boundary_operator(rng, dims) for _ in range(10)]
-    calls = membership_statuses(monkeypatch)
+        boundary = [product_boundary_operator(rng, dims) for _ in range(11)]
+        cases += [(w, 200) for w in boundary[:10]]
+        # with max_iter=1 the first sweep is also the last: nothing to resume
+        d = dims[0] * dims[1]
+        cases += [(boundary[10], 1), (np.diag([1.0] * (d - 1) + [-1.0]), 1)]
+    calls = stall_statuses(monkeypatch)
     statuses, paths = set(), set()
-    for k, w0 in enumerate(operators):
+    starved_left = 4
+    for k, (w0, max_iter) in enumerate(cases):
         for scale in (0.1, 1.0, 10.0):
             w = scale * w0
-            want, full = is_popt_without_shortcut(w, dims, seed=k, restarts=16)
+            # the stall's tight tol must be below FEAS_TOL for the recording
+            assert TOL / frobenius(w) < FEAS_TOL
+            want, full = is_popt_without_shortcut(w, dims, seed=k, restarts=16, max_iter=max_iter)
             calls.clear()
-            verdict = is_popt(w, dims, seed=k, restarts=16)
+            verdict = is_popt(w, dims, seed=k, restarts=16, max_iter=max_iter)
             assert verdict.status == want, (k, scale)
-            statuses.add(verdict.status)
+            if max_iter > 2:
+                statuses.add(verdict.status)
+            if scale == 1.0:
+                # the same verdict as a run of every restart to convergence
+                plain = popt_minimize(w, dims, seed=k, restarts=16, max_iter=max_iter)
+                assert (verdict.status == "refuted") == (plain.min_value < -TOL), k
             if full is None:
                 continue
-            # membership is asked only when the first sweep refutes nothing
-            first = popt_minimize(w, dims, seed=k, restarts=16, max_iter=1)
-            assert (first.min_value < -TOL) == (not calls), (k, scale)
+            # membership is asked at the first stall and only there
+            stall = first_stall(w, dims, seed=k, restarts=16, max_iter=max_iter)
+            assert (stall is not None) == bool(calls), (k, scale)
             if calls[:1] == ["member"]:
                 paths.add("shortcut")
                 assert verdict.info["branch"] == "decomposition"
                 assert_shortcut_certificate(w, dims, verdict.certificate)
-                assert verdict.min_value == first.min_value
-            elif calls:
-                paths.add("fallback")
+                assert full.min_value <= verdict.min_value == stall
+            else:
+                paths.add("fallback" if calls else "no stall")
                 assert verdict.min_value == full.min_value
-            # a starved membership always falls back to the whole see-saw
-            if scale != 1.0:
+                if want == "refuted":
+                    assert np.array_equal(verdict.witness[0], full.witness_x)
+                    assert np.array_equal(verdict.witness[1], full.witness_y)
+            # a starved membership falls back to the whole see-saw; a few
+            # shortcut operators per shape cover that path
+            if scale != 1.0 or calls[:1] != ["member"] or not starved_left:
                 continue
+            starved_left -= 1
             want, _ = is_popt_without_shortcut(w, dims, seed=k, restarts=16, membership_max_iter=1)
             calls.clear()
             starved = is_popt(w, dims, seed=k, restarts=16, membership_max_iter=1)
-            assert starved.status == want, (k, scale)
-            if calls:
-                paths.add("fallback")
+            assert starved.status == want, k
+            assert calls == ["inconclusive"], k
+            paths.add("fallback")
             assert starved.min_value == full.min_value
-            if want == "refuted":
-                assert np.array_equal(starved.witness[0], full.witness_x)
-                assert np.array_equal(starved.witness[1], full.witness_y)
     assert statuses == {"refuted", "certified"}
-    assert paths == {"shortcut", "fallback"}
+    assert {"shortcut", "fallback"} <= paths
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
-def test_first_sweep_is_also_the_last(dims):
-    # with max_iter=1 the paused see-saw has nothing left to resume
-    rng = np.random.default_rng(40 + sum(dims))
-    boundary = product_boundary_operator(rng, dims)
-    d = dims[0] * dims[1]
-    refuted = np.diag([1.0] * (d - 1) + [-1.0])
-    for k, w in enumerate((boundary, refuted)):
-        want, full = is_popt_without_shortcut(w, dims, seed=k, restarts=8, max_iter=1)
-        verdict = is_popt(w, dims, seed=k, restarts=8, max_iter=1)
-        assert verdict.status == want == ("certified", "refuted")[k]
-        if want == "refuted":
-            assert verdict.min_value == full.min_value
-            assert np.array_equal(verdict.witness[0], full.witness_x)
-            assert np.array_equal(verdict.witness[1], full.witness_y)
-        else:
-            assert verdict.info["branch"] == "decomposition"
-            assert_shortcut_certificate(w, dims, verdict.certificate)
+def test_is_popt_on_the_boundary_at_large_norms(dims, monkeypatch):
+    # see-saw values round to within a few ulps of ‖W‖_F, and membership's
+    # residual to about 1e-13·‖W‖_F; the verdict holds at every norm, and no
+    # stall membership is asked where it could not reach tol
+    rng = np.random.default_rng(30 + sum(dims))
+    calls = stall_statuses(monkeypatch)
+    for k in range(3):
+        w0 = product_boundary_operator(rng, dims)
+        for scale in (1e2, 1e3, 1e4, 1e5):
+            w = scale * w0
+            want, full = is_popt_without_shortcut(w, dims, seed=k, restarts=16)
+            calls.clear()
+            verdict = is_popt(w, dims, seed=k, restarts=16)
+            assert verdict.status == want == "certified", (k, scale)
+            stall = first_stall(w, dims, seed=k, restarts=16)
+            assert (stall is not None) == bool(calls), (k, scale)
+            if TOL < MEMBERSHIP_ROUNDING * frobenius(w):
+                assert not calls, (k, scale)
+            if calls[:1] == ["member"]:
+                assert_shortcut_certificate(w, dims, verdict.certificate)
+            else:
+                assert verdict.min_value == full.min_value
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_one_membership_run_gives_both_verdicts(dims):
+    # the iterates do not depend on tol, so the verdict noted at FEAS_TOL is
+    # the one a run at FEAS_TOL returns, bit for bit, whatever the cap
+    rng = np.random.default_rng(50 + sum(dims))
+    operators = [product_boundary_operator(rng, dims) for _ in range(2)]
+    operators += seesaw_corpus(dims)[:4]
+    split = False
+    for w in operators:
+        tight = TOL / frobenius(w)
+        ends = [decomposable_sum_membership(w, dims, tol=t).info["iterations"] for t in (FEAS_TOL, tight)]
+        for max_iter in (1, sum(ends) // 2, 20000):
+            got = _membership(w, dims, tight, FEAS_TOL, max_iter)
+            split |= got[0].status == "inconclusive" and got[1].status == "member"
+            for verdict, tol in zip(got, (tight, FEAS_TOL)):
+                want = decomposable_sum_membership(w, dims, tol=tol, max_iter=max_iter)
+                assert (verdict.status, verdict.residual, verdict.info) == (
+                    want.status, want.residual, want.info
+                )
+                assert np.array_equal(verdict.certificate.p, want.certificate.p)
+                assert np.array_equal(verdict.certificate.q, want.certificate.q)
+                assert (verdict.witness is None) == (want.witness is None)
+                assert want.witness is None or np.array_equal(verdict.witness, want.witness)
+    assert split
 
 
 def test_dual_witness_skip_loses_no_witness():
