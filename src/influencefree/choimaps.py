@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, HermitianOperator, as_matrix, hermitian_eig, partial_transpose
+from .linalg import DEFAULT_TOL, as_matrix, finite_matrix, hermitian, hermitian_eig, partial_transpose
 
 
 def unnormalized_q(n: int) -> np.ndarray:
@@ -40,12 +40,10 @@ class LinearMapChoi:
     """A Hermiticity-preserving linear map stored as its Choi operator."""
 
     def __init__(self, choi, din: int, dout: int, tol: float = DEFAULT_TOL):
-        h = HermitianOperator(choi, tol=tol)
-        if din < 1 or dout < 1 or h.dim != din * dout:
-            raise ValueError(
-                f"Choi dimension {h.dim} does not equal din*dout = {din}*{dout}"
-            )
-        self.choi = h.matrix
+        self.choi = hermitian(choi, tol=tol)
+        dim = self.choi.shape[0]
+        if din < 1 or dout < 1 or dim != din * dout:
+            raise ValueError(f"Choi dimension {dim} does not equal din*dout = {din}*{dout}")
         self.din = int(din)
         self.dout = int(dout)
 
@@ -113,7 +111,7 @@ def transpose_in_basis(m: LinearMapChoi, u) -> LinearMapChoi:
     sigma(X) = U (U† X U)^t U† factors as (conjugation by U U^t) ∘ (standard
     transposition), so the composite is assembled from existing pieces.
     """
-    u = as_matrix(u)
+    u = finite_matrix(u)
     if u.shape[0] != u.shape[1] or u.shape[0] != m.din:
         raise ValueError("basis matrix must be square with the map's input dimension")
     if np.linalg.norm(u @ u.conj().T - np.eye(m.din)) > 1e-10:

@@ -57,7 +57,7 @@ from .jsonio import (
     vector_to_document,
     _require,
 )
-from .linalg import CapExceededError, HermitianOperator, frobenius
+from .linalg import CapExceededError, frobenius, hermitian
 from .teleport import (
     corollary_check,
     desideratum_violation_demo,
@@ -195,7 +195,7 @@ def _operator(doc, where, args) -> np.ndarray:
     if hasattr(args, "dims") and args.dims is None:
         args.dims = _document_dims(doc_dims)
     try:
-        return HermitianOperator(m).matrix
+        return hermitian(m)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
@@ -507,8 +507,8 @@ def _pivot(args, w):
             "weyl": [a % n, b % n],
             "alpha": result.alpha,
             "gap": result.gap,
-            "bob_operator": matrix_to_document(result.bob_operator.matrix, (n, n)),
-            "expected": matrix_to_document(result.expected.matrix, (n, n)),
+            "bob_operator": matrix_to_document(result.bob_operator, (n, n)),
+            "expected": matrix_to_document(result.expected, (n, n)),
         }
     return _yes_no(ok, "identity-holds", "identity-violated", **fields)
 

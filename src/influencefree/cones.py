@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _check_dims,
     finite_matrix,
     min_eig,
     partial_transpose,
@@ -96,7 +97,6 @@ def popt_minimize(
     seed: int,
     restarts: int = 64,
     max_iter: int = 200,
-    stop_below: float | None = None,
 ) -> SeesawResult:
     """Alternating eigenvector minimization of <xy|W|xy> over product vectors.
 
@@ -104,18 +104,13 @@ def popt_minimize(
     the other side's contraction, so the objective never increases. All
     seeded random restarts run as one stack: a half-step is one batched
     contraction and one eigh on a (restarts, d, d) stack, and a restart that
-    has converged is frozen. Without stop_below, every restart runs to its
-    fixed point (or to max_iter sweeps) and the best is returned, ties
-    keeping the lowest restart index. With stop_below, the first sweep after
-    which the lowest value is below stop_below picks that restart (ties to
-    the lowest index); every other restart is frozen where it stands, and the
-    picked one is polished to its own fixed point within the same max_iter
-    sweeps, so min_value is still a see-saw fixed point and is returned. The
-    result is an upper bound on the true minimum over product vectors; a
-    negative value refutes positivity on pure tensors and the witness pair
-    certifies it.
+    has converged is frozen. Every restart runs to its fixed point (or to
+    max_iter sweeps) and the best is returned, ties keeping the lowest
+    restart index. The result is an upper bound on the true minimum over
+    product vectors; a negative value refutes positivity on pure tensors and
+    the witness pair certifies it.
     """
-    for _, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
+    for _, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, None):
         pass
     return result
 
@@ -124,17 +119,20 @@ def _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
     """popt_minimize's see-saw, paused after each sweep.
 
     Yields (lowest restart value, None) after each sweep but the last, and
-    (lowest restart value, the SeesawResult popt_minimize reports) after the
-    last. The arguments are checked at the first next().
+    (lowest restart value, the SeesawResult) after the last. With
+    stop_below None this is popt_minimize. Otherwise the first sweep after
+    which the lowest value is below stop_below picks that restart (ties to
+    the lowest index); every other restart is frozen where it stands, and
+    the picked one is polished to its own fixed point within the same
+    max_iter sweeps, so min_value is still a see-saw fixed point and is
+    returned. The arguments are checked at the first next().
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
     if max_iter < 1:
         raise ValueError(f"the see-saw needs at least one iteration, got {max_iter}")
     m = finite_matrix(w)
-    da, db = int(dims[0]), int(dims[1])
-    if m.shape != (da * db, da * db):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
+    da, db = _check_dims(m, dims)
     w4 = m.reshape(da, db, da, db)
     # eigh rounds each value to within a few ulps of ‖W‖, not of the value
     slack = SEESAW_ROUNDING * max(1.0, float(np.linalg.norm(m)))
@@ -227,9 +225,8 @@ def _membership(w, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
     if max_iter < 1:
         raise ValueError(f"membership needs at least one iteration, got {max_iter}")
     m = finite_matrix(w)
+    _check_dims(m, dims)
     n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError(f"membership expects a square operator, got shape {m.shape}")
     gamma = _gamma_index(n, dims)
 
     def g(a):  # partial transpose of a matrix or of each matrix of a stack
@@ -360,7 +357,7 @@ def is_popt(
     The phases run in this order, each only if the earlier ones decided
     nothing:
     1. PSD, then PPT: certified (branch psd or ppt).
-    2. The see-saw of popt_minimize with its stop rule at -tol, one batched
+    2. The see-saw of _seesaw_sweeps with its stop rule at -tol, one batched
        sweep at a time, until it stalls: a sweep that is not its last
        lowered the lowest restart value by no more than that value's height
        above -tol, so at its pace the next sweep would not refute. The first

@@ -3,6 +3,11 @@
 Operators are plain numpy arrays (complex128, square unless stated). Bipartite
 or multipartite structure is carried by a `dims` sequence of factor dimensions
 whose product must equal the matrix dimension.
+
+Input is admitted along one path: `as_matrix` coerces to a 2-d complex array,
+`finite_matrix` also refuses NaN and inf, `hermitian` also refuses a matrix
+that is not square or visibly not Hermitian and returns its Hermitian part,
+and `_check_dims` is the one check of a matrix against its factor dims.
 """
 
 from __future__ import annotations
@@ -27,9 +32,7 @@ class CapExceededError(ValueError):
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a complex128 2-d array (accepts HermitianOperator too)."""
-    if isinstance(m, HermitianOperator):
-        return m.matrix
+    """Coerce to a complex128 2-d array."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
@@ -53,40 +56,23 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
-class HermitianOperator:
-    """A square matrix admitted as Hermitian.
+def hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """(M + M†)/2 for a finite square M admitted as Hermitian.
 
-    The input is symmetrized to (M + M†)/2 and the discarded part's Frobenius
-    norm is recorded as `hermiticity_defect`. A defect above the admission
-    threshold (default 1e-9 · ‖M‖_F) is an error rather than a silent repair,
-    and so is a NaN or infinite entry.
+    The discarded part's Frobenius norm is the hermiticity defect. A defect
+    above tol · ‖M‖_F is an error rather than a silent repair, and so is a
+    NaN or infinite entry.
     """
-
-    def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        m = finite_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"Hermitian operator must be square, got {m.shape}")
-        anti = (m - m.conj().T) / 2.0
-        defect = float(np.linalg.norm(anti))
-        if defect > tol * max(float(np.linalg.norm(m)), 0.0) and defect > 0.0:
-            raise ValueError(
-                f"hermiticity defect {defect:.3e} exceeds threshold "
-                f"{tol:.1e}*norm for a {m.shape[0]}x{m.shape[0]} matrix"
-            )
-        self.matrix = (m + m.conj().T) / 2.0
-        self.hermiticity_defect = defect
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.matrix.astype(dtype)
-        return self.matrix
-
-    def __repr__(self):
-        return f"HermitianOperator(dim={self.dim}, defect={self.hermiticity_defect:.2e})"
+    m = finite_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"Hermitian operator must be square, got {m.shape}")
+    defect = float(np.linalg.norm((m - m.conj().T) / 2.0))
+    if defect > max(tol * float(np.linalg.norm(m)), 0.0):
+        raise ValueError(
+            f"hermiticity defect {defect:.3e} exceeds threshold "
+            f"{tol:.1e}*norm for a {m.shape[0]}x{m.shape[0]} matrix"
+        )
+    return (m + m.conj().T) / 2.0
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -107,44 +93,39 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def partial_transpose(w, dims: Sequence[int], factor: int) -> np.ndarray:
-    """Transpose the indices of one tensor factor, leaving the rest alone."""
+def _factor_tensor(w, dims: Sequence[int], factor: int | None = None):
+    """w as a tensor with a row and a column index per factor, and its checked dims."""
     m = as_matrix(w)
     dims = _check_dims(m, dims)
-    k = len(dims)
-    if not 0 <= factor < k:
-        raise ValueError(f"factor {factor} out of range for {k} factors")
-    t = m.reshape(dims + dims)
-    axes = list(range(2 * k))
-    axes[factor], axes[k + factor] = axes[k + factor], axes[factor]
-    return t.transpose(axes).reshape(m.shape)
+    if factor is not None and not 0 <= factor < len(dims):
+        raise ValueError(f"factor {factor} out of range for {len(dims)} factors")
+    return m.reshape(dims + dims), dims
+
+
+def partial_transpose(w, dims: Sequence[int], factor: int) -> np.ndarray:
+    """Transpose the indices of one tensor factor, leaving the rest alone."""
+    t, dims = _factor_tensor(w, dims, factor)
+    n = math.prod(dims)
+    return t.swapaxes(factor, len(dims) + factor).reshape(n, n)
 
 
 def partial_trace(w, dims: Sequence[int], factor: int) -> np.ndarray:
     """Trace out one tensor factor; the output trace equals the input trace."""
-    m = as_matrix(w)
-    dims = _check_dims(m, dims)
-    k = len(dims)
-    if not 0 <= factor < k:
-        raise ValueError(f"factor {factor} out of range for {k} factors")
-    t = m.reshape(dims + dims)
-    t = np.trace(t, axis1=factor, axis2=k + factor)
-    rest = [d for i, d in enumerate(dims) if i != factor]
-    n = math.prod(rest)
+    t, dims = _factor_tensor(w, dims, factor)
+    t = np.trace(t, axis1=factor, axis2=len(dims) + factor)
+    n = math.prod(dims) // dims[factor]
     return t.reshape(n, n)
 
 
 def permute_systems(w, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Relabel tensor factors: new factor k is old factor perm[k]."""
-    m = as_matrix(w)
-    dims = _check_dims(m, dims)
+    t, dims = _factor_tensor(w, dims)
     k = len(dims)
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
-    t = m.reshape(dims + dims)
-    axes = list(perm) + [k + p for p in perm]
-    return t.transpose(axes).reshape(m.shape)
+    n = math.prod(dims)
+    return t.transpose(list(perm) + [k + p for p in perm]).reshape(n, n)
 
 
 def _hermitian_eigh(w) -> tuple[np.ndarray, np.ndarray]:

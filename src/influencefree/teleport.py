@@ -23,7 +23,7 @@ import numpy as np
 
 from .choimaps import swap_operator, unnormalized_q
 from .cones import ConeVerdict, is_popt
-from .linalg import HermitianOperator, as_matrix, frobenius, kron, permute_systems
+from .linalg import _check_dims, as_matrix, finite_matrix, frobenius, hermitian, kron, permute_systems
 
 __all__ = [
     "PivotReport",
@@ -62,8 +62,8 @@ class PivotReport:
 
 class GeneralPivotResult(NamedTuple):
     alpha: float
-    bob_operator: HermitianOperator
-    expected: HermitianOperator
+    bob_operator: np.ndarray
+    expected: np.ndarray
     gap: float
 
 
@@ -93,7 +93,7 @@ def symmetric_projector(n: int) -> np.ndarray:
 
 
 def _checked_unitary(v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
+    v = finite_matrix(v)
     if v.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {v.shape}")
     if frobenius(v.conj().T @ v - np.eye(n)) > 1e-10 * max(1.0, frobenius(v)):
@@ -103,11 +103,8 @@ def _checked_unitary(v: np.ndarray, n: int) -> np.ndarray:
 
 def _checked_bipartite(w, n: int) -> np.ndarray:
     m = as_matrix(w)
-    if m.shape != (n * n, n * n):
-        raise ValueError(
-            f"operator has shape {m.shape}, expected ({n * n}, {n * n}) for local dimension {n}"
-        )
-    return HermitianOperator(m).matrix
+    _check_dims(m, (n, n))
+    return hermitian(m)
 
 
 def embed_with_entangled_pair(w, n: int) -> np.ndarray:
@@ -229,8 +226,8 @@ def pivot_general(w, n: int, v: np.ndarray) -> GeneralPivotResult:
     gap = frobenius(bob - expected) / max(1.0, frobenius(expected))
     return GeneralPivotResult(
         alpha=alpha,
-        bob_operator=HermitianOperator(bob, tol=1e-8),
-        expected=HermitianOperator(expected, tol=1e-8),
+        bob_operator=hermitian(bob, tol=1e-8),
+        expected=hermitian(expected, tol=1e-8),
         gap=gap,
     )
 

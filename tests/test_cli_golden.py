@@ -12,6 +12,8 @@ selftest are left out.
 The expectations are recorded, not derived; regenerate them only for a
 deliberate output change, and review the diff:
     PYTHONPATH=src python tests/test_cli_golden.py
+To re-record only some entries and leave every other line byte-identical:
+    PYTHONPATH=src python tests/test_cli_golden.py --only NAME [NAME ...]
 """
 
 import contextlib
@@ -56,6 +58,17 @@ def _assert_same(got, want, where):
 
 
 CASES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+def _dump(cases) -> str:
+    """The corpus file's text: one entry per line, sorted by name."""
+    lines = (f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(cases.items()))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_golden_file_is_as_the_recorder_writes_it():
+    # so that --only rewrites the named entries and no other byte
+    assert GOLDEN.read_text() == _dump(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -212,14 +225,23 @@ def _requests():
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
-    recorded = {}
+    parser = argparse.ArgumentParser(description="Record the golden CLI corpus.")
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="re-record only these entries")
+    only = parser.parse_args().only
+    requests = _requests()
+    unknown = sorted(set(only or ()) - set(requests))
+    if unknown:
+        parser.error(f"no such request: {', '.join(unknown)}")
+    recorded = dict(CASES) if only else {}
     with tempfile.TemporaryDirectory() as workdir:
-        for name, (argv, files) in _requests().items():
+        for name, (argv, files) in requests.items():
+            if only and name not in only:
+                continue
             case = {"argv": argv, "files": files}
             code, out = _invoke(case, workdir)
             recorded[name] = dict(case, code=code, stdout=out)
             print(f"{name}: exit {code} {out['verdict']}", file=sys.stderr)
-    lines = (f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(recorded.items()))
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    GOLDEN.write_text(_dump(recorded))

@@ -194,13 +194,18 @@ def seesaw_corpus(dims):
     return tuple(operators)
 
 
+def stopped_seesaw(w, dims, seed, restarts, stop_below, max_iter=200) -> SeesawResult:
+    """The result of the see-saw with its early stop below stop_below."""
+    return list(_seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below))[-1][1]
+
+
 def is_popt_without_shortcut(w, dims, seed, restarts, max_iter=200, membership_max_iter=20000):
     """is_popt's verdict without the membership shortcut: the whole see-saw
     first, then membership at FEAS_TOL. Returns the status and the see-saw
     result (None in the psd and ppt branches)."""
     if is_psd(w) or is_ppt(w, dims):
         return "certified", None
-    full = popt_minimize(w, dims, seed=seed, restarts=restarts, max_iter=max_iter, stop_below=-TOL)
+    full = stopped_seesaw(w, dims, seed, restarts, -TOL, max_iter)
     if full.min_value < -TOL:
         return "refuted", full
     membership = decomposable_sum_membership(w, dims, max_iter=membership_max_iter)
@@ -400,7 +405,7 @@ def test_early_stop_polishes_the_first_restart_below(dims):
         if full.min_value >= -TOL:
             continue
         # a threshold the full minimum never crosses leaves the run as it was
-        never = popt_minimize(w, dims, seed=k, restarts=8, stop_below=2.0 * full.min_value)
+        never = stopped_seesaw(w, dims, k, 8, 2.0 * full.min_value)
         assert never.min_value == full.min_value
         assert np.array_equal(never.witness_x, full.witness_x)
         assert np.array_equal(never.witness_y, full.witness_y)
@@ -411,7 +416,7 @@ def test_early_stop_polishes_the_first_restart_below(dims):
         # crossed late; once on the (3, 3) corpus by a restart converging in
         # that very sweep, which then has nothing left to polish
         for stop in (-TOL, full.min_value * (1.0 - 1e-12)):
-            got = popt_minimize(w, dims, seed=k, restarts=8, stop_below=stop)
+            got = stopped_seesaw(w, dims, k, 8, stop)
 
             def capped(sweeps):
                 return popt_minimize(w, dims, seed=k, restarts=8, max_iter=sweeps)

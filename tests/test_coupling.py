@@ -260,6 +260,38 @@ def loop_bayes_residuals(omega, tol):
     return mixture_alice, mixture_bob, operational
 
 
+def label_bayes_residuals(alice, bob, table, tol):
+    """The three Bayes residuals by their formulas, from the label table alone.
+
+    Each side's marginal sums table[(x, y)] over the other side's test 0. The
+    mixture residual of a side is the worst |sum_a w(a)·(cell(a, y) / w(a)) -
+    w'(y)| over its tests and the other side's outcomes y, with a running over
+    the test's outcomes of marginal above tol.
+    """
+    wa = {x: sum(table[(x, y)] for y in bob.tests[0]) for x in alice.outcomes}
+    wb = {y: sum(table[(x, y)] for x in alice.tests[0]) for y in bob.outcomes}
+
+    def mixture(tests, w, others, w_other, cell):
+        return max(
+            abs(sum(w[a] * (cell(a, y) / w[a]) for a in test if w[a] > tol) - w_other[y])
+            for test in tests
+            for y in others
+        )
+
+    mixture_alice = mixture(alice.tests, wa, bob.outcomes, wb, lambda x, y: table[(x, y)])
+    mixture_bob = mixture(bob.tests, wb, alice.outcomes, wa, lambda y, x: table[(x, y)])
+    operational = max(
+        (
+            abs(table[(x, y)] / wa[x] * wa[x] - table[(x, y)] / wb[y] * wb[y])
+            for x in alice.outcomes
+            for y in bob.outcomes
+            if wa[x] > tol and wb[y] > tol
+        ),
+        default=0.0,
+    )
+    return mixture_alice, mixture_bob, operational
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
 def test_bayes_residuals_match_the_loops(tol):
     rng = np.random.default_rng(210)
@@ -274,7 +306,11 @@ def test_bayes_residuals_match_the_loops(tol):
         {("p", "r"): 1.0, ("p", "s"): 0.0, ("q", "r"): 0.0, ("q", "s"): 0.0},
     )
     for omega in (pr_box(), signalling_box(), ProductState(alice, bob, table), point):
-        assert bayes_residuals(omega, tol) == loop_bayes_residuals(omega, tol)
+        got = bayes_residuals(omega, tol)
+        assert got == loop_bayes_residuals(omega, tol)
+        labels = {(x, y): omega(x, y) for x in omega.alice.outcomes for y in omega.bob.outcomes}
+        want = label_bayes_residuals(omega.alice, omega.bob, labels, tol)
+        assert got == pytest.approx(want, abs=1e-15)
     assert max(bayes_residuals(pr_box())) <= 1e-15
     assert max(bayes_residuals(signalling_box())) > 1e-3
 

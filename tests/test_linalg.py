@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from influencefree.choimaps import swap_operator
 from influencefree.linalg import (
-    HermitianOperator,
-    as_matrix,
     frobenius,
+    hermitian,
     hermitian_eig,
     kron,
     min_eig,
@@ -83,23 +82,20 @@ def test_permute_systems_three_factors():
 def test_hermitian_operator_admission_and_defect():
     rng = np.random.default_rng(6)
     h = _random_hermitian(rng, 3)
-    op = HermitianOperator(h)
-    assert op.dim == 3
-    assert op.hermiticity_defect <= 1e-15 * frobenius(h)
-    assert np.allclose(as_matrix(op), h)
+    assert np.allclose(hermitian(h), h)
 
     skewed = h + 1e-3 * (rng.standard_normal((3, 3)) * 1j)
     with pytest.raises(ValueError):
-        HermitianOperator(skewed)
+        hermitian(skewed)
     # generous tolerance admits it, symmetrized
-    loose = HermitianOperator(skewed, tol=1.0)
-    assert np.allclose(loose.matrix, loose.matrix.conj().T)
+    loose = hermitian(skewed, tol=1.0)
+    assert np.allclose(loose, loose.conj().T)
 
 
 def test_hermitian_operator_rejects_non_finite_entries():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            HermitianOperator(np.diag([bad, 1.0]))
+            hermitian(np.diag([bad, 1.0]))
 
 
 def test_min_eig_and_psd_part():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from influencefree.choimaps import swap_operator, unnormalized_q
+from influencefree.choimaps import identity_map, swap_operator, transpose_in_basis, unnormalized_q
 from influencefree.linalg import frobenius, kron, partial_trace, permute_systems
 from influencefree.sampling import random_hermitian, random_psd
 from influencefree.teleport import (
@@ -121,9 +121,9 @@ def test_general_pivot_discriminates_the_twist_convention():
     r = pivot_general(w, 3, v)
     assert r.gap <= 1e-9
     right = r.alpha * (kron(v.T, np.eye(3)) @ w @ kron(v.conj(), np.eye(3)))
-    assert frobenius(r.bob_operator.matrix - right) <= 1e-9
+    assert frobenius(r.bob_operator - right) <= 1e-9
     wrong = r.alpha * (kron(v, np.eye(3)) @ w @ kron(v.conj().T, np.eye(3)))
-    assert frobenius(r.bob_operator.matrix - wrong) > 1e-3
+    assert frobenius(r.bob_operator - wrong) > 1e-3
 
 
 def test_general_pivot_preserves_the_far_marginal():
@@ -134,7 +134,7 @@ def test_general_pivot_preserves_the_far_marginal():
     w = random_hermitian(rng, 9, trace=1.0)
     v = weyl_operator(3, 1, 2)
     r = pivot_general(w, 3, v)
-    far = partial_trace(r.bob_operator.matrix, (3, 3), 0) / r.alpha
+    far = partial_trace(r.bob_operator, (3, 3), 0) / r.alpha
     assert frobenius(far - partial_trace(w, (3, 3), 0)) <= 1e-9
 
 
@@ -200,7 +200,7 @@ def test_contractions_match_the_dense_embedding(n):
         res = pivot_general(w, n, v)
         assert res.alpha == pytest.approx(alpha, abs=1e-13)
         bob = partial_trace(sandwich, (n * n, n * n), 0)
-        assert frobenius(res.bob_operator.matrix - bob) <= 1e-13
+        assert frobenius(res.bob_operator - bob) <= 1e-13
 
     w1 = random_hermitian(rng, n * n, trace=1.0)
     b = random_psd(rng, n * n)
@@ -270,3 +270,14 @@ def test_pivots_reject_non_finite_operators():
         pivot_alice(np.diag([np.nan, 1.0, 1.0, 1.0]), 2)
     with pytest.raises(ValueError, match="non-finite"):
         corollary_check(w, np.diag([np.nan, 1.0, 1.0, 1.0]), 2)
+
+
+def test_unitaries_reject_non_finite_entries():
+    # a NaN fails every comparison, so the unitarity check alone admits it
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+        with pytest.raises(ValueError, match="a 2x2 matrix has non-finite entries"):
+            twisted_bell_projector(2, bad)
+        with pytest.raises(ValueError, match="a 2x2 matrix has non-finite entries"):
+            pivot_general(swap_operator(2) / 2.0, 2, bad)
+        with pytest.raises(ValueError, match="a 2x2 matrix has non-finite entries"):
+            transpose_in_basis(identity_map(2), bad)
