@@ -8,10 +8,12 @@ outcome probability of that projection.  The functions here build both sides
 of that identity independently and report the gap, rather than assuming it.
 
 The pivots never form the n^4 x n^4 embedding: projecting one pair onto a
-vector leaves the other pair's operator as one tensor contraction of w and
-the inner operator (``_project``).  ``embed_with_entangled_pair`` builds the
-dense embedding and is kept as the independent definition the tests and the
-acceptance criteria compare against.
+vector leaves the other pair's operator as a fixed chain of three matrix
+products (``_project``): the vector's coefficient matrix applied to w from
+both sides, O(n^5) each, then one n^2 x n^2 product with the inner
+operator, O(n^6).  ``embed_with_entangled_pair`` builds the dense embedding
+and is kept as the independent definition the tests and the acceptance
+criteria compare against.
 """
 
 from __future__ import annotations
@@ -157,20 +159,39 @@ def _project(w: np.ndarray, inner: np.ndarray, n: int, phi: np.ndarray, side: st
     With G the four-party operator carrying w on (A1, B1) and ``inner`` on
     (A2, B2), and P = |phi><phi| on Alice's pair (side "alice") or on Bob's
     pair (side "bob"), P G P = P ox M with M = <phi|G|phi>.  M is returned as
-    an n^2 x n^2 matrix on (B2, B1) or (A1, A2) respectively, contracted from
+    an n^2 x n^2 matrix on (B2, B1) or (A1, A2) respectively, computed from
     w and ``inner`` without forming G.  ``phi`` is the n x n coefficient
     matrix of a unit vector on the projected pair, or a stack of them with
     leading axes, in which case one M per vector is returned.
+
+    On Alice's side M is a chain of three matrix products: phi^dag @ w over
+    A1, then phi over A1's column index (O(n^5) each), then one
+    n^2 x n^2 product with ``inner`` permuted to rows (B2, B2') and columns
+    (A2, A2'), O(n^6).  Bob's side is the same chain with the roles of w and
+    ``inner`` exchanged and each conjugated by the factor swap: his pair's
+    first factor B2 then sits where A1 did, so phi enters unchanged.
     """
-    w4 = w.reshape(n, n, n, n)
-    inner4 = inner.reshape(n, n, n, n)
+    w4, inner4 = w.reshape(n, n, n, n), inner.reshape(n, n, n, n)
+    if side == "bob":
+        w4, inner4 = inner4.transpose(1, 0, 3, 2), w4.transpose(1, 0, 3, 2)
+    # every product comes out in the one result dtype, so the last two can write
+    # into buffers of the first two
+    phis = phi.reshape(-1, n, n).astype(np.result_type(w, inner, phi), copy=False)
+    s = phis.shape[0]
     # index letters: i A1, j A2, k B2, l B1; capitals are the column indices
-    if side == "alice":
-        spec = "...ij,ilIL,jkJK,...IJ->...klKL"
-    else:
-        spec = "...kl,ilIL,jkJK,...KL->...ijIJ"
-    m = np.einsum(spec, phi.conj(), w4, inner4, phi, optimize=True)
-    return m.reshape(phi.shape[:-2] + (n * n, n * n))
+    # x[s, j, I, (l, L)] = sum_i conj(phi[s, i, j]) w[i, l, I, L], one product for the stack
+    w_rows = w4.transpose(0, 2, 1, 3).reshape(n, n**3)
+    x = phis.conj().transpose(0, 2, 1).reshape(s * n, n) @ w_rows
+    # y[s, j, J, (l, L)] = sum_I phi[s, I, J] x[s, j, I, l, L]
+    y = phis.transpose(0, 2, 1)[:, None] @ x.reshape(s, n, n, n * n)
+    # m[s, (k, K), (l, L)] = sum_{j, J} inner[j, k, J, K] y[s, j, J, l, L].  It is
+    # written over x, and M over y, so a call allocates two stack-sized arrays,
+    # not five: for n^2 vectors at n = 6 the page faults on fresh arrays cost
+    # about as much as the three products.
+    inner_rows = inner4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    m = np.matmul(inner_rows, y.reshape(s, n * n, n * n), out=x.reshape(s, n * n, n * n))
+    np.copyto(y.reshape(s, n, n, n, n), m.reshape(s, n, n, n, n).transpose(0, 1, 3, 2, 4))
+    return y.reshape(phi.shape[:-2] + (n * n, n * n))
 
 
 def _bell_vector(n: int) -> np.ndarray:
@@ -221,8 +242,10 @@ def pivot_general(w, n: int, v: np.ndarray) -> GeneralPivotResult:
     v = _checked_unitary(v, n)
     bob = _project(m, bell_projector(n), n, np.conj(v) / np.sqrt(n), "alice")
     alpha = float(np.real(np.trace(bob)))
-    conjugated = np.einsum("ai,alAL,AI->ilIL", v, m.reshape(n, n, n, n), v.conj())
-    expected = alpha * conjugated.reshape(n * n, n * n)
+    # (v^T ox 1) w (conj(v) ox 1): v^T on the rows of the first factor, then
+    # conj(v) on its columns, one n x n block (l, L) at a time
+    left = (v.T @ m.reshape(n, n**3)).reshape(n * n, n, n)
+    expected = alpha * (v.conj().T @ left).reshape(n * n, n * n)
     gap = frobenius(bob - expected) / max(1.0, frobenius(expected))
     return GeneralPivotResult(
         alpha=alpha,
@@ -249,9 +272,10 @@ def corollary_check(w, b, n: int) -> tuple[float, float]:
     if vals[0] < -1e-9 * max(1.0, frobenius(bm)):
         raise ValueError("effect operator is not positive semidefinite")
     bob = _project(m, bell_projector(n), n, _bell_vector(n), "alice")
-    lhs = float(np.real(np.trace(bob @ bm)))
+    # Tr(X b) = <b, X>_HS since b is Hermitian
+    lhs = float(np.vdot(bm, bob).real)
     alpha = float(np.real(np.trace(bob)))
-    rhs = alpha * float(np.real(np.trace(m @ bm)))
+    rhs = alpha * float(np.vdot(bm, m).real)
     return lhs, rhs
 
 
@@ -277,12 +301,6 @@ class DesideratumReport:
     product_replacement_min: float
 
 
-def _bob_effect_family(n: int) -> list[np.ndarray]:
-    effects = [antisymmetric_projector(n), symmetric_projector(n)]
-    effects.extend(twisted_bell_projector(n, v) for v in weyl_basis(n))
-    return effects
-
-
 def desideratum_violation_demo(n: int = 2, *, seed: int = 2026) -> DesideratumReport:
     """Exhibit a product test with negative value on an otherwise admissible pair.
 
@@ -299,8 +317,12 @@ def desideratum_violation_demo(n: int = 2, *, seed: int = 2026) -> DesideratumRe
     lhs, _ = corollary_check(w, antisymmetric_projector(n), n)
     report_alpha = pivot_alice(w, n).alpha
 
-    bob_effects = np.stack(_bob_effect_family(n))
-    weyl_vectors = np.stack([np.conj(v) for v in weyl_basis(n)]) / np.sqrt(n)
+    weyl = weyl_basis(n)
+    bob_effects = np.stack(
+        [antisymmetric_projector(n), symmetric_projector(n)]
+        + [twisted_bell_projector(n, v) for v in weyl]
+    )
+    weyl_vectors = np.conj(np.stack(weyl)) / np.sqrt(n)
 
     def product_test_min(w_outer: np.ndarray, inner: np.ndarray) -> float:
         # Tr[(T_v ox b) embed(w_outer ox inner)] = Tr(M_v b) for every Weyl twist v and effect b

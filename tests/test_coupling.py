@@ -181,6 +181,23 @@ def signalling_box():
     return ProductState(alice, bob, table)
 
 
+def three_test_box():
+    """Bob's marginal on b1 is 0.5, 0.4 and 0.8 under Alice's tests 0, 1 and 2.
+
+    The worst gap from the marginal under test 0 is 0.3; from test 1 or 2 it
+    is 0.4, so a Bayes residual tells which test the marginal is summed over.
+    """
+    alice = TestSpace(
+        ["a1", "a2", "a3", "a4", "a5", "a6"], [("a1", "a2"), ("a3", "a4"), ("a5", "a6")]
+    )
+    bob = TestSpace(["b1", "b2"], [("b1", "b2")])
+    table = {}
+    for (x1, x2), b1 in zip(alice.tests, (0.5, 0.4, 0.8)):
+        for x in (x1, x2):
+            table[(x, "b1")], table[(x, "b2")] = b1 / 2, (1 - b1) / 2
+    return ProductState(alice, bob, table)
+
+
 def test_signalling_detected_with_direction():
     omega = signalling_box()
     verdict = is_influence_free(omega)
@@ -305,7 +322,8 @@ def test_bayes_residuals_match_the_loops(tol):
         TestSpace(["r", "s"], [("r", "s")]),
         {("p", "r"): 1.0, ("p", "s"): 0.0, ("q", "r"): 0.0, ("q", "s"): 0.0},
     )
-    for omega in (pr_box(), signalling_box(), ProductState(alice, bob, table), point):
+    boxes = (pr_box(), signalling_box(), three_test_box())
+    for omega in (*boxes, ProductState(alice, bob, table), point):
         got = bayes_residuals(omega, tol)
         assert got == loop_bayes_residuals(omega, tol)
         labels = {(x, y): omega(x, y) for x in omega.alice.outcomes for y in omega.bob.outcomes}
@@ -313,6 +331,7 @@ def test_bayes_residuals_match_the_loops(tol):
         assert got == pytest.approx(want, abs=1e-15)
     assert max(bayes_residuals(pr_box())) <= 1e-15
     assert max(bayes_residuals(signalling_box())) > 1e-3
+    assert bayes_residuals(three_test_box())[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_worst_direction_takes_bob_to_alice_on_a_tie():

@@ -11,6 +11,7 @@ from influencefree.teleport import (
     bell_projector,
     corollary_check,
     desideratum_violation_demo,
+    _project,
     embed_with_entangled_pair,
     pivot_alice,
     pivot_bob,
@@ -209,6 +210,27 @@ def test_contractions_match_the_dense_embedding(n):
     assert lhs == pytest.approx(float(np.real(np.trace(kron(t, b) @ g1))), abs=1e-12)
     _, alpha = _dense_sandwich(g1, n, t, "alice")
     assert rhs == pytest.approx(alpha * float(np.real(np.trace(w1 @ b))), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_project_matches_the_dense_sandwich(n):
+    # a non-symmetric phi tells phi from phi^T on either side; the Bell vector cannot
+    rng = np.random.default_rng(90 + n)
+    w, inner = random_hermitian(rng, n * n), random_hermitian(rng, n * n)
+    g = permute_systems(kron(w, inner), (n,) * 4, (0, 2, 3, 1))
+    eye = np.eye(n * n)
+    phis = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    phis /= np.linalg.norm(phis, axis=(1, 2), keepdims=True)
+    assert all(frobenius(phi - phi.T) > 0.1 for phi in phis)
+    for side in ("alice", "bob"):
+        stacked = _project(w, inner, n, phis, side)
+        assert stacked.shape == (3, n * n, n * n)
+        for phi, got in zip(phis, stacked):
+            ket = phi.reshape(n * n, 1)
+            lift = kron(ket, eye) if side == "alice" else kron(eye, ket)
+            want = lift.conj().T @ g @ lift
+            assert np.abs(_project(w, inner, n, phi, side) - want).max() <= 1e-13
+            assert np.abs(got - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3])
