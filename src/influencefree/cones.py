@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     _check_dims,
+    _refuse_non_hermitian,
     finite_matrix,
     min_eig,
     partial_transpose,
@@ -77,6 +78,13 @@ class DecompositionCertificate:
     residual: float
 
 
+def _admitted(w, dims: Sequence[int]) -> np.ndarray:
+    """W as a finite matrix on dims, refused when visibly non-Hermitian as is_psd refuses it."""
+    m = finite_matrix(w)
+    _check_dims(m, dims)
+    return _refuse_non_hermitian(m)
+
+
 def is_psd(w, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Member iff the smallest eigenvalue is >= -tol; witness eigenvector else."""
     lam, vec = min_eig(finite_matrix(w))
@@ -108,9 +116,9 @@ def popt_minimize(
     max_iter sweeps) and the best is returned, ties keeping the lowest
     restart index. The result is an upper bound on the true minimum over
     product vectors; a negative value refutes positivity on pure tensors and
-    the witness pair certifies it.
+    the witness pair certifies it. A visibly non-Hermitian W is refused.
     """
-    for _, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, None):
+    for _, result in _seesaw_sweeps(_admitted(w, dims), dims, seed, restarts, max_iter, None):
         pass
     return result
 
@@ -210,9 +218,10 @@ def decomposable_sum_membership(
     Gamma(X2⁻¹))/2, which sits in K* = PSD ∩ PPT on the central path,
     passes witness_holds. inconclusive: max_iter iterates (the start and
     max_iter − 1 Newton steps) or μ at its floor BARRIER_FLOOR·‖W‖_F. Every
-    verdict carries the last clipped pair as its certificate.
+    verdict carries the last clipped pair as its certificate. A visibly
+    non-Hermitian W is refused.
     """
-    return _membership(w, dims, tol, tol, max_iter)[0]
+    return _membership(_admitted(w, dims), dims, tol, tol, max_iter)[0]
 
 
 def _membership(w, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVerdict]:

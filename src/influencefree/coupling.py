@@ -9,10 +9,17 @@ forward two-stage test exactly when Alice's marginal does not depend on
 Bob's choice of test (and mirrored).
 
 A table on X x Y is held as a |X| x |Y| array and each side's tests as its
-incidence matrix, so every sum over test cells is a matrix product.
+incidence matrix, so every sum over test cells is a matrix product. Each
+state computes its two marginals under the other side's test 0 once, when
+first asked, for the conditioning and Bayes checks.
 Enumerated two-stage tests are the rows of one boolean mask matrix over
 X x Y (a TwoStageTests sequence); a TwoStageTest object is built only when
-one row is indexed, so a state check is one matrix-vector product.
+one row is indexed, so a state check is one matrix-vector product. A block
+of tests sharing one initiating test is written by broadcasting: outcome i
+of that test takes every response in turn along one axis of the block, in
+itertools.product order. fns_tests writes both directions into one buffer
+of rows padded to whole bytes, keys each row by its packed bits, and keeps
+the first row of each key in one pass.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain
 from itertools import product as iproduct
 from typing import Iterable, Mapping, NamedTuple
@@ -69,6 +77,7 @@ class ProductState:
     """A table on X x Y that is a state on the Cartesian product A x B.
 
     `values[i, j]` is the (read-only) value at (alice.outcomes[i], bob.outcomes[j]).
+    `marginals` is computed from the values when first read and kept.
     """
 
     def __init__(
@@ -108,6 +117,15 @@ class ProductState:
     def __call__(self, x: str, y: str) -> float:
         return float(self.values[self.alice.outcome_index(x), self.bob.outcome_index(y)])
 
+    @cached_property
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w^A, w^B), read-only: Alice's marginal summed over Bob's test 0 and
+        Bob's summed over Alice's test 0, as marginal(self, side, 0) gives them."""
+        wa = self.values @ self.bob.incidence[0]
+        wb = self.alice.incidence[0] @ self.values
+        wa.flags.writeable = wb.flags.writeable = False
+        return wa, wb
+
 
 def cartesian_tests(a: TestSpace, b: TestSpace) -> list[list[Pair]]:
     """All product tests E x F, one per pair of component tests."""
@@ -120,7 +138,9 @@ class _Block(NamedTuple):
     direction: str
     first: tuple[str, ...]  # the initiating test
     responses: tuple[tuple[str, ...], ...]  # the responding side's tests
-    choices: np.ndarray  # (rows, len(first)): the response picked per outcome of first
+    # each row's place in itertools.product order over one response per
+    # outcome of first: its base-len(responses) digits are the responses picked
+    codes: np.ndarray
 
 
 class TwoStageTests(Sequence):
@@ -136,9 +156,9 @@ class TwoStageTests(Sequence):
         self.axes = axes
         self.masks = masks
         self.blocks = tuple(blocks)
-        self._starts = list(accumulate((len(b.choices) for b in self.blocks), initial=0))
+        self._starts = list(accumulate((len(b.codes) for b in self.blocks), initial=0))
         if self._starts[-1] != len(masks):
-            raise ValueError(f"{len(masks)} mask rows for {self._starts[-1]} choice rows")
+            raise ValueError(f"{len(masks)} mask rows for {self._starts[-1]} block rows")
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -147,8 +167,12 @@ class TwoStageTests(Sequence):
         i = range(len(self))[operator.index(i)]  # negative i counts from the end
         k = bisect_right(self._starts, i) - 1
         block = self.blocks[k]
-        responses = map(block.responses.__getitem__, block.choices[i - self._starts[k]].tolist())
-        assignment = tuple(zip(block.first, responses))
+        code, r = int(block.codes[i - self._starts[k]]), len(block.responses)
+        picks = []
+        for _ in block.first:
+            code, c = divmod(code, r)
+            picks.append(block.responses[c])
+        assignment = tuple(zip(block.first, reversed(picks)))
         return TwoStageTest(block.direction, block.first, assignment, self.masks[i], self.axes)
 
     def __iter__(self):
@@ -165,43 +189,84 @@ class TwoStageTests(Sequence):
         return TwoStageTests(self.axes, masks, self.blocks + other.blocks)
 
     def distinct(self) -> TwoStageTests:
-        """The tests with distinct outcome sets, each at its first occurrence, in order."""
-        packed = np.packbits(self.masks, axis=1)
-        rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        keep = np.zeros(len(self), bool)
-        keep[np.unique(rows, return_index=True)[1]] = True
-        blocks = [
-            b._replace(choices=b.choices[keep[lo:hi]])
-            for b, lo, hi in zip(self.blocks, self._starts, self._starts[1:])
-        ]
-        masks = self.masks[keep]
-        masks.flags.writeable = False
-        return TwoStageTests(self.axes, masks, blocks)
+        """The tests with distinct outcome sets, each at its first occurrence, in order.
+
+        Each mask row, padded with False to whole bytes, is keyed by its
+        packed bits, and one pass over the keys finds every first occurrence.
+        """
+        rows = np.zeros((len(self), _whole_bytes(self.masks.shape[1])), bool)
+        rows[:, : self.masks.shape[1]] = self.masks
+        return _distinct(self.axes, rows, self.blocks)
 
 
-def _two_stage(direction: str, a: TestSpace, b: TestSpace, cap: int) -> TwoStageTests:
-    """Every initiating test with every map from its outcomes to responding tests."""
+def _whole_bytes(cells: int) -> int:
+    """Row width, a multiple of 8, that holds the given number of mask cells."""
+    return cells + -cells % 8
+
+
+def _distinct(axes, rows: np.ndarray, blocks: Sequence[_Block]) -> TwoStageTests:
+    """The distinct mask rows, each at its first occurrence, in order.
+
+    `rows` holds each test's mask over the outcome pairs of `axes` followed
+    by False up to a whole number of bytes, so packed flat every row is its
+    own bytes key; `blocks` are the blocks the rows come in.
+    """
+    width = len(axes[0]) * len(axes[1])
+    keys = np.packbits(rows).view(f"V{max(1, rows.shape[1] // 8)}")
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    starts = list(accumulate((len(b.codes) for b in blocks), initial=0))
+    bounds = np.searchsorted(first, starts).tolist()
+    kept = [
+        b._replace(codes=b.codes[first[lo:hi] - start])
+        for b, start, lo, hi in zip(blocks, starts, bounds, bounds[1:])
+    ]
+    masks = rows[first, :width]
+    masks.flags.writeable = False
+    return TwoStageTests(axes, masks, kept)
+
+
+def _count(direction: str, a: TestSpace, b: TestSpace, cap: int) -> int:
+    """The number of two-stage tests in one direction, refused above cap."""
     first, second = (a, b) if direction == "forward" else (b, a)
     required = sum(len(second.tests) ** len(e) for e in first.tests)
     if required > cap:
         raise CapExceededError(
             f"{direction} enumeration needs {required} tests, cap is {cap}", required=required
         )
-    index = {x: i for i, x in enumerate(first.outcomes)}
-    responses = second.incidence.astype(bool)
-    # masks[k, x, y]: outcome x of `first`, y of `second`, in test k
-    masks = np.zeros((required, len(first.outcomes), len(second.outcomes)), bool)
-    blocks, lo = [], 0
-    for e in first.tests:
-        # rows in itertools.product order over one response per outcome of e
-        choices = np.indices((len(second.tests),) * len(e)).reshape(len(e), -1).T
-        rows = slice(lo, lo + len(choices))
-        masks[rows, [index[x] for x in e], :] = np.take(responses, choices, axis=0)
-        blocks.append(_Block(direction, e, second.tests, choices))
-        lo += len(choices)
+    return required
+
+
+def _two_stage(direction: str, a: TestSpace, b: TestSpace, rows: np.ndarray) -> list[_Block]:
+    """Write every initiating test with every map from its outcomes to
+    responding tests into the zeroed bool rows, masks over X x Y in their
+    first |X|·|Y| columns, and return the blocks they come in."""
+    first, second = (a, b) if direction == "forward" else (b, a)
+    # masks[t, x, y]: outcome x of `first`, y of `second`, in test t; a view of rows
+    masks = rows[:, : len(a.outcomes) * len(b.outcomes)].reshape(
+        len(rows), len(a.outcomes), len(b.outcomes)
+    )
     if direction == "backward":
         masks = masks.transpose(0, 2, 1)
-    masks = masks.reshape(required, len(a.outcomes) * len(b.outcomes))
+    index = {x: i for i, x in enumerate(first.outcomes)}
+    responses = second.incidence.astype(bool)[:, None]
+    r = len(second.tests)
+    blocks, lo = [], 0
+    for e in first.tests:
+        k = len(e)
+        block = masks[lo : lo + r**k]
+        for i, x in enumerate(e):
+            # in itertools.product order outcome i's response steps every r**(k-i-1) rows
+            view = block.reshape(r**i, r, r ** (k - i - 1), *block.shape[1:])
+            view[:, :, :, index[x]] = responses
+        blocks.append(_Block(direction, e, second.tests, np.arange(r**k)))
+        lo += r**k
+    return blocks
+
+
+def _one_direction(direction: str, a: TestSpace, b: TestSpace, cap: int) -> TwoStageTests:
+    """The two-stage tests of one direction, on unpadded mask rows."""
+    masks = np.zeros((_count(direction, a, b, cap), len(a.outcomes) * len(b.outcomes)), bool)
+    blocks = _two_stage(direction, a, b, masks)
     masks.flags.writeable = False
     return TwoStageTests((a.outcomes, b.outcomes), masks, blocks)
 
@@ -212,7 +277,7 @@ def forward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests
     The tests are the rows of one mask matrix; each TwoStageTest is built
     when its row is indexed.
     """
-    return _two_stage("forward", a, b, cap)
+    return _one_direction("forward", a, b, cap)
 
 
 def backward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
@@ -221,19 +286,24 @@ def backward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTest
     The tests are the rows of one mask matrix; each TwoStageTest is built
     when its row is indexed.
     """
-    return _two_stage("backward", a, b, cap)
+    return _one_direction("backward", a, b, cap)
 
 
 def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
     """Two-stage tests in both directions, deduplicated by outcome set.
 
-    The forward and backward mask matrices are stacked and each distinct row
-    is kept at its first occurrence, so the forward representative wins on
+    Both directions are enumerated here, and each distinct row of the
+    forward then the backward mask matrix is kept at its first occurrence,
+    in one pass over both, so the forward representative wins on
     collisions. Constant assignments reproduce the Cartesian tests, which
     therefore appear exactly once. Each TwoStageTest is built when its row
     is indexed; the cap applies to each direction.
     """
-    return (forward_tests(a, b, cap) + backward_tests(a, b, cap)).distinct()
+    cells = len(a.outcomes) * len(b.outcomes)
+    n = _count("forward", a, b, cap)
+    rows = np.zeros((n + _count("backward", a, b, cap), _whole_bytes(cells)), bool)
+    blocks = _two_stage("forward", a, b, rows[:n]) + _two_stage("backward", a, b, rows[n:])
+    return _distinct((a.outcomes, b.outcomes), rows, blocks)
 
 
 def _test_index(space: TestSpace, test) -> int:
@@ -362,13 +432,15 @@ def condition(
             f"conditioning needs an influence-free state; deviation "
             f"{verdict.max_deviation:.3e} ({verdict.direction})"
         )
+    wa, wb = omega.marginals
     if side == "alice":
-        row, other = omega.values[omega.alice.outcome_index(on)], omega.bob
+        i = omega.alice.outcome_index(on)
+        row, p, other = omega.values[i], wa[i], omega.bob
     elif side == "bob":
-        row, other = omega.values[:, omega.bob.outcome_index(on)], omega.alice
+        j = omega.bob.outcome_index(on)
+        row, p, other = omega.values[:, j], wb[j], omega.alice
     else:
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    p = row @ other.incidence[0]
     if p <= tol:
         raise ValueError(f"cannot condition on zero-probability outcome {on!r}")
     return dict(zip(other.outcomes, (row / p).tolist()))
@@ -382,8 +454,7 @@ def bayes_mixture_check(
     Zero-probability Alice outcomes contribute 0 to the mixture by convention.
     """
     e = omega.alice.incidence[_test_index(omega.alice, alice_test)]
-    wa = omega.values @ omega.bob.incidence[0]
-    wb = omega.alice.incidence[0] @ omega.values
+    wa, wb = omega.marginals
     keep = (e > 0) & (wa > tol)
     p = wa[keep, None]
     mix = (p * (omega.values[keep] / p)).sum(axis=0)
@@ -397,27 +468,26 @@ def operational_bayes_check(omega: ProductState, a: str, b: str) -> float:
     pure floating-point quantity there.
     """
     i, j = omega.alice.outcome_index(a), omega.bob.outcome_index(b)
-    wa = omega.values[i] @ omega.bob.incidence[0]
-    wb = omega.alice.incidence[0] @ omega.values[:, j]
+    wa, wb = omega.marginals
+    wa, wb = wa.item(i), wb.item(j)
     if wa <= 0 or wb <= 0:
         raise ValueError("operational Bayes check needs strictly positive marginals")
-    v = omega.values[i, j]
-    return float(abs(v / wa * wa - v / wb * wb))
+    v = omega.values.item(i, j)
+    return abs(v / wa * wa - v / wb * wb)
 
 
 def bayes_residuals(omega: ProductState, tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
     """Worst bayes_mixture_check over Alice's tests, over Bob's (on the table
     with the sides swapped), and worst operational_bayes_check over the pairs
-    whose two marginals exceed tol; all three are rounding on a free table."""
+    whose two marginals exceed tol; all three are rounding on a free table.
+    The last is one array expression over those pairs, with the same
+    arithmetic as operational_bayes_check."""
     mixture_alice = max(bayes_mixture_check(omega, i, tol) for i in range(len(omega.alice.tests)))
     swapped = dict(zip(iproduct(omega.bob.outcomes, omega.alice.outcomes), omega.values.T.ravel()))
     flipped = ProductState(omega.bob, omega.alice, swapped, tolerance=omega.tolerance)
     mixture_bob = max(bayes_mixture_check(flipped, i, tol) for i in range(len(omega.bob.tests)))
-    wa = marginal(omega, "alice", 0)
-    wb = marginal(omega, "bob", 0)
-    operational = 0.0
-    for x in omega.alice.outcomes:
-        for y in omega.bob.outcomes:
-            if wa[x] > tol and wb[y] > tol:
-                operational = max(operational, operational_bayes_check(omega, x, y))
+    wa, wb = omega.marginals
+    i, j = np.nonzero((wa > tol)[:, None] & (wb > tol))
+    v, wa, wb = omega.values[i, j], wa[i], wb[j]
+    operational = float(np.abs(v / wa * wa - v / wb * wb).max(initial=0.0))
     return mixture_alice, mixture_bob, operational

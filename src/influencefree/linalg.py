@@ -128,15 +128,18 @@ def permute_systems(w, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return t.transpose(list(perm) + [k + p for p in perm]).reshape(n, n)
 
 
-def _hermitian_eigh(w) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of (M + M†)/2 (ascending), refusing a visibly non-Hermitian M.
-
-    The check is against a loose relative threshold, 1e-8 · max(‖M‖_F, 1).
-    """
-    m = as_matrix(w)
+def _refuse_non_hermitian(m: np.ndarray) -> np.ndarray:
+    """m itself, refused with ValueError when visibly non-Hermitian: when
+    ‖M − M†‖_F exceeds a loose relative threshold, 1e-8 · max(‖M‖_F, 1)."""
     nrm = float(np.linalg.norm(m))
     if float(np.linalg.norm(m - m.conj().T)) > 1e-8 * max(nrm, 1.0):
         raise ValueError("eigendecomposition asked of a visibly non-Hermitian matrix")
+    return m
+
+
+def _hermitian_eigh(w) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of (M + M†)/2 (ascending), refusing a visibly non-Hermitian M."""
+    m = _refuse_non_hermitian(as_matrix(w))
     return np.linalg.eigh((m + m.conj().T) / 2.0)
 
 

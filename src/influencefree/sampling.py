@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 
 from .coupling import ProductState, is_influence_free
-from .testspace import TestSpace
+from .testspace import TestSpace, admits_positive_state
 
 _MIXTURE = 3  # product states per influence-free table
 _STATE_ROUNDS = 4000  # fitting rounds for one side's state
@@ -119,8 +119,15 @@ def _fit(values: list[float], tests: list[list[int]], rounds: int) -> list[float
 
 
 def _random_state(rng: np.random.Generator, ts: TestSpace) -> list[float] | None:
-    """Random state in outcome order via per-test proportional fitting; None if unsettled."""
+    """Random state in outcome order via per-test proportional fitting; None if unsettled.
+
+    The start values are drawn first, so a space that admits no strictly
+    positive state, where the fit cannot settle, skips it and leaves the rng
+    where the fit would have.
+    """
     start = [float(rng.uniform(0.05, 1.0)) for _ in ts.outcomes]
+    if not admits_positive_state(ts.incidence):
+        return None
     return _fit(start, _test_indices(ts), _STATE_ROUNDS)
 
 
@@ -131,13 +138,18 @@ def signalling_table(
 
     Returns a state on the Cartesian product that is (generically) signalling;
     None if fitting fails in its rounds or the sample comes out too close to
-    influence-free to be a decisive instance.
+    influence-free to be a decisive instance. The product tests admit a
+    strictly positive state exactly when both sides do; when one does not,
+    the fit is skipped after its start values are drawn.
     """
     pairs = list(product(alice.outcomes, bob.outcomes))
+    start = rng.uniform(0.05, 1.0, size=len(pairs)).tolist()
+    if not (admits_positive_state(alice.incidence) and admits_positive_state(bob.incidence)):
+        return None
     nb = len(bob.outcomes)
     tests = product(_test_indices(alice), _test_indices(bob))
     cells = [[i * nb + j for i, j in product(ea, eb)] for ea, eb in tests]
-    values = _fit(rng.uniform(0.05, 1.0, size=len(pairs)).tolist(), cells, _SIGNALLING_ROUNDS)
+    values = _fit(start, cells, _SIGNALLING_ROUNDS)
     if values is None:
         return None
     table = dict(zip(pairs, values))

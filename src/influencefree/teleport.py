@@ -136,12 +136,16 @@ def sandwich_lemma_check(n: int, x: int, y: int, u: int, v: int) -> np.ndarray:
 
 
 def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
-    """The unitary X^a Z^b: cyclic shift to the a-th power times phase gradient."""
-    shift = np.zeros((n, n), dtype=complex)
-    shift[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    omega = np.exp(2j * np.pi / n)
-    phase = np.diag(omega ** np.arange(n))
-    return np.linalg.matrix_power(shift, a % n) @ np.linalg.matrix_power(phase, b % n)
+    """The unitary X^a Z^b: cyclic shift to the a-th power times phase gradient.
+
+    X|j> = |j+1 mod n> and Z|j> = ω^j|j> with ω = exp(2πi/n), so X^a Z^b sends
+    |j> to ω^(jb)|j+a mod n>: one phase per column, at the row one index
+    array gives.
+    """
+    j = np.arange(n)
+    v = np.zeros((n, n), dtype=complex)
+    v[(j + a) % n, j] = np.exp(2j * np.pi * (j * b % n) / n)
+    return v
 
 
 def weyl_basis(n: int) -> list[np.ndarray]:
@@ -323,11 +327,14 @@ def desideratum_violation_demo(n: int = 2, *, seed: int = 2026) -> DesideratumRe
         + [twisted_bell_projector(n, v) for v in weyl]
     )
     weyl_vectors = np.conj(np.stack(weyl)) / np.sqrt(n)
+    # column b is effect b transposed and flattened, so a row M_v times it is Tr(M_v b)
+    effect_columns = bob_effects.transpose(0, 2, 1).reshape(len(bob_effects), -1).T
 
     def product_test_min(w_outer: np.ndarray, inner: np.ndarray) -> float:
-        # Tr[(T_v ox b) embed(w_outer ox inner)] = Tr(M_v b) for every Weyl twist v and effect b
+        # Tr[(T_v ox b) embed(w_outer ox inner)] = Tr(M_v b) for every Weyl twist v and
+        # effect b: one (n², n⁴) @ (n⁴, n² + 2) product
         bob = _project(w_outer, inner, n, weyl_vectors, "alice")
-        return float(np.einsum("vxy,byx->vb", bob, bob_effects).real.min())
+        return float((bob.reshape(len(bob), -1) @ effect_columns).real.min())
 
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))

@@ -37,6 +37,7 @@ class TestSpace:
     outcomes: tuple[str, ...]
     tests: tuple[tuple[str, ...], ...]
     incidence: np.ndarray = field(compare=False, repr=False)  # 0/1, tests x outcomes
+    _index: Mapping[str, int] = field(compare=False, repr=False)  # label -> position
 
     def __init__(self, outcomes, tests):
         outcomes = tuple(str(x) for x in outcomes)
@@ -61,11 +62,12 @@ class TestSpace:
         object.__setattr__(self, "tests", tuple(canon))
         weighted = [[(x, 1) for x in t] for t in canon]
         object.__setattr__(self, "incidence", _incidence(index, weighted))
+        object.__setattr__(self, "_index", index)
 
     def outcome_index(self, x: str) -> int:
         try:
-            return self.outcomes.index(x)
-        except ValueError:
+            return self._index[x]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown outcome {x!r}") from None
 
 
@@ -161,6 +163,38 @@ def is_positive_weight(
 def variation_norm(ts: TestSpace, f: Mapping[str, float]) -> float:
     """max over tests E of sum_{x in E} |f(x)| (the variation of f)."""
     return float((ts.incidence @ np.abs(_values(ts, f))).max())
+
+
+# admits_positive_state solves on every column subset, so it takes at most this many outcomes
+_SUBSET_CAP = 12
+
+
+def admits_positive_state(incidence: np.ndarray) -> bool:
+    """True iff some f, positive on every outcome, has incidence · f = 1.
+
+    The states {f >= 0 : incidence · f = 1} form a polyhedron, and one state
+    is positive everywhere exactly when the supports of its vertices cover
+    every outcome that some test contains. A vertex is the exact solution
+    on a set of linearly independent columns, so each column subset is
+    solved, as one stack of pseudo-inverses over the incidence with the
+    other columns zeroed, and the solutions that are exact and nonnegative
+    are kept. An outcome in no test is free to be positive. More than
+    _SUBSET_CAP outcomes raise CapExceededError.
+    """
+    a = np.asarray(incidence, dtype=float)
+    tests, m = a.shape
+    if m > _SUBSET_CAP:
+        raise CapExceededError(
+            f"{m} outcomes exceeds the column-subset cap {_SUBSET_CAP}", required=m
+        )
+    if tests == 0:
+        return True
+    subsets = (np.arange(1, 2**m)[:, None] >> np.arange(m)) & 1
+    cols = a * subsets[:, None, :]
+    f = np.linalg.pinv(cols) @ np.ones(tests)
+    exact = np.abs(cols @ f[:, :, None] - 1.0).max(axis=(1, 2)) <= 1e-9
+    states = f[exact & (f >= -1e-9).all(axis=1)]
+    return len(states) > 0 and bool(((states > 1e-9).any(axis=0) | ~a.any(axis=0)).all())
 
 
 def weight_space_dimension(ts: TestSpace, cap: int = 16) -> tuple[int, int]:

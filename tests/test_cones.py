@@ -59,23 +59,45 @@ def product_boundary_operator(rng, dims) -> np.ndarray:
     return w
 
 
+# the entry points that take a Hermitian W on 2 x 2
+HERMITIAN_ENTRY_POINTS = [
+    pytest.param(lambda w: is_psd(w), id="is_psd"),
+    pytest.param(lambda w: is_ppt(w, (2, 2)), id="is_ppt"),
+    pytest.param(lambda w: is_popt(w, (2, 2), seed=1), id="is_popt"),
+    pytest.param(lambda w: decomposable_sum_membership(w, (2, 2)), id="membership"),
+    pytest.param(lambda w: popt_minimize(w, (2, 2), seed=1), id="popt_minimize"),
+]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize(
     "entry",
-    [
-        lambda w: is_psd(w),
-        lambda w: is_ppt(w, (2, 2)),
-        lambda w: is_popt(w, (2, 2), seed=1),
-        lambda w: decomposable_sum_membership(w, (2, 2)),
-        lambda w: extremality_probe(w),
-        lambda w: popt_minimize(w, (2, 2), seed=1),
-    ],
-    ids=["is_psd", "is_ppt", "is_popt", "membership", "extremality", "popt_minimize"],
+    HERMITIAN_ENTRY_POINTS + [pytest.param(lambda w: extremality_probe(w), id="extremality")],
 )
 def test_entry_points_reject_non_finite_operators(entry, bad):
     w = np.diag([bad, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
         entry(w)
+
+
+def lopsided() -> np.ndarray:
+    w = np.eye(4)
+    w[0, 1] = 5.0  # popt_minimize used to answer min_value -1.5 here
+    return w
+
+
+def antisymmetric_part() -> np.ndarray:
+    w = np.eye(4)
+    w[0, 1], w[1, 0] = 0.5, -0.5  # membership used to overflow and fail to converge here
+    return w
+
+
+# extremality_probe takes the operator of a conjugation map, which need not be Hermitian
+@pytest.mark.parametrize("make", [lopsided, antisymmetric_part])
+@pytest.mark.parametrize("entry", HERMITIAN_ENTRY_POINTS)
+def test_entry_points_reject_non_hermitian_operators(entry, make):
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        entry(make())
 
 
 def test_is_psd_verdicts():

@@ -261,6 +261,19 @@ def test_bayes_residuals_vanish_on_pr_box():
         operational_bayes_check(omega0, "q", "r")
 
 
+def test_marginals_are_computed_once_and_read_only():
+    omega = three_test_box()
+    wa, wb = omega.marginals
+    assert omega.marginals is omega.marginals
+    assert not wa.flags.writeable and not wb.flags.writeable
+    assert wa.tolist() == list(marginal(omega, "alice", 0).values())
+    assert wb.tolist() == list(marginal(omega, "bob", 0).values())
+    # the per-pair check is plain float arithmetic on one cell and the two marginals
+    v, a, b = omega("a3", "b1"), wa[2], wb[0]
+    got = operational_bayes_check(omega, "a3", "b1")
+    assert type(got) is float and got == abs(v / a * a - v / b * b)
+
+
 def loop_bayes_residuals(omega, tol):
     """The three Bayes residuals as explicit loops over tests and outcome pairs."""
     table = {(x, y): omega(x, y) for x in omega.alice.outcomes for y in omega.bob.outcomes}
@@ -569,3 +582,80 @@ def test_two_stage_verdict_agrees_on_sequence_list_and_hand_built_tests():
     assert len(empty) == 0 and list(empty) == []
     assert is_state_on_two_stage(omega, empty)
     assert is_state_on_two_stage(omega, [])
+
+
+
+def label_two_stage(direction, a, b):
+    """Every two-stage test from the labels alone: each initiating test with
+    every assignment of responding tests, in itertools.product order."""
+    first, second = (a, b) if direction == "forward" else (b, a)
+    return [
+        TwoStageTest(direction, e, tuple(zip(e, picks)))
+        for e in first.tests
+        for picks in iproduct(second.tests, repeat=len(e))
+    ]
+
+
+def label_distinct(tests):
+    """Each outcome set at its first occurrence, in order."""
+    seen, kept = set(), []
+    for t in tests:
+        if t.outcome_pairs() not in seen:
+            seen.add(t.outcome_pairs())
+            kept.append(t)
+    return kept
+
+
+def label_masks(tests, a, b):
+    """One row per test, marking its outcome pairs in (alice, bob) label order."""
+    cells = list(iproduct(a.outcomes, b.outcomes))
+    rows = [[p in t.outcome_pairs() for p in cells] for t in tests]
+    return np.array(rows, bool).reshape(len(tests), len(cells))
+
+
+def seeded_space_pairs(seed, count):
+    """Random small space pairs; every third side repeats one of its tests
+    and every other side adds a test nested inside one of its tests."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(count):
+        sides = []
+        for prefix, salt in (("a", 0), ("b", 1)):
+            ts = random_test_space(rng, prefix, max_outcomes=5, max_tests=3, max_test_size=3)
+            tests = list(ts.tests)
+            if (k + salt) % 3 == 0:
+                tests.append(tests[int(rng.integers(len(tests)))])
+            big = max(tests, key=len)
+            if (k + salt) % 2 == 0 and len(big) > 1:
+                tests.insert(int(rng.integers(len(tests) + 1)), big[: int(rng.integers(1, len(big)))])
+            sides.append(TestSpace(ts.outcomes, tests))
+        pairs.append(tuple(sides))
+    return pairs
+
+
+@pytest.mark.parametrize("alice, bob", seeded_space_pairs(1517, 24))
+def test_enumeration_matches_label_reference(alice, bob):
+    forward = label_two_stage("forward", alice, bob)
+    backward = label_two_stage("backward", alice, bob)
+    cases = (
+        (forward_tests, forward),
+        (backward_tests, backward),
+        (fns_tests, label_distinct(forward + backward)),
+    )
+    for enumerate_tests, reference in cases:
+        tests = enumerate_tests(alice, bob)
+        assert [repr(t) for t in tests] == [repr(t) for t in reference]
+        assert np.array_equal(tests.masks, label_masks(reference, alice, bob))
+        distinct = label_distinct(reference)
+        assert [repr(t) for t in tests.distinct()] == [repr(t) for t in distinct]
+        assert np.array_equal(tests.distinct().masks, label_masks(distinct, alice, bob))
+
+
+def test_label_reference_pairs_cover_duplicated_and_nested_tests():
+    pairs = seeded_space_pairs(1517, 24)
+    sides = [side for pair in pairs for side in pair]
+    assert any(len(set(s.tests)) < len(s.tests) for s in sides)
+    assert any(set(e) < set(f) for s in sides for e in s.tests for f in s.tests)
+    # rows repeat within one direction, and the Cartesian tests across the two
+    assert any(len(forward_tests(a, b).distinct()) < len(forward_tests(a, b)) for a, b in pairs)
+    assert all(len(fns_tests(a, b)) < len(forward_tests(a, b)) + len(backward_tests(a, b)) for a, b in pairs)

@@ -76,6 +76,16 @@ def test_sandwich_lemma_case_split():
         sandwich_lemma_check(2, 2, 0, 0, 0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_weyl_operator_is_the_matrix_power_product(n):
+    shift = np.roll(np.eye(n), 1, axis=0)
+    phase = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    for a in range(-n, 2 * n):
+        for b in range(-n, 2 * n):
+            want = np.linalg.matrix_power(shift, a % n) @ np.linalg.matrix_power(phase, b % n)
+            assert np.abs(weyl_operator(n, a, b) - want).max() <= 1e-14
+
+
 def test_weyl_operators():
     assert np.allclose(weyl_operator(2, 1, 0), np.array([[0, 1], [1, 0]]))
     assert np.allclose(weyl_operator(2, 0, 1), np.diag([1.0, -1.0]))

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from influencefree.linalg import CapExceededError
+from influencefree.sampling import random_test_space
 from influencefree.testspace import (
     ETestSpace,
     TestSpace,
+    admits_positive_state,
     is_estate,
     is_positive_weight,
     is_state,
@@ -136,3 +138,64 @@ def test_weight_space_dimension_cap():
         weight_space_dimension(ts)
     assert exc.value.required == 17
     assert weight_space_dimension(ts, cap=17) == (17, 17)
+
+
+def test_outcome_index_reads_labels():
+    assert [FIREFLY.outcome_index(x) for x in FIREFLY.outcomes] == list(range(5))
+    for bad in ("nope", 1, ["l"]):
+        with pytest.raises(ValueError, match="unknown outcome"):
+            FIREFLY.outcome_index(bad)
+
+
+@pytest.mark.parametrize(
+    "tests, expected",
+    [
+        ([("a", "x"), ("x", "b")], True),  # the chain: (1/2, 1/2, 1/2)
+        ([("a", "b"), ("a", "b", "c")], False),  # c is 0 in every state
+        ([("a", "b", "c"), ("a", "b", "c")], True),  # a repeated test
+        ([("a", "b"), ("b", "c"), ("a", "c"), ("a", "b", "c")], False),  # 2·(a+b+c) = 3
+        ([("a", "b"), ("b", "c"), ("a", "c")], True),  # (1/2, 1/2, 1/2)
+        ([("a",), ("a", "b", "c")], False),  # a = 1 leaves nothing for b and c
+        ([("a", "b"), ("c",), ("a", "c"), ("b",)], False),  # c = 1 forces a = 0
+    ],
+)
+def test_admits_positive_state_on_small_spaces(tests, expected):
+    outcomes = sorted({x for t in tests for x in t})
+    assert admits_positive_state(TestSpace(outcomes, tests).incidence) is expected
+
+
+def test_admits_positive_state_edges():
+    assert admits_positive_state(np.zeros((0, 3)))
+    # an outcome in no test may take any positive value, once some state exists
+    assert admits_positive_state(np.array([[1.0, 1.0, 0.0]]))
+    assert not admits_positive_state(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+    # a test with no outcome cannot sum to 1
+    assert not admits_positive_state(np.zeros((2, 0)))
+    assert not admits_positive_state(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(CapExceededError) as exc:
+        admits_positive_state(np.ones((1, 13)))
+    assert exc.value.required == 13
+
+
+def test_admits_positive_state_matches_a_linear_program():
+    # the largest t with incidence · f = 1 and f >= t on every outcome is
+    # positive exactly when a strictly positive state exists
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(77)
+    answers = set()
+    for _ in range(150):
+        ts = random_test_space(rng, "o", max_outcomes=6, max_tests=4, max_test_size=4)
+        a = ts.incidence
+        m = a.shape[1]
+        res = linprog(
+            np.r_[np.zeros(m), -1.0],
+            A_ub=np.c_[-np.eye(m), np.ones(m)],
+            b_ub=np.zeros(m),
+            A_eq=np.c_[a, np.zeros(len(a))],
+            b_eq=np.ones(len(a)),
+            bounds=[(0, None)] * m + [(0, 1)],
+        )
+        feasible = res.status == 0 and -res.fun > 1e-9
+        answers.add(feasible)
+        assert admits_positive_state(a) is feasible, ts
+    assert answers == {True, False}
