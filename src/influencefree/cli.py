@@ -39,10 +39,10 @@ from .cones import (
 )
 from .coupling import (
     ProductState,
-    backward_tests,
+    _count as _direction_count,
     bayes_residuals,
     condition,
-    forward_tests,
+    fns_tests,
     is_influence_free,
 )
 from .jsonio import (
@@ -346,13 +346,11 @@ def _fns_tests(args, doc):
     bob = testspace_from_document(_require(doc, "bob", dict, "input"), "bob")
     if isinstance(alice, ETestSpace) or isinstance(bob, ETestSpace):
         raise DocumentError("test enumeration needs set tests, not multisets")
-    forward = forward_tests(alice, bob, cap=args.cap)
-    backward = backward_tests(alice, bob, cap=args.cap)
-    combined = (forward + backward).distinct()
+    combined = fns_tests(alice, bob, cap=args.cap)
     return EXIT_OK, {
         "verdict": "enumerated",
-        "forward_count": len(forward),
-        "backward_count": len(backward),
+        "forward_count": _direction_count("forward", alice, bob, args.cap),
+        "backward_count": _direction_count("backward", alice, bob, args.cap),
         "fns_count": len(combined),
         "tests": [two_stage_test_to_document(t) for t in combined],
     }

@@ -149,7 +149,7 @@ class TwoStageTests(Sequence):
     `masks[t]` marks test t's outcome pairs over X x Y, flattened in the
     (alice, bob) outcome orders `axes`. The rows come in `blocks`, one per
     initiating test in enumeration order. Indexing builds the row's
-    TwoStageTest; `+` joins two sequences on the same axes.
+    TwoStageTest.
     """
 
     def __init__(self, axes, masks: np.ndarray, blocks: Iterable[_Block]):
@@ -178,51 +178,6 @@ class TwoStageTests(Sequence):
     def __iter__(self):
         # not Sequence's default, which ends quietly at any IndexError
         return map(self.__getitem__, range(len(self)))
-
-    def __add__(self, other):
-        if not isinstance(other, TwoStageTests):
-            return NotImplemented
-        if other.axes != self.axes:
-            raise ValueError("cannot join two-stage tests over different outcome axes")
-        masks = np.concatenate([self.masks, other.masks])
-        masks.flags.writeable = False
-        return TwoStageTests(self.axes, masks, self.blocks + other.blocks)
-
-    def distinct(self) -> TwoStageTests:
-        """The tests with distinct outcome sets, each at its first occurrence, in order.
-
-        Each mask row, padded with False to whole bytes, is keyed by its
-        packed bits, and one pass over the keys finds every first occurrence.
-        """
-        rows = np.zeros((len(self), _whole_bytes(self.masks.shape[1])), bool)
-        rows[:, : self.masks.shape[1]] = self.masks
-        return _distinct(self.axes, rows, self.blocks)
-
-
-def _whole_bytes(cells: int) -> int:
-    """Row width, a multiple of 8, that holds the given number of mask cells."""
-    return cells + -cells % 8
-
-
-def _distinct(axes, rows: np.ndarray, blocks: Sequence[_Block]) -> TwoStageTests:
-    """The distinct mask rows, each at its first occurrence, in order.
-
-    `rows` holds each test's mask over the outcome pairs of `axes` followed
-    by False up to a whole number of bytes, so packed flat every row is its
-    own bytes key; `blocks` are the blocks the rows come in.
-    """
-    width = len(axes[0]) * len(axes[1])
-    keys = np.packbits(rows).view(f"V{max(1, rows.shape[1] // 8)}")
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    starts = list(accumulate((len(b.codes) for b in blocks), initial=0))
-    bounds = np.searchsorted(first, starts).tolist()
-    kept = [
-        b._replace(codes=b.codes[first[lo:hi] - start])
-        for b, start, lo, hi in zip(blocks, starts, bounds, bounds[1:])
-    ]
-    masks = rows[first, :width]
-    masks.flags.writeable = False
-    return TwoStageTests(axes, masks, kept)
 
 
 def _count(direction: str, a: TestSpace, b: TestSpace, cap: int) -> int:
@@ -301,9 +256,20 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
     """
     cells = len(a.outcomes) * len(b.outcomes)
     n = _count("forward", a, b, cap)
-    rows = np.zeros((n + _count("backward", a, b, cap), _whole_bytes(cells)), bool)
+    # rows padded with False to whole bytes, so packed flat each row is its own bytes key
+    rows = np.zeros((n + _count("backward", a, b, cap), cells + -cells % 8), bool)
     blocks = _two_stage("forward", a, b, rows[:n]) + _two_stage("backward", a, b, rows[n:])
-    return _distinct((a.outcomes, b.outcomes), rows, blocks)
+    keys = np.packbits(rows).view(f"V{max(1, rows.shape[1] // 8)}")
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    starts = list(accumulate((len(blk.codes) for blk in blocks), initial=0))
+    bounds = np.searchsorted(first, starts).tolist()
+    kept = [
+        blk._replace(codes=blk.codes[first[lo:hi] - start])
+        for blk, start, lo, hi in zip(blocks, starts, bounds, bounds[1:])
+    ]
+    masks = rows[first, :cells]
+    masks.flags.writeable = False
+    return TwoStageTests((a.outcomes, b.outcomes), masks, kept)
 
 
 def _test_index(space: TestSpace, test) -> int:
@@ -454,10 +420,15 @@ def bayes_mixture_check(
     Zero-probability Alice outcomes contribute 0 to the mixture by convention.
     """
     e = omega.alice.incidence[_test_index(omega.alice, alice_test)]
-    wa, wb = omega.marginals
+    return _mixture_gap(omega.values, e, *omega.marginals, tol)
+
+
+def _mixture_gap(values: np.ndarray, e: np.ndarray, wa, wb, tol: float) -> float:
+    """bayes_mixture_check on the table `values` over the row-side test `e`,
+    with wa and wb the row and column marginals."""
     keep = (e > 0) & (wa > tol)
     p = wa[keep, None]
-    mix = (p * (omega.values[keep] / p)).sum(axis=0)
+    mix = (p * (values[keep] / p)).sum(axis=0)
     return float(np.abs(mix - wb).max())
 
 
@@ -480,13 +451,16 @@ def bayes_residuals(omega: ProductState, tol: float = DEFAULT_TOL) -> tuple[floa
     """Worst bayes_mixture_check over Alice's tests, over Bob's (on the table
     with the sides swapped), and worst operational_bayes_check over the pairs
     whose two marginals exceed tol; all three are rounding on a free table.
-    The last is one array expression over those pairs, with the same
+    The swapped table is a fresh C-order copy of the transposed values, with
+    its marginals computed in that layout rather than read from `marginals`,
+    since `values @ e` and `e @ values.T` round differently. The last
+    residual is one array expression over the pairs, with the same
     arithmetic as operational_bayes_check."""
-    mixture_alice = max(bayes_mixture_check(omega, i, tol) for i in range(len(omega.alice.tests)))
-    swapped = dict(zip(iproduct(omega.bob.outcomes, omega.alice.outcomes), omega.values.T.ravel()))
-    flipped = ProductState(omega.bob, omega.alice, swapped, tolerance=omega.tolerance)
-    mixture_bob = max(bayes_mixture_check(flipped, i, tol) for i in range(len(omega.bob.tests)))
     wa, wb = omega.marginals
+    mixture_alice = max(_mixture_gap(omega.values, e, wa, wb, tol) for e in omega.alice.incidence)
+    t = np.ascontiguousarray(omega.values.T)
+    tb, ta = t @ omega.alice.incidence[0], omega.bob.incidence[0] @ t
+    mixture_bob = max(_mixture_gap(t, f, tb, ta, tol) for f in omega.bob.incidence)
     i, j = np.nonzero((wa > tol)[:, None] & (wb > tol))
     v, wa, wb = omega.values[i, j], wa[i], wb[j]
     operational = float(np.abs(v / wa * wa - v / wb * wb).max(initial=0.0))

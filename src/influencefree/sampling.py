@@ -80,13 +80,15 @@ def product_state_table(
     """Influence-free table: a convex mixture of product states.
 
     Component states come from per-test proportional fitting; None if either
-    side's space defeats the fitting (e.g. admits no state at all).
+    side's space defeats the fitting (e.g. admits no state at all). Each
+    space is asked once whether it admits a strictly positive state.
     """
+    fits = admits_positive_state(alice.incidence) and admits_positive_state(bob.incidence)
     weights = rng.dirichlet(np.ones(_MIXTURE))
     table = np.zeros((len(alice.outcomes), len(bob.outcomes)))
     for w in weights:
-        fa = _random_state(rng, alice)
-        fb = _random_state(rng, bob)
+        fa = _random_state(rng, alice, fits)
+        fb = _random_state(rng, bob, fits)
         if fa is None or fb is None:
             return None
         # table[x, y] accumulates (w * fa[x]) * fb[y] in mixture order
@@ -118,15 +120,15 @@ def _fit(values: list[float], tests: list[list[int]], rounds: int) -> list[float
     return None
 
 
-def _random_state(rng: np.random.Generator, ts: TestSpace) -> list[float] | None:
+def _random_state(rng: np.random.Generator, ts: TestSpace, fits: bool) -> list[float] | None:
     """Random state in outcome order via per-test proportional fitting; None if unsettled.
 
-    The start values are drawn first, so a space that admits no strictly
-    positive state, where the fit cannot settle, skips it and leaves the rng
-    where the fit would have.
+    The start values are drawn first, so when `fits` is False (a space
+    admits no strictly positive state, and the fit could not settle) the fit
+    is skipped and the rng is left where the fit would have left it.
     """
     start = [float(rng.uniform(0.05, 1.0)) for _ in ts.outcomes]
-    if not admits_positive_state(ts.incidence):
+    if not fits:
         return None
     return _fit(start, _test_indices(ts), _STATE_ROUNDS)
 

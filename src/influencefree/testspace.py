@@ -6,12 +6,16 @@ test. E-test spaces allow multiset tests (outcomes with multiplicity).
 Each space carries its tests as a read-only incidence matrix (tests x
 outcomes, entries the multiplicities), so a test sum is a matrix-vector
 product. Tables come in as mappings outcome -> float and must be finite.
+
+The states of a space form the polytope {f >= 0 : incidence · f = 1}. One
+enumerator lists the supports of its vertices, column subset by column
+subset, for at most _SUBSET_CAP outcomes; the vertex count and the test for
+a strictly positive state both read those supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -165,74 +169,71 @@ def variation_norm(ts: TestSpace, f: Mapping[str, float]) -> float:
     return float((ts.incidence @ np.abs(_values(ts, f))).max())
 
 
-# admits_positive_state solves on every column subset, so it takes at most this many outcomes
-_SUBSET_CAP = 12
+_SUBSET_CAP = 16  # most outcomes whose column subsets are enumerated
+_SLAB = 4096  # column subsets per batched SVD, which bounds the stack's memory
+
+
+def _vertex_supports(a: np.ndarray) -> np.ndarray:
+    """Supports of the vertices of {f >= 0 : a · f = 1}, one bool row each.
+
+    A vertex is the exact solution on a set S of linearly independent
+    columns, positive on S, and its support S determines it. So every
+    column subset with |S| <= rank a is taken, as the incidence with the
+    other columns zeroed, in slabs of _SLAB with one batched SVD each. The
+    singular values above 1e-9 give the rank, and with U and V the
+    least-squares solution; S is kept when the rank is |S| and the solution
+    is exact and above 1e-9 on every column of S. More than _SUBSET_CAP
+    outcomes raise CapExceededError.
+    """
+    m = a.shape[1]
+    if m > _SUBSET_CAP:
+        raise CapExceededError(
+            f"{m} outcomes exceeds the vertex-enumeration cap {_SUBSET_CAP}", required=m
+        )
+    subsets = (np.arange(1, 2**m)[:, None] >> np.arange(m)) & 1
+    subsets = subsets[subsets.sum(axis=1) <= np.linalg.matrix_rank(a, tol=1e-9)].astype(bool)
+    kept = []
+    for lo in range(0, len(subsets), _SLAB):
+        slab = subsets[lo : lo + _SLAB]
+        cols = a * slab[:, None, :]
+        u, sv, vt = np.linalg.svd(cols, full_matrices=False)
+        nonzero = sv > 1e-9
+        # least squares: f = V · diag(1/sv) · U^T · 1 over the nonzero singular values
+        f = (np.divide(u.sum(axis=1), sv, out=np.zeros_like(sv), where=nonzero)[:, None] @ vt)[:, 0]
+        gap = (cols @ f[:, :, None])[:, :, 0] - 1.0
+        independent = nonzero.sum(axis=1) == slab.sum(axis=1)
+        exact = np.linalg.norm(gap, axis=1) <= 1e-9
+        kept.append(slab[independent & exact & ((f > 1e-9) | ~slab).all(axis=1)])
+    return np.concatenate(kept) if kept else np.zeros((0, m), bool)
 
 
 def admits_positive_state(incidence: np.ndarray) -> bool:
     """True iff some f, positive on every outcome, has incidence · f = 1.
 
-    The states {f >= 0 : incidence · f = 1} form a polyhedron, and one state
-    is positive everywhere exactly when the supports of its vertices cover
-    every outcome that some test contains. A vertex is the exact solution
-    on a set of linearly independent columns, so each column subset is
-    solved, as one stack of pseudo-inverses over the incidence with the
-    other columns zeroed, and the solutions that are exact and nonnegative
-    are kept. An outcome in no test is free to be positive. More than
-    _SUBSET_CAP outcomes raise CapExceededError.
+    The states {f >= 0 : incidence · f = 1} form a polytope, and one state
+    is positive everywhere exactly when some state exists and the supports
+    of its vertices cover every outcome that some test contains; an outcome
+    in no test is free to be positive. More than _SUBSET_CAP outcomes raise
+    CapExceededError.
     """
     a = np.asarray(incidence, dtype=float)
-    tests, m = a.shape
-    if m > _SUBSET_CAP:
-        raise CapExceededError(
-            f"{m} outcomes exceeds the column-subset cap {_SUBSET_CAP}", required=m
-        )
-    if tests == 0:
-        return True
-    subsets = (np.arange(1, 2**m)[:, None] >> np.arange(m)) & 1
-    cols = a * subsets[:, None, :]
-    f = np.linalg.pinv(cols) @ np.ones(tests)
-    exact = np.abs(cols @ f[:, :, None] - 1.0).max(axis=(1, 2)) <= 1e-9
-    states = f[exact & (f >= -1e-9).all(axis=1)]
-    return len(states) > 0 and bool(((states > 1e-9).any(axis=0) | ~a.any(axis=0)).all())
+    supports = _vertex_supports(a)
+    exists = len(supports) > 0 or len(a) == 0
+    return exists and bool((supports.any(axis=0) | ~a.any(axis=0)).all())
 
 
-def weight_space_dimension(ts: TestSpace, cap: int = 16) -> tuple[int, int]:
+def weight_space_dimension(ts: TestSpace) -> tuple[int, int]:
     """Dimension of the constant-test-sum space and state-polytope vertex count.
 
     The constant-sum space is {f : all test-sums equal}; its dimension is
-    |X| minus the rank of the test-sum difference constraints. Vertices of
-    {f >= 0, every test-sum = 1} are enumerated as basic feasible solutions:
-    a feasible point is a vertex exactly when the incidence columns of its
-    support are linearly independent.
+    |X| minus the rank of the test-sum difference constraints. The vertices
+    of {f >= 0, every test-sum = 1} are counted by their supports, which
+    are distinct for distinct vertices. More than _SUBSET_CAP outcomes raise
+    CapExceededError.
     """
     m = len(ts.outcomes)
-    if m > cap:
-        raise CapExceededError(
-            f"{m} outcomes exceeds the vertex-enumeration cap {cap}", required=m
-        )
     a = ts.incidence
-
+    vertices = len(_vertex_supports(a))
     if len(ts.tests) <= 1:
-        dim_constant = m
-    else:
-        diffs = a[1:] - a[0]
-        dim_constant = m - int(np.linalg.matrix_rank(diffs, tol=1e-9))
-
-    rank_a = int(np.linalg.matrix_rank(a, tol=1e-9))
-    ones = np.ones(len(ts.tests))
-    vertices: set[tuple[int, ...]] = set()
-    for size in range(1, rank_a + 1):
-        for support in combinations(range(m), size):
-            cols = a[:, support]
-            if np.linalg.matrix_rank(cols, tol=1e-9) < size:
-                continue
-            x, *_ = np.linalg.lstsq(cols, ones, rcond=None)
-            if np.linalg.norm(cols @ x - ones) > 1e-9:
-                continue
-            if np.any(x <= 1e-9):
-                continue
-            full = np.zeros(m)
-            full[list(support)] = x
-            vertices.add(tuple(np.round(full, 9)))
-    return dim_constant, len(vertices)
+        return m, vertices
+    return m - int(np.linalg.matrix_rank(a[1:] - a[0], tol=1e-9)), vertices

@@ -1,6 +1,7 @@
 """Test spaces, states, weights, and the small-polytope dimension helper."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -132,12 +133,55 @@ def test_weight_space_dimension_single_test():
 
 
 def test_weight_space_dimension_cap():
-    labels = [f"o{i}" for i in range(17)]
-    ts = TestSpace(labels, [tuple(labels)])
+    labels = [f"o{i}" for i in range(16)]
+    # one test of 16 outcomes: every point mass is a vertex
+    assert weight_space_dimension(TestSpace(labels, [tuple(labels)])) == (16, 16)
+    labels.append("o16")
     with pytest.raises(CapExceededError) as exc:
-        weight_space_dimension(ts)
+        weight_space_dimension(TestSpace(labels, [tuple(labels)]))
     assert exc.value.required == 17
-    assert weight_space_dimension(ts, cap=17) == (17, 17)
+
+
+def brute_force_dimension(ts):
+    """Vertex count by basic feasible solutions: every support of at most
+    rank-many independent columns, solved on its own by least squares, with
+    the distinct rounded vertices counted."""
+    a = ts.incidence
+    m = len(ts.outcomes)
+    if len(ts.tests) <= 1:
+        dim_constant = m
+    else:
+        dim_constant = m - int(np.linalg.matrix_rank(a[1:] - a[0], tol=1e-9))
+    ones = np.ones(len(ts.tests))
+    vertices = set()
+    for size in range(1, int(np.linalg.matrix_rank(a, tol=1e-9)) + 1):
+        for support in combinations(range(m), size):
+            cols = a[:, support]
+            if np.linalg.matrix_rank(cols, tol=1e-9) < size:
+                continue
+            x, *_ = np.linalg.lstsq(cols, ones, rcond=None)
+            if np.linalg.norm(cols @ x - ones) > 1e-9 or np.any(x <= 1e-9):
+                continue
+            full = np.zeros(m)
+            full[list(support)] = x
+            vertices.add(tuple(np.round(full, 9)))
+    return dim_constant, len(vertices)
+
+
+def test_weight_space_dimension_matches_brute_force():
+    rng = np.random.default_rng(1616)
+    counts = set()
+    for k in range(300):
+        size = 2 + k % 7
+        ts = random_test_space(
+            rng, "o", max_outcomes=size, max_tests=int(rng.integers(1, 6)),
+            max_test_size=int(rng.integers(1, size + 1)),
+        )
+        want = brute_force_dimension(ts)
+        assert weight_space_dimension(ts) == want, ts
+        counts.add(want[1])
+    # empty polytopes, single points and many-vertex polytopes all occur
+    assert {0, 1} < counts and max(counts) >= 8
 
 
 def test_outcome_index_reads_labels():
@@ -173,8 +217,8 @@ def test_admits_positive_state_edges():
     assert not admits_positive_state(np.zeros((2, 0)))
     assert not admits_positive_state(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(CapExceededError) as exc:
-        admits_positive_state(np.ones((1, 13)))
-    assert exc.value.required == 13
+        admits_positive_state(np.ones((1, 17)))
+    assert exc.value.required == 17
 
 
 def test_admits_positive_state_matches_a_linear_program():
