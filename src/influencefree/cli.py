@@ -3,6 +3,10 @@
 Exit codes: 0 affirmative/member, 1 refuted/negative, 2 inconclusive,
 64 usage error, 65 malformed input.  Every error response carries a one-line
 "reason" field.  Output is deterministic for a fixed input and seed.
+
+Each loader and handler imports the library modules it uses, so a request
+loads only those its subcommand needs.  The document codecs and the linear
+algebra kernel, which every request loads anyway, are imported here.
 """
 
 from __future__ import annotations
@@ -13,38 +17,6 @@ import sys
 from math import isfinite, isqrt
 from pathlib import Path
 
-import numpy as np
-
-from .choimaps import (
-    LinearMapChoi,
-    apply_map,
-    choi_from_conjugation,
-    compose_maps,
-    hk_representation,
-    identity_map,
-    is_co_cp,
-    is_cp,
-    kraus_residual,
-    state_eval,
-    trace_condition,
-    transpose_in_basis,
-    transpose_map,
-    reconstruct_operator,
-)
-from .cones import (
-    decomposable_sum_membership,
-    extremality_probe,
-    is_popt,
-    is_ppt,
-)
-from .coupling import (
-    ProductState,
-    _count as _direction_count,
-    bayes_residuals,
-    condition,
-    fns_tests,
-    is_influence_free,
-)
 from .jsonio import (
     DocumentError,
     matrix_from_document,
@@ -58,15 +30,6 @@ from .jsonio import (
     _require,
 )
 from .linalg import CapExceededError, frobenius, hermitian
-from .teleport import (
-    corollary_check,
-    desideratum_violation_demo,
-    pivot_alice,
-    pivot_bob,
-    pivot_general,
-    weyl_operator,
-)
-from .testspace import ETestSpace, state_check
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -189,7 +152,7 @@ def _matrix(doc, where, args):
     return matrix_from_document(doc, where)[0]
 
 
-def _operator(doc, where, args) -> np.ndarray:
+def _operator(doc, where, args):
     """A Hermitian operator; a command that takes --dims and got none reads the document's."""
     m, doc_dims = matrix_from_document(doc, where)
     if hasattr(args, "dims") and args.dims is None:
@@ -218,7 +181,16 @@ def _local_dim(n, rows: int) -> int:
     return n
 
 
-def _map(doc, where: str, args=None) -> LinearMapChoi:
+def _map(doc, where: str, args=None):
+    from .choimaps import (
+        LinearMapChoi,
+        choi_from_conjugation,
+        compose_maps,
+        identity_map,
+        transpose_in_basis,
+        transpose_map,
+    )
+
     kind = _require(doc, "kind", str, where)
     try:
         if kind == "identity":
@@ -253,7 +225,9 @@ def _map(doc, where: str, args=None) -> LinearMapChoi:
     raise DocumentError(f"{where}: unknown map kind {kind!r}")
 
 
-def _state(doc, where, args) -> ProductState:
+def _state(doc, where, args):
+    from .coupling import ProductState
+
     alice, bob, table = product_state_documents(doc)
     try:
         return ProductState(alice, bob, table, tolerance=max(args.tol, 1e-9))
@@ -285,17 +259,23 @@ def _spectral(verdict, yes: str, no: str):
 
 def _cp_check(args, m):
     """complete positivity via the Choi operator"""
+    from .choimaps import is_cp
+
     return _spectral(is_cp(m, tol=args.tol), "completely-positive", "not-completely-positive")
 
 
 def _co_cp_check(args, m):
     """complete co-positivity via the partial transpose"""
+    from .choimaps import is_co_cp
+
     verdict = is_co_cp(m, tol=args.tol)
     return _spectral(verdict, "co-completely-positive", "not-co-completely-positive")
 
 
 def _ppt_check(args, w):
     """positivity of the partial transpose"""
+    from .cones import is_ppt
+
     return _spectral(is_ppt(w, args.dims, tol=args.tol), "ppt", "not-ppt")
 
 
@@ -309,6 +289,8 @@ def _certificate(cert, dims) -> dict:
 
 def _verify_state(args, doc):
     """check a table against a test space"""
+    from .testspace import state_check
+
     space = testspace_from_document(_require(doc, "space", dict, "input"))
     table = value_table_from_document(_require(doc, "table", dict, "input"))
     ok, residual, worst = state_check(space, table, args.tol)
@@ -324,6 +306,8 @@ def _verify_state(args, doc):
 
 def _influence_free(args, omega):
     """check marginals ignore the far test choice"""
+    from .coupling import is_influence_free
+
     verdict = is_influence_free(omega, tol=args.tol)
     witness = None
     if not verdict.free:
@@ -342,6 +326,9 @@ def _influence_free(args, omega):
 
 def _fns_tests(args, doc):
     """enumerate two-stage tests of a coupled pair"""
+    from .coupling import _count as _direction_count, fns_tests
+    from .testspace import ETestSpace
+
     alice = testspace_from_document(_require(doc, "alice", dict, "input"), "alice")
     bob = testspace_from_document(_require(doc, "bob", dict, "input"), "bob")
     if isinstance(alice, ETestSpace) or isinstance(bob, ETestSpace):
@@ -358,6 +345,8 @@ def _fns_tests(args, doc):
 
 def _condition(args, omega, doc):
     """conditional state given one observed outcome"""
+    from .coupling import condition
+
     on = _require(doc, "on", str, "input")
     side = doc.get("side", "alice")
     if side not in ("alice", "bob"):
@@ -374,6 +363,8 @@ def _condition(args, omega, doc):
 
 def _bayes_check(args, omega):
     """mixture and symmetric Bayes consistency residuals"""
+    from .coupling import bayes_residuals
+
     mixture_alice, mixture_bob, operational = bayes_residuals(omega, tol=args.tol)
     residual = max(mixture_alice, mixture_bob, operational)
     return _yes_no(
@@ -389,6 +380,8 @@ def _bayes_check(args, omega):
 
 def _reconstruct(args, w):
     """rebuild an operator from its product-vector values"""
+    from .choimaps import reconstruct_operator, state_eval
+
     da, db = args.dims
     if w.shape[0] != da * db:
         raise DocumentError(f"operator dimension {w.shape[0]} does not equal {da}*{db}")
@@ -405,6 +398,8 @@ def _reconstruct(args, w):
 
 def _choi(args, m):
     """assemble the Choi operator of a described map"""
+    from .choimaps import trace_condition
+
     tr_choi, tr_phi1 = trace_condition(m)
     return EXIT_OK, {
         "verdict": "choi",
@@ -418,11 +413,15 @@ def _choi(args, m):
 
 def _apply_map(args, m, x):
     """apply a described map to an operand matrix"""
+    from .choimaps import apply_map
+
     return EXIT_OK, {"verdict": "applied", "result": matrix_to_document(apply_map(m, x))}
 
 
 def _kraus(args, m):
     """extract Kraus operators of a completely positive map"""
+    from .choimaps import hk_representation, kraus_residual
+
     try:
         ks = hk_representation(m, tol=args.tol)
     except ValueError as exc:
@@ -437,6 +436,8 @@ def _kraus(args, m):
 
 def _popt(args, w):
     """positivity on product vectors: certify or refute"""
+    from .cones import is_popt
+
     verdict = is_popt(
         w,
         args.dims,
@@ -463,6 +464,8 @@ def _popt(args, w):
 
 def _decompose(args, w):
     """split into positive plus co-positive parts"""
+    from .cones import decomposable_sum_membership
+
     verdict = decomposable_sum_membership(w, args.dims, tol=args.feas_tol, max_iter=args.max_iter)
     doc = {
         "verdict": verdict.status,
@@ -478,6 +481,8 @@ def _decompose(args, w):
 
 def _extremality(args, a):
     """decide whether a conjugation map has a co-positive part"""
+    from .cones import extremality_probe
+
     verdict = extremality_probe(a, tol=args.tol)
     split = verdict.status == "decomposable_nontrivially"
     if split:
@@ -491,6 +496,8 @@ def _extremality(args, a):
 
 def _pivot(args, w):
     """verify an entangled-projection transfer identity"""
+    from .teleport import pivot_alice, pivot_bob, pivot_general, weyl_operator
+
     n = args.n
     if args.side in ("alice", "bob"):
         report = pivot_alice(w, n) if args.side == "alice" else pivot_bob(w, n)
@@ -513,6 +520,8 @@ def _pivot(args, w):
 
 def _corollary(args, w, b):
     """product-effect value versus alpha times Tr(WB)"""
+    from .teleport import corollary_check
+
     lhs, rhs = corollary_check(w, b, args.n)
     gap = abs(lhs - rhs)
     return _yes_no(
@@ -528,6 +537,8 @@ def _corollary(args, w, b):
 
 def _witness_demo(args):
     """end-to-end negative product-test demonstration"""
+    from .teleport import desideratum_violation_demo
+
     report = desideratum_violation_demo(args.n, seed=args.seed)
     ok = (
         report.negative_value < -1e-6

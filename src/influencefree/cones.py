@@ -365,7 +365,9 @@ def is_popt(
 
     The phases run in this order, each only if the earlier ones decided
     nothing:
-    1. PSD, then PPT: certified (branch psd or ppt).
+    1. W must be finite, Hermitian and on dims, or ValueError is raised.
+       PSD, then PPT, read from one eigh of the stack (W, W^Gamma):
+       certified (branch psd or ppt).
     2. The see-saw of _seesaw_sweeps with its stop rule at -tol, one batched
        sweep at a time, until it stalls: a sweep that is not its last
        lowered the lowest restart value by no more than that value's height
@@ -403,15 +405,16 @@ def is_popt(
     does; refuted and likely report the converged value. likely records the
     membership status in info.
     """
-    m = finite_matrix(w)
-    psd = is_psd(m, tol=tol)
-    if psd:
+    m = _admitted(w, dims)
+    both = np.stack((m, partial_transpose(m, dims, 1)))
+    # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit
+    least = np.linalg.eigh((both + both.conj().swapaxes(1, 2)) / 2.0)[0][:, 0]
+    if least[0] >= -tol:
         return ConeVerdict(
-            "certified", min_value=psd.min_value,
+            "certified", min_value=float(least[0]),
             info={"branch": "psd", "psd": True},
         )
-    ppt = is_ppt(m, dims, tol=tol)
-    if ppt:
+    if least[1] >= -tol:
         return ConeVerdict(
             "certified",
             info={"branch": "ppt", "psd": False},

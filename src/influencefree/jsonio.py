@@ -2,16 +2,20 @@
 
 Complex numbers travel as [re, im] pairs; matrices are row-major entry lists
 with explicit shape, optionally annotated with tensor factor dimensions.
-Decoding failures raise DocumentError with a one-line reason.
+Decoding failures raise DocumentError with a one-line reason.  The test
+space module loads only when a document holds a space.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .testspace import ETestSpace, TestSpace
+if TYPE_CHECKING:
+    from .testspace import ETestSpace, TestSpace
 
 
 class DocumentError(ValueError):
@@ -37,14 +41,29 @@ def _require(doc, key, kind, where):
     return value
 
 
-def _entry_to_complex(e, where):
+def _is_number_type(t) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _complex_entries(entries, where) -> np.ndarray:
+    """[re, im] pairs of numbers (bools excluded) as a flat complex array.
+
+    The checks run over the set of types and lengths present, not entry by
+    entry, and the array is built by one np.array call.
+    """
     if (
-        not isinstance(e, (list, tuple))
-        or len(e) != 2
-        or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in e)
+        all(issubclass(t, (list, tuple)) for t in set(map(type, entries)))
+        and set(map(len, entries)) == {2}
     ):
-        raise DocumentError(f"{where}: entries must be [re, im] number pairs")
-    return complex(e[0], e[1])
+        parts = list(chain.from_iterable(entries))
+        if all(map(_is_number_type, set(map(type, parts)))):
+            return np.array(parts, dtype=float).view(complex)
+    raise DocumentError(f"{where}: entries must be [re, im] number pairs")
+
+
+def _pairs(a: np.ndarray) -> list:
+    """Complex entries in row-major order as [re, im] float pairs."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def matrix_from_document(doc, where: str = "matrix") -> tuple[np.ndarray, tuple[int, ...] | None]:
@@ -58,8 +77,7 @@ def matrix_from_document(doc, where: str = "matrix") -> tuple[np.ndarray, tuple[
         raise DocumentError(
             f"{where}: {len(entries)} entries for a {rows}x{cols} matrix"
         )
-    flat = [_entry_to_complex(e, where) for e in entries]
-    m = np.array(flat, dtype=complex).reshape(rows, cols)
+    m = _complex_entries(entries, where).reshape(rows, cols)
     dims = None
     if "dims" in doc:
         raw = doc["dims"]
@@ -83,7 +101,7 @@ def matrix_to_document(m, dims=None) -> dict:
     doc = {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+        "entries": _pairs(a),
     }
     if dims is not None:
         doc["dims"] = [int(d) for d in dims]
@@ -92,10 +110,7 @@ def matrix_to_document(m, dims=None) -> dict:
 
 def vector_to_document(v) -> dict:
     a = np.asarray(v, dtype=complex).reshape(-1)
-    return {
-        "length": int(a.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in a],
-    }
+    return {"length": int(a.shape[0]), "entries": _pairs(a)}
 
 
 def testspace_from_document(doc, where: str = "space") -> TestSpace | ETestSpace:
@@ -105,6 +120,8 @@ def testspace_from_document(doc, where: str = "space") -> TestSpace | ETestSpace
     {"outcome", "multiplicity"} objects produce an ETestSpace (plain labels
     in the same document count as multiplicity one).
     """
+    from .testspace import ETestSpace, TestSpace
+
     outcomes = _require(doc, "outcomes", list, where)
     if not all(isinstance(x, str) for x in outcomes):
         raise DocumentError(f"{where}.outcomes: expected a list of strings")
@@ -146,6 +163,8 @@ def testspace_from_document(doc, where: str = "space") -> TestSpace | ETestSpace
 
 
 def testspace_to_document(space: TestSpace | ETestSpace) -> dict:
+    from .testspace import ETestSpace
+
     if isinstance(space, ETestSpace):
         tests = [
             [{"outcome": x, "multiplicity": m} for x, m in t] for t in space.tests
@@ -195,6 +214,8 @@ def pair_table_to_document(table) -> list:
 
 def product_state_documents(doc):
     """Split a ProductStateDocument into (alice space, bob space, pair table)."""
+    from .testspace import ETestSpace
+
     alice = testspace_from_document(_require(doc, "alice", dict, "input"), "alice")
     bob = testspace_from_document(_require(doc, "bob", dict, "input"), "bob")
     if isinstance(alice, ETestSpace) or isinstance(bob, ETestSpace):

@@ -417,6 +417,14 @@ def test_dims_whose_product_wraps_in_int64_are_malformed(tmp_path, capsys, comma
     assert out["reason"].startswith("input.dims")
 
 
+def test_popt_refuses_dims_that_do_not_match_a_psd_operator(tmp_path, capsys):
+    path = write_doc(tmp_path, "eye.json", matrix_to_document(np.eye(4)))
+    code, out = invoke_strict(capsys, "popt", path, "--dims", "2,3", "--seed", "1")
+    assert code == 65
+    assert out["verdict"] == "malformed-input"
+    assert "does not match factor dims" in out["reason"]
+
+
 def test_popt_refuted_witness_re_evaluates(tmp_path, capsys):
     w = np.diag([1.0, 1.0, 1.0, -1.0])
     path = write_doc(tmp_path, "w.json", matrix_to_document(w, (2, 2)))

@@ -506,6 +506,28 @@ def test_is_popt_ppt_branch():
     assert v.info["branch"] == "ppt" and v.info["psd"] is False
 
 
+@pytest.mark.parametrize("w", [np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
+def test_is_popt_refuses_dims_that_do_not_match(w):
+    # a PSD operator is refused too, not certified before its dims are read
+    with pytest.raises(ValueError, match="does not match factor dims"):
+        is_popt(w, (2, 3), seed=1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_is_popt_reads_the_eigenvalues_of_is_psd_and_is_ppt(dims):
+    # a tol of exactly minus is_psd's (is_ppt's) least eigenvalue decides the
+    # psd (ppt) branch only if is_popt reads that eigenvalue bit for bit
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(10):
+        h = random_hermitian(rng, dims[0] * dims[1])
+        for w in (h, partial_transpose(h, dims, 1)):
+            lam, lam_gamma = is_psd(w).min_value, is_ppt(w, dims).min_value
+            v = is_popt(w, dims, seed=1, tol=-lam)
+            assert v.info["branch"] == "psd" and v.min_value == lam
+            if lam_gamma > lam:
+                assert is_popt(w, dims, seed=1, tol=-lam_gamma).info["branch"] == "ppt"
+
+
 def test_is_popt_refuted_with_witness():
     w = np.diag([1.0, 1.0, 1.0, -1.0])
     v = is_popt(w, (2, 2), seed=5)

@@ -1,0 +1,94 @@
+"""What `import influencefree` and one CLI request load, and the lazy namespace."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import influencefree
+
+LIBRARY = ("linalg", "testspace", "coupling", "choimaps", "cones", "teleport")
+SRC = str(Path(influencefree.__file__).resolve().parents[1])
+
+# runs after the snippet under test and reports the modules it left loaded
+REPORT = """
+import sys
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "influencefree"))
+print(*loaded, file=sys.stderr)
+"""
+
+
+def loaded_by(snippet: str, *argv: str) -> set[str]:
+    """Modules of numpy and of the package that a fresh interpreter holds after snippet."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet + REPORT, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def request_loads(*argv: str) -> set[str]:
+    """The package modules one CLI request loads; the request must succeed."""
+    snippet = "from influencefree.cli import run\nassert run(sys.argv[1:]) == 0\n"
+    return {m for m in loaded_by("import sys\n" + snippet, *argv) if m.startswith("influencefree")}
+
+
+def package(*names: str) -> set[str]:
+    return {"influencefree", *(f"influencefree.{n}" for n in names)}
+
+
+def test_bare_import_loads_no_numpy_and_no_submodule():
+    assert loaded_by("import influencefree") == {"influencefree"}
+
+
+def test_submodule_attribute_after_bare_import():
+    snippet = "import influencefree\nassert influencefree.cones.is_popt.__module__ == 'influencefree.cones'\n"
+    assert {m for m in loaded_by(snippet) if m.startswith("influencefree")} == package("cones", "linalg")
+
+
+def test_verify_state_request_loads_only_its_modules(tmp_path):
+    doc = {
+        "space": {"outcomes": ["a", "x", "b"], "tests": [["a", "x"], ["x", "b"]]},
+        "table": {"a": 0.4, "x": 0.6, "b": 0.4},
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert request_loads("verify-state", str(path)) == package("cli", "jsonio", "linalg", "testspace")
+
+
+def test_ppt_check_request_adds_only_cones(tmp_path):
+    doc = {"rows": 2, "cols": 2, "dims": [2, 1], "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    assert request_loads("ppt-check", str(path)) == package("cli", "cones", "jsonio", "linalg")
+
+
+@pytest.mark.parametrize("name", [n for n in influencefree.__all__ if n != "__version__"])
+def test_every_name_is_the_object_of_its_home_module(name):
+    obj = getattr(influencefree, name)
+    modules = [importlib.import_module(f"influencefree.{m}") for m in LIBRARY]
+    homes = [m for m in modules if name in vars(m)]
+    assert homes
+    assert all(vars(m)[name] is obj for m in homes)
+
+
+def test_dir_and_star_import_cover_every_name():
+    names = set(influencefree.__all__)
+    assert len(names) == len(influencefree.__all__)
+    assert names | set(LIBRARY) <= set(dir(influencefree))
+    namespace = {}
+    exec("from influencefree import *", namespace)
+    assert names <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        influencefree.no_such_name  # noqa: B018
+    assert not hasattr(influencefree, "_no_such_module")

@@ -1,5 +1,7 @@
 """Document decoding and encoding for the command line."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,37 @@ def test_matrix_roundtrip_with_dims():
 def test_matrix_document_rejections(doc):
     with pytest.raises(DocumentError):
         matrix_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [True, 0], [0, False], [np.bool_(True), 0], ["1", 0], [1, None], [np.int64(1), 0], [1j, 0],
+        [1], [1, 2, 3], [], [[1, 2], [3, 4]], [[1], 0], "ab", 1, 1.5, None, {"re": 1, "im": 0},
+    ],
+)
+@pytest.mark.parametrize("place", [0, 3])
+def test_malformed_matrix_entries_share_one_reason(entry, place):
+    entries = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    entries[place] = entry
+    with pytest.raises(DocumentError) as err:
+        matrix_from_document({"rows": 2, "cols": 2, "entries": entries}, "input")
+    assert str(err.value) == "input: entries must be [re, im] number pairs"
+
+
+def test_matrix_entries_keep_every_bit():
+    rng = np.random.default_rng(5)
+    drawn = [[float(a), int(b)] for a, b in zip(rng.normal(size=60), rng.integers(-2**62, 2**62, 60))]
+    entries = [[-0.0, 0.0], [2**53 + 1, 0], (1.5, -0.0), [5e-324, -1e308]]
+    for rows, cols, doc_entries in ((2, 2, entries), (8, 8, entries + drawn)):
+        back, _ = matrix_from_document({"rows": rows, "cols": cols, "entries": doc_entries})
+        # the reference: one complex() per entry
+        expected = np.array([complex(*e) for e in doc_entries]).reshape(rows, cols)
+        assert back.tobytes() == expected.tobytes()
+    # encoding writes the same floats, signed zeros included
+    encoded = json.dumps(matrix_to_document(back[0, :4].reshape(2, 2))["entries"])
+    assert encoded == "[[-0.0, 0.0], [9007199254740992.0, 0.0], [1.5, -0.0], [5e-324, -1e+308]]"
+    assert json.dumps(vector_to_document(back[0, 2:4])["entries"]) == "[[1.5, -0.0], [5e-324, -1e+308]]"
 
 
 def test_vector_document():
