@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, finite_matrix, hermitian, hermitian_eig, partial_transpose
+from .linalg import (
+    DEFAULT_TOL, _check_dims, _unitary, as_matrix, hermitian, hermitian_eig, partial_transpose,
+)
 
 
 def unnormalized_q(n: int) -> np.ndarray:
@@ -111,11 +113,7 @@ def transpose_in_basis(m: LinearMapChoi, u) -> LinearMapChoi:
     sigma(X) = U (U† X U)^t U† factors as (conjugation by U U^t) ∘ (standard
     transposition), so the composite is assembled from existing pieces.
     """
-    u = finite_matrix(u)
-    if u.shape[0] != u.shape[1] or u.shape[0] != m.din:
-        raise ValueError("basis matrix must be square with the map's input dimension")
-    if np.linalg.norm(u @ u.conj().T - np.eye(m.din)) > 1e-10:
-        raise ValueError("basis matrix is not unitary within 1e-10")
+    u = _unitary(u, m.din)
     rotate = choi_from_conjugation(u @ u.T)
     return compose_maps(m, compose_maps(rotate, transpose_map(m.din)))
 
@@ -173,9 +171,7 @@ def kraus_residual(m: LinearMapChoi, kraus: KrausSet) -> float:
 def state_eval(w, dims: tuple[int, int], x, y, tol: float = 1e-10) -> float:
     """<x (x) y| W |x (x) y> for unit vectors x, y; real for Hermitian W."""
     w = as_matrix(w)
-    da, db = int(dims[0]), int(dims[1])
-    if w.shape != (da * db, da * db):
-        raise ValueError(f"operator shape {w.shape} does not match dims {dims}")
+    da, db = _check_dims(w, dims)
     x = np.asarray(x, dtype=complex).reshape(da)
     y = np.asarray(y, dtype=complex).reshape(db)
     if abs(np.linalg.norm(x) - 1.0) > tol or abs(np.linalg.norm(y) - 1.0) > tol:

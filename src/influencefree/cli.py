@@ -55,13 +55,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    """JSON integer hook: a literal that no float can hold is malformed too."""
+    _finite_float(text)
+    return int(text)
+
+
 def _load(path: str) -> dict:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float,
+                         parse_int=_float_sized_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

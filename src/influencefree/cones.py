@@ -21,8 +21,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _admit,
     _check_dims,
-    _refuse_non_hermitian,
     finite_matrix,
     min_eig,
     partial_transpose,
@@ -78,16 +78,9 @@ class DecompositionCertificate:
     residual: float
 
 
-def _admitted(w, dims: Sequence[int]) -> np.ndarray:
-    """W as a finite matrix on dims, refused when visibly non-Hermitian as is_psd refuses it."""
-    m = finite_matrix(w)
-    _check_dims(m, dims)
-    return _refuse_non_hermitian(m)
-
-
 def is_psd(w, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Member iff the smallest eigenvalue is >= -tol; witness eigenvector else."""
-    lam, vec = min_eig(finite_matrix(w))
+    lam, vec = min_eig(w)
     if lam >= -tol:
         return ConeVerdict("member", min_value=lam)
     return ConeVerdict("refuted", min_value=lam, witness=vec)
@@ -95,7 +88,7 @@ def is_psd(w, tol: float = DEFAULT_TOL) -> ConeVerdict:
 
 def is_ppt(w, dims: Sequence[int], tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Member iff the partial transpose is PSD within tol."""
-    return is_psd(partial_transpose(finite_matrix(w), dims, 1), tol=tol)
+    return is_psd(partial_transpose(_admit(w, dims), dims, 1), tol=tol)
 
 
 def popt_minimize(
@@ -116,15 +109,15 @@ def popt_minimize(
     max_iter sweeps) and the best is returned, ties keeping the lowest
     restart index. The result is an upper bound on the true minimum over
     product vectors; a negative value refutes positivity on pure tensors and
-    the witness pair certifies it. A visibly non-Hermitian W is refused.
+    the witness pair certifies it. W is admitted by linalg._admit.
     """
-    for _, result in _seesaw_sweeps(_admitted(w, dims), dims, seed, restarts, max_iter, None):
+    for _, result in _seesaw_sweeps(_admit(w, dims), dims, seed, restarts, max_iter, None):
         pass
     return result
 
 
-def _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
-    """popt_minimize's see-saw, paused after each sweep.
+def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
+    """popt_minimize's see-saw on an admitted W, paused after each sweep.
 
     Yields (lowest restart value, None) after each sweep but the last, and
     (lowest restart value, the SeesawResult) after the last. With
@@ -139,7 +132,6 @@ def _seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below):
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
     if max_iter < 1:
         raise ValueError(f"the see-saw needs at least one iteration, got {max_iter}")
-    m = finite_matrix(w)
     da, db = _check_dims(m, dims)
     w4 = m.reshape(da, db, da, db)
     # eigh rounds each value to within a few ulps of ‖W‖, not of the value
@@ -218,14 +210,14 @@ def decomposable_sum_membership(
     Gamma(X2⁻¹))/2, which sits in K* = PSD ∩ PPT on the central path,
     passes witness_holds. inconclusive: max_iter iterates (the start and
     max_iter − 1 Newton steps) or μ at its floor BARRIER_FLOOR·‖W‖_F. Every
-    verdict carries the last clipped pair as its certificate. A visibly
-    non-Hermitian W is refused.
+    verdict carries the last clipped pair as its certificate. W is admitted
+    by linalg._admit.
     """
-    return _membership(_admitted(w, dims), dims, tol, tol, max_iter)[0]
+    return _membership(_admit(w, dims), dims, tol, tol, max_iter)[0]
 
 
-def _membership(w, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVerdict]:
-    """decomposable_sum_membership at tol, and the verdict it gives at loose_tol >= tol.
+def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVerdict]:
+    """decomposable_sum_membership of an admitted W at tol, and its verdict at loose_tol >= tol.
 
     The iterates do not depend on the tolerance, so a run at loose_tol ends
     as a member at the first iterate whose residual meets loose_tol, unless
@@ -233,8 +225,6 @@ def _membership(w, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
     """
     if max_iter < 1:
         raise ValueError(f"membership needs at least one iteration, got {max_iter}")
-    m = finite_matrix(w)
-    _check_dims(m, dims)
     n = m.shape[0]
     gamma = _gamma_index(n, dims)
 
@@ -405,7 +395,7 @@ def is_popt(
     does; refuted and likely report the converged value. likely records the
     membership status in info.
     """
-    m = _admitted(w, dims)
+    m = _admit(w, dims)
     both = np.stack((m, partial_transpose(m, dims, 1)))
     # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit
     least = np.linalg.eigh((both + both.conj().swapaxes(1, 2)) / 2.0)[0][:, 0]

@@ -5,9 +5,12 @@ or multipartite structure is carried by a `dims` sequence of factor dimensions
 whose product must equal the matrix dimension.
 
 Input is admitted along one path: `as_matrix` coerces to a 2-d complex array,
-`finite_matrix` also refuses NaN and inf, `hermitian` also refuses a matrix
-that is not square or visibly not Hermitian and returns its Hermitian part,
-and `_check_dims` is the one check of a matrix against its factor dims.
+`finite_matrix` also refuses NaN and inf, and `_check_dims` is the one check
+of a matrix against its factor dims. Every entry point that takes a Hermitian
+operator admits it by `_admit`, the one hermiticity rule: the defect
+‖(M − M†)/2‖_F may be at most tol · ‖M‖_F, both norms taken of M / max|M_ij|,
+so that a verdict does not depend on the scale of M. `hermitian` is `_admit`
+followed by taking the Hermitian part. `_unitary` is the one unitarity rule.
 """
 
 from __future__ import annotations
@@ -56,23 +59,45 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
-def hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(M + M†)/2 for a finite square M admitted as Hermitian.
+def _admit(matrix, dims: Sequence[int] | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """matrix itself as complex128, admitted as a Hermitian operator on dims.
 
-    The discarded part's Frobenius norm is the hermiticity defect. A defect
-    above tol · ‖M‖_F is an error rather than a silent repair, and so is a
-    NaN or infinite entry.
+    Checked in order: finite entries, square, the factor dims (if given),
+    then the hermiticity defect ‖(M − M†)/2‖_F against tol · ‖M‖_F. Both
+    norms are taken of M / max|M_ij|, so the rule reads the same at every
+    scale and no square inside a norm under- or overflows.
     """
     m = finite_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian operator must be square, got {m.shape}")
-    defect = float(np.linalg.norm((m - m.conj().T) / 2.0))
-    if defect > max(tol * float(np.linalg.norm(m)), 0.0):
+    if dims is not None:
+        _check_dims(m, dims)
+    peak = float(np.abs(m).max(initial=0.0)) or 1.0
+    u = m / peak
+    skew = u - u.conj().T
+    defect = math.sqrt(np.vdot(skew, skew).real) / 2.0
+    if defect > tol * math.sqrt(np.vdot(u, u).real):
         raise ValueError(
-            f"hermiticity defect {defect:.3e} exceeds threshold "
+            f"hermiticity defect {defect * peak:.3e} exceeds threshold "
             f"{tol:.1e}*norm for a {m.shape[0]}x{m.shape[0]} matrix"
         )
+    return m
+
+
+def hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """(M + M†)/2 for an M that _admit admits at tol; refused, never repaired, otherwise."""
+    m = _admit(matrix, tol=tol)
     return (m + m.conj().T) / 2.0
+
+
+def _unitary(v, n: int) -> np.ndarray:
+    """v itself, refused unless finite, n x n and unitary: ‖V†V − 1‖_F <= 1e-10 · max(1, ‖V‖_F)."""
+    v = finite_matrix(v)
+    if v.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got shape {v.shape}")
+    if frobenius(v.conj().T @ v - np.eye(n)) > 1e-10 * max(1.0, frobenius(v)):
+        raise ValueError("matrix is not unitary")
+    return v
 
 
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -128,21 +153,6 @@ def permute_systems(w, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return t.transpose(list(perm) + [k + p for p in perm]).reshape(n, n)
 
 
-def _refuse_non_hermitian(m: np.ndarray) -> np.ndarray:
-    """m itself, refused with ValueError when visibly non-Hermitian: when
-    ‖M − M†‖_F exceeds a loose relative threshold, 1e-8 · max(‖M‖_F, 1)."""
-    nrm = float(np.linalg.norm(m))
-    if float(np.linalg.norm(m - m.conj().T)) > 1e-8 * max(nrm, 1.0):
-        raise ValueError("eigendecomposition asked of a visibly non-Hermitian matrix")
-    return m
-
-
-def _hermitian_eigh(w) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of (M + M†)/2 (ascending), refusing a visibly non-Hermitian M."""
-    m = _refuse_non_hermitian(as_matrix(w))
-    return np.linalg.eigh((m + m.conj().T) / 2.0)
-
-
 def _fix_phase(v: np.ndarray) -> None:
     """Turn v in place so that its largest-magnitude component is real and positive."""
     c = v[int(np.argmax(np.abs(v)))]
@@ -153,11 +163,11 @@ def _fix_phase(v: np.ndarray) -> None:
 def hermitian_eig(w) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns.
 
-    The input must be Hermitian (checked against a loose relative threshold).
+    The input must be admitted as Hermitian (see _admit).
     Each eigenvector's phase is fixed so that its largest-magnitude component
     is real and positive, for reproducible output.
     """
-    vals, vecs = _hermitian_eigh(w)
+    vals, vecs = np.linalg.eigh(hermitian(w))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     for j in range(vecs.shape[1]):
@@ -171,7 +181,7 @@ def min_eig(w) -> tuple[float, np.ndarray]:
     Only the returned vector is phase-fixed, so the pair equals the last one
     of hermitian_eig bit for bit.
     """
-    vals, vecs = _hermitian_eigh(w)
+    vals, vecs = np.linalg.eigh(hermitian(w))
     vec = vecs[:, 0].copy()
     _fix_phase(vec)
     return float(vals[0]), vec

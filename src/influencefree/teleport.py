@@ -19,13 +19,15 @@ criteria compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .choimaps import swap_operator, unnormalized_q
-from .cones import ConeVerdict, is_popt
-from .linalg import _check_dims, as_matrix, finite_matrix, frobenius, hermitian, kron, permute_systems
+from .linalg import _admit, _unitary, frobenius, hermitian, kron, permute_systems
+
+if TYPE_CHECKING:
+    from .cones import ConeVerdict
 
 __all__ = [
     "PivotReport",
@@ -81,7 +83,7 @@ def twisted_bell_projector(n: int, v: np.ndarray) -> np.ndarray:
     leaves Bob's pair carrying (v^T ox 1) w (conj(v) ox 1); see pivot_general.
     With v = identity this reproduces bell_projector exactly.
     """
-    v = _checked_unitary(v, n)
+    v = _unitary(v, n)
     vec = np.conj(v).reshape(n * n)
     return np.outer(vec, vec.conj()) / n
 
@@ -94,19 +96,10 @@ def symmetric_projector(n: int) -> np.ndarray:
     return (np.eye(n * n) + swap_operator(n)) / 2.0
 
 
-def _checked_unitary(v: np.ndarray, n: int) -> np.ndarray:
-    v = finite_matrix(v)
-    if v.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {v.shape}")
-    if frobenius(v.conj().T @ v - np.eye(n)) > 1e-10 * max(1.0, frobenius(v)):
-        raise ValueError("matrix is not unitary")
-    return v
-
-
 def _checked_bipartite(w, n: int) -> np.ndarray:
-    m = as_matrix(w)
-    _check_dims(m, (n, n))
-    return hermitian(m)
+    """The Hermitian part of a w that _admit admits on (n, n)."""
+    m = _admit(w, (n, n))
+    return (m + m.conj().T) / 2.0
 
 
 def embed_with_entangled_pair(w, n: int) -> np.ndarray:
@@ -243,7 +236,7 @@ def pivot_general(w, n: int, v: np.ndarray) -> GeneralPivotResult:
     pivot_alice.
     """
     m = _checked_bipartite(w, n)
-    v = _checked_unitary(v, n)
+    v = _unitary(v, n)
     bob = _project(m, bell_projector(n), n, np.conj(v) / np.sqrt(n), "alice")
     alpha = float(np.real(np.trace(bob)))
     # (v^T ox 1) w (conj(v) ox 1): v^T on the rows of the first factor, then
@@ -316,6 +309,8 @@ def desideratum_violation_demo(n: int = 2, *, seed: int = 2026) -> DesideratumRe
     operator, or the inner Bell state by a product state, removes every
     negative value over the swept effect family.
     """
+    from .cones import is_popt
+
     w = swap_operator(n) / n
     verdict = is_popt(w, (n, n), seed=seed)
     lhs, _ = corollary_check(w, antisymmetric_projector(n), n)

@@ -114,6 +114,14 @@ def test_verify_state_rejects_nan_table_value(tmp_path, capsys):
     assert code == 65
     assert doc["verdict"] == "malformed-input"
     assert "NaN" in doc["reason"]
+    # an integer literal that no float can hold is refused the same way
+    path = write_doc(
+        tmp_path, "big.json",
+        {"space": chain_space(), "table": {"a": 10**400, "x": 0.6, "b": 0.4}},
+    )
+    code, doc = invoke_strict(capsys, "verify-state", path)
+    assert code == 65
+    assert doc["verdict"] == "malformed-input"
 
 
 def test_verify_state_multiset_space(tmp_path, capsys):
@@ -166,10 +174,11 @@ def test_influence_free_verdicts(tmp_path, capsys):
 
 def test_influence_free_rejects_nan_pair_value(tmp_path, capsys):
     doc = pr_box_doc()
-    doc["table"][0][2] = math.nan
-    code, out = invoke_strict(capsys, "influence-free", write_doc(tmp_path, "nan.json", doc))
-    assert code == 65
-    assert out["verdict"] == "malformed-input"
+    for bad in (math.nan, 10**400):
+        doc["table"][0][2] = bad
+        code, out = invoke_strict(capsys, "influence-free", write_doc(tmp_path, "bad.json", doc))
+        assert code == 65
+        assert out["verdict"] == "malformed-input"
 
 
 def test_fns_tests_counts_and_cap(tmp_path, capsys):
@@ -335,6 +344,11 @@ def test_ppt_check_rejects_nan_entry(tmp_path, capsys):
     code, out = invoke_strict(capsys, "ppt-check", str(overflow))
     assert code == 65
     assert "1e999" in out["reason"]
+    # and so is an integer literal beyond the float range
+    big = write_doc(tmp_path, "big.json", {"rows": 1, "cols": 1, "entries": [[10**400, 0]]})
+    code, out = invoke_strict(capsys, "ppt-check", big, "--dims", "1,1")
+    assert code == 65
+    assert out["verdict"] == "malformed-input"
 
 
 def test_overflowing_result_is_malformed(tmp_path, capsys):

@@ -29,7 +29,7 @@ from influencefree.cones import (
     popt_minimize,
     witness_holds,
 )
-from influencefree.linalg import DEFAULT_TOL as TOL, frobenius, partial_transpose
+from influencefree.linalg import DEFAULT_TOL as TOL, frobenius, hermitian_eig, min_eig, partial_transpose
 from influencefree.sampling import random_hermitian, random_psd, random_rank
 
 
@@ -66,6 +66,8 @@ HERMITIAN_ENTRY_POINTS = [
     pytest.param(lambda w: is_popt(w, (2, 2), seed=1), id="is_popt"),
     pytest.param(lambda w: decomposable_sum_membership(w, (2, 2)), id="membership"),
     pytest.param(lambda w: popt_minimize(w, (2, 2), seed=1), id="popt_minimize"),
+    pytest.param(min_eig, id="min_eig"),
+    pytest.param(hermitian_eig, id="hermitian_eig"),
 ]
 
 
@@ -92,12 +94,17 @@ def antisymmetric_part() -> np.ndarray:
     return w
 
 
+# the refusal must not depend on the scale, nor over- or underflow on the way
+SCALES = (1e-300, 1e-170, 1e-10, 1.0, 1e160, 1e300)
+
+
 # extremality_probe takes the operator of a conjugation map, which need not be Hermitian
 @pytest.mark.parametrize("make", [lopsided, antisymmetric_part])
 @pytest.mark.parametrize("entry", HERMITIAN_ENTRY_POINTS)
 def test_entry_points_reject_non_hermitian_operators(entry, make):
-    with pytest.raises(ValueError, match="non-Hermitian"):
-        entry(make())
+    for scale in SCALES:
+        with pytest.raises(ValueError, match="hermiticity defect"):
+            entry(scale * make())
 
 
 def test_is_psd_verdicts():

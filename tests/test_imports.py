@@ -70,6 +70,15 @@ def test_ppt_check_request_adds_only_cones(tmp_path):
     assert request_loads("ppt-check", str(path)) == package("cli", "cones", "jsonio", "linalg")
 
 
+def test_pivot_request_loads_no_cones(tmp_path):
+    # the maximally mixed state on 2 x 2; only the witness demo asks cones for a verdict
+    entries = [[0.25 if i == j else 0, 0] for i in range(4) for j in range(4)]
+    doc = {"rows": 4, "cols": 4, "dims": [2, 2], "entries": entries}
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    assert request_loads("pivot", str(path)) == package("choimaps", "cli", "jsonio", "linalg", "teleport")
+
+
 @pytest.mark.parametrize("name", [n for n in influencefree.__all__ if n != "__version__"])
 def test_every_name_is_the_object_of_its_home_module(name):
     obj = getattr(influencefree, name)

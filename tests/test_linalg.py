@@ -85,17 +85,22 @@ def test_hermitian_operator_admission_and_defect():
     assert np.allclose(hermitian(h), h)
 
     skewed = h + 1e-3 * (rng.standard_normal((3, 3)) * 1j)
-    with pytest.raises(ValueError):
-        hermitian(skewed)
+    # the same verdicts at every scale, with no over- or underflow on the way
+    for scale in (1e-300, 1e-170, 1e-10, 1.0, 1e160, 1e300):
+        assert np.array_equal(hermitian(scale * h), scale * h)
+        with pytest.raises(ValueError, match="hermiticity defect"):
+            hermitian(scale * skewed)
     # generous tolerance admits it, symmetrized
     loose = hermitian(skewed, tol=1.0)
     assert np.allclose(loose, loose.conj().T)
 
 
 def test_hermitian_operator_rejects_non_finite_entries():
+    # eigh would otherwise answer with a NaN eigenvalue
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            hermitian(np.diag([bad, 1.0]))
+        for entry in (hermitian, min_eig, hermitian_eig):
+            with pytest.raises(ValueError, match="non-finite"):
+                entry(np.diag([bad, 1.0]))
 
 
 def test_min_eig_and_psd_part():

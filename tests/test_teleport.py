@@ -304,12 +304,56 @@ def test_pivots_reject_non_finite_operators():
         corollary_check(w, np.diag([np.nan, 1.0, 1.0, 1.0]), 2)
 
 
+def _non_hermitian_operators():
+    """The two non-Hermitian 4x4 operators of the cone admission tests, at every scale."""
+    lopsided = np.eye(4)
+    lopsided[0, 1] = 5.0
+    antisymmetric = np.eye(4)
+    antisymmetric[0, 1], antisymmetric[1, 0] = 0.5, -0.5
+    scales = (1e-300, 1e-170, 1e-10, 1.0, 1e160, 1e300)
+    return [s * w for w in (lopsided, antisymmetric) for s in scales]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda w: pivot_alice(w, 2), id="pivot_alice"),
+        pytest.param(lambda w: pivot_bob(w, 2), id="pivot_bob"),
+        pytest.param(lambda w: pivot_general(w, 2, np.eye(2)), id="pivot_general"),
+        pytest.param(lambda w: corollary_check(w, np.eye(4), 2), id="corollary_check"),
+        pytest.param(lambda w: corollary_check(np.eye(4) / 4, w, 2), id="corollary_effect"),
+        pytest.param(lambda w: embed_with_entangled_pair(w, 2), id="embed"),
+    ],
+)
+def test_entry_points_reject_non_hermitian_operators(entry):
+    for w in _non_hermitian_operators():
+        with pytest.raises(ValueError, match="hermiticity defect"):
+            entry(w)
+
+
+UNITARY_ENTRY_POINTS = (
+    lambda v: twisted_bell_projector(2, v),
+    lambda v: pivot_general(swap_operator(2) / 2.0, 2, v),
+    lambda v: transpose_in_basis(identity_map(2), v),
+)
+
+
 def test_unitaries_reject_non_finite_entries():
     # a NaN fails every comparison, so the unitarity check alone admits it
     for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
-        with pytest.raises(ValueError, match="a 2x2 matrix has non-finite entries"):
-            twisted_bell_projector(2, bad)
-        with pytest.raises(ValueError, match="a 2x2 matrix has non-finite entries"):
-            pivot_general(swap_operator(2) / 2.0, 2, bad)
-        with pytest.raises(ValueError, match="a 2x2 matrix has non-finite entries"):
-            transpose_in_basis(identity_map(2), bad)
+        for entry in UNITARY_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="a 2x2 matrix has non-finite entries"):
+                entry(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        pytest.param(2.0 * np.eye(2), "matrix is not unitary", id="twice-identity"),
+        pytest.param(np.eye(3), r"expected a 2x2 matrix, got shape \(3, 3\)", id="wrong-shape"),
+    ],
+)
+def test_unitaries_share_one_refusal(bad, reason):
+    for entry in UNITARY_ENTRY_POINTS:
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            entry(bad)
