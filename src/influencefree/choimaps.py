@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL, _check_dims, _unitary, as_matrix, hermitian, hermitian_eig, partial_transpose,
-)
+from .linalg import (DEFAULT_TOL, _check_dims, _hermitian_part, _unitary, as_matrix, hermitian,
+                     hermitian_eig, partial_transpose)
+
+_UNIT_TOL = 1e-10  # how far from 1 the norm of a state_eval vector may be
+_RECONSTRUCT_TOL = 1e-7  # the largest held-out residual reconstruct_operator accepts
 
 
 def unnormalized_q(n: int) -> np.ndarray:
@@ -168,13 +170,13 @@ def kraus_residual(m: LinearMapChoi, kraus: KrausSet) -> float:
     return float(np.linalg.norm(rebuilt - m.choi))
 
 
-def state_eval(w, dims: tuple[int, int], x, y, tol: float = 1e-10) -> float:
+def state_eval(w, dims: tuple[int, int], x, y) -> float:
     """<x (x) y| W |x (x) y> for unit vectors x, y; real for Hermitian W."""
     w = as_matrix(w)
     da, db = _check_dims(w, dims)
     x = np.asarray(x, dtype=complex).reshape(da)
     y = np.asarray(y, dtype=complex).reshape(db)
-    if abs(np.linalg.norm(x) - 1.0) > tol or abs(np.linalg.norm(y) - 1.0) > tol:
+    if abs(np.linalg.norm(x) - 1.0) > _UNIT_TOL or abs(np.linalg.norm(y) - 1.0) > _UNIT_TOL:
         raise ValueError("state_eval requires unit vectors")
     v = np.outer(x, y).ravel()  # x ⊗ y, bit for bit as np.kron(x, y)
     return float(np.real(v.conj() @ w @ v))
@@ -187,14 +189,14 @@ def _pair_family(d: int, phases: tuple[complex, ...]) -> np.ndarray:
     return (e[i] + np.multiply.outer(phases, e[j])).swapaxes(0, 1).reshape(-1, d) / np.sqrt(2)
 
 
-def reconstruct_operator(evaluate, da: int, db: int, tol: float = 1e-7) -> np.ndarray:
+def reconstruct_operator(evaluate, da: int, db: int) -> np.ndarray:
     """The unique Hermitian W with <xy|W|xy> = evaluate(x, y) on product vectors.
 
     Each side's polarization family e_i, (e_i + e_j)/sqrt2, (e_i + i·e_j)/sqrt2
     (i<j) has d² projectors forming a Hermitian basis, with Gram matrix
     |<v_k|v_l>|². The two Gram solves give coefficients c_kl and W is one
     contraction sum_kl c_kl P_k (x) Q_l of the projector stacks. The phases -1
-    and -i give held-out directions; a residual above tol there means the
+    and -i give held-out directions; a residual above _RECONSTRUCT_TOL there means the
     evaluator is not of the required form.
     """
     fam_a = np.concatenate([np.eye(da), _pair_family(da, (1, 1j))])
@@ -212,11 +214,11 @@ def reconstruct_operator(evaluate, da: int, db: int, tol: float = 1e-7) -> np.nd
     proj_a = np.einsum("ka,kb->kab", fam_a, fam_a.conj())
     proj_b = np.einsum("lc,ld->lcd", fam_b, fam_b.conj())
     w = np.einsum("kl,kab,lcd->acbd", coeff, proj_a, proj_b).reshape(da * db, da * db)
-    w = (w + w.conj().T) / 2.0
+    w = _hermitian_part(w)
     v = np.einsum("pa,qc->pqac", check_a, check_b).reshape(-1, da * db)
     held_out = np.einsum("na,ab,nb->n", v.conj(), w, v).real.reshape(len(check_a), -1)
     worst = float(np.abs(held_out - table(check_a, check_b)).max())
-    if not worst <= tol:
+    if not worst <= _RECONSTRUCT_TOL:
         raise ValueError(
             f"evaluator is inconsistent with any Hermitian operator "
             f"(held-out residual {worst:.3e})"

@@ -27,6 +27,7 @@ from .jsonio import (
     two_stage_test_to_document,
     value_table_from_document,
     vector_to_document,
+    _coupled_spaces,
     _require,
 )
 from .linalg import CapExceededError, frobenius, hermitian
@@ -334,12 +335,8 @@ def _influence_free(args, omega):
 def _fns_tests(args, doc):
     """enumerate two-stage tests of a coupled pair"""
     from .coupling import _count as _direction_count, fns_tests
-    from .testspace import ETestSpace
 
-    alice = testspace_from_document(_require(doc, "alice", dict, "input"), "alice")
-    bob = testspace_from_document(_require(doc, "bob", dict, "input"), "bob")
-    if isinstance(alice, ETestSpace) or isinstance(bob, ETestSpace):
-        raise DocumentError("test enumeration needs set tests, not multisets")
+    alice, bob = _coupled_spaces(doc)
     combined = fns_tests(alice, bob, cap=args.cap)
     return EXIT_OK, {
         "verdict": "enumerated",

@@ -23,6 +23,8 @@ from .linalg import (
     DEFAULT_TOL,
     _admit,
     _check_dims,
+    _hermitian_part,
+    _least_eigh,
     finite_matrix,
     min_eig,
     partial_transpose,
@@ -148,9 +150,9 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     picked = None
     for sweep in range(1, max_iter + 1):
         xs = x[live]
-        _, ys = _min_vecs(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
+        _, ys = _least_eigh(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
         # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
-        new_value, xs = _min_vecs(np.einsum("ijkl,rj,rl->rik", w4, ys.conj(), ys))
+        new_value, xs = _least_eigh(np.einsum("ijkl,rj,rl->rik", w4, ys.conj(), ys))
         old_value = value[live]
         rising = new_value > old_value + slack
         if rising.any():
@@ -175,12 +177,6 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     yield lowest, SeesawResult(
         float(value[best]), x[best], y[best], best + 1, int(iterations[best]), bool(converged[best])
     )
-
-
-def _min_vecs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least eigenvalue and its eigenvector for each matrix of a stack."""
-    vals, vecs = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
-    return vals[:, 0], vecs[:, :, 0]
 
 
 def _gamma_index(n: int, dims: Sequence[int]) -> np.ndarray:
@@ -305,7 +301,7 @@ def _newton_step(p, t, mu, s, gamma):
     decrement = float(np.sqrt(max(0.0, -np.vdot(grad, step).real)))
     alpha = 1.0 if decrement < CENTERED else 1.0 / (1.0 + decrement)
     dp = step[:nn].reshape(n, n)
-    return p + alpha * (dp + dp.conj().T) / 2.0, t + alpha * step[nn].real, decrement
+    return p + alpha * _hermitian_part(dp), t + alpha * step[nn].real, decrement
 
 
 def _dual_witness(m: np.ndarray, r: np.ndarray, dims: Sequence[int]) -> np.ndarray | None:
@@ -319,7 +315,7 @@ def _dual_witness(m: np.ndarray, r: np.ndarray, dims: Sequence[int]) -> np.ndarr
     returned before any eigenvalue is computed: a shift s·I with s >= 0 only
     adds s·Tr W, so Tr(ZW) cannot become negative.
     """
-    z = -(r + r.conj().T) / 2.0
+    z = -_hermitian_part(r)
     if np.vdot(z, m).real >= 0.0 and np.trace(m).real >= 0.0:
         return None
     floor = min(np.linalg.eigvalsh(z)[0], np.linalg.eigvalsh(partial_transpose(z, dims, 1))[0])
@@ -396,9 +392,8 @@ def is_popt(
     membership status in info.
     """
     m = _admit(w, dims)
-    both = np.stack((m, partial_transpose(m, dims, 1)))
     # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit
-    least = np.linalg.eigh((both + both.conj().swapaxes(1, 2)) / 2.0)[0][:, 0]
+    least = _least_eigh(np.stack((m, partial_transpose(m, dims, 1))))[0]
     if least[0] >= -tol:
         return ConeVerdict(
             "certified", min_value=float(least[0]),

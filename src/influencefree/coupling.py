@@ -112,7 +112,6 @@ class ProductState:
         self.alice = alice
         self.bob = bob
         self.values = values
-        self.tolerance = tolerance
 
     def __call__(self, x: str, y: str) -> float:
         return float(self.values[self.alice.outcome_index(x), self.bob.outcome_index(y)])

@@ -150,13 +150,7 @@ def testspace_from_document(doc, where: str = "space") -> TestSpace | ETestSpace
         tests.append(items)
     try:
         if multiset:
-            merged = []
-            for items in tests:
-                counts: dict[str, int] = {}
-                for label, mult in items:
-                    counts[label] = counts.get(label, 0) + mult
-                merged.append(tuple(counts.items()))
-            return ETestSpace(outcomes, merged)
+            return ETestSpace(outcomes, tests)
         return TestSpace(outcomes, [tuple(label for label, _ in items) for items in tests])
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
@@ -212,16 +206,20 @@ def pair_table_to_document(table) -> list:
     return [[x, y, float(v)] for (x, y), v in sorted(table.items())]
 
 
-def product_state_documents(doc):
-    """Split a ProductStateDocument into (alice space, bob space, pair table)."""
+def _coupled_spaces(doc) -> tuple[TestSpace, TestSpace]:
+    """The set test spaces under a document's "alice" and "bob" fields."""
     from .testspace import ETestSpace
 
     alice = testspace_from_document(_require(doc, "alice", dict, "input"), "alice")
     bob = testspace_from_document(_require(doc, "bob", dict, "input"), "bob")
     if isinstance(alice, ETestSpace) or isinstance(bob, ETestSpace):
-        raise DocumentError("coupled-state commands need set tests, not multisets")
-    table = pair_table_from_document(_require(doc, "table", list, "input"))
-    return alice, bob, table
+        raise DocumentError("coupled test spaces need set tests, not multisets")
+    return alice, bob
+
+
+def product_state_documents(doc):
+    """Split a ProductStateDocument into (alice space, bob space, pair table)."""
+    return *_coupled_spaces(doc), pair_table_from_document(_require(doc, "table", list, "input"))
 
 
 def two_stage_test_to_document(t) -> dict:

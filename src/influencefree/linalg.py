@@ -9,8 +9,10 @@ Input is admitted along one path: `as_matrix` coerces to a 2-d complex array,
 of a matrix against its factor dims. Every entry point that takes a Hermitian
 operator admits it by `_admit`, the one hermiticity rule: the defect
 ‖(M − M†)/2‖_F may be at most tol · ‖M‖_F, both norms taken of M / max|M_ij|,
-so that a verdict does not depend on the scale of M. `hermitian` is `_admit`
-followed by taking the Hermitian part. `_unitary` is the one unitarity rule.
+so that a verdict does not depend on the scale of M. `_unitary` is the one
+unitarity rule. `_hermitian_part` is the one symmetrization, summed from
+halves so that finite input never overflows, and `_least_eigh` the one least
+eigenpair. `hermitian` is `_admit` followed by `_hermitian_part`.
 """
 
 from __future__ import annotations
@@ -84,10 +86,21 @@ def _admit(matrix, dims: Sequence[int] | None = None, tol: float = DEFAULT_TOL) 
     return m
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M†)/2 of a matrix or stack, bit for bit but on subnormals, summed from halves."""
+    half = m * 0.5
+    return half + half.conj().swapaxes(-1, -2)
+
+
+def _least_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least eigenvalue and its eigenvector of the Hermitian part of h, or of each of a stack."""
+    vals, vecs = np.linalg.eigh(_hermitian_part(h))
+    return vals[..., 0], vecs[..., :, 0]
+
+
 def hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(M + M†)/2 for an M that _admit admits at tol; refused, never repaired, otherwise."""
-    m = _admit(matrix, tol=tol)
-    return (m + m.conj().T) / 2.0
+    return _hermitian_part(_admit(matrix, tol=tol))
 
 
 def _unitary(v, n: int) -> np.ndarray:
@@ -95,7 +108,10 @@ def _unitary(v, n: int) -> np.ndarray:
     v = finite_matrix(v)
     if v.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {v.shape}")
-    if frobenius(v.conj().T @ v - np.eye(n)) > 1e-10 * max(1.0, frobenius(v)):
+    if (
+        np.abs(v).max(initial=0.0) > 2.0  # a unitary has |V_ij| <= 1; V†V could overflow
+        or frobenius(v.conj().T @ v - np.eye(n)) > 1e-10 * max(1.0, frobenius(v))
+    ):
         raise ValueError("matrix is not unitary")
     return v
 
@@ -153,11 +169,12 @@ def permute_systems(w, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     return t.transpose(list(perm) + [k + p for p in perm]).reshape(n, n)
 
 
-def _fix_phase(v: np.ndarray) -> None:
-    """Turn v in place so that its largest-magnitude component is real and positive."""
-    c = v[int(np.argmax(np.abs(v)))]
-    if abs(c) > 0:
-        v *= np.conj(c) / abs(c)
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """v, each column (or v itself) turned in place so its largest-magnitude entry is > 0."""
+    for col in v.reshape(len(v), -1).T:
+        c = col[int(np.argmax(np.abs(col)))]  # nonzero: an eigenvector has unit norm
+        col *= np.conj(c) / abs(c)
+    return v
 
 
 def hermitian_eig(w) -> tuple[np.ndarray, np.ndarray]:
@@ -168,11 +185,7 @@ def hermitian_eig(w) -> tuple[np.ndarray, np.ndarray]:
     is real and positive, for reproducible output.
     """
     vals, vecs = np.linalg.eigh(hermitian(w))
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        _fix_phase(vecs[:, j])
-    return vals.real, vecs
+    return vals[::-1].copy(), _fix_phase(vecs[:, ::-1].copy())
 
 
 def min_eig(w) -> tuple[float, np.ndarray]:
@@ -181,10 +194,8 @@ def min_eig(w) -> tuple[float, np.ndarray]:
     Only the returned vector is phase-fixed, so the pair equals the last one
     of hermitian_eig bit for bit.
     """
-    vals, vecs = np.linalg.eigh(hermitian(w))
-    vec = vecs[:, 0].copy()
-    _fix_phase(vec)
-    return float(vals[0]), vec
+    val, vec = _least_eigh(_admit(w))
+    return float(val), _fix_phase(vec.copy())
 
 
 def psd_part(w) -> np.ndarray:
@@ -193,6 +204,6 @@ def psd_part(w) -> np.ndarray:
     A (k, d, d) array is a stack: each matrix is projected, by one eigh call.
     """
     m = w if isinstance(w, np.ndarray) and w.ndim == 3 else as_matrix(w)
-    vals, vecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    vals, vecs = np.linalg.eigh(_hermitian_part(m))
     clipped = np.clip(vals, 0.0, None)[..., None, :]
     return (vecs * clipped) @ vecs.conj().swapaxes(-1, -2)

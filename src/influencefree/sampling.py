@@ -10,18 +10,20 @@ from itertools import product
 import numpy as np
 
 from .coupling import ProductState, is_influence_free
+from .linalg import _hermitian_part
 from .testspace import TestSpace, admits_positive_state
 
 _MIXTURE = 3  # product states per influence-free table
 _STATE_ROUNDS = 4000  # fitting rounds for one side's state
 _SIGNALLING_ROUNDS = 1000  # fitting rounds for a signalling table
 _MIN_DEVIATION = 1e-6  # least marginal deviation of a decisive signalling table
+_MIN_SV = 0.3  # random_rank's nonzero singular values are at least this
 
 
 def random_hermitian(rng: np.random.Generator, d: int, trace: float | None = None) -> np.ndarray:
     """GUE-style Hermitian matrix, optionally rescaled/shifted to a given trace."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = (g + g.conj().T) / 2.0
+    h = _hermitian_part(g)
     if trace is not None:
         h = h + (trace - np.trace(h).real) / d * np.eye(d)
     return h
@@ -42,12 +44,12 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_rank(rng: np.random.Generator, d: int, rank: int, min_sv: float = 0.3) -> np.ndarray:
-    """Random d x d matrix of exact rank `rank`, nonzero singular values >= min_sv."""
+def random_rank(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
+    """Random d x d matrix of exact rank `rank`, nonzero singular values >= _MIN_SV."""
     u = random_unitary(rng, d)
     v = random_unitary(rng, d)
     sv = np.zeros(d)
-    sv[:rank] = min_sv + rng.uniform(0.5, 1.5, size=rank)
+    sv[:rank] = _MIN_SV + rng.uniform(0.5, 1.5, size=rank)
     return (u * sv) @ v.conj().T
 
 

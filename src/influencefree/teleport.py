@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .choimaps import swap_operator, unnormalized_q
-from .linalg import _admit, _unitary, frobenius, hermitian, kron, permute_systems
+from .linalg import _admit, _hermitian_part, _unitary, frobenius, hermitian, kron, permute_systems
 
 if TYPE_CHECKING:
     from .cones import ConeVerdict
@@ -96,19 +96,13 @@ def symmetric_projector(n: int) -> np.ndarray:
     return (np.eye(n * n) + swap_operator(n)) / 2.0
 
 
-def _checked_bipartite(w, n: int) -> np.ndarray:
-    """The Hermitian part of a w that _admit admits on (n, n)."""
-    m = _admit(w, (n, n))
-    return (m + m.conj().T) / 2.0
-
-
 def embed_with_entangled_pair(w, n: int) -> np.ndarray:
     """Place w on the outer pair (A1, B1) and a Bell projector on (A2, B2).
 
     Built as kron(w, T) followed by an explicit factor permutation into the
     (A1, A2, B2, B1) order; no index arithmetic on the formula level.
     """
-    m = _checked_bipartite(w, n)
+    m = _hermitian_part(_admit(w, (n, n)))
     return permute_systems(kron(m, bell_projector(n)), (n, n, n, n), (0, 2, 3, 1))
 
 
@@ -197,7 +191,7 @@ def _bell_vector(n: int) -> np.ndarray:
 
 
 def _pivot(w, n: int, side: str) -> PivotReport:
-    m = _checked_bipartite(w, n)
+    m = _hermitian_part(_admit(w, (n, n)))
     left = _project(m, bell_projector(n), n, _bell_vector(n), side)
     alpha = float(np.real(np.trace(left)))
     # T ox M against alpha * (T ox w): the gap is ||T||_F ||M - alpha w||_F with ||T||_F = 1
@@ -235,7 +229,7 @@ def pivot_general(w, n: int, v: np.ndarray) -> GeneralPivotResult:
     With v = identity the projector, alpha, and sandwich agree exactly with
     pivot_alice.
     """
-    m = _checked_bipartite(w, n)
+    m = _hermitian_part(_admit(w, (n, n)))
     v = _unitary(v, n)
     bob = _project(m, bell_projector(n), n, np.conj(v) / np.sqrt(n), "alice")
     alpha = float(np.real(np.trace(bob)))
@@ -260,13 +254,13 @@ def corollary_check(w, b, n: int) -> tuple[float, float]:
     Positivity of lhs for every positive semidefinite b would force w itself
     to be positive semidefinite.
     """
-    m = _checked_bipartite(w, n)
+    m = _hermitian_part(_admit(w, (n, n)))
     trace_w = float(np.real(np.trace(m)))
     if abs(trace_w - 1.0) > 1e-10:
         raise ValueError(f"operator trace is {trace_w}, expected 1 within 1e-10")
-    bm = _checked_bipartite(b, n)
+    bm = _hermitian_part(_admit(b, (n, n)))
     vals = np.linalg.eigvalsh(bm)
-    if vals[0] < -1e-9 * max(1.0, frobenius(bm)):
+    if vals[0] < -1e-9 * frobenius(bm):
         raise ValueError("effect operator is not positive semidefinite")
     bob = _project(m, bell_projector(n), n, _bell_vector(n), "alice")
     # Tr(X b) = <b, X>_HS since b is Hermitian

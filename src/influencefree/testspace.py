@@ -77,7 +77,7 @@ class TestSpace:
 
 @dataclass(frozen=True)
 class ETestSpace:
-    """Test space with multiset tests: each test maps outcome -> multiplicity."""
+    """Test space with multiset tests: each test maps outcome -> multiplicity, repeats summed."""
 
     outcomes: tuple[str, ...]
     tests: tuple[tuple[tuple[str, int], ...], ...]
@@ -90,12 +90,13 @@ class ETestSpace:
         index = {x: i for i, x in enumerate(outcomes)}
         canon = []
         for t in tests:
-            items = dict(t)
-            if any(x not in index for x in items):
-                raise ValueError(f"test refers to unknown outcomes: {sorted(items)}")
-            if any(int(m) < 0 for m in items.values()):
+            items = [(x, int(m)) for x, m in (t.items() if isinstance(t, Mapping) else t)]
+            if any(x not in index for x, _ in items):
+                raise ValueError(f"test refers to unknown outcomes: {sorted(dict(items))}")
+            if any(m < 0 for _, m in items):
                 raise ValueError("multiplicities must be non-negative")
-            positive = {x: int(m) for x, m in items.items() if int(m) > 0}
+            counts = {x: sum(m for y, m in items if y == x) for x in dict(items)}
+            positive = {x: m for x, m in counts.items() if m > 0}
             if not positive:
                 raise ValueError("each test needs at least one positive multiplicity")
             canon.append(tuple(sorted(positive.items(), key=lambda kv: index[kv[0]])))

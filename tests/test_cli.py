@@ -205,6 +205,22 @@ def test_fns_tests_counts_and_cap(tmp_path, capsys):
     assert doc["required"] == 4
 
 
+def test_fns_tests_refuses_a_multiset_space(tmp_path, capsys):
+    path = write_doc(
+        tmp_path, "multi.json",
+        {
+            "alice": {"outcomes": ["x1", "x2"], "tests": [["x1", "x2"]]},
+            "bob": {"outcomes": ["y"], "tests": [[{"outcome": "y", "multiplicity": 2}]]},
+        },
+    )
+    code, doc = invoke(capsys, "fns-tests", path)
+    assert code == 65
+    assert doc == {
+        "verdict": "malformed-input",
+        "reason": "coupled test spaces need set tests, not multisets",
+    }
+
+
 def test_condition_success_refusal_and_unknown_outcome(tmp_path, capsys):
     free = dict(pr_box_doc(), on="a00", side="alice")
     code, doc = invoke(capsys, "condition", write_doc(tmp_path, "c1.json", free))
@@ -330,6 +346,16 @@ def test_ppt_check(tmp_path, capsys):
     )
     code, doc = invoke(capsys, "ppt-check", product)
     assert code == 0
+
+
+def test_ppt_check_answers_at_the_largest_finite_scale(tmp_path, capsys):
+    # (W + W†)/2 would overflow here; the entries themselves are finite
+    w = 1.5e308 * np.diag([1.0, 1.0, 1.0, -1.0])
+    path = write_doc(tmp_path, "big.json", matrix_to_document(w, (2, 2)))
+    code, doc = invoke_strict(capsys, "ppt-check", path)
+    assert code == 1
+    assert doc["verdict"] == "not-ppt"
+    assert doc["min_value"] == -1.5e308
 
 
 def test_ppt_check_rejects_nan_entry(tmp_path, capsys):

@@ -118,6 +118,21 @@ def test_is_psd_verdicts():
     assert np.real(v.conj() @ np.diag([1.0, -0.5]) @ v) == pytest.approx(-0.5)
 
 
+def test_spectral_verdicts_are_finite_at_the_largest_scale():
+    # (W + W†)/2 overflows above about 9e307; any warning fails the test
+    s = 1.5e308
+    refuted = is_psd(s * np.diag([1.0, -1.0]))
+    assert refuted.status == "refuted" and refuted.min_value == -s
+    assert np.array_equal(refuted.witness, [0.0, 1.0])
+    not_ppt = is_ppt(s * unnormalized_q(2) / 2, (2, 2))
+    assert not_ppt.status == "refuted" and not_ppt.min_value == pytest.approx(-s / 2)
+    psd = is_popt(s * np.eye(4), (2, 2), seed=1)
+    assert psd.status == "certified" and psd.info["branch"] == "psd"
+    assert psd.min_value == s
+    ppt = is_popt(s * swap_operator(2) / 2, (2, 2), seed=1)
+    assert ppt.status == "certified" and ppt.info["branch"] == "ppt"
+
+
 def test_is_ppt_verdicts():
     # Q^Gamma is the swap, eigenvalue -1
     refuted = is_ppt(unnormalized_q(2), (2, 2))

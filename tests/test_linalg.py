@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from influencefree.choimaps import swap_operator
 from influencefree.linalg import (
+    _hermitian_part,
+    _least_eigh,
     frobenius,
     hermitian,
     hermitian_eig,
@@ -82,11 +84,12 @@ def test_permute_systems_three_factors():
 def test_hermitian_operator_admission_and_defect():
     rng = np.random.default_rng(6)
     h = _random_hermitian(rng, 3)
+    h /= np.abs(h).max()  # entries of modulus <= 1, so that 1.5e308 * h is finite
     assert np.allclose(hermitian(h), h)
 
     skewed = h + 1e-3 * (rng.standard_normal((3, 3)) * 1j)
     # the same verdicts at every scale, with no over- or underflow on the way
-    for scale in (1e-300, 1e-170, 1e-10, 1.0, 1e160, 1e300):
+    for scale in (1e-300, 1e-170, 1e-10, 1.0, 1e160, 1e300, 1.5e308):
         assert np.array_equal(hermitian(scale * h), scale * h)
         with pytest.raises(ValueError, match="hermiticity defect"):
             hermitian(scale * skewed)
@@ -101,6 +104,33 @@ def test_hermitian_operator_rejects_non_finite_entries():
         for entry in (hermitian, min_eig, hermitian_eig):
             with pytest.raises(ValueError, match="non-finite"):
                 entry(np.diag([bad, 1.0]))
+
+
+def test_hermitian_part_is_the_halved_sum_bit_for_bit():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    expected = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+    assert np.array_equal(_hermitian_part(stack), expected)
+    assert np.array_equal(_hermitian_part(stack[0]), expected[0])
+    vals, vecs = _least_eigh(stack)
+    full_vals, full_vecs = np.linalg.eigh(expected)
+    assert np.array_equal(vals, full_vals[:, 0])
+    assert np.array_equal(vecs, full_vecs[:, :, 0])
+
+
+def test_hermitian_arithmetic_is_finite_at_the_largest_scale():
+    # (M + M†)/2 overflows above about 9e307; any warning fails the test
+    w = 1.5e308 * np.array([[1.0, 0.5j], [-0.5j, -1.0]])
+    assert np.array_equal(hermitian(w), w)
+    lam, vec = min_eig(w)
+    assert lam == pytest.approx(-1.5e308 * np.sqrt(1.25))
+    assert np.isfinite(vec).all()
+    vals, vecs = hermitian_eig(w)
+    assert np.isfinite(vals).all() and np.isfinite(vecs).all()
+    assert vals[-1] == lam
+    positive = psd_part(w)
+    assert np.isfinite(positive).all()
+    assert np.linalg.eigvalsh(positive / 1.5e308).min() >= -1e-12
 
 
 def test_min_eig_and_psd_part():

@@ -167,6 +167,20 @@ def test_corollary_input_validation():
         corollary_check(np.eye(4), antisymmetric_projector(2), 2)
     with pytest.raises(ValueError, match="positive semidefinite"):
         corollary_check(swap_operator(2) / 2.0, np.diag([1.0, 1.0, 1.0, -1.0]), 2)
+    # the effect's positivity does not depend on its scale
+    for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            corollary_check(np.eye(4) / 4, scale * np.diag([1.0, 1.0, 1.0, -0.5]), 2)
+        lhs, rhs = corollary_check(np.eye(4) / 4, scale * symmetric_projector(2), 2)
+        assert lhs == pytest.approx(rhs) and lhs > 0.0
+
+
+def test_admitted_operators_are_finite_at_the_largest_scale():
+    # (W + W†)/2 overflows above about 9e307; any warning fails the test
+    w = 1.5e308 * np.diag([1.0, 1.0, 1.0, -1.0])
+    embedded = embed_with_entangled_pair(w, 2)
+    assert np.isfinite(embedded).all()
+    assert embedded.real.max() == 1.5e308 / 2
 
 
 def test_desideratum_demo_report():
@@ -350,6 +364,8 @@ def test_unitaries_reject_non_finite_entries():
     "bad, reason",
     [
         pytest.param(2.0 * np.eye(2), "matrix is not unitary", id="twice-identity"),
+        # V†V would overflow
+        pytest.param(1e200 * np.eye(2), "matrix is not unitary", id="huge-identity"),
         pytest.param(np.eye(3), r"expected a 2x2 matrix, got shape \(3, 3\)", id="wrong-shape"),
     ],
 )

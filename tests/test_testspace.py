@@ -106,6 +106,20 @@ def test_estate_weights_multiplicities():
         ETestSpace(["u"], [(("u", -1),)])
 
 
+def test_repeated_outcomes_sum_in_the_constructor_as_in_the_decoder():
+    from influencefree.jsonio import testspace_from_document
+
+    built = ETestSpace(["u", "v"], [(("u", 1), ("u", 1), ("v", 1))])
+    doc = {"outcomes": ["u", "v"], "tests": [["u", {"outcome": "u", "multiplicity": 1}, "v"]]}
+    decoded = testspace_from_document(doc)
+    assert np.array_equal(built.incidence, [[2, 1]])
+    assert np.array_equal(decoded.incidence, built.incidence)
+    assert decoded.tests == built.tests == ((("u", 2), ("v", 1)),)
+    # a negative item is refused even when a repeat would make the sum positive
+    with pytest.raises(ValueError, match="multiplicities must be non-negative"):
+        ETestSpace(["u"], [(("u", 2), ("u", -1))])
+
+
 def test_positive_weight_returns_common_sum():
     assert is_positive_weight(CHAIN, {"a": 0.5, "x": 1.5, "b": 0.5}) == pytest.approx(2.0)
     assert is_positive_weight(CHAIN, {"a": 0.5, "x": 1.5, "b": 0.6}) is None
