@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, _check_dims, _hermitian_part, _unitary, as_matrix, hermitian,
-                     hermitian_eig, partial_transpose)
+from .linalg import (DEFAULT_TOL, _check_dims, _hermitian_part, _unitary, as_matrix, frobenius,
+                     hermitian, hermitian_eig, partial_transpose)
 
 _UNIT_TOL = 1e-10  # how far from 1 the norm of a state_eval vector may be
-_RECONSTRUCT_TOL = 1e-7  # the largest held-out residual reconstruct_operator accepts
+_RECONSTRUCT_TOL = 1e-7  # the largest held-out residual reconstruct_operator accepts, per unit of max |value|
 
 
 def unnormalized_q(n: int) -> np.ndarray:
@@ -43,8 +43,8 @@ def swap_operator(n: int) -> np.ndarray:
 class LinearMapChoi:
     """A Hermiticity-preserving linear map stored as its Choi operator."""
 
-    def __init__(self, choi, din: int, dout: int, tol: float = DEFAULT_TOL):
-        self.choi = hermitian(choi, tol=tol)
+    def __init__(self, choi, din: int, dout: int):
+        self.choi = hermitian(choi)
         dim = self.choi.shape[0]
         if din < 1 or dout < 1 or dim != din * dout:
             raise ValueError(f"Choi dimension {dim} does not equal din*dout = {din}*{dout}")
@@ -105,8 +105,8 @@ def compose_maps(f: LinearMapChoi, g: LinearMapChoi) -> LinearMapChoi:
     cg = g.choi.reshape(din, f.din, din, f.din)
     cf = f.choi.reshape(f.din, dout, f.din, dout)
     choi = np.einsum("ikjl,kalb->iajb", cg, cf).reshape(din * dout, din * dout)
-    # Hermitian up to rounding; admit with the usual defect bookkeeping
-    return LinearMapChoi(choi, din, dout, tol=1e-7)
+    # Hermitian up to rounding, far inside the one hermiticity rule at every scale
+    return LinearMapChoi(choi, din, dout)
 
 
 def transpose_in_basis(m: LinearMapChoi, u) -> LinearMapChoi:
@@ -145,29 +145,25 @@ def hk_representation(m: LinearMapChoi, tol: float = DEFAULT_TOL) -> KrausSet:
     """Kraus operators from the eigendecomposition of a PSD Choi operator.
 
     A_k = sqrt(lambda_k) · unfold(v_k) with unfold reading v as the matrix
-    v[(i,j)] = A[j,i]; eigenvalues within tol of 0 are dropped. Raises if the
-    Choi operator has a negative eigenvalue beyond tol.
+    v[(i,j)] = A[j,i]; eigenvalues at most 1e-12 times the largest are dropped.
+    Raises if the Choi operator has a negative eigenvalue beyond tol.
     """
     vals, vecs = hermitian_eig(m.choi)
     if vals[-1] < -tol:
         raise ValueError(
             f"map is not completely positive (Choi eigenvalue {vals[-1]:.3e})"
         )
-    drop = 1e-12 * max(1.0, float(vals[0]))
-    ops = []
-    for k in range(len(vals)):
-        if vals[k] <= drop:
-            continue
-        a = np.sqrt(vals[k]) * vecs[:, k].reshape(m.din, m.dout).T
-        ops.append(a)
-    return KrausSet(tuple(ops))
+    drop = 1e-12 * float(vals[0])
+    return KrausSet(tuple(
+        np.sqrt(lam) * v.reshape(m.din, m.dout).T for lam, v in zip(vals, vecs.T) if lam > drop
+    ))
 
 
 def kraus_residual(m: LinearMapChoi, kraus: KrausSet) -> float:
     """‖sum_i Ch(X -> A_i X A_i†) − Ch(m)‖_F, recomputed from the operators:
     how far the Kraus set misses the map."""
     rebuilt = sum((choi_from_conjugation(a).choi for a in kraus.operators), np.zeros_like(m.choi))
-    return float(np.linalg.norm(rebuilt - m.choi))
+    return frobenius(rebuilt - m.choi)
 
 
 def state_eval(w, dims: tuple[int, int], x, y) -> float:
@@ -196,8 +192,8 @@ def reconstruct_operator(evaluate, da: int, db: int) -> np.ndarray:
     (i<j) has d² projectors forming a Hermitian basis, with Gram matrix
     |<v_k|v_l>|². The two Gram solves give coefficients c_kl and W is one
     contraction sum_kl c_kl P_k (x) Q_l of the projector stacks. The phases -1
-    and -i give held-out directions; a residual above _RECONSTRUCT_TOL there means the
-    evaluator is not of the required form.
+    and -i give held-out directions; a residual there above _RECONSTRUCT_TOL ·
+    max |value| means the evaluator is not of the required form.
     """
     fam_a = np.concatenate([np.eye(da), _pair_family(da, (1, 1j))])
     fam_b = np.concatenate([np.eye(db), _pair_family(db, (1, 1j))])
@@ -210,15 +206,16 @@ def reconstruct_operator(evaluate, da: int, db: int) -> np.ndarray:
 
     gram_a = np.abs(fam_a.conj() @ fam_a.T) ** 2
     gram_b = np.abs(fam_b.conj() @ fam_b.T) ** 2
-    coeff = np.linalg.solve(gram_a, np.linalg.solve(gram_b, table(fam_a, fam_b).T).T)
+    fit, check = table(fam_a, fam_b), table(check_a, check_b)
+    coeff = np.linalg.solve(gram_a, np.linalg.solve(gram_b, fit.T).T)
     proj_a = np.einsum("ka,kb->kab", fam_a, fam_a.conj())
     proj_b = np.einsum("lc,ld->lcd", fam_b, fam_b.conj())
     w = np.einsum("kl,kab,lcd->acbd", coeff, proj_a, proj_b).reshape(da * db, da * db)
     w = _hermitian_part(w)
     v = np.einsum("pa,qc->pqac", check_a, check_b).reshape(-1, da * db)
     held_out = np.einsum("na,ab,nb->n", v.conj(), w, v).real.reshape(len(check_a), -1)
-    worst = float(np.abs(held_out - table(check_a, check_b)).max())
-    if not worst <= _RECONSTRUCT_TOL:
+    worst = float(np.abs(held_out - check).max())
+    if not worst <= _RECONSTRUCT_TOL * max(np.abs(fit).max(), np.abs(check).max()):
         raise ValueError(
             f"evaluator is inconsistent with any Hermitian operator "
             f"(held-out residual {worst:.3e})"

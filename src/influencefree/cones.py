@@ -22,10 +22,13 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     _admit,
+    _binary_scaled,
     _check_dims,
     _hermitian_part,
+    _ldexp,
     _least_eigh,
     finite_matrix,
+    frobenius,
     min_eig,
     partial_transpose,
     psd_part,
@@ -137,10 +140,10 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     da, db = _check_dims(m, dims)
     w4 = m.reshape(da, db, da, db)
     # eigh rounds each value to within a few ulps of ‖W‖, not of the value
-    slack = SEESAW_ROUNDING * max(1.0, float(np.linalg.norm(m)))
+    slack = SEESAW_ROUNDING * max(1.0, frobenius(m))
     g = np.random.default_rng(seed).standard_normal((restarts, 2, da))
     x = g[:, 0] + 1j * g[:, 1]
-    # one dot product per row, summed as np.linalg.norm sums a single vector
+    # one dot product per row, summed as a vector norm sums its real and imaginary parts
     x /= np.sqrt(x.real[:, None] @ x.real[:, :, None] + x.imag[:, None] @ x.imag[:, :, None])[:, 0]
     y = np.empty((restarts, db), dtype=complex)
     value = np.full(restarts, np.inf)
@@ -197,8 +200,8 @@ def decomposable_sum_membership(
     over Hermitian P and real t, whose optimum is <= 0 iff W ∈ K. Each
     iteration examines the current iterate, then takes one damped Newton
     step on t/μ − log det X1 − log det X2, and divides μ by BARRIER_SHRINK
-    once the step is short enough to call the iterate centered. Iterates
-    scale with W, so every verdict is scale invariant.
+    once the step is short enough to call the iterate centered. It runs on
+    _binary_scaled(W), so every verdict is scale invariant by construction.
 
     member: the cone-clipped pair P_c = psd_part(P), Q_c = Gamma(psd_part(
     Q^Gamma)) with Q = W − P meets ‖W − P_c − Q_c‖_F <= tol·‖W‖_F (W = 0 is
@@ -227,7 +230,8 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
     def g(a):  # partial transpose of a matrix or of each matrix of a stack
         return a.reshape(a.shape[:-2] + (n * n,))[..., gamma].reshape(a.shape)
 
-    scale = float(np.linalg.norm(m))
+    m, e = _binary_scaled(m)
+    scale = frobenius(m)
     eye = np.eye(n)
     # start at P = W, so a PSD operator is a member at the first iterate
     p = m
@@ -236,12 +240,14 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
     z = None
     loose = None
 
-    def verdict(status):
+    def verdict(status):  # P, Q and the residual scaled back by 2^e, exactly
+        p_w, q_w = (np.ldexp(a.view(float), e).view(complex) for a in (p_c, q_c))
+        r = _ldexp(residual, e)
         return ConeVerdict(
             status,
-            residual=residual,
+            residual=r,
             witness=z,
-            certificate=DecompositionCertificate(p_c, q_c, residual),
+            certificate=DecompositionCertificate(p_w, q_w, r),
             info={"iterations": it},
         )
 
@@ -250,7 +256,7 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
         blocks = np.stack([p, g(m - p)])
         clipped = psd_part(blocks)
         p_c, q_c = clipped[0], g(clipped[1])
-        residual = float(np.linalg.norm(m - p_c - q_c))
+        residual = frobenius(m - p_c - q_c)
         if loose is None and residual <= loose_tol * scale:
             loose = verdict("member")
         if residual <= tol * scale:
@@ -319,7 +325,7 @@ def _dual_witness(m: np.ndarray, r: np.ndarray, dims: Sequence[int]) -> np.ndarr
     if np.vdot(z, m).real >= 0.0 and np.trace(m).real >= 0.0:
         return None
     floor = min(np.linalg.eigvalsh(z)[0], np.linalg.eigvalsh(partial_transpose(z, dims, 1))[0])
-    z = z + (max(0.0, -floor) + WITNESS_MARGIN * np.linalg.norm(z)) * np.eye(m.shape[0])
+    z = z + (max(0.0, -floor) + WITNESS_MARGIN * frobenius(z)) * np.eye(m.shape[0])
     return z if witness_holds(m, dims, z) else None
 
 
@@ -405,7 +411,7 @@ def is_popt(
             info={"branch": "ppt", "psd": False},
         )
     membership = None
-    norm = float(np.linalg.norm(m))
+    norm = frobenius(m)
     asks = tol >= MEMBERSHIP_ROUNDING * norm
     rounding = SEESAW_ROUNDING * max(1.0, norm)
     previous = np.inf

@@ -28,14 +28,8 @@ def _require(doc, key, kind, where):
     if key not in doc:
         raise DocumentError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DocumentError(f"{where}.{key}: expected a number")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DocumentError(f"{where}.{key}: expected an integer")
-        return value
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise DocumentError(f"{where}.{key}: expected an integer")
     if not isinstance(value, kind):
         raise DocumentError(f"{where}.{key}: expected {kind.__name__}")
     return value
@@ -172,12 +166,10 @@ def value_table_from_document(doc, where: str = "table") -> dict[str, float]:
     """Decode {outcome label: number}."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected an object mapping labels to numbers")
-    out = {}
     for k, v in doc.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number_type(type(v)):
             raise DocumentError(f"{where}[{k!r}]: expected a number")
-        out[str(k)] = float(v)
-    return out
+    return {str(k): float(v) for k, v in doc.items()}
 
 
 def pair_table_from_document(doc, where: str = "table") -> dict[tuple[str, str], float]:
@@ -191,8 +183,7 @@ def pair_table_from_document(doc, where: str = "table") -> dict[tuple[str, str],
             or len(row) != 3
             or not isinstance(row[0], str)
             or not isinstance(row[1], str)
-            or isinstance(row[2], bool)
-            or not isinstance(row[2], (int, float))
+            or not _is_number_type(type(row[2]))
         ):
             raise DocumentError(f"{where}[{i}]: expected [x, y, value]")
         key = (row[0], row[1])

@@ -6,13 +6,14 @@ whose product must equal the matrix dimension.
 
 Input is admitted along one path: `as_matrix` coerces to a 2-d complex array,
 `finite_matrix` also refuses NaN and inf, and `_check_dims` is the one check
-of a matrix against its factor dims. Every entry point that takes a Hermitian
-operator admits it by `_admit`, the one hermiticity rule: the defect
-‖(M − M†)/2‖_F may be at most tol · ‖M‖_F, both norms taken of M / max|M_ij|,
-so that a verdict does not depend on the scale of M. `_unitary` is the one
-unitarity rule. `_hermitian_part` is the one symmetrization, summed from
-halves so that finite input never overflows, and `_least_eigh` the one least
-eigenpair. `hermitian` is `_admit` followed by `_hermitian_part`.
+of a matrix against its factor dims. Every operator size is read from one
+exact scaling by a power of two, `_binary_scaled`: `frobenius`, the one
+Frobenius norm, is finite wherever ‖M‖_F is, and `_admit`, the one hermiticity
+rule ‖(M − M†)/2‖_F <= DEFAULT_TOL · ‖M‖_F, reads the same at every scale.
+`_unitary` is the one unitarity rule. `_hermitian_part` is the one
+symmetrization, summed from halves so that finite input never overflows, and
+`_least_eigh` the one least eigenpair. `hermitian` is `_admit` followed by
+`_hermitian_part`.
 """
 
 from __future__ import annotations
@@ -56,32 +57,47 @@ def finite_matrix(m) -> np.ndarray:
     return a
 
 
+def _binary_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a·2^−e, e), e bringing the largest real or imaginary part of the complex a into
+    [1/2, 1) (0 if a is 0 or not finite); np.ldexp applies it exactly, where 2.0**e overflows."""
+    f = np.ascontiguousarray(a).view(float)
+    u = np.abs(f)  # then argmax, not max: a max reduction costs microseconds more
+    e = math.frexp(float(u.flat[u.argmax()]) if u.size else 0.0)[1]
+    return np.ldexp(f, -e, out=u).view(complex), e
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x·2^e, inf where that exceeds the largest float."""
+    return math.ldexp(x, e) if x == 0.0 or math.frexp(x)[1] + e <= 1024 else math.inf
+
+
 def frobenius(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(as_matrix(m)))
+    """‖M‖_F, read from _binary_scaled(M); inf only where it exceeds the largest float."""
+    u, e = _binary_scaled(as_matrix(m))
+    x = u.ravel()  # summed as np.linalg.norm sums it, so bit for bit its value
+    return _ldexp(math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)), e)
 
 
-def _admit(matrix, dims: Sequence[int] | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _admit(matrix, dims: Sequence[int] | None = None) -> np.ndarray:
     """matrix itself as complex128, admitted as a Hermitian operator on dims.
 
     Checked in order: finite entries, square, the factor dims (if given),
-    then the hermiticity defect ‖(M − M†)/2‖_F against tol · ‖M‖_F. Both
-    norms are taken of M / max|M_ij|, so the rule reads the same at every
-    scale and no square inside a norm under- or overflows.
+    then the hermiticity defect ‖(M − M†)/2‖_F against DEFAULT_TOL · ‖M‖_F.
+    Both norms are taken of _binary_scaled(M), so the rule reads the same at
+    every scale and no square inside a norm under- or overflows.
     """
     m = finite_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian operator must be square, got {m.shape}")
     if dims is not None:
         _check_dims(m, dims)
-    peak = float(np.abs(m).max(initial=0.0)) or 1.0
-    u = m / peak
+    u, e = _binary_scaled(m)
     skew = u - u.conj().T
     defect = math.sqrt(np.vdot(skew, skew).real) / 2.0
-    if defect > tol * math.sqrt(np.vdot(u, u).real):
+    if defect > DEFAULT_TOL * math.sqrt(np.vdot(u, u).real):
         raise ValueError(
-            f"hermiticity defect {defect * peak:.3e} exceeds threshold "
-            f"{tol:.1e}*norm for a {m.shape[0]}x{m.shape[0]} matrix"
+            f"hermiticity defect {_ldexp(defect, e):.3e} exceeds threshold "
+            f"{DEFAULT_TOL:.1e}*norm for a {m.shape[0]}x{m.shape[0]} matrix"
         )
     return m
 
@@ -98,9 +114,9 @@ def _least_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[..., 0], vecs[..., :, 0]
 
 
-def hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(M + M†)/2 for an M that _admit admits at tol; refused, never repaired, otherwise."""
-    return _hermitian_part(_admit(matrix, tol=tol))
+def hermitian(matrix) -> np.ndarray:
+    """(M + M†)/2 for an M that _admit admits; refused, never repaired, otherwise."""
+    return _hermitian_part(_admit(matrix))
 
 
 def _unitary(v, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .choimaps import swap_operator, unnormalized_q
-from .linalg import _admit, _hermitian_part, _unitary, frobenius, hermitian, kron, permute_systems
+from .linalg import _admit, _hermitian_part, _unitary, frobenius, kron, permute_systems
 
 if TYPE_CHECKING:
     from .cones import ConeVerdict
@@ -240,8 +240,8 @@ def pivot_general(w, n: int, v: np.ndarray) -> GeneralPivotResult:
     gap = frobenius(bob - expected) / max(1.0, frobenius(expected))
     return GeneralPivotResult(
         alpha=alpha,
-        bob_operator=hermitian(bob, tol=1e-8),
-        expected=hermitian(expected, tol=1e-8),
+        bob_operator=_hermitian_part(bob),
+        expected=_hermitian_part(expected),
         gap=gap,
     )
 

@@ -176,6 +176,14 @@ def test_kraus_residual_measures_the_missing_part():
     assert kraus_residual(m, KrausSet(())) == pytest.approx(frobenius(m.choi))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-13, 1e200])
+def test_hk_representation_keeps_its_operators_at_every_scale(scale):
+    m = LinearMapChoi(scale * identity_map(2).choi, 2, 2)
+    ks = hk_representation(m)
+    assert len(ks.operators) == 1
+    assert kraus_residual(m, ks) <= 1e-15 * frobenius(m.choi)
+
+
 def test_trace_condition():
     tr_choi, tr_phi1 = trace_condition(identity_map(3))
     assert tr_choi == pytest.approx(3.0)
@@ -220,6 +228,18 @@ def test_reconstruct_operator_roundtrip_in_other_shapes(dims):
     w = random_hermitian(rng, da * db, trace=1.0)
     rec = reconstruct_operator(lambda x, y: state_eval(w, dims, x, y), da, db)
     assert frobenius(w - rec) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e9, 1e12, 1e200])
+def test_reconstruct_operator_held_out_check_is_scale_free(scale):
+    rng = np.random.default_rng(18)
+    for dims in [(2, 2), (2, 3), (1, 3)]:
+        w = scale * random_hermitian(rng, dims[0] * dims[1], trace=1.0)
+        rec = reconstruct_operator(lambda x, y: state_eval(w, dims, x, y), *dims)
+        assert frobenius(w - rec) <= 1e-12 * frobenius(w)
+    if scale in (1e-12, 1.0, 1e12):
+        with pytest.raises(ValueError, match="held-out residual"):
+            reconstruct_operator(lambda x, y: scale * float(abs(np.vdot(x, y)) ** 4), 2, 2)
 
 
 def test_reconstruct_operator_rejects_nan_values():

@@ -200,6 +200,8 @@ def _requests():
         "decompose/member": req(["decompose", *one], mdoc(decomposable, (2, 2))),
         "decompose/refuted": req(["decompose", *one], mdoc(np.diag([1.0, 2.0, 3.0, -4.0]), (2, 2))),
         "decompose/inconclusive": req(["decompose", *one, "--max-iter", "1"], mdoc(decomposable, (2, 2))),
+        "decompose/tiny-scale": req(["decompose", *one], mdoc(1e-300 * np.diag([1.0, 1.0, 1.0, -1.0]), (2, 2))),
+        "decompose/huge-scale": req(["decompose", *one], mdoc(1e300 * np.diag([1.0, 1.0, 1.0, -1.0]), (2, 2))),
         "extremality/split": req(["extremality", *one], mdoc(np.outer(gauss(3), gauss(3)))),
         "extremality/rigid": req(["extremality", *one, "--tol", "1e-6"], mdoc(a3)),
         "extremality/rectangular": req(["extremality", *one], mdoc(np.ones((2, 3)))),
@@ -217,6 +219,8 @@ def _requests():
         "corollary/n-flag": req(["corollary", *one, "--n", "2"], {"w": mdoc(w4), "b": mdoc(psd(4, 2))}),
         "corollary/not-psd": req(["corollary", *one], {"w": mdoc(w4), "b": mdoc(np.diag([1.0, 1.0, 1.0, -1.0]))}),
         "corollary/missing-b": req(["corollary", *one], {"w": mdoc(w4)}),
+        "corollary/huge-not-psd": req(["corollary", *one], {
+            "w": mdoc(np.eye(4) / 4), "b": mdoc(1e160 * np.diag([1.0, 1.0, 1.0, -0.5]))}),
         "witness-demo/exhibited": (["witness-demo", "--n", "2", "--seed", "7"], {}),
         "usage/unknown-command": (["no-such-command"], {}),
         "usage/no-command": ([], {}),

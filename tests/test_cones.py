@@ -641,6 +641,46 @@ def test_membership_on_the_boundary_is_scale_invariant(scale, dims):
     _assert_cone_feasible(verdict.certificate, scale * w, dims)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_membership_and_popt_refute_at_the_extreme_scales(scale):
+    # a plain norm of W under- or overflows here; any warning fails the test
+    w = scale * np.diag([1.0, 1.0, 1.0, -1.0])
+    verdict = decomposable_sum_membership(w, (2, 2))
+    assert verdict.status == "refuted"
+    assert verdict.residual >= (1.0 - 1e-9) * scale
+    _assert_dual_witness(verdict.witness, w, (2, 2))
+    if scale > 1.0:
+        assert is_popt(w, (2, 2), seed=1).status == "refuted"
+
+
+@pytest.mark.parametrize("k", [-300, -100, -1, 1, 100, 300])
+def test_membership_at_a_power_of_two_is_the_same_run_scaled(k):
+    # the run is made on the binary-scaled W, so 2^k·W repeats it exactly
+    rng = np.random.default_rng(2026)
+    statuses = set()
+    for dims in [(2, 2), (2, 3)]:
+        n = dims[0] * dims[1]
+        for w in (
+            random_hermitian(rng, n, trace=1.0),
+            random_hermitian(rng, n, trace=4.0),
+            random_psd(rng, n) + partial_transpose(random_psd(rng, n), dims, 1),
+            product_boundary_operator(rng, dims),
+            random_psd(rng, n, trace=0.5) - 0.2 * np.eye(n),
+        ):
+            base = decomposable_sum_membership(w, dims)
+            scaled = decomposable_sum_membership(w * 2.0**k, dims)
+            statuses.add(base.status)
+            assert scaled.status == base.status
+            assert scaled.info == base.info
+            assert scaled.residual == base.residual * 2.0**k
+            assert np.array_equal(scaled.certificate.p, base.certificate.p * 2.0**k)
+            assert np.array_equal(scaled.certificate.q, base.certificate.q * 2.0**k)
+            assert (scaled.witness is None) == (base.witness is None)
+            if base.witness is not None:
+                assert np.array_equal(scaled.witness, base.witness)
+    assert statuses == {"member", "refuted"}
+
+
 def _assert_dual_witness(z, w, dims):
     """Z and Z^Gamma are PSD and Tr(ZW) < 0: Z separates W from PSD + PSD^Gamma."""
     assert np.array_equal(z, z.conj().T)

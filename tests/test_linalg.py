@@ -93,9 +93,28 @@ def test_hermitian_operator_admission_and_defect():
         assert np.array_equal(hermitian(scale * h), scale * h)
         with pytest.raises(ValueError, match="hermiticity defect"):
             hermitian(scale * skewed)
-    # generous tolerance admits it, symmetrized
-    loose = hermitian(skewed, tol=1.0)
-    assert np.allclose(loose, loose.conj().T)
+
+
+def test_hermitian_admission_at_the_subnormal_scale():
+    # scaling M / max|M_ij| would overflow on a subnormal peak; any warning fails the test
+    with pytest.raises(ValueError, match="hermiticity defect"):
+        hermitian(5e-324 * np.array([[1.0, 1j], [0.0, 1.0]]))
+    hermitian(5e-324 * np.array([[1.0, 1j], [-1j, 1.0]]))
+
+
+def test_frobenius_is_the_norm_bit_for_bit_and_finite_wherever_it_can_be():
+    rng = np.random.default_rng(9)
+    for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+        for _ in range(200):
+            m = scale * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+            assert frobenius(m) == np.linalg.norm(m)
+    # np.linalg.norm under- or overflows on these; any warning fails the test
+    assert frobenius(1e300 * np.ones((2, 2))) == 2e300
+    assert frobenius(1e-300j * np.ones((2, 2))) == 2e-300
+    assert frobenius(5e-324 * np.ones((2, 2))) == 1e-323
+    assert frobenius(1.5e308 * np.ones((3, 3))) == np.inf
+    assert frobenius(1e308 * (1 + 1j) * np.ones((2, 2))) == np.inf
+    assert frobenius(np.zeros((2, 2))) == 0.0
 
 
 def test_hermitian_operator_rejects_non_finite_entries():

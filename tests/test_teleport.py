@@ -175,6 +175,13 @@ def test_corollary_input_validation():
         assert lhs == pytest.approx(rhs) and lhs > 0.0
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_corollary_refuses_a_non_psd_effect_whose_plain_norm_overflows(scale):
+    # any warning fails the test
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        corollary_check(np.eye(4) / 4, scale * np.diag([1.0, 1.0, 1.0, -0.5]), 2)
+
+
 def test_admitted_operators_are_finite_at_the_largest_scale():
     # (W + W†)/2 overflows above about 9e307; any warning fails the test
     w = 1.5e308 * np.diag([1.0, 1.0, 1.0, -1.0])
