@@ -19,21 +19,19 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "linalg": (
-        "DEFAULT_TOL", "CapExceededError", "as_matrix", "frobenius", "hermitian",
-        "hermitian_eig", "kron", "min_eig", "partial_trace", "partial_transpose",
-        "permute_systems", "psd_part",
+        "DEFAULT_TOL", "CapExceededError", "as_matrix", "finite_matrix", "frobenius",
+        "hermitian", "hermitian_eig", "kron", "min_eig", "partial_trace",
+        "partial_transpose", "permute_systems", "psd_part",
     ),
     "testspace": (
-        "ETestSpace", "TestSpace", "admits_positive_state", "is_estate",
-        "is_positive_weight", "is_state", "state_check", "variation_norm",
+        "ETestSpace", "TestSpace", "admits_positive_state", "is_state", "state_check",
         "weight_space_dimension",
     ),
     "coupling": (
         "DirectionReport", "InfluenceVerdict", "ProductState", "TwoStageTest",
         "TwoStageTests", "backward_tests", "bayes_mixture_check", "bayes_residuals",
-        "cartesian_tests", "condition", "fns_tests", "forward_tests",
-        "is_influence_free", "is_state_on_two_stage", "marginal",
-        "operational_bayes_check",
+        "condition", "fns_tests", "forward_tests", "is_influence_free",
+        "is_state_on_two_stage", "marginal", "operational_bayes_check",
     ),
     "choimaps": (
         "KrausSet", "LinearMapChoi", "apply_map", "choi_from_conjugation",
@@ -47,11 +45,10 @@ _EXPORTS = {
         "is_psd", "popt_minimize", "witness_holds",
     ),
     "teleport": (
-        "DesideratumReport", "GeneralPivotResult", "PivotReport",
-        "antisymmetric_projector", "bell_projector", "corollary_check",
-        "desideratum_violation_demo", "embed_with_entangled_pair", "pivot_alice",
-        "pivot_bob", "pivot_general", "sandwich_lemma_check", "symmetric_projector",
-        "twisted_bell_projector", "weyl_basis", "weyl_operator",
+        "DesideratumReport", "PivotReport", "antisymmetric_projector", "bell_projector",
+        "corollary_check", "desideratum_violation_demo", "embed_with_entangled_pair",
+        "pivot_alice", "pivot_bob", "pivot_general", "sandwich_lemma_check",
+        "symmetric_projector", "twisted_bell_projector", "weyl_basis", "weyl_operator",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

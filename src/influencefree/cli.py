@@ -30,7 +30,7 @@ from .jsonio import (
     _coupled_spaces,
     _require,
 )
-from .linalg import CapExceededError, frobenius, hermitian
+from .linalg import CapExceededError, frobenius, hermitian, _hermitian_part
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -144,8 +144,8 @@ _RESTARTS = _Option("--restarts", type=_count, default=64, help="see-saw restart
 _CAP = _Option("--cap", type=_count, default=20000, help="enumeration size cap")
 # pivot reports the side and Weyl indices it used as result fields
 _SIDE = _Option("--side", echo=False, choices=("alice", "bob", "general"), default="alice")
-_WEYL = _Option("--weyl", echo=False, type=_int_pair("a,b", False), default=(0, 0),
-                help="Weyl indices a,b (general side)")
+_WEYL = _Option("--weyl", echo=False, type=_int_pair("a,b", False), default=None,
+                help="Weyl indices a,b (general side only; default 0,0)")
 
 
 # ---------------------------------------------------------------------------
@@ -504,20 +504,22 @@ def _pivot(args, w):
 
     n = args.n
     if args.side in ("alice", "bob"):
+        if args.weyl is not None:
+            raise _UsageError(f"argument --weyl: not allowed with --side {args.side}")
         report = pivot_alice(w, n) if args.side == "alice" else pivot_bob(w, n)
         ok = report.frobenius_gap <= args.tol * max(1.0, frobenius(w))
         fields = {"side": args.side, "alpha": report.alpha, "gap": report.frobenius_gap}
     else:
-        a, b = args.weyl
-        result = pivot_general(w, n, weyl_operator(n, a, b))
-        ok = result.gap <= args.tol
+        a, b = args.weyl or (0, 0)
+        report = pivot_general(w, n, weyl_operator(n, a, b))
+        ok = report.gap <= args.tol
         fields = {
             "side": "general",
             "weyl": [a % n, b % n],
-            "alpha": result.alpha,
-            "gap": result.gap,
-            "bob_operator": matrix_to_document(result.bob_operator, (n, n)),
-            "expected": matrix_to_document(result.expected, (n, n)),
+            "alpha": report.alpha,
+            "gap": report.gap,
+            "bob_operator": matrix_to_document(_hermitian_part(report.bob_operator), (n, n)),
+            "expected": matrix_to_document(_hermitian_part(report.expected), (n, n)),
         }
     return _yes_no(ok, "identity-holds", "identity-violated", **fields)
 
@@ -659,11 +661,9 @@ def _emit(code: int, doc: dict) -> int:
 
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        code, doc = _answer(build_parser().parse_args(argv))
     except _UsageError as exc:
-        return _emit(EXIT_USAGE, {"verdict": "usage-error", "reason": str(exc)})
-    try:
-        code, doc = _answer(args)
+        code, doc = EXIT_USAGE, {"verdict": "usage-error", "reason": str(exc)}
     except CapExceededError as exc:
         doc = {"verdict": "inconclusive", "reason": str(exc), "required": exc.required}
         code = EXIT_INCONCLUSIVE

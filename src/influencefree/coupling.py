@@ -126,11 +126,6 @@ class ProductState:
         return wa, wb
 
 
-def cartesian_tests(a: TestSpace, b: TestSpace) -> list[list[Pair]]:
-    """All product tests E x F, one per pair of component tests."""
-    return [list(iproduct(e, f)) for e, f in iproduct(a.tests, b.tests)]
-
-
 class _Block(NamedTuple):
     """The rows of a TwoStageTests that share one initiating test."""
 
@@ -391,21 +386,21 @@ def condition(
     depends on the other side's test and the quotient is ill-defined) and a
     conditioning outcome of probability above tol.
     """
+    if side == "alice":
+        k = omega.alice.outcome_index(on)
+        row, other = omega.values[k], omega.bob
+    elif side == "bob":
+        k = omega.bob.outcome_index(on)
+        row, other = omega.values[:, k], omega.alice
+    else:
+        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
     verdict = is_influence_free(omega, tol=max(tol, 1e-10))
     if not verdict.free:
         raise ValueError(
             f"conditioning needs an influence-free state; deviation "
             f"{verdict.max_deviation:.3e} ({verdict.direction})"
         )
-    wa, wb = omega.marginals
-    if side == "alice":
-        i = omega.alice.outcome_index(on)
-        row, p, other = omega.values[i], wa[i], omega.bob
-    elif side == "bob":
-        j = omega.bob.outcome_index(on)
-        row, p, other = omega.values[:, j], wb[j], omega.alice
-    else:
-        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    p = omega.marginals[0 if side == "alice" else 1][k]
     if p <= tol:
         raise ValueError(f"cannot condition on zero-probability outcome {on!r}")
     return dict(zip(other.outcomes, (row / p).tolist()))

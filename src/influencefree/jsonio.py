@@ -193,10 +193,6 @@ def pair_table_from_document(doc, where: str = "table") -> dict[tuple[str, str],
     return table
 
 
-def pair_table_to_document(table) -> list:
-    return [[x, y, float(v)] for (x, y), v in sorted(table.items())]
-
-
 def _coupled_spaces(doc) -> tuple[TestSpace, TestSpace]:
     """The set test spaces under a document's "alice" and "bob" fields."""
     from .testspace import ETestSpace

@@ -4,8 +4,9 @@ Alice holds the first two factors, Bob the last two.  A bipartite operator
 ``w`` lives on the outer pair (A1, B1); the inner pair (A2, B2) carries a
 maximally entangled projector.  Projecting Alice's pair onto an entangled
 vector transfers ``w`` onto Bob's pair, up to a constant that equals the
-outcome probability of that projection.  The functions here build both sides
-of that identity independently and report the gap, rather than assuming it.
+outcome probability of that projection.  One routine builds both sides of
+that identity independently for every pivot, and one ``PivotReport`` holds
+them and computes the gap when read, rather than assuming it.
 
 The pivots never form the n^4 x n^4 embedding: projecting one pair onto a
 vector leaves the other pair's operator as a fixed chain of three matrix
@@ -29,46 +30,29 @@ from .linalg import _admit, _hermitian_part, _unitary, frobenius, kron, permute_
 if TYPE_CHECKING:
     from .cones import ConeVerdict
 
-__all__ = [
-    "PivotReport",
-    "GeneralPivotResult",
-    "DesideratumReport",
-    "bell_projector",
-    "twisted_bell_projector",
-    "antisymmetric_projector",
-    "symmetric_projector",
-    "embed_with_entangled_pair",
-    "sandwich_lemma_check",
-    "weyl_operator",
-    "weyl_basis",
-    "pivot_alice",
-    "pivot_bob",
-    "pivot_general",
-    "corollary_check",
-    "desideratum_violation_demo",
-    "unnormalized_q",
-]
 
-
-@dataclass(frozen=True)
-class PivotReport:
-    """The scale factor of a pivot identity and how closely the identity holds.
+class PivotReport(NamedTuple):
+    """Both sides of a pivot identity: what the projection leaves, and what it should.
 
     ``alpha`` is the trace of the projected embedding, i.e. the probability
-    of the projection outcome; the identity asserts that the projected
-    embedding equals alpha times T on the projected pair with w on the other,
-    and ``frobenius_gap`` is the Frobenius distance between the two.
+    of the projection outcome.  ``bob_operator`` is the operator the
+    projection leaves on the other pair, and ``expected`` is alpha times the
+    transferred w, so the identity asserts that the two are equal.
+    ``frobenius_gap`` is their Frobenius distance and ``gap`` that distance
+    relative to max(1, norm of expected); both are computed when read.
     """
 
     alpha: float
-    frobenius_gap: float
-
-
-class GeneralPivotResult(NamedTuple):
-    alpha: float
     bob_operator: np.ndarray
     expected: np.ndarray
-    gap: float
+
+    @property
+    def frobenius_gap(self) -> float:
+        return frobenius(self.bob_operator - self.expected)
+
+    @property
+    def gap(self) -> float:
+        return self.frobenius_gap / max(1.0, frobenius(self.expected))
 
 
 def bell_projector(n: int) -> np.ndarray:
@@ -190,12 +174,21 @@ def _bell_vector(n: int) -> np.ndarray:
     return np.eye(n) / np.sqrt(n)
 
 
-def _pivot(w, n: int, side: str) -> PivotReport:
+def _pivot(w, n: int, side: str = "alice", v=None) -> PivotReport:
+    """Both sides of the pivot that projects `side`'s pair onto the Bell vector, or,
+    given v, onto the entangled vector whose coefficient matrix is conj(v)/sqrt(n)."""
     m = _hermitian_part(_admit(w, (n, n)))
-    left = _project(m, bell_projector(n), n, _bell_vector(n), side)
+    v = None if v is None else _unitary(v, n)
+    phi = _bell_vector(n) if v is None else np.conj(v) / np.sqrt(n)
+    left = _project(m, bell_projector(n), n, phi, side)
     alpha = float(np.real(np.trace(left)))
-    # T ox M against alpha * (T ox w): the gap is ||T||_F ||M - alpha w||_F with ||T||_F = 1
-    return PivotReport(alpha=alpha, frobenius_gap=frobenius(left - alpha * m))
+    if v is None:
+        # T ox M against alpha * (T ox w): the gap is ||T||_F ||M - alpha w||_F with ||T||_F = 1
+        return PivotReport(alpha, left, alpha * m)
+    # (v^T ox 1) w (conj(v) ox 1): v^T on the rows of the first factor, then
+    # conj(v) on its columns, one n x n block (l, L) at a time
+    twisted = (v.T @ m.reshape(n, n**3)).reshape(n * n, n, n)
+    return PivotReport(alpha, left, alpha * (v.conj().T @ twisted).reshape(n * n, n * n))
 
 
 def pivot_alice(w, n: int) -> PivotReport:
@@ -213,37 +206,24 @@ def pivot_bob(w, n: int) -> PivotReport:
     """Mirror of pivot_alice with the projection on Bob's pair.
 
     Here the comparison operator is alpha * (w ox T): w lands on Alice's
-    pair, the Bell projector stays on Bob's.
+    pair, the Bell projector stays on Bob's, and the report's bob_operator
+    is the operator left on Alice's pair.
     """
     return _pivot(w, n, "bob")
 
 
-def pivot_general(w, n: int, v: np.ndarray) -> GeneralPivotResult:
+def pivot_general(w, n: int, v: np.ndarray) -> PivotReport:
     """Project Alice's pair onto the v-twisted Bell vector and extract Bob's operator.
 
     Bob's operator is what the projection leaves on his pair, equal to the
     projected embedding traced over Alice's pair.  The comparison operator
     is alpha * (v^T ox 1) w (conj(v) ox 1), with the conjugation acting on
-    the factor of w that was teleported; ``gap`` is the
+    the factor of w that was teleported; the report's ``gap`` is the
     Frobenius distance between the two, relative to max(1, norm of expected).
     With v = identity the projector, alpha, and sandwich agree exactly with
     pivot_alice.
     """
-    m = _hermitian_part(_admit(w, (n, n)))
-    v = _unitary(v, n)
-    bob = _project(m, bell_projector(n), n, np.conj(v) / np.sqrt(n), "alice")
-    alpha = float(np.real(np.trace(bob)))
-    # (v^T ox 1) w (conj(v) ox 1): v^T on the rows of the first factor, then
-    # conj(v) on its columns, one n x n block (l, L) at a time
-    left = (v.T @ m.reshape(n, n**3)).reshape(n * n, n, n)
-    expected = alpha * (v.conj().T @ left).reshape(n * n, n * n)
-    gap = frobenius(bob - expected) / max(1.0, frobenius(expected))
-    return GeneralPivotResult(
-        alpha=alpha,
-        bob_operator=_hermitian_part(bob),
-        expected=_hermitian_part(expected),
-        gap=gap,
-    )
+    return _pivot(w, n, "alice", v)
 
 
 def corollary_check(w, b, n: int) -> tuple[float, float]:
@@ -307,8 +287,9 @@ def desideratum_violation_demo(n: int = 2, *, seed: int = 2026) -> DesideratumRe
 
     w = swap_operator(n) / n
     verdict = is_popt(w, (n, n), seed=seed)
-    lhs, _ = corollary_check(w, antisymmetric_projector(n), n)
-    report_alpha = pivot_alice(w, n).alpha
+    report = pivot_alice(w, n)
+    # Tr[(T ox A) embed(w)] = Tr(M A), as corollary_check computes it on the same projection
+    negative_value = float(np.vdot(antisymmetric_projector(n), report.bob_operator).real)
 
     weyl = weyl_basis(n)
     bob_effects = np.stack(
@@ -338,8 +319,8 @@ def desideratum_violation_demo(n: int = 2, *, seed: int = 2026) -> DesideratumRe
 
     return DesideratumReport(
         n=n,
-        alpha=report_alpha,
-        negative_value=lhs,
+        alpha=report.alpha,
+        negative_value=negative_value,
         alice_effect=bell_projector(n),
         bob_effect=antisymmetric_projector(n),
         popt_verdict=verdict,

@@ -1,4 +1,4 @@
-"""Finite test spaces, their states, and positive/signed weights.
+"""Finite test spaces, their states, and the polytope of those states.
 
 A test space is an outcome set X together with a covering family of non-empty
 tests (subsets of X); a state assigns [0,1] values summing to 1 over every
@@ -145,29 +145,6 @@ def state_check(
 def is_state(ts: TestSpace | ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
     """True iff values lie in [0,1] and every incidence-weighted test sum is 1, within tol."""
     return state_check(ts, f, tol)[0]
-
-
-def is_estate(ets: ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
-    """is_state for multiset tests: multiplicity-weighted sums must be 1."""
-    return is_state(ets, f, tol)
-
-
-def is_positive_weight(
-    ts: TestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL
-) -> float | None:
-    """Return the common test-sum K if f >= 0 with constant test sums, else None."""
-    v = _values(ts, f)
-    if np.any(v < -tol):
-        return None
-    sums = ts.incidence @ v
-    if np.any(np.abs(sums - sums[0]) > tol):
-        return None
-    return float(sums[0])
-
-
-def variation_norm(ts: TestSpace, f: Mapping[str, float]) -> float:
-    """max over tests E of sum_{x in E} |f(x)| (the variation of f)."""
-    return float((ts.incidence @ np.abs(_values(ts, f))).max())
 
 
 _SUBSET_CAP = 16  # most outcomes whose column subsets are enumerated

@@ -437,6 +437,9 @@ def test_popt_requires_seed(tmp_path, capsys):
         (["witness-demo", "--seed", "-1"], "--seed"),
         (["popt", "{w}", "--seed", "-1"], "--seed"),
         (["fns-tests", "{w}", "--cap", "0"], "--cap"),
+        # Weyl indices twist only the general side's projection
+        (["pivot", "{w}", "--weyl", "1,1"], "--weyl"),
+        (["pivot", "{w}", "--side", "bob", "--weyl", "0,1"], "--weyl"),
     ],
 )
 def test_option_values_out_of_range_are_usage_errors(tmp_path, capsys, argv, option):
@@ -446,6 +449,7 @@ def test_option_values_out_of_range_are_usage_errors(tmp_path, capsys, argv, opt
     assert code == 64
     assert doc["verdict"] == "usage-error"
     assert option in doc["reason"]
+    assert "config" not in doc
 
 
 @pytest.mark.parametrize("command", ["pivot", "ppt-check"])

@@ -16,7 +16,6 @@ from influencefree.coupling import (
     backward_tests,
     bayes_mixture_check,
     bayes_residuals,
-    cartesian_tests,
     condition,
     fns_tests,
     forward_tests,
@@ -78,13 +77,6 @@ def test_product_state_rejects_nan_table_value():
     table = {("p", "r"): np.nan, ("p", "s"): 0.5, ("q", "r"): 0.25, ("q", "s"): 0.25}
     with pytest.raises(ValueError, match="outside"):
         ProductState(alice, bob, table)
-
-
-def test_cartesian_tests_enumerate_products():
-    tests = cartesian_tests(FNS_ALICE, FNS_BOB)
-    assert len(tests) == 2
-    assert all(len(t) == 4 for t in tests)
-    assert set(tests[0]) == {("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x2", "y2")}
 
 
 def test_two_stage_enumeration_counts_and_dedup():
@@ -220,6 +212,11 @@ def test_condition_refuses_influenced_and_null_outcomes():
     omega = signalling_box()
     with pytest.raises(ValueError, match="alice->bob"):
         condition(omega, "b1", side="bob")
+    # the table is influenced, yet a bad argument is named first
+    with pytest.raises(ValueError, match="^side must be 'alice' or 'bob', got 'carol'$"):
+        condition(omega, "a1", side="carol")
+    with pytest.raises(ValueError, match="^unknown outcome 'a1'$"):
+        condition(omega, "a1", side="bob")
     # conditioning on a zero-probability outcome is refused
     alice = TestSpace(["p", "q"], [("p", "q")])
     bob = TestSpace(["r", "s"], [("r", "s")])

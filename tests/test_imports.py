@@ -1,6 +1,7 @@
 """What `import influencefree` and one CLI request load, and the lazy namespace."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -86,6 +87,21 @@ def test_every_name_is_the_object_of_its_home_module(name):
     homes = [m for m in modules if name in vars(m)]
     assert homes
     assert all(vars(m)[name] is obj for m in homes)
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_exports_list_every_public_function_and_class_of_a_module(module):
+    # the rule the benchmark's tracer wraps by: no leading underscore, defined in the module
+    mod = importlib.import_module(f"influencefree.{module}")
+    defined = {
+        name for name, obj in vars(mod).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == mod.__name__
+    }
+    exported = {name for name in influencefree._EXPORTS[module] if callable(getattr(mod, name))}
+    assert exported == defined
+    assert "__all__" not in vars(mod)
 
 
 def test_dir_and_star_import_cover_every_name():

@@ -121,7 +121,12 @@ def test_general_pivot_identity_twist_matches_pivot_alice():
     w = random_hermitian(rng, 4, trace=1.0)
     r = pivot_general(w, 2, np.eye(2))
     p = pivot_alice(w, 2)
+    assert type(r) is type(p)
+    # the identity twist is exact, so the two reports agree bit for bit
     assert r.alpha == p.alpha
+    assert r.frobenius_gap == p.frobenius_gap
+    assert np.array_equal(r.bob_operator, p.bob_operator)
+    assert np.array_equal(r.expected, p.expected)
     assert r.gap <= 1e-12
 
 
@@ -195,6 +200,9 @@ def test_desideratum_demo_report():
     assert r.n == 2
     assert r.alpha == pytest.approx(0.25, abs=1e-12)
     assert r.negative_value == pytest.approx(-0.125, abs=1e-12)
+    # the demo reads the corollary's value off its one projection, bit for bit
+    lhs, _ = corollary_check(swap_operator(2) / 2, antisymmetric_projector(2), 2)
+    assert r.negative_value == lhs
     assert r.popt_verdict.status == "certified"
     assert r.popt_verdict.info["psd"] is False
     assert np.array_equal(r.alice_effect, bell_projector(2))

@@ -1,4 +1,4 @@
-"""Test spaces, states, weights, and the small-polytope dimension helper."""
+"""Test spaces, states, and the small-polytope dimension helper."""
 
 import math
 from itertools import combinations
@@ -12,11 +12,8 @@ from influencefree.testspace import (
     ETestSpace,
     TestSpace,
     admits_positive_state,
-    is_estate,
-    is_positive_weight,
     is_state,
     state_check,
-    variation_norm,
     weight_space_dimension,
 )
 
@@ -61,11 +58,9 @@ EPAIR = ETestSpace(["a", "b"], [(("a", 1), ("b", 1))])
     "check",
     [
         lambda f: is_state(PAIR, f),
-        lambda f: is_estate(EPAIR, f),
-        lambda f: is_positive_weight(PAIR, f),
-        lambda f: variation_norm(PAIR, f),
+        lambda f: is_state(EPAIR, f),
     ],
-    ids=["is_state", "is_estate", "is_positive_weight", "variation_norm"],
+    ids=["is_state", "is_state_multiset"],
 )
 def test_table_checks_reject_non_finite_values(check, bad):
     with pytest.raises(ValueError, match="finite"):
@@ -98,8 +93,8 @@ def test_state_check_reports_residual_and_worst():
 def test_estate_weights_multiplicities():
     ets = ETestSpace(["u", "v"], [(("u", 2), ("v", 1))])
     assert ets.tests == ((("u", 2), ("v", 1)),)
-    assert is_estate(ets, {"u": 0.25, "v": 0.5})
-    assert not is_estate(ets, {"u": 0.5, "v": 0.5})
+    assert is_state(ets, {"u": 0.25, "v": 0.5})
+    assert not is_state(ets, {"u": 0.5, "v": 0.5})
     with pytest.raises(ValueError):
         ETestSpace(["u"], [(("u", 0),)])
     with pytest.raises(ValueError):
@@ -118,17 +113,6 @@ def test_repeated_outcomes_sum_in_the_constructor_as_in_the_decoder():
     # a negative item is refused even when a repeat would make the sum positive
     with pytest.raises(ValueError, match="multiplicities must be non-negative"):
         ETestSpace(["u"], [(("u", 2), ("u", -1))])
-
-
-def test_positive_weight_returns_common_sum():
-    assert is_positive_weight(CHAIN, {"a": 0.5, "x": 1.5, "b": 0.5}) == pytest.approx(2.0)
-    assert is_positive_weight(CHAIN, {"a": 0.5, "x": 1.5, "b": 0.6}) is None
-    assert is_positive_weight(CHAIN, {"a": -0.5, "x": 1.5, "b": -0.5}) is None
-
-
-def test_variation_norm_is_max_test_sum_of_abs():
-    f = {"a": -0.5, "x": 0.25, "b": 1.0}
-    assert variation_norm(CHAIN, f) == pytest.approx(1.25)
 
 
 def test_weight_space_dimension_frozen_values():
