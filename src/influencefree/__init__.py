@@ -24,7 +24,7 @@ _EXPORTS = {
         "partial_transpose", "permute_systems", "psd_part",
     ),
     "testspace": (
-        "ETestSpace", "TestSpace", "admits_positive_state", "is_state", "state_check",
+        "ETestSpace", "TestSpace", "admits_positive_state", "state_check",
         "weight_space_dimension",
     ),
     "coupling": (

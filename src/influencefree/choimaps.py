@@ -120,25 +120,34 @@ def transpose_in_basis(m: LinearMapChoi, u) -> LinearMapChoi:
     return compose_maps(m, compose_maps(rotate, transpose_map(m.din)))
 
 
+def _cp_floor(m: LinearMapChoi, tol: float) -> float:
+    """tol·‖C‖_F, how far below 0 the least Choi eigenvalue of a CP map may
+    read, so that the CP verdicts do not change with scale. The norm is
+    capped at the largest float, still far above rounding, so it stays finite."""
+    return tol * min(frobenius(m.choi), np.finfo(float).max)
+
+
 def is_cp(m: LinearMapChoi, tol: float = DEFAULT_TOL):
-    """Completely positive iff the Choi operator is PSD (within tol)."""
+    """Completely positive iff the Choi operator C is PSD: its least
+    eigenvalue is at least -tol·‖C‖_F (see _cp_floor)."""
     from .cones import is_psd  # cone verdicts live with the cone machinery
 
-    return is_psd(m.choi, tol=tol)
+    return is_psd(m.choi, tol=_cp_floor(m, tol))
 
 
 def is_co_cp(m: LinearMapChoi, tol: float = DEFAULT_TOL):
     """Co-completely-positive iff the partially transposed Choi operator is PSD.
 
     The input factor is transposed; transposing the output factor instead
-    differs by a full transpose and has the same spectrum.
+    differs by a full transpose and has the same spectrum. The floor is
+    -tol·‖C‖_F, as for is_cp, since ‖C^Γ‖_F = ‖C‖_F.
     """
     from .cones import is_psd
 
     if m.din != m.dout:
         raise ValueError("co-CP check needs din == dout")
     gamma = partial_transpose(m.choi, (m.din, m.dout), 0)
-    return is_psd(gamma, tol=tol)
+    return is_psd(gamma, tol=_cp_floor(m, tol))
 
 
 def hk_representation(m: LinearMapChoi, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -146,10 +155,10 @@ def hk_representation(m: LinearMapChoi, tol: float = DEFAULT_TOL) -> KrausSet:
 
     A_k = sqrt(lambda_k) · unfold(v_k) with unfold reading v as the matrix
     v[(i,j)] = A[j,i]; eigenvalues at most 1e-12 times the largest are dropped.
-    Raises if the Choi operator has a negative eigenvalue beyond tol.
+    Raises if the Choi operator C has an eigenvalue below -tol·‖C‖_F.
     """
     vals, vecs = hermitian_eig(m.choi)
-    if vals[-1] < -tol:
+    if vals[-1] < -_cp_floor(m, tol):
         raise ValueError(
             f"map is not completely positive (Choi eigenvalue {vals[-1]:.3e})"
         )

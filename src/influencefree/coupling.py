@@ -12,26 +12,25 @@ A table on X x Y is held as a |X| x |Y| array and each side's tests as its
 incidence matrix, so every sum over test cells is a matrix product. Each
 state computes its two marginals under the other side's test 0 once, when
 first asked, for the conditioning and Bayes checks.
-Enumerated two-stage tests are the rows of one boolean mask matrix over
-X x Y (a TwoStageTests sequence); a TwoStageTest object is built only when
-one row is indexed, so a state check is one matrix-vector product. A block
-of tests sharing one initiating test is written by broadcasting: outcome i
-of that test takes every response in turn along one axis of the block, in
-itertools.product order. fns_tests writes both directions into one buffer
-of rows padded to whole bytes, keys each row by its packed bits, and keeps
-the first row of each key in one pass.
+A one-sided test is named by its incidence row index. Enumerated two-stage
+tests are the rows of one boolean mask matrix over X x Y (a TwoStageTests),
+the only form a state is checked on: one matrix-vector product. A row's
+TwoStageTest is built from its two indices when it is indexed. The rows
+of one initiating test are written by broadcasting: outcome i of that test
+takes every response in turn along one axis, in itertools.product order.
+fns_tests writes both directions into one buffer of rows padded to whole
+bytes and keeps the first row of each packed-bits key in one pass.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from itertools import product as iproduct
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -48,16 +47,12 @@ class TwoStageTest:
     `first` is the initiating side's test; `assignment` maps each of its
     outcomes to the test the responding side then performs. Outcome pairs are
     always stored as (alice outcome, bob outcome) regardless of direction.
-    A test indexed out of a TwoStageTests also carries `mask`, its read-only
-    row of the mask matrix over X x Y, with `axes` the (alice, bob) outcome
-    orders it is indexed by; a test built by hand has neither.
+    Row i of an enumeration marks its pairs in `tests.masks[i]`.
     """
 
     direction: str  # "forward" (Alice first) or "backward" (Bob first)
     first: tuple[str, ...]
     assignment: tuple[tuple[str, tuple[str, ...]], ...]
-    mask: np.ndarray | None = field(default=None, compare=False, repr=False)
-    axes: tuple[tuple[str, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -91,6 +86,9 @@ class ProductState:
             cells = list(map(table.__getitem__, iproduct(alice.outcomes, bob.outcomes)))
         except KeyError as exc:
             raise ValueError(f"table is missing the pair {exc.args[0]}") from None
+        if len(table) > len(cells):  # every pair of X x Y was found, so the rest lie outside it
+            pairs = set(iproduct(alice.outcomes, bob.outcomes))
+            raise ValueError(f"table has pairs outside X x Y {[k for k in table if k not in pairs]}")
         values = np.array(cells, dtype=float).reshape(len(alice.outcomes), len(bob.outcomes))
         # negated so that NaN, which fails every comparison, is refused too
         outside = ~((values >= -tolerance) & (values <= 1.0 + tolerance))
@@ -126,48 +124,34 @@ class ProductState:
         return wa, wb
 
 
-class _Block(NamedTuple):
-    """The rows of a TwoStageTests that share one initiating test."""
-
-    direction: str
-    first: tuple[str, ...]  # the initiating test
-    responses: tuple[tuple[str, ...], ...]  # the responding side's tests
-    # each row's place in itertools.product order over one response per
-    # outcome of first: its base-len(responses) digits are the responses picked
-    codes: np.ndarray
-
-
 class TwoStageTests(Sequence):
     """Enumerated two-stage tests as rows of one read-only boolean mask matrix.
 
     `masks[t]` marks test t's outcome pairs over X x Y, flattened in the
-    (alice, bob) outcome orders `axes`. The rows come in `blocks`, one per
-    initiating test in enumeration order. Indexing builds the row's
-    TwoStageTest.
+    (alice, bob) outcome orders `axes`. Row t was written for `heads[block[t]]`,
+    a (direction, initiating test, responding tests) triple, and the base-r
+    digits of `code[t]`, its place in itertools.product order, are the
+    responses picked. Indexing builds the row's TwoStageTest.
     """
 
-    def __init__(self, axes, masks: np.ndarray, blocks: Iterable[_Block]):
-        self.axes = axes
-        self.masks = masks
-        self.blocks = tuple(blocks)
-        self._starts = list(accumulate((len(b.codes) for b in self.blocks), initial=0))
-        if self._starts[-1] != len(masks):
-            raise ValueError(f"{len(masks)} mask rows for {self._starts[-1]} block rows")
+    def __init__(self, axes, masks: np.ndarray, heads, block: np.ndarray, code: np.ndarray):
+        if not len(masks) == len(block) == len(code):
+            raise ValueError(f"{len(masks)} mask rows, {len(block)} blocks and {len(code)} codes")
+        self.axes, self.masks, self.heads = axes, masks, tuple(heads)
+        self.block, self.code = block, code
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __getitem__(self, i) -> TwoStageTest:
         i = range(len(self))[operator.index(i)]  # negative i counts from the end
-        k = bisect_right(self._starts, i) - 1
-        block = self.blocks[k]
-        code, r = int(block.codes[i - self._starts[k]]), len(block.responses)
+        direction, first, responses = self.heads[self.block[i]]
+        code, r = int(self.code[i]), len(responses)
         picks = []
-        for _ in block.first:
+        for _ in first:
             code, c = divmod(code, r)
-            picks.append(block.responses[c])
-        assignment = tuple(zip(block.first, reversed(picks)))
-        return TwoStageTest(block.direction, block.first, assignment, self.masks[i], self.axes)
+            picks.append(responses[c])
+        return TwoStageTest(direction, first, tuple(zip(first, reversed(picks))))
 
     def __iter__(self):
         # not Sequence's default, which ends quietly at any IndexError
@@ -185,10 +169,11 @@ def _count(direction: str, a: TestSpace, b: TestSpace, cap: int) -> int:
     return required
 
 
-def _two_stage(direction: str, a: TestSpace, b: TestSpace, rows: np.ndarray) -> list[_Block]:
+def _two_stage(direction: str, a: TestSpace, b: TestSpace, rows: np.ndarray):
     """Write every initiating test with every map from its outcomes to
     responding tests into the zeroed bool rows, masks over X x Y in their
-    first |X|·|Y| columns, and return the blocks they come in."""
+    first |X|·|Y| columns, and return the rows' (heads, block, code) as
+    TwoStageTests holds them."""
     first, second = (a, b) if direction == "forward" else (b, a)
     # masks[t, x, y]: outcome x of `first`, y of `second`, in test t; a view of rows
     masks = rows[:, : len(a.outcomes) * len(b.outcomes)].reshape(
@@ -199,42 +184,36 @@ def _two_stage(direction: str, a: TestSpace, b: TestSpace, rows: np.ndarray) -> 
     index = {x: i for i, x in enumerate(first.outcomes)}
     responses = second.incidence.astype(bool)[:, None]
     r = len(second.tests)
-    blocks, lo = [], 0
+    heads, lo = [], 0
+    block, code = np.empty(len(rows), np.intp), np.empty(len(rows), np.intp)
     for e in first.tests:
         k = len(e)
-        block = masks[lo : lo + r**k]
+        rows_e = masks[lo : lo + r**k]
         for i, x in enumerate(e):
             # in itertools.product order outcome i's response steps every r**(k-i-1) rows
-            view = block.reshape(r**i, r, r ** (k - i - 1), *block.shape[1:])
+            view = rows_e.reshape(r**i, r, r ** (k - i - 1), *rows_e.shape[1:])
             view[:, :, :, index[x]] = responses
-        blocks.append(_Block(direction, e, second.tests, np.arange(r**k)))
+        block[lo : lo + r**k], code[lo : lo + r**k] = len(heads), np.arange(r**k)
+        heads.append((direction, e, second.tests))
         lo += r**k
-    return blocks
+    return heads, block, code
 
 
 def _one_direction(direction: str, a: TestSpace, b: TestSpace, cap: int) -> TwoStageTests:
     """The two-stage tests of one direction, on unpadded mask rows."""
     masks = np.zeros((_count(direction, a, b, cap), len(a.outcomes) * len(b.outcomes)), bool)
-    blocks = _two_stage(direction, a, b, masks)
+    heads, block, code = _two_stage(direction, a, b, masks)
     masks.flags.writeable = False
-    return TwoStageTests((a.outcomes, b.outcomes), masks, blocks)
+    return TwoStageTests((a.outcomes, b.outcomes), masks, heads, block, code)
 
 
 def forward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
-    """All two-stage tests where Alice initiates: every E and every map E -> B.
-
-    The tests are the rows of one mask matrix; each TwoStageTest is built
-    when its row is indexed.
-    """
+    """All two-stage tests where Alice initiates: every E and every map E -> B."""
     return _one_direction("forward", a, b, cap)
 
 
 def backward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
-    """All two-stage tests where Bob initiates: every F and every map F -> A.
-
-    The tests are the rows of one mask matrix; each TwoStageTest is built
-    when its row is indexed.
-    """
+    """All two-stage tests where Bob initiates: every F and every map F -> A."""
     return _one_direction("backward", a, b, cap)
 
 
@@ -252,37 +231,30 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
     n = _count("forward", a, b, cap)
     # rows padded with False to whole bytes, so packed flat each row is its own bytes key
     rows = np.zeros((n + _count("backward", a, b, cap), cells + -cells % 8), bool)
-    blocks = _two_stage("forward", a, b, rows[:n]) + _two_stage("backward", a, b, rows[n:])
+    heads, block, code = _two_stage("forward", a, b, rows[:n])
+    back_heads, back_block, back_code = _two_stage("backward", a, b, rows[n:])
     keys = np.packbits(rows).view(f"V{max(1, rows.shape[1] // 8)}")
     first = np.sort(np.unique(keys, return_index=True)[1])
-    starts = list(accumulate((len(blk.codes) for blk in blocks), initial=0))
-    bounds = np.searchsorted(first, starts).tolist()
-    kept = [
-        blk._replace(codes=blk.codes[first[lo:hi] - start])
-        for blk, start, lo, hi in zip(blocks, starts, bounds, bounds[1:])
-    ]
+    block = np.concatenate([block, back_block + len(heads)])[first]
+    code = np.concatenate([code, back_code])[first]
     masks = rows[first, :cells]
     masks.flags.writeable = False
-    return TwoStageTests((a.outcomes, b.outcomes), masks, kept)
+    return TwoStageTests((a.outcomes, b.outcomes), masks, heads + back_heads, block, code)
 
 
 def _test_index(space: TestSpace, test) -> int:
-    if isinstance(test, int):
-        if not 0 <= test < len(space.tests):
-            raise ValueError(f"test index {test} out of range")
-        return test
-    t = tuple(test)
-    for r, candidate in enumerate(space.tests):
-        if set(candidate) == set(t):
-            return r
-    raise ValueError(f"{t} is not a test of the given side")
+    if not isinstance(test, int):
+        raise ValueError(f"a test is named by its incidence row index, got {test!r}")
+    if not 0 <= test < len(space.tests):
+        raise ValueError(f"test index {test} out of range")
+    return test
 
 
 def marginal(omega: ProductState, side: str, test) -> dict[str, float]:
     """Marginal of one side, summing the other side over one of its tests.
 
-    `side` names the side the marginal lives on; `test` (index or outcome
-    collection) must be a test of the *other* side.
+    `side` names the side the marginal lives on; `test` is the incidence
+    row index of a test of the *other* side.
     """
     if side == "alice":
         f = omega.bob.incidence[_test_index(omega.bob, test)]
@@ -346,34 +318,18 @@ def is_influence_free(omega: ProductState, tol: float = 1e-10) -> InfluenceVerdi
     return InfluenceVerdict(worst <= tol, to_alice, to_bob, worst)
 
 
-def _pair_mask(t: TwoStageTest, omega: ProductState) -> np.ndarray:
-    """The test's mask over omega's X x Y, rebuilt from its labels when it has none."""
-    if t.mask is not None and t.axes == (omega.alice.outcomes, omega.bob.outcomes):
-        return t.mask
-    mask = np.zeros(omega.values.shape, bool)
-    for x, y in t.outcome_pairs():
-        mask[omega.alice.outcome_index(x), omega.bob.outcome_index(y)] = True
-    return mask.ravel()
-
-
-def is_state_on_two_stage(
-    omega: ProductState, tests: Iterable[TwoStageTest], tol: float = 1e-10
-) -> bool:
+def is_state_on_two_stage(omega: ProductState, tests: TwoStageTests, tol: float = 1e-10) -> bool:
     """True iff the table sums to 1 over every given two-stage test's outcomes.
 
-    Each sum adds raw table cells through the test's pair mask, never
-    marginals, so this stays an independent check of the influence verdict.
-    A TwoStageTests on omega's axes is summed through its mask matrix as it
-    stands; any other tests have their masks stacked one by one.
+    Each sum adds raw table cells through the test's row of the mask
+    matrix, never marginals, so this stays an independent check of the
+    influence verdict. `tests` must be a TwoStageTests enumerated on omega's
+    outcome orders; anything else raises ValueError.
     """
     axes = (omega.alice.outcomes, omega.bob.outcomes)
-    if isinstance(tests, TwoStageTests) and tests.axes == axes:
-        masks = tests.masks
-    else:
-        masks = np.array([_pair_mask(t, omega) for t in tests])
-    if not len(masks):
-        return True
-    sums = np.einsum("tc,c->t", masks, omega.values.ravel())
+    if not (isinstance(tests, TwoStageTests) and tests.axes == axes):
+        raise ValueError("two-stage tests must be a TwoStageTests enumerated on the state's axes")
+    sums = np.einsum("tc,c->t", tests.masks, omega.values.ravel())
     return bool(np.all(np.abs(sums - 1.0) <= tol))
 
 
@@ -411,7 +367,8 @@ def bayes_mixture_check(
 ) -> float:
     """Largest gap in  sum_a w^A(a) w_a^B(y) = w^B(y)  over the given Alice test.
 
-    Zero-probability Alice outcomes contribute 0 to the mixture by convention.
+    `alice_test` is the test's incidence row index. Zero-probability Alice
+    outcomes contribute 0 to the mixture by convention.
     """
     e = omega.alice.incidence[_test_index(omega.alice, alice_test)]
     return _mixture_gap(omega.values, e, *omega.marginals, tol)

@@ -106,10 +106,13 @@ class ETestSpace:
 
 
 def _values(space: TestSpace | ETestSpace, f: Mapping[str, float]) -> np.ndarray:
-    """The table as a vector in outcome order; missing or non-finite values raise."""
+    """The table as a vector in outcome order; missing, unknown or non-finite values raise."""
     missing = [x for x in space.outcomes if x not in f]
     if missing:
         raise ValueError(f"table is missing outcomes {missing}")
+    if len(f) > len(space.outcomes):  # every outcome was found, so the rest are unknown
+        known = set(space.outcomes)
+        raise ValueError(f"table has values for unknown outcomes {[x for x in f if x not in known]}")
     v = np.array([f[x] for x in space.outcomes], dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("table values must be finite")
@@ -140,11 +143,6 @@ def state_check(
     if sum_gap[r] > tol:
         return ok, residual, ("test", r, float(sums[r]))
     return ok, residual, ("outcome", ts.outcomes[x], float(v[x]))
-
-
-def is_state(ts: TestSpace | ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
-    """True iff values lie in [0,1] and every incidence-weighted test sum is 1, within tol."""
-    return state_check(ts, f, tol)[0]
 
 
 _SUBSET_CAP = 16  # most outcomes whose column subsets are enumerated

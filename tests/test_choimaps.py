@@ -133,6 +133,42 @@ def test_cp_and_co_cp_verdicts():
         is_co_cp(choi_from_conjugation(np.ones((3, 2))))
 
 
+@pytest.mark.parametrize("k", [-200, -60, -20, 0, 20, 60, 200])
+def test_cp_verdicts_read_the_same_at_every_scale(k):
+    # the floor -tol·‖C‖_F scales with the map: a conjugation map is CP and
+    # the transpose map is not, however large or small either is
+    scale = 2.0**k
+    rng = np.random.default_rng(300 + k)
+    for _ in range(20):
+        a = scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        m = choi_from_conjugation(a)
+        assert bool(is_cp(m))
+        assert kraus_residual(m, hk_representation(m)) <= 1e-12 * frobenius(m.choi)
+    t = LinearMapChoi(scale * transpose_map(3).choi, 3, 3)
+    assert not bool(is_cp(t)) and bool(is_co_cp(t))
+    with pytest.raises(ValueError, match="not completely positive"):
+        hk_representation(t)
+
+
+def test_cp_verdicts_at_large_fixed_scales():
+    rng = np.random.default_rng(301)
+    for _ in range(50):
+        a = 1e4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        m = choi_from_conjugation(a)
+        assert bool(is_cp(m)) and len(hk_representation(m).operators) == 1
+    huge = LinearMapChoi(1e300 * identity_map(3).choi, 3, 3)
+    assert len(hk_representation(huge).operators) == 1
+    assert bool(is_co_cp(LinearMapChoi(1e300 * transpose_map(3).choi, 3, 3)))
+    # where ‖C‖_F exceeds the largest float the floor stays finite, so the
+    # transpose map is still refuted and the identity map still not co-CP
+    t = LinearMapChoi(1e308 * transpose_map(3).choi, 3, 3)
+    assert not bool(is_cp(t)) and bool(is_co_cp(t))
+    with pytest.raises(ValueError, match="not completely positive"):
+        hk_representation(t)
+    i = LinearMapChoi(1e308 * identity_map(3).choi, 3, 3)
+    assert bool(is_cp(i)) and not bool(is_co_cp(i))
+
+
 def test_transpose_in_basis():
     rng = np.random.default_rng(15)
     u = random_unitary(rng, 3)

@@ -150,6 +150,22 @@ def test_verify_state_missing_outcome_is_malformed(tmp_path, capsys):
     assert "b" in doc["reason"]
 
 
+def test_table_values_outside_the_space_are_malformed(tmp_path, capsys):
+    state = {
+        "space": {"outcomes": ["a", "b"], "tests": [["a", "b"]]},
+        "table": {"a": 0.5, "b": 0.5, "zzz": 7},
+    }
+    code, doc = invoke(capsys, "verify-state", write_doc(tmp_path, "state.json", state))
+    assert code == 65 and doc["verdict"] == "malformed-input" and "zzz" in doc["reason"]
+    pair = {
+        "alice": {"outcomes": ["a1", "a2"], "tests": [["a1", "a2"]]},
+        "bob": {"outcomes": ["b1", "b2"], "tests": [["b1", "b2"]]},
+        "table": [[x, y, 0.25] for x in ("a1", "a2") for y in ("b1", "b2")] + [["a9", "b9", 5.0]],
+    }
+    code, doc = invoke(capsys, "influence-free", write_doc(tmp_path, "pair.json", pair))
+    assert code == 65 and doc["verdict"] == "malformed-input" and "a9" in doc["reason"]
+
+
 def test_verify_state_reads_stdin(capsys, monkeypatch):
     payload = {"space": chain_space(), "table": {"a": 0.4, "x": 0.6, "b": 0.4}}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))

@@ -69,6 +69,9 @@ def test_product_state_validates_table():
     negative = {**good, ("p", "s"): -0.2, ("q", "s"): 0.45}
     with pytest.raises(ValueError):
         ProductState(alice, bob, negative)
+    # a value at a pair outside X x Y is refused, not dropped
+    with pytest.raises(ValueError, match=r"outside X x Y \[\('p', 'zz'\)\]"):
+        ProductState(alice, bob, {**good, ("p", "zz"): 5.0})
 
 
 def test_product_state_rejects_nan_table_value():
@@ -238,9 +241,13 @@ def test_marginal_semantics():
     wb1 = marginal(omega, "bob", 1)
     assert wb0["b1"] == pytest.approx(0.7)
     assert wb1["b1"] == pytest.approx(0.5)
-    # a collection of outcomes can stand in for a test index
-    wb = marginal(omega, "bob", ("a1", "a2"))
-    assert wb["b2"] == pytest.approx(0.3)
+    # a test is named by its incidence row index only
+    assert marginal(omega, "bob", 0)["b2"] == pytest.approx(0.3)
+    for test in (("a1", "a2"), 2, -1):
+        with pytest.raises(ValueError):
+            marginal(omega, "bob", test)
+    with pytest.raises(ValueError, match="incidence row index"):
+        bayes_mixture_check(omega, ("a1", "a2"))
 
 
 def test_bayes_residuals_vanish_on_pr_box():
@@ -429,13 +436,10 @@ def test_array_verdicts_match_label_brute_force(seed, free):
         sums = [sum(table[p] for p in t.outcome_pairs()) for t in tests]
         expected = all(abs(s - 1.0) <= 1e-10 for s in sums)
         assert is_state_on_two_stage(omega, tests) == expected
-        # tests built by hand carry no mask and are read through their labels
-        by_hand = [TwoStageTest(t.direction, t.first, t.assignment) for t in tests]
-        assert is_state_on_two_stage(omega, by_hand) == expected
-    for t in chain(fwd, bwd):
-        i, j = np.nonzero(t.mask.reshape(omega.values.shape))
-        marked = {(alice.outcomes[a], bob.outcomes[b]) for a, b in zip(i, j)}
-        assert marked == t.outcome_pairs()
+        for t, mask in zip(tests, tests.masks):
+            i, j = np.nonzero(mask.reshape(omega.values.shape))
+            marked = {(alice.outcomes[a], bob.outcomes[b]) for a, b in zip(i, j)}
+            assert marked == t.outcome_pairs()
 
 
 def test_influence_witness_tie_break():
@@ -456,8 +460,8 @@ def test_influence_witness_tie_break():
 
 
 def reference_two_stage(direction, a, b):
-    """The per-object enumeration: one TwoStageTest per choice of responses,
-    in itertools.product order within each initiating test."""
+    """The per-object enumeration: one (TwoStageTest, mask over X x Y) per
+    choice of responses, in itertools.product order within each initiating test."""
     first, second = (a, b) if direction == "forward" else (b, a)
     index = {x: i for i, x in enumerate(first.outcomes)}
     responses = second.incidence.astype(bool)
@@ -471,15 +475,15 @@ def reference_two_stage(direction, a, b):
         masks = masks.reshape(len(choices), -1)
         for choice, mask in zip(choices, masks):
             assignment = tuple(zip(e, map(second.tests.__getitem__, choice)))
-            out.append(TwoStageTest(direction, e, assignment, mask, (a.outcomes, b.outcomes)))
+            out.append((TwoStageTest(direction, e, assignment), mask))
     return out
 
 
 def reference_fns(a, b):
-    """Forward then backward reference tests, the first of each mask kept."""
+    """Forward then backward reference pairs, the first of each mask kept."""
     unique = {}
-    for t in reference_two_stage("forward", a, b) + reference_two_stage("backward", a, b):
-        unique.setdefault(t.mask.tobytes(), t)
+    for t, mask in reference_two_stage("forward", a, b) + reference_two_stage("backward", a, b):
+        unique.setdefault(mask.tobytes(), (t, mask))
     return list(unique.values())
 
 
@@ -511,44 +515,49 @@ def test_mask_matrix_enumeration_matches_per_object_reference(alice, bob):
         (fns_tests(alice, bob), reference_fns(alice, bob)),
     )
     for tests, reference in cases:
+        ref_tests = [t for t, _ in reference]
+        ref_masks = np.array([mask for _, mask in reference]).reshape(len(reference), -1)
         assert isinstance(tests, TwoStageTests)
         assert len(tests) == len(reference)
         assert tests.axes == axes
         assert not tests.masks.flags.writeable
-        assert np.array_equal(tests.masks, np.array([t.mask for t in reference]))
-        # the state check's einsum sees the same bool rows, so its sums agree bit for bit
+        # row for row, the same bool rows the state check's einsum sums, so bit for bit
+        assert np.array_equal(tests.masks, ref_masks)
         assert np.array_equal(
-            np.einsum("tc,c->t", tests.masks, values),
-            np.einsum("tc,c->t", np.array([t.mask for t in reference]), values),
+            np.einsum("tc,c->t", tests.masks, values), np.einsum("tc,c->t", ref_masks, values)
         )
-        indexed = list(tests)
-        assert len(indexed) == len(reference)
-        for i, (t, ref) in enumerate(zip(indexed, reference)):
-            assert (t.direction, t.first, t.assignment) == (ref.direction, ref.first, ref.assignment)
-            assert np.array_equal(t.mask, ref.mask) and t.axes == axes
+        assert list(tests) == ref_tests
+        for i, ref in enumerate(ref_tests):
             assert tests[i - len(tests)] == ref
-    forward_masks = {t.mask.tobytes() for t in fwd}
-    for t in fns_tests(alice, bob):
-        if t.mask.tobytes() in forward_masks:
+    forward_masks = {mask.tobytes() for mask in fwd.masks}
+    fns = fns_tests(alice, bob)
+    for t, mask in zip(fns, fns.masks):
+        if mask.tobytes() in forward_masks:
             assert t.direction == "forward"
 
 
 def test_two_stage_tests_as_a_sequence():
     fwd, bwd = forward_tests(FNS_ALICE, FNS_BOB), backward_tests(FNS_ALICE, FNS_BOB)
     assert len(fwd) == 4 and fwd[-1] == fwd[3] and bwd[-2] == bwd[0]
-    assert not fwd[0].mask.flags.writeable and not bwd[1].mask.flags.writeable
+    for tests in (fwd, bwd):
+        assert not tests.masks.flags.writeable
+        with pytest.raises(ValueError):
+            tests.masks[0, 0] = True
     assert list(fwd) == [fwd[i] for i in range(4)]
     for i in (4, -5):
         with pytest.raises(IndexError):
             fwd[i]
-    # a side with no tests initiates nothing and answers nothing
+    # a side with no tests initiates nothing and answers nothing, and a
+    # state is a state on no tests at all
     empty = TestSpace([], [])
     for enumerate_tests in (forward_tests, backward_tests, fns_tests):
         for alice, bob in ((empty, FNS_BOB), (FNS_ALICE, empty)):
             assert len(enumerate_tests(alice, bob)) == 0
+            omega = ProductState(alice, bob, {})
+            assert is_state_on_two_stage(omega, enumerate_tests(alice, bob))
 
 
-def test_two_stage_verdict_agrees_on_sequence_list_and_hand_built_tests():
+def test_two_stage_verdict_reads_only_tests_enumerated_on_the_states_axes():
     rng = np.random.default_rng(1011)
     omegas = [pr_box(), signalling_box()]
     while len(omegas) < 8:
@@ -558,24 +567,27 @@ def test_two_stage_verdict_agrees_on_sequence_list_and_hand_built_tests():
             omegas.append(ProductState(alice, bob, table))
     verdicts = set()
     for omega in omegas:
-        # the same tests enumerated on Bob's outcomes in reverse order carry
-        # masks on other axes, so they are read through their labels
+        # the same tests enumerated on Bob's outcomes in reverse order mark
+        # cells of other axes, so they are refused like a list of the tests
         reordered = TestSpace(omega.bob.outcomes[::-1], omega.bob.tests)
         for enumerate_tests in (forward_tests, backward_tests, fns_tests):
             tests = enumerate_tests(omega.alice, omega.bob)
-            verdict = is_state_on_two_stage(omega, tests)
+            verdicts.add(is_state_on_two_stage(omega, tests))
             by_hand = [TwoStageTest(t.direction, t.first, t.assignment) for t in tests]
-            assert is_state_on_two_stage(omega, list(tests)) == verdict
-            assert is_state_on_two_stage(omega, by_hand) == verdict
-            other_axes = enumerate_tests(omega.alice, reordered)
-            assert is_state_on_two_stage(omega, other_axes) == verdict
-            verdicts.add(verdict)
+            for other in (list(tests), by_hand, enumerate_tests(omega.alice, reordered)):
+                with pytest.raises(ValueError, match="enumerated on the state's axes"):
+                    is_state_on_two_stage(omega, other)
     assert verdicts == {True, False}
     omega = pr_box()
-    empty = TwoStageTests((omega.alice.outcomes, omega.bob.outcomes), np.zeros((0, 16), bool), ())
+    none = np.zeros(0, np.intp)
+    axes = (omega.alice.outcomes, omega.bob.outcomes)
+    empty = TwoStageTests(axes, np.zeros((0, 16), bool), (), none, none)
     assert len(empty) == 0 and list(empty) == []
     assert is_state_on_two_stage(omega, empty)
-    assert is_state_on_two_stage(omega, [])
+    with pytest.raises(ValueError, match="0 mask rows, 1 blocks and 0 codes"):
+        TwoStageTests(axes, np.zeros((0, 16), bool), (), np.zeros(1, np.intp), none)
+    with pytest.raises(ValueError):
+        is_state_on_two_stage(omega, [])
 
 
 

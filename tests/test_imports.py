@@ -1,5 +1,7 @@
-"""What `import influencefree` and one CLI request load, and the lazy namespace."""
+"""What `import influencefree` and one CLI request load, the lazy namespace,
+and that each module uses every name it imports."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -117,3 +119,19 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         influencefree.no_such_name  # noqa: B018
     assert not hasattr(influencefree, "_no_such_module")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(influencefree.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    # a deletion tends to leave its imports behind; annotations count as uses
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, sorted(imported - used)

@@ -12,7 +12,6 @@ from influencefree.testspace import (
     ETestSpace,
     TestSpace,
     admits_positive_state,
-    is_state,
     state_check,
     weight_space_dimension,
 )
@@ -57,8 +56,8 @@ EPAIR = ETestSpace(["a", "b"], [(("a", 1), ("b", 1))])
 @pytest.mark.parametrize(
     "check",
     [
-        lambda f: is_state(PAIR, f),
-        lambda f: is_state(EPAIR, f),
+        lambda f: state_check(PAIR, f),
+        lambda f: state_check(EPAIR, f),
     ],
     ids=["is_state", "is_state_multiset"],
 )
@@ -68,13 +67,20 @@ def test_table_checks_reject_non_finite_values(check, bad):
 
 
 def test_is_state_on_chain():
-    assert is_state(CHAIN, {"a": 0.25, "x": 0.75, "b": 0.25})
-    assert not is_state(CHAIN, {"a": 0.25, "x": 0.75, "b": 0.3})
-    assert not is_state(CHAIN, {"a": -0.1, "x": 1.1, "b": -0.1})
+    assert state_check(CHAIN, {"a": 0.25, "x": 0.75, "b": 0.25})[0]
+    assert not state_check(CHAIN, {"a": 0.25, "x": 0.75, "b": 0.3})[0]
+    assert not state_check(CHAIN, {"a": -0.1, "x": 1.1, "b": -0.1})[0]
     # tolerance is respected
-    assert is_state(CHAIN, {"a": 0.25 + 5e-10, "x": 0.75, "b": 0.25}, tol=1e-9)
+    assert state_check(CHAIN, {"a": 0.25 + 5e-10, "x": 0.75, "b": 0.25}, tol=1e-9)[0]
     with pytest.raises(ValueError):
-        is_state(CHAIN, {"a": 1.0, "x": 0.0})
+        state_check(CHAIN, {"a": 1.0, "x": 0.0})
+
+
+def test_table_values_outside_the_space_are_refused():
+    # the surplus value is named, not dropped, whatever it holds
+    for space in (CHAIN, ETestSpace(["a", "x", "b"], [(("a", 1), ("x", 1)), (("x", 1), ("b", 1))])):
+        with pytest.raises(ValueError, match=r"unknown outcomes \['zzz'\]"):
+            state_check(space, {"a": 0.25, "x": 0.75, "b": 0.25, "zzz": 7})
 
 
 def test_state_check_reports_residual_and_worst():
@@ -93,8 +99,8 @@ def test_state_check_reports_residual_and_worst():
 def test_estate_weights_multiplicities():
     ets = ETestSpace(["u", "v"], [(("u", 2), ("v", 1))])
     assert ets.tests == ((("u", 2), ("v", 1)),)
-    assert is_state(ets, {"u": 0.25, "v": 0.5})
-    assert not is_state(ets, {"u": 0.5, "v": 0.5})
+    assert state_check(ets, {"u": 0.25, "v": 0.5})[0]
+    assert not state_check(ets, {"u": 0.5, "v": 0.5})[0]
     with pytest.raises(ValueError):
         ETestSpace(["u"], [(("u", 0),)])
     with pytest.raises(ValueError):
