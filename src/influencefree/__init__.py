@@ -42,7 +42,7 @@ _EXPORTS = {
     "cones": (
         "FEAS_TOL", "ConeVerdict", "DecompositionCertificate", "SeesawResult",
         "decomposable_sum_membership", "extremality_probe", "is_popt", "is_ppt",
-        "is_psd", "popt_minimize", "witness_holds",
+        "is_psd", "popt_minimize", "split_holds", "witness_holds",
     ),
     "teleport": (
         "DesideratumReport", "PivotReport", "antisymmetric_projector", "bell_projector",

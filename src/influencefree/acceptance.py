@@ -25,11 +25,11 @@ from .choimaps import (
     unnormalized_q,
 )
 from .cones import (
-    FEAS_TOL,
     decomposable_sum_membership,
     extremality_probe,
     is_popt,
     popt_minimize,
+    split_holds,
     witness_holds,
 )
 from .coupling import (
@@ -301,10 +301,9 @@ def criterion_7():
                     continue
                 h = verdict.certificate
                 c = choi_from_conjugation(a).choi
-                if np.linalg.eigvalsh(partial_transpose(h, (n, n), 0)).min() < -2e-7:
-                    problems.append(f"{where}: certificate transpose not positive")
-                if np.linalg.eigvalsh(c - h).min() < -2e-7:
-                    problems.append(f"{where}: certificate exceeds the Choi operator")
+                # C = (C − H) + H is itself a decomposable split
+                if not split_holds(c, (n, n), c - h, h):
+                    problems.append(f"{where}: certificate fails its split re-check")
                 if abs(np.trace(h).real - min(1.0, norm**2 / 2)) > 1e-6:
                     problems.append(f"{where}: certificate trace {np.trace(h).real:.6f}")
                 if frobenius(h) < 1e-3 or frobenius(c - h) < 1e-3:
@@ -335,16 +334,6 @@ def criterion_7():
     )
 
 
-def _split_holds(w, cert) -> bool:
-    """P and Q^Gamma are PSD and P + Q is W within FEAS_TOL, recomputed."""
-    q_gamma = partial_transpose(cert.q, (2, 2), 1)
-    return bool(
-        np.linalg.eigvalsh(cert.p).min() >= -1e-10
-        and np.linalg.eigvalsh(q_gamma).min() >= -1e-10
-        and frobenius(w - cert.p - cert.q) <= FEAS_TOL
-    )
-
-
 @_criterion(8, "seesaw-membership-agreement", budget=60.0)
 def criterion_8():
     """On two qubits each operator is split or refuted with a checked
@@ -361,7 +350,7 @@ def criterion_8():
         mem = decomposable_sum_membership(w, (2, 2), max_iter=2000)
         counts[mem.status] += 1
         if mem.status == "member":
-            if not _split_holds(w, mem.certificate):
+            if not split_holds(w, (2, 2), mem.certificate.p, mem.certificate.q):
                 problems.append(f"k={k}: the member certificate fails its re-check")
             if floor < -2e-7:
                 problems.append(f"k={k}: member with product value {floor:.3e}")
@@ -438,19 +427,3 @@ def criterion_11():
                             problems.append(f"n={n} unit ({x},{y},{u},{v}): gap {gap:.3e}")
     return problems, f"all matrix units for n in (2, 3), worst gap {worst:.1e}"
 
-
-def run_all(progress=None) -> list[CriterionResult]:
-    """Run every criterion in order, optionally logging one line each to a stream."""
-    results = []
-    for fn in CRITERIA:
-        res = fn()
-        if progress is not None:
-            tag = "PASS" if res.passed else "FAIL"
-            print(
-                f"criterion {res.number:2d} {tag} {res.name} "
-                f"({res.elapsed:.2f}s): {res.detail}",
-                file=progress,
-                flush=True,
-            )
-        results.append(res)
-    return results

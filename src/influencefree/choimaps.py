@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, _check_dims, _hermitian_part, _unitary, as_matrix, frobenius,
-                     hermitian, hermitian_eig, partial_transpose)
+from .linalg import (DEFAULT_TOL, _binary_scaled, _check_dims, _hermitian_part, _unitary, as_matrix,
+                     frobenius, hermitian, hermitian_eig, partial_transpose)
 
 _UNIT_TOL = 1e-10  # how far from 1 the norm of a state_eval vector may be
 _RECONSTRUCT_TOL = 1e-7  # the largest held-out residual reconstruct_operator accepts, per unit of max |value|
@@ -155,16 +155,19 @@ def hk_representation(m: LinearMapChoi, tol: float = DEFAULT_TOL) -> KrausSet:
 
     A_k = sqrt(lambda_k) · unfold(v_k) with unfold reading v as the matrix
     v[(i,j)] = A[j,i]; eigenvalues at most 1e-12 times the largest are dropped.
-    Raises if the Choi operator C has an eigenvalue below -tol·‖C‖_F.
+    Raises if the Choi operator C has an eigenvalue below -tol·‖C‖_F. The
+    spectrum is read from C·2^−e (linalg._binary_scaled), so it stays finite
+    where C's does not, and each sqrt(lambda_k) is scaled back exactly.
     """
-    vals, vecs = hermitian_eig(m.choi)
-    if vals[-1] < -_cp_floor(m, tol):
-        raise ValueError(
-            f"map is not completely positive (Choi eigenvalue {vals[-1]:.3e})"
-        )
+    u, e = _binary_scaled(m.choi)
+    vals, vecs = hermitian_eig(u)
+    least = np.ldexp(vals[-1], e)
+    if least < -_cp_floor(m, tol):
+        raise ValueError(f"map is not completely positive (Choi eigenvalue {least:.3e})")
     drop = 1e-12 * float(vals[0])
     return KrausSet(tuple(
-        np.sqrt(lam) * v.reshape(m.din, m.dout).T for lam, v in zip(vals, vecs.T) if lam > drop
+        np.ldexp(np.sqrt(np.ldexp(lam, e % 2)), e // 2) * v.reshape(m.din, m.dout).T
+        for lam, v in zip(vals, vecs.T) if lam > drop
     ))
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     _hermitian_part,
     _ldexp,
     _least_eigh,
+    as_matrix,
     finite_matrix,
     frobenius,
     min_eig,
@@ -116,7 +117,7 @@ def popt_minimize(
     product vectors; a negative value refutes positivity on pure tensors and
     the witness pair certifies it. W is admitted by linalg._admit.
     """
-    for _, result in _seesaw_sweeps(_admit(w, dims), dims, seed, restarts, max_iter, None):
+    for _, result in _seesaw_sweeps(_admit(w, dims), dims, seed, restarts, max_iter, -np.inf):
         pass
     return result
 
@@ -125,13 +126,13 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     """popt_minimize's see-saw on an admitted W, paused after each sweep.
 
     Yields (lowest restart value, None) after each sweep but the last, and
-    (lowest restart value, the SeesawResult) after the last. With
-    stop_below None this is popt_minimize. Otherwise the first sweep after
-    which the lowest value is below stop_below picks that restart (ties to
-    the lowest index); every other restart is frozen where it stands, and
-    the picked one is polished to its own fixed point within the same
-    max_iter sweeps, so min_value is still a see-saw fixed point and is
-    returned. The arguments are checked at the first next().
+    (lowest restart value, the SeesawResult) after the last. The first
+    sweep after which the lowest value is below stop_below picks that
+    restart (ties to the lowest index); every other restart is frozen where
+    it stands, and the picked one is polished to its own fixed point within
+    the same max_iter sweeps, so min_value is still a see-saw fixed point.
+    With stop_below −inf nothing is picked: that is popt_minimize. The
+    arguments are checked at the first next().
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
@@ -169,7 +170,7 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
         converged[live] = done
         live = live[~done]
         lowest = float(value.min())
-        if picked is None and stop_below is not None and lowest < stop_below:
+        if picked is None and lowest < stop_below:
             picked = int(np.argmin(value))
             live = live[live == picked]
         if live.size == 0 or sweep == max_iter:
@@ -339,6 +340,27 @@ def witness_holds(w, dims: Sequence[int], z) -> bool:
         np.vdot(z, w).real < 0.0  # Tr(ZW) for Hermitian Z
         and np.linalg.eigvalsh(z)[0] >= 0.0
         and np.linalg.eigvalsh(partial_transpose(z, dims, 1))[0] >= 0.0
+    )
+
+
+def split_holds(w, dims: Sequence[int], p, q) -> bool:
+    """True iff ‖W − P − Q‖_F <= FEAS_TOL·‖W‖_F, P ⪰ 0 and Q^Gamma ⪰ 0, recomputed.
+
+    Such a split puts W in PSD + PSD^Gamma. Each least eigenvalue may read
+    down to −MEMBERSHIP_ROUNDING·‖W‖_F, the rounding left by a part clipped
+    onto the cone's boundary. Every quantity scales with W, so the answer
+    does not change with scale. The residual is checked first, as the
+    cheapest. W, P and Q must all be on dims, or ValueError is raised.
+    """
+    w, p, q = (as_matrix(a) for a in (w, p, q))
+    for a in (w, p, q):
+        _check_dims(a, dims)
+    norm = frobenius(w)
+    floor = -MEMBERSHIP_ROUNDING * norm
+    return bool(
+        frobenius(w - p - q) <= FEAS_TOL * norm
+        and np.linalg.eigvalsh(p)[0] >= floor
+        and np.linalg.eigvalsh(partial_transpose(q, dims, 1))[0] >= floor
     )
 
 

@@ -169,6 +169,38 @@ def test_cp_verdicts_at_large_fixed_scales():
     assert bool(is_cp(i)) and not bool(is_co_cp(i))
 
 
+def test_hk_representation_where_the_choi_spectrum_overflows():
+    # λ_max = 3e308 is not a float, but the spectrum of C·2^−e is
+    m = LinearMapChoi(1e308 * identity_map(3).choi, 3, 3)
+    ks = hk_representation(m)
+    assert len(ks.operators) == 1
+    assert kraus_residual(m, ks) <= 1e-12 * np.finfo(float).max
+
+
+@pytest.mark.parametrize("k", [-200, -60, 60, 200])
+def test_hk_representation_does_not_move_at_a_power_of_two(k):
+    # the spectrum is read from the same C·2^−e at every scale, so each
+    # operator is scaled by exactly 2^(k/2), and a refusal stays a refusal
+    rng = np.random.default_rng(310)
+    gs = [rng.standard_normal((6, r)) + 1j * rng.standard_normal((6, r)) for r in (1, 3, 6)]
+    chois = [(g @ g.conj().T, 2, 3) for g in gs]  # CP maps of Choi rank 1, 3 and 6
+    chois += [(transpose_map(3).choi, 3, 3), (random_hermitian(rng, 9), 3, 3)]
+    refused = 0
+    for choi, din, dout in chois:
+        try:
+            want = hk_representation(LinearMapChoi(choi, din, dout)).operators
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="not completely positive"):
+                hk_representation(LinearMapChoi(2.0**k * choi, din, dout))
+            continue
+        got = hk_representation(LinearMapChoi(2.0**k * choi, din, dout)).operators
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, 2.0 ** (k // 2) * b)
+    assert refused == 2
+
+
 def test_transpose_in_basis():
     rng = np.random.default_rng(15)
     u = random_unitary(rng, 3)

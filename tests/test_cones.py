@@ -27,6 +27,7 @@ from influencefree.cones import (
     is_ppt,
     is_psd,
     popt_minimize,
+    split_holds,
     witness_holds,
 )
 from influencefree.linalg import DEFAULT_TOL as TOL, frobenius, hermitian_eig, min_eig, partial_transpose
@@ -243,33 +244,33 @@ def stopped_seesaw(w, dims, seed, restarts, stop_below, max_iter=200) -> SeesawR
     return list(_seesaw_sweeps(w, dims, seed, restarts, max_iter, stop_below))[-1][1]
 
 
-def is_popt_without_shortcut(w, dims, seed, restarts, max_iter=200, membership_max_iter=20000):
-    """is_popt's verdict without the membership shortcut: the whole see-saw
-    first, then membership at FEAS_TOL. Returns the status and the see-saw
-    result (None in the psd and ppt branches)."""
-    if is_psd(w) or is_ppt(w, dims):
-        return "certified", None
-    full = stopped_seesaw(w, dims, seed, restarts, -TOL, max_iter)
-    if full.min_value < -TOL:
-        return "refuted", full
-    membership = decomposable_sum_membership(w, dims, max_iter=membership_max_iter)
-    return ("certified" if membership.status == "member" else "likely"), full
-
-
-def first_stall(w, dims, seed, restarts, max_iter=200):
-    """The lowest see-saw value after the first sweep, not the last, that
-    lowered it by no more than its height above -tol while it was above
-    rounding, or None; None too if tol is below membership's rounding."""
+def stopped_seesaw_and_stall(w, dims, seed, restarts, max_iter=200):
+    """One pass of the see-saw with its early stop below -tol: its result, and
+    its first stall. That is the lowest value after the first sweep, not the
+    last, that lowered it by no more than its height above -tol while it was
+    above rounding, or None; None too if tol is below membership's rounding."""
     norm = frobenius(w)
-    if TOL < MEMBERSHIP_ROUNDING * norm:
-        return None
-    previous = np.inf
+    asks = TOL >= MEMBERSHIP_ROUNDING * norm
+    stall, previous = None, np.inf
     for lowest, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, -TOL):
         above_rounding = lowest > SEESAW_ROUNDING * max(1.0, norm)
-        if result is None and above_rounding and previous - lowest <= lowest + TOL:
-            return lowest
+        if asks and stall is None and result is None and above_rounding and previous - lowest <= lowest + TOL:
+            stall = lowest
         previous = lowest
-    return None
+    return result, stall
+
+
+def is_popt_without_shortcut(w, dims, seed, restarts, max_iter=200, membership_max_iter=20000):
+    """is_popt's verdict without the membership shortcut: the whole see-saw
+    first, then membership at FEAS_TOL. Returns the status, the see-saw
+    result and its first stall (both None in the psd and ppt branches)."""
+    if is_psd(w) or is_ppt(w, dims):
+        return "certified", None, None
+    full, stall = stopped_seesaw_and_stall(w, dims, seed, restarts, max_iter)
+    if full.min_value < -TOL:
+        return "refuted", full, stall
+    membership = decomposable_sum_membership(w, dims, max_iter=membership_max_iter)
+    return ("certified" if membership.status == "member" else "likely"), full, stall
 
 
 def stall_statuses(monkeypatch) -> list:
@@ -321,7 +322,7 @@ def test_early_stop_keeps_every_is_popt_verdict(dims, monkeypatch):
             w = scale * w0
             # the stall's tight tol must be below FEAS_TOL for the recording
             assert TOL / frobenius(w) < FEAS_TOL
-            want, full = is_popt_without_shortcut(w, dims, seed=k, restarts=16, max_iter=max_iter)
+            want, full, stall = is_popt_without_shortcut(w, dims, seed=k, restarts=16, max_iter=max_iter)
             calls.clear()
             verdict = is_popt(w, dims, seed=k, restarts=16, max_iter=max_iter)
             assert verdict.status == want, (k, scale)
@@ -334,7 +335,6 @@ def test_early_stop_keeps_every_is_popt_verdict(dims, monkeypatch):
             if full is None:
                 continue
             # membership is asked at the first stall and only there
-            stall = first_stall(w, dims, seed=k, restarts=16, max_iter=max_iter)
             assert (stall is not None) == bool(calls), (k, scale)
             if calls[:1] == ["member"]:
                 paths.add("shortcut")
@@ -352,7 +352,7 @@ def test_early_stop_keeps_every_is_popt_verdict(dims, monkeypatch):
             if scale != 1.0 or calls[:1] != ["member"] or not starved_left:
                 continue
             starved_left -= 1
-            want, _ = is_popt_without_shortcut(w, dims, seed=k, restarts=16, membership_max_iter=1)
+            want, _, _ = is_popt_without_shortcut(w, dims, seed=k, restarts=16, membership_max_iter=1)
             calls.clear()
             starved = is_popt(w, dims, seed=k, restarts=16, membership_max_iter=1)
             assert starved.status == want, k
@@ -374,11 +374,10 @@ def test_is_popt_on_the_boundary_at_large_norms(dims, monkeypatch):
         w0 = product_boundary_operator(rng, dims)
         for scale in (1e2, 1e3, 1e4, 1e5):
             w = scale * w0
-            want, full = is_popt_without_shortcut(w, dims, seed=k, restarts=16)
+            want, full, stall = is_popt_without_shortcut(w, dims, seed=k, restarts=16)
             calls.clear()
             verdict = is_popt(w, dims, seed=k, restarts=16)
             assert verdict.status == want == "certified", (k, scale)
-            stall = first_stall(w, dims, seed=k, restarts=16)
             assert (stall is not None) == bool(calls), (k, scale)
             if TOL < MEMBERSHIP_ROUNDING * frobenius(w):
                 assert not calls, (k, scale)
@@ -704,6 +703,93 @@ def test_witness_holds_accepts_a_separating_z_and_rejects_each_failure():
     assert not witness_holds(-np.eye(4), (2, 2), s)  # Z = S has eigenvalue -1
     assert np.linalg.eigvalsh(q).min() >= -1e-12
     assert not witness_holds(-np.eye(4), (2, 2), q)  # Z^Gamma = S has eigenvalue -1
+
+
+@functools.lru_cache(maxsize=None)
+def member_splits(dims) -> tuple:
+    """(W, P, Q) for every member certificate of a seeded corpus on dims: the
+    see-saw corpus and ten operators on the product boundary."""
+    rng = np.random.default_rng(60 + sum(dims))
+    operators = [*seesaw_corpus(dims), *(product_boundary_operator(rng, dims) for _ in range(10))]
+    verdicts = [(w, decomposable_sum_membership(w, dims)) for w in operators]
+    return tuple((w, v.certificate.p, v.certificate.q) for w, v in verdicts if v.status == "member")
+
+
+def rank_one_splits(n: int):
+    """(C, C − H, H) for the extremality split H of rank-1 conjugations on n ⊗ n."""
+    rng = np.random.default_rng(70 + n)
+    for _ in range(5):
+        a1 = random_rank(rng, n, 1)
+        for norm in (1.5, 0.9, 0.5):
+            a = a1 * (norm / frobenius(a1))
+            h = extremality_probe(a).certificate
+            c = choi_from_conjugation(a).choi
+            yield c, c - h, h
+
+
+def splits_at_the_bounds(dims):
+    """(passes, (W, P, Q)) for splits just inside and just past each bound of
+    split_holds: the least eigenvalue of P, that of Q^Gamma, and the
+    residual, each against its bound times ‖W‖_F."""
+    w, p, q = member_splits(dims)[-1]  # on the product boundary
+    floor = MEMBERSHIP_ROUNDING * frobenius(w)
+    one = np.eye(w.shape[0])  # its own partial transpose
+    least_p = np.linalg.eigvalsh(p)[0]
+    least_q = np.linalg.eigvalsh(partial_transpose(q, dims, 1))[0]
+    # moving ε·1 from one part to the other keeps their sum
+    for passes, below in ((True, 0.5 * floor), (False, 10.0 * floor)):
+        yield passes, (w, p - (least_p + below) * one, q + (least_p + below) * one)
+        yield passes, (w, p + (least_q + below) * one, q - (least_q + below) * one)
+    psd = random_psd(np.random.default_rng(80 + sum(dims)), w.shape[0])
+    zero = np.zeros_like(psd)
+    yield True, (psd, psd, zero)  # a PSD W with Q = 0
+    yield True, (psd, (1.0 + FEAS_TOL / 2) * psd, zero)
+    yield False, (psd, (1.0 + 2 * FEAS_TOL) * psd, zero)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_split_holds_accepts_every_member_certificate(dims):
+    splits = member_splits(dims)
+    assert len(splits) >= 15  # the ten boundary operators among them
+    for k, (w, p, q) in enumerate(splits):
+        assert split_holds(w, dims, p, q), k
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_holds_accepts_every_rank_one_extremality_split(n):
+    for k, (c, p, q) in enumerate(rank_one_splits(n)):
+        assert split_holds(c, (n, n), p, q), k
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_split_holds_rejects_each_failure(dims):
+    for k, (passes, (w, p, q)) in enumerate(splits_at_the_bounds(dims)):
+        assert split_holds(w, dims, p, q) == passes, k
+    w, p, q = member_splits(dims)[0]
+    with pytest.raises(ValueError, match="does not match"):
+        split_holds(w, (3, 3), p, q)
+    with pytest.raises(ValueError, match="does not match"):
+        split_holds(w, dims, p[:-1, :-1], q)
+
+
+@pytest.mark.parametrize("k", [-200, -60, 60, 200])
+def test_split_and_witness_answers_do_not_move_at_a_power_of_two(k):
+    # every quantity either check compares scales with W (and with Z)
+    s = 2.0**k
+    splits = [(dims, True, split) for dims in ((2, 2), (2, 3)) for split in member_splits(dims)]
+    splits += [((n, n), True, split) for n in (2, 3) for split in rank_one_splits(n)]
+    splits += [(dims, *case) for dims in ((2, 2), (2, 3)) for case in splits_at_the_bounds(dims)]
+    for i, (dims, passes, (w, p, q)) in enumerate(splits):
+        assert split_holds(s * w, dims, s * p, s * q) == passes, i
+    dims = (2, 2)
+    verdicts = [decomposable_sum_membership(w, dims) for w in seesaw_corpus(dims)]
+    members = [w for w, p, q in member_splits(dims)]
+    cases = [(v.witness, w) for w, v in zip(seesaw_corpus(dims), verdicts) if v.status == "refuted"]
+    cases += [(z, w) for z, _ in cases[:5] for w in members[:5]]
+    answers = [witness_holds(w, dims, z) for z, w in cases]
+    assert True in answers and False in answers
+    for i, ((z, w), holds) in enumerate(zip(cases, answers)):
+        assert witness_holds(s * w, dims, z) == witness_holds(w, dims, s * z) == holds, i
 
 
 def _assert_cone_feasible(cert, w, dims=(2, 2)):
