@@ -24,8 +24,7 @@ _EXPORTS = {
         "partial_transpose", "permute_systems", "psd_part",
     ),
     "testspace": (
-        "ETestSpace", "TestSpace", "admits_positive_state", "state_check",
-        "weight_space_dimension",
+        "TestSpace", "admits_positive_state", "state_check", "weight_space_dimension",
     ),
     "coupling": (
         "DirectionReport", "InfluenceVerdict", "ProductState", "TwoStageTest",

@@ -12,14 +12,16 @@ A table on X x Y is held as a |X| x |Y| array and each side's tests as its
 incidence matrix, so every sum over test cells is a matrix product. Each
 state computes its two marginals under the other side's test 0 once, when
 first asked, for the conditioning and Bayes checks.
-A one-sided test is named by its incidence row index. Enumerated two-stage
-tests are the rows of one boolean mask matrix over X x Y (a TwoStageTests),
-the only form a state is checked on: one matrix-vector product. A row's
-TwoStageTest is built from its two indices when it is indexed. The rows
-of one initiating test are written by broadcasting: outcome i of that test
-takes every response in turn along one axis, in itertools.product order.
-fns_tests writes both directions into one buffer of rows padded to whole
-bytes and keeps the first row of each packed-bits key in one pass.
+A one-sided test is named by its incidence row index, any integer but a
+bool. Two-stage enumeration needs set tests and refuses a space with a
+multiplicity above 1. Enumerated two-stage tests are the rows of one boolean
+mask matrix over X x Y (a TwoStageTests), the only form a state is checked
+on: one matrix-vector product. A row's TwoStageTest is built from its two
+indices when it is indexed. The rows of one initiating test are written by
+broadcasting: outcome i of that test takes every response in turn along one
+axis, in itertools.product order. fns_tests writes both directions into one
+buffer of rows padded to whole bytes and keeps the first row of each
+packed-bits key in one pass.
 """
 
 from __future__ import annotations
@@ -159,7 +161,10 @@ class TwoStageTests(Sequence):
 
 
 def _count(direction: str, a: TestSpace, b: TestSpace, cap: int) -> int:
-    """The number of two-stage tests in one direction, refused above cap."""
+    """The number of two-stage tests in one direction, refused above cap;
+    a space with a multiplicity above 1 is refused first."""
+    if a._multiplicities or b._multiplicities:
+        raise ValueError("coupled test spaces need set tests, not multisets")
     first, second = (a, b) if direction == "forward" else (b, a)
     required = sum(len(second.tests) ** len(e) for e in first.tests)
     if required > cap:
@@ -243,11 +248,13 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
 
 
 def _test_index(space: TestSpace, test) -> int:
-    if not isinstance(test, int):
+    """Any integer (numpy's included, bool refused) as an incidence row index."""
+    if isinstance(test, bool) or not hasattr(test, "__index__"):
         raise ValueError(f"a test is named by its incidence row index, got {test!r}")
-    if not 0 <= test < len(space.tests):
-        raise ValueError(f"test index {test} out of range")
-    return test
+    i = operator.index(test)
+    if not 0 <= i < len(space.tests):
+        raise ValueError(f"test index {i} out of range")
+    return i
 
 
 def marginal(omega: ProductState, side: str, test) -> dict[str, float]:

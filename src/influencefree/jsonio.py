@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .testspace import ETestSpace, TestSpace
+    from .testspace import TestSpace
 
 
 class DocumentError(ValueError):
@@ -107,14 +107,10 @@ def vector_to_document(v) -> dict:
     return {"length": int(a.shape[0]), "entries": _pairs(a)}
 
 
-def testspace_from_document(doc, where: str = "space") -> TestSpace | ETestSpace:
-    """Decode a TestSpaceDocument.
-
-    Tests given as label lists produce a TestSpace; tests containing
-    {"outcome", "multiplicity"} objects produce an ETestSpace (plain labels
-    in the same document count as multiplicity one).
-    """
-    from .testspace import ETestSpace, TestSpace
+def testspace_from_document(doc, where: str = "space") -> TestSpace:
+    """Decode a TestSpaceDocument. A test entry is a label, counted once, or an
+    {"outcome", "multiplicity"} object, and repeated entries add up."""
+    from .testspace import TestSpace
 
     outcomes = _require(doc, "outcomes", list, where)
     if not all(isinstance(x, str) for x in outcomes):
@@ -122,43 +118,36 @@ def testspace_from_document(doc, where: str = "space") -> TestSpace | ETestSpace
     raw_tests = _require(doc, "tests", list, where)
     if not raw_tests:
         raise DocumentError(f"{where}.tests: at least one test is required")
-    multiset = False
     tests = []
     for i, t in enumerate(raw_tests):
+        at = f"{where}.tests[{i}]"
         if not isinstance(t, list) or not t:
-            raise DocumentError(f"{where}.tests[{i}]: expected a non-empty list")
+            raise DocumentError(f"{at}: expected a non-empty list")
         items = []
         for item in t:
             if isinstance(item, str):
-                items.append((item, 1))
+                items.append(item)
             elif isinstance(item, dict):
-                multiset = True
-                label = _require(item, "outcome", str, f"{where}.tests[{i}]")
-                mult = _require(item, "multiplicity", int, f"{where}.tests[{i}]")
-                items.append((label, mult))
+                label = _require(item, "outcome", str, at)
+                items.append((label, _require(item, "multiplicity", int, at)))
             else:
                 raise DocumentError(
-                    f"{where}.tests[{i}]: entries must be labels or "
-                    '{"outcome", "multiplicity"} objects'
+                    f'{at}: entries must be labels or {{"outcome", "multiplicity"}} objects'
                 )
         tests.append(items)
     try:
-        if multiset:
-            return ETestSpace(outcomes, tests)
-        return TestSpace(outcomes, [tuple(label for label, _ in items) for items in tests])
+        return TestSpace(outcomes, tests)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def testspace_to_document(space: TestSpace | ETestSpace) -> dict:
-    from .testspace import ETestSpace
-
-    if isinstance(space, ETestSpace):
-        tests = [
-            [{"outcome": x, "multiplicity": m} for x, m in t] for t in space.tests
-        ]
-    else:
-        tests = [list(t) for t in space.tests]
+def testspace_to_document(space: TestSpace) -> dict:
+    """A label for each multiplicity of 1, an object for any other."""
+    tests = [
+        [x if m == 1 else {"outcome": x, "multiplicity": int(m)}
+         for x, m in zip(space.outcomes, row) if m]
+        for row in space.incidence.tolist()
+    ]
     return {"outcomes": list(space.outcomes), "tests": tests}
 
 
@@ -195,11 +184,9 @@ def pair_table_from_document(doc, where: str = "table") -> dict[tuple[str, str],
 
 def _coupled_spaces(doc) -> tuple[TestSpace, TestSpace]:
     """The set test spaces under a document's "alice" and "bob" fields."""
-    from .testspace import ETestSpace
-
     alice = testspace_from_document(_require(doc, "alice", dict, "input"), "alice")
     bob = testspace_from_document(_require(doc, "bob", dict, "input"), "bob")
-    if isinstance(alice, ETestSpace) or isinstance(bob, ETestSpace):
+    if alice._multiplicities or bob._multiplicities:
         raise DocumentError("coupled test spaces need set tests, not multisets")
     return alice, bob
 

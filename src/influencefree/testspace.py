@@ -1,11 +1,11 @@
 """Finite test spaces, their states, and the polytope of those states.
 
 A test space is an outcome set X together with a covering family of non-empty
-tests (subsets of X); a state assigns [0,1] values summing to 1 over every
-test. E-test spaces allow multiset tests (outcomes with multiplicity).
-Each space carries its tests as a read-only incidence matrix (tests x
-outcomes, entries the multiplicities), so a test sum is a matrix-vector
-product. Tables come in as mappings outcome -> float and must be finite.
+tests, each a set or a multiset of outcomes of X; a state assigns [0,1]
+values whose multiplicity-weighted sum over every test is 1. Each space
+carries its tests as a read-only incidence matrix (tests x outcomes, entries
+the multiplicities), so a test sum is a matrix-vector product. Tables come
+in as mappings outcome -> float and must be finite.
 
 The states of a space form the polytope {f >= 0 : incidence · f = 1}. One
 enumerator lists the supports of its vertices, column subset by column
@@ -16,6 +16,7 @@ a strictly positive state both read those supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -23,50 +24,61 @@ import numpy as np
 from .linalg import DEFAULT_TOL, CapExceededError
 
 
-def _incidence(index: Mapping[str, int], weighted_tests) -> np.ndarray:
-    """Read-only tests x outcomes matrix; each test is (outcome, weight) pairs."""
-    rows = [[0.0] * len(index) for _ in weighted_tests]
-    for row, t in zip(rows, weighted_tests):
-        for x, w in t:
-            row[index[x]] = w
-    a = np.array(rows, dtype=float).reshape(len(rows), len(index))
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class TestSpace:
-    """Outcome labels (ordered, opaque strings) plus a family of set tests."""
+    """Outcome labels (ordered, opaque strings) plus a family of tests.
+
+    A test entry is a label, counted once, or a (label, multiplicity)
+    pair, and repeated entries add up. `tests` holds each test's outcomes
+    once, in outcome order; `incidence` holds the multiplicities. Two spaces
+    are equal when their outcomes, tests and multiplicities agree.
+    """
 
     outcomes: tuple[str, ...]
     tests: tuple[tuple[str, ...], ...]
-    incidence: np.ndarray = field(compare=False, repr=False)  # 0/1, tests x outcomes
+    incidence: np.ndarray = field(compare=False, repr=False)  # tests x outcomes
     _index: Mapping[str, int] = field(compare=False, repr=False)  # label -> position
+    _multiplicities: tuple = field(repr=False)  # () if all are 1, else incidence rows
 
     def __init__(self, outcomes, tests):
-        outcomes = tuple(str(x) for x in outcomes)
+        outcomes = tuple(map(str, outcomes))
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("duplicate outcome labels")
         index = {x: i for i, x in enumerate(outcomes)}
-        canon = []
+        rows, canon = [], []
         for t in tests:
-            t = [str(x) for x in t]
-            if not t:
-                raise ValueError("tests must be non-empty")
-            unknown = [x for x in t if x not in index]
+            row, unknown = [0] * len(outcomes), []
+            for e in t:
+                if isinstance(e, tuple):
+                    x, m = e
+                    x, m = str(x), int(m)
+                    if m < 0:
+                        raise ValueError("multiplicities must be non-negative")
+                else:
+                    x, m = str(e), 1
+                i = index.get(x)
+                if i is None:
+                    unknown.append(x)
+                else:
+                    row[i] += m
             if unknown:
                 raise ValueError(f"test contains unknown outcomes {unknown}")
-            if len(set(t)) != len(t):
-                raise ValueError(f"test {t} repeats an outcome (use ETestSpace)")
-            canon.append(tuple(sorted(t, key=index.__getitem__)))
-        covered = set().union(*map(set, canon)) if canon else set()
-        if covered != set(outcomes):
-            raise ValueError(f"tests do not cover outcomes {sorted(set(outcomes) - covered)}")
+            test = tuple(compress(outcomes, row))
+            if not test:
+                raise ValueError("each test needs at least one positive multiplicity")
+            rows.append(row)
+            canon.append(test)
+        missing = set(outcomes).difference(*canon)
+        if missing:
+            raise ValueError(f"tests do not cover outcomes {sorted(missing)}")
+        incidence = np.array(rows, dtype=float).reshape(len(rows), len(outcomes))
+        incidence.flags.writeable = False
+        multiset = sum(map(sum, rows)) > sum(map(len, canon))  # some multiplicity exceeds 1
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "tests", tuple(canon))
-        weighted = [[(x, 1) for x in t] for t in canon]
-        object.__setattr__(self, "incidence", _incidence(index, weighted))
+        object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_multiplicities", tuple(map(tuple, rows)) if multiset else ())
 
     def outcome_index(self, x: str) -> int:
         try:
@@ -75,44 +87,14 @@ class TestSpace:
             raise ValueError(f"unknown outcome {x!r}") from None
 
 
-@dataclass(frozen=True)
-class ETestSpace:
-    """Test space with multiset tests: each test maps outcome -> multiplicity, repeats summed."""
-
-    outcomes: tuple[str, ...]
-    tests: tuple[tuple[tuple[str, int], ...], ...]
-    incidence: np.ndarray = field(compare=False, repr=False)  # multiplicities
-
-    def __init__(self, outcomes, tests):
-        outcomes = tuple(str(x) for x in outcomes)
-        if len(set(outcomes)) != len(outcomes):
-            raise ValueError("duplicate outcome labels")
-        index = {x: i for i, x in enumerate(outcomes)}
-        canon = []
-        for t in tests:
-            items = [(x, int(m)) for x, m in (t.items() if isinstance(t, Mapping) else t)]
-            if any(x not in index for x, _ in items):
-                raise ValueError(f"test refers to unknown outcomes: {sorted(dict(items))}")
-            if any(m < 0 for _, m in items):
-                raise ValueError("multiplicities must be non-negative")
-            counts = {x: sum(m for y, m in items if y == x) for x in dict(items)}
-            positive = {x: m for x, m in counts.items() if m > 0}
-            if not positive:
-                raise ValueError("each test needs at least one positive multiplicity")
-            canon.append(tuple(sorted(positive.items(), key=lambda kv: index[kv[0]])))
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "tests", tuple(canon))
-        object.__setattr__(self, "incidence", _incidence(index, canon))
-
-
-def _values(space: TestSpace | ETestSpace, f: Mapping[str, float]) -> np.ndarray:
+def _values(space: TestSpace, f: Mapping[str, float]) -> np.ndarray:
     """The table as a vector in outcome order; missing, unknown or non-finite values raise."""
     missing = [x for x in space.outcomes if x not in f]
     if missing:
         raise ValueError(f"table is missing outcomes {missing}")
     if len(f) > len(space.outcomes):  # every outcome was found, so the rest are unknown
-        known = set(space.outcomes)
-        raise ValueError(f"table has values for unknown outcomes {[x for x in f if x not in known]}")
+        unknown = [x for x in f if x not in space._index]
+        raise ValueError(f"table has values for unknown outcomes {unknown}")
     v = np.array([f[x] for x in space.outcomes], dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("table values must be finite")
@@ -120,7 +102,7 @@ def _values(space: TestSpace | ETestSpace, f: Mapping[str, float]) -> np.ndarray
 
 
 def state_check(
-    ts: TestSpace | ETestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL
+    ts: TestSpace, f: Mapping[str, float], tol: float = DEFAULT_TOL
 ) -> tuple[bool, float, tuple[str, int | str, float] | None]:
     """(ok, residual, worst) for the table f on ts.
 

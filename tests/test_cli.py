@@ -221,6 +221,31 @@ def test_fns_tests_counts_and_cap(tmp_path, capsys):
     assert doc["required"] == 4
 
 
+def test_verify_state_reads_a_repeated_label_as_a_multiplicity(tmp_path, capsys):
+    path = write_doc(
+        tmp_path, "repeated.json",
+        {"space": {"outcomes": ["a", "b"], "tests": [["a", "a", "b"]]}, "table": {"a": 0.25, "b": 0.5}},
+    )
+    code, doc = invoke(capsys, "verify-state", path)
+    assert code == 0 and doc["verdict"] == "state"
+
+
+def test_verify_state_refuses_a_multiset_space_that_leaves_an_outcome_out(tmp_path, capsys):
+    path = write_doc(
+        tmp_path, "uncovered.json",
+        {
+            "space": {
+                "outcomes": ["a", "b", "c"],
+                "tests": [[{"outcome": "a", "multiplicity": 2}, "b"]],
+            },
+            "table": {"a": 0.25, "b": 0.5, "c": 0.0},
+        },
+    )
+    code, doc = invoke(capsys, "verify-state", path)
+    assert code == 65
+    assert doc == {"verdict": "malformed-input", "reason": "space: tests do not cover outcomes ['c']"}
+
+
 def test_fns_tests_refuses_a_multiset_space(tmp_path, capsys):
     path = write_doc(
         tmp_path, "multi.json",

@@ -112,6 +112,32 @@ def test_two_stage_test_validation():
         assert TwoStageTest(e.direction, e.first, e.assignment) == e
 
 
+@pytest.mark.parametrize("enumerate_tests", [forward_tests, backward_tests, fns_tests])
+def test_enumerators_refuse_a_multiplicity_above_one(enumerate_tests):
+    multiset = TestSpace(["u", "v"], [(("u", 2), ("v", 1))])
+    for a, b in ((multiset, FNS_BOB), (FNS_ALICE, multiset), (multiset, multiset)):
+        with pytest.raises(ValueError, match="coupled test spaces need set tests, not multisets"):
+            enumerate_tests(a, b)
+    # multiplicity 1 written as a pair is a set test
+    ones = TestSpace(["x1", "x2"], [(("x1", 1), ("x2", 1))])
+    assert len(enumerate_tests(ones, FNS_BOB)) == len(enumerate_tests(FNS_ALICE, FNS_BOB))
+
+
+def test_product_state_weights_a_multiset_side():
+    # Alice's test counts u twice: 2·w(u, y) + w(v, y) must sum to 1 per Bob test
+    alice = TestSpace(["u", "v"], [(("u", 2), "v")])
+    bob = TestSpace(["r", "s"], [("r", "s")])
+    good = {("u", "r"): 0.125, ("u", "s"): 0.125, ("v", "r"): 0.25, ("v", "s"): 0.25}
+    omega = ProductState(alice, bob, good)
+    assert is_influence_free(omega).free
+    assert marginal(omega, "bob", 0) == {"r": 0.5, "s": 0.5}
+    set_alice = TestSpace(["u", "v"], [("u", "v")])
+    with pytest.raises(ValueError, match="sums to 0.75"):
+        ProductState(set_alice, bob, good)
+    with pytest.raises(ValueError, match="sums to 1.25"):
+        ProductState(alice, bob, {**good, ("v", "r"): 0.5})
+
+
 def test_enumeration_cap():
     big_bob = TestSpace(
         [f"y{i}" for i in range(6)],
@@ -248,6 +274,20 @@ def test_marginal_semantics():
             marginal(omega, "bob", test)
     with pytest.raises(ValueError, match="incidence row index"):
         bayes_mixture_check(omega, ("a1", "a2"))
+
+
+def test_a_test_index_is_any_integer_but_not_a_bool():
+    omega = signalling_box()
+    for i in (1, np.int64(1), np.intp(1), np.uint8(1)):
+        assert marginal(omega, "bob", i) == marginal(omega, "bob", 1)
+        assert bayes_mixture_check(omega, i) == bayes_mixture_check(omega, 1)
+    for test in (True, False, np.True_, 1.0, np.float64(0.0)):
+        with pytest.raises(ValueError, match="incidence row index"):
+            marginal(omega, "bob", test)
+        with pytest.raises(ValueError, match="incidence row index"):
+            bayes_mixture_check(omega, test)
+    with pytest.raises(ValueError, match="out of range"):
+        marginal(omega, "alice", np.int64(1))
 
 
 def test_bayes_residuals_vanish_on_pr_box():

@@ -19,7 +19,7 @@ from influencefree.jsonio import (
 from influencefree.jsonio import testspace_from_document as space_from_document
 from influencefree.jsonio import testspace_to_document as space_to_document
 from influencefree.coupling import forward_tests
-from influencefree.testspace import ETestSpace, TestSpace
+from influencefree.testspace import TestSpace
 
 
 def test_matrix_roundtrip_with_dims():
@@ -102,14 +102,15 @@ def test_testspace_multiset_detection():
         "tests": [[{"outcome": "u", "multiplicity": 2}, "v"]],
     }
     space = space_from_document(doc)
-    assert isinstance(space, ETestSpace)
-    back = space_to_document(space)
-    assert back["tests"] == [
-        [
-            {"outcome": "u", "multiplicity": 2},
-            {"outcome": "v", "multiplicity": 1},
-        ]
-    ]
+    assert isinstance(space, TestSpace)
+    assert np.array_equal(space.incidence, [[2, 1]])
+    # a label for multiplicity 1, an object otherwise: the document round-trips
+    assert space_to_document(space) == doc
+    # an object of multiplicity 1 and a repeated label are read the same way
+    ones = {"outcomes": ["u", "v"], "tests": [[{"outcome": "u", "multiplicity": 1}, "v"]]}
+    assert space_to_document(space_from_document(ones)) == {"outcomes": ["u", "v"], "tests": [["u", "v"]]}
+    repeated = space_from_document({"outcomes": ["a", "b"], "tests": [["a", "a", "b"]]})
+    assert np.array_equal(repeated.incidence, [[2, 1]])
 
 
 @pytest.mark.parametrize(
@@ -120,7 +121,7 @@ def test_testspace_multiset_detection():
         {"outcomes": ["a"], "tests": [[]]},
         {"outcomes": ["a"], "tests": [[3]]},
         {"outcomes": ["a"], "tests": [["b"]]},  # unknown label, from TestSpace
-        {"outcomes": ["a", "b"], "tests": [["a", "a", "b"]]},  # repeats need multisets
+        {"outcomes": ["a", "b", "c"], "tests": [["a", "a", "b"]]},  # multisets must cover too
     ],
 )
 def test_testspace_document_rejections(doc):
@@ -158,11 +159,13 @@ def test_product_state_documents_rejects_multisets():
     }
     with pytest.raises(DocumentError, match="multiset"):
         product_state_documents(doc)
-    doc["bob"] = {"outcomes": ["u"], "tests": [["u"]]}
-    alice, bob, table = product_state_documents(doc)
-    assert alice.outcomes == ("a",)
-    assert bob.outcomes == ("u",)
-    assert table == {("a", "u"): 1.0}
+    # multiplicity 1 written as an object is a set test
+    for bob in ([["u"]], [[{"outcome": "u", "multiplicity": 1}]]):
+        doc["bob"] = {"outcomes": ["u"], "tests": bob}
+        alice, bob, table = product_state_documents(doc)
+        assert alice.outcomes == ("a",)
+        assert bob.outcomes == ("u",)
+        assert table == {("a", "u"): 1.0}
 
 
 def test_two_stage_test_document_shape():

@@ -9,8 +9,8 @@ import pytest
 from influencefree.linalg import CapExceededError
 from influencefree.sampling import random_test_space
 from influencefree.testspace import (
-    ETestSpace,
     TestSpace,
+    _vertex_supports,
     admits_positive_state,
     state_check,
     weight_space_dimension,
@@ -31,10 +31,17 @@ def test_constructor_canonicalizes_and_validates():
         TestSpace(["a"], [()])
     with pytest.raises(ValueError):
         TestSpace(["a"], [("a", "zz")])
-    with pytest.raises(ValueError, match="ETestSpace"):
-        TestSpace(["a", "b"], [("a", "a"), ("a", "b")])
+    # a repeated label counts twice: tests hold each outcome once, incidence the count
+    repeated = TestSpace(["a", "b"], [("a", "a"), ("b", "a")])
+    assert repeated.tests == (("a",), ("a", "b"))
+    assert np.array_equal(repeated.incidence, [[2, 0], [1, 1]])
     with pytest.raises(ValueError, match="cover"):
         TestSpace(["a", "b", "c"], [("a", "b")])
+    # multiset spaces must cover their outcomes too
+    with pytest.raises(ValueError, match=r"tests do not cover outcomes \['c'\]"):
+        TestSpace(["a", "b", "c"], [(("a", 2), "b")])
+    with pytest.raises(ValueError, match=r"unknown outcomes \['zz', 'yy'\]"):
+        TestSpace(["a"], [("a", "zz", ("yy", 2))])
     with pytest.raises(ValueError):
         CHAIN.outcome_index("nope")
     assert CHAIN.outcome_index("x") == 1
@@ -43,13 +50,13 @@ def test_constructor_canonicalizes_and_validates():
 def test_incidence_matrices():
     assert np.array_equal(CHAIN.incidence, [[1, 1, 0], [0, 1, 1]])
     assert not CHAIN.incidence.flags.writeable
-    ets = ETestSpace(["u", "v", "w"], [(("w", 1), ("u", 2)), (("v", 3),)])
+    ets = TestSpace(["u", "v", "w"], [(("w", 1), ("u", 2)), (("v", 3),)])
     assert np.array_equal(ets.incidence, [[2, 0, 1], [0, 3, 0]])
     assert TestSpace([], []).incidence.shape == (0, 0)
 
 
 PAIR = TestSpace(["a", "b"], [("a", "b")])
-EPAIR = ETestSpace(["a", "b"], [(("a", 1), ("b", 1))])
+EPAIR = TestSpace(["a", "b"], [(("a", 1), ("b", 1))])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -78,7 +85,7 @@ def test_is_state_on_chain():
 
 def test_table_values_outside_the_space_are_refused():
     # the surplus value is named, not dropped, whatever it holds
-    for space in (CHAIN, ETestSpace(["a", "x", "b"], [(("a", 1), ("x", 1)), (("x", 1), ("b", 1))])):
+    for space in (CHAIN, TestSpace(["a", "x", "b"], [(("a", 2), ("x", 1)), (("x", 1), ("b", 1))])):
         with pytest.raises(ValueError, match=r"unknown outcomes \['zzz'\]"):
             state_check(space, {"a": 0.25, "x": 0.75, "b": 0.25, "zzz": 7})
 
@@ -97,28 +104,57 @@ def test_state_check_reports_residual_and_worst():
 
 
 def test_estate_weights_multiplicities():
-    ets = ETestSpace(["u", "v"], [(("u", 2), ("v", 1))])
-    assert ets.tests == ((("u", 2), ("v", 1)),)
+    ets = TestSpace(["u", "v"], [(("u", 2), ("v", 1))])
+    assert ets.tests == (("u", "v"),)
+    assert np.array_equal(ets.incidence, [[2, 1]])
     assert state_check(ets, {"u": 0.25, "v": 0.5})[0]
     assert not state_check(ets, {"u": 0.5, "v": 0.5})[0]
-    with pytest.raises(ValueError):
-        ETestSpace(["u"], [(("u", 0),)])
-    with pytest.raises(ValueError):
-        ETestSpace(["u"], [(("u", -1),)])
+    with pytest.raises(ValueError, match="positive multiplicity"):
+        TestSpace(["u"], [(("u", 0),)])
+    with pytest.raises(ValueError, match="positive multiplicity"):
+        TestSpace(["u"], [()])
+    with pytest.raises(ValueError, match="non-negative"):
+        TestSpace(["u"], [(("u", -1),)])
+    # an outcome of multiplicity 0 is not in the test, so it must be covered elsewhere
+    zero = TestSpace(["u", "v"], [(("u", 1), ("v", 0)), ("v",)])
+    assert zero.tests == (("u",), ("v",))
 
 
 def test_repeated_outcomes_sum_in_the_constructor_as_in_the_decoder():
     from influencefree.jsonio import testspace_from_document
 
-    built = ETestSpace(["u", "v"], [(("u", 1), ("u", 1), ("v", 1))])
+    built = TestSpace(["u", "v"], [(("u", 1), ("u", 1), ("v", 1))])
     doc = {"outcomes": ["u", "v"], "tests": [["u", {"outcome": "u", "multiplicity": 1}, "v"]]}
     decoded = testspace_from_document(doc)
     assert np.array_equal(built.incidence, [[2, 1]])
     assert np.array_equal(decoded.incidence, built.incidence)
-    assert decoded.tests == built.tests == ((("u", 2), ("v", 1)),)
+    assert decoded.tests == built.tests == (("u", "v"),)
+    assert decoded == built == TestSpace(["u", "v"], [["u", "u", "v"]])
     # a negative item is refused even when a repeat would make the sum positive
     with pytest.raises(ValueError, match="multiplicities must be non-negative"):
-        ETestSpace(["u"], [(("u", 2), ("u", -1))])
+        TestSpace(["u"], [(("u", 2), ("u", -1))])
+
+
+def test_spaces_that_differ_in_a_multiplicity_differ():
+    plain = TestSpace(["u", "v"], [("u", "v")])
+    assert plain == TestSpace(["u", "v"], [(("v", 1), "u")])
+    assert hash(plain) == hash(TestSpace(["u", "v"], [(("v", 1), "u")]))
+    doubled = TestSpace(["u", "v"], [(("u", 2), "v")])
+    assert doubled.tests == plain.tests
+    assert doubled != plain
+    assert doubled != TestSpace(["u", "v"], [(("u", 3), "v")])
+    assert doubled == TestSpace(["u", "v"], [("u", "v", "u")])
+
+
+def test_multiset_space_polytope():
+    # 2·f(u) + f(v) = 1: the segment from (1/2, 0) to (0, 1)
+    space = TestSpace(["u", "v"], [[("u", 2), "v"]])
+    assert weight_space_dimension(space) == (2, 2)
+    supports = _vertex_supports(space.incidence)
+    assert sorted(map(tuple, supports.tolist())) == [(False, True), (True, False)]
+    assert state_check(space, {"u": 0.5, "v": 0.0})[0]
+    assert state_check(space, {"u": 0.0, "v": 1.0})[0]
+    assert admits_positive_state(space.incidence)
 
 
 def test_weight_space_dimension_frozen_values():
