@@ -14,6 +14,7 @@ a co-CP part is decided exactly by one eigenvalue.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,6 +49,8 @@ WITNESS_MARGIN = 1e-12
 SEESAW_ROUNDING = 1e-12
 # about the least residual membership reaches on the cone's boundary, relative to ‖W‖_F
 MEMBERSHIP_ROUNDING = 1e-13
+# restarts in the first part of the see-saw's first sweep; the rest are swept only if none refutes
+FIRST_BLOCK = 8
 
 
 @dataclass
@@ -111,7 +114,8 @@ def popt_minimize(
     the other side's contraction, so the objective never increases. All
     seeded random restarts run as one stack: a half-step is one batched
     contraction and one eigh on a (restarts, d, d) stack, and a restart that
-    has converged is frozen. Every restart runs to its fixed point (or to
+    has converged is frozen (the first sweep is two stacks, see
+    _seesaw_sweeps). Every restart runs to its fixed point (or to
     max_iter sweeps) and the best is returned, ties keeping the lowest
     restart index. The result is an upper bound on the true minimum over
     product vectors; a negative value refutes positivity on pure tensors and
@@ -131,8 +135,13 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     restart (ties to the lowest index); every other restart is frozen where
     it stands, and the picked one is polished to its own fixed point within
     the same max_iter sweeps, so min_value is still a see-saw fixed point.
-    With stop_below −inf nothing is picked: that is popt_minimize. The
-    arguments are checked at the first next().
+    The first sweep runs restarts 1 to FIRST_BLOCK as one batch and the
+    rest as a second: if the lowest value of the first batch is already
+    below stop_below, that restart is picked and the rest are never swept
+    (value inf, 0 iterations); otherwise the second batch is swept too and
+    every restart's arithmetic is what one batch of all would give. With
+    stop_below −inf nothing is picked: that is popt_minimize. The arguments
+    are checked at the first next().
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
@@ -153,25 +162,30 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     live = np.arange(restarts)
     picked = None
     for sweep in range(1, max_iter + 1):
-        xs = x[live]
-        _, ys = _least_eigh(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
-        # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
-        new_value, xs = _least_eigh(np.einsum("ijkl,rj,rl->rik", w4, ys.conj(), ys))
-        old_value = value[live]
-        rising = new_value > old_value + slack
-        if rising.any():
-            r = int(np.argmax(rising))
-            raise AssertionError(
-                f"see-saw objective increased: {old_value[r]} -> {new_value[r]}"
-            )
-        done = old_value - new_value <= 1e-14 * np.maximum(1.0, np.abs(new_value))
-        value[live], x[live], y[live] = new_value, xs, ys
-        iterations[live] += 1
-        converged[live] = done
-        live = live[~done]
-        lowest = float(value.min())
-        if picked is None and lowest < stop_below:
-            picked = int(np.argmin(value))
+        # a restart does not depend on its batch, so splitting the first sweep changes no value
+        split = sweep == 1 and restarts > FIRST_BLOCK
+        for rows in (live[:FIRST_BLOCK], live[FIRST_BLOCK:]) if split else (live,):
+            xs = x[rows]
+            _, ys = _least_eigh(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
+            # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
+            new_value, xs = _least_eigh(np.einsum("ijkl,rj,rl->rik", w4, ys.conj(), ys))
+            old_value = value[rows]
+            rising = new_value > old_value + slack
+            if rising.any():
+                r = int(np.argmax(rising))
+                raise AssertionError(
+                    f"see-saw objective increased: {old_value[r]} -> {new_value[r]}"
+                )
+            done = old_value - new_value <= 1e-14 * np.maximum(1.0, np.abs(new_value))
+            value[rows], x[rows], y[rows] = new_value, xs, ys
+            iterations[rows] += 1
+            converged[rows] = done
+            lowest = float(value.min())
+            if picked is None and lowest < stop_below:
+                picked = int(np.argmin(value))
+                break
+        live = live[~converged[live]]
+        if picked is not None:
             live = live[live == picked]
         if live.size == 0 or sweep == max_iter:
             break
@@ -183,10 +197,16 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     )
 
 
-def _gamma_index(n: int, dims: Sequence[int]) -> np.ndarray:
-    """Flat indices with X^Gamma.ravel() == X.ravel()[index] for every n x n X."""
+@functools.lru_cache(maxsize=64)
+def _gamma_index(n: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Flat indices with X^Gamma.ravel() == X.ravel()[index] for every n x n X.
+
+    Built once per (n, dims) and shared, so the array is read-only.
+    """
     cells = np.arange(n * n, dtype=float).reshape(n, n)
-    return partial_transpose(cells, dims, 1).real.astype(np.intp).ravel()
+    index = partial_transpose(cells, dims, 1).real.astype(np.intp).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def decomposable_sum_membership(
@@ -226,7 +246,7 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
     if max_iter < 1:
         raise ValueError(f"membership needs at least one iteration, got {max_iter}")
     n = m.shape[0]
-    gamma = _gamma_index(n, dims)
+    gamma = _gamma_index(n, tuple(dims))
 
     def g(a):  # partial transpose of a matrix or of each matrix of a stack
         return a.reshape(a.shape[:-2] + (n * n,))[..., gamma].reshape(a.shape)
@@ -383,7 +403,12 @@ def is_popt(
        PSD, then PPT, read from one eigh of the stack (W, W^Gamma):
        certified (branch psd or ppt).
     2. The see-saw of _seesaw_sweeps with its stop rule at -tol, one batched
-       sweep at a time, until it stalls: a sweep that is not its last
+       sweep at a time. Its first sweep runs the first FIRST_BLOCK restarts
+       alone and picks the lowest of them if it is below -tol, leaving the
+       rest unswept; a refuted verdict may then carry a witness with
+       best_restart <= FIRST_BLOCK where the lowest of all restarts lies
+       elsewhere, but the status is the one a whole first sweep would give.
+       The see-saw runs until it stalls: a sweep that is not its last
        lowered the lowest restart value by no more than that value's height
        above -tol, so at its pace the next sweep would not refute. The first
        sweep never counts, since it starts from random vectors. A value

@@ -15,6 +15,7 @@ a strictly positive state both read those supports.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Mapping
@@ -29,9 +30,10 @@ class TestSpace:
     """Outcome labels (ordered, opaque strings) plus a family of tests.
 
     A test entry is a label, counted once, or a (label, multiplicity)
-    pair, and repeated entries add up. `tests` holds each test's outcomes
-    once, in outcome order; `incidence` holds the multiplicities. Two spaces
-    are equal when their outcomes, tests and multiplicities agree.
+    pair with an integer multiplicity (a bool is refused), and repeated
+    entries add up. `tests` holds each test's outcomes once, in outcome
+    order; `incidence` holds the multiplicities. Two spaces are equal when
+    their outcomes, tests and multiplicities agree.
     """
 
     outcomes: tuple[str, ...]
@@ -51,7 +53,9 @@ class TestSpace:
             for e in t:
                 if isinstance(e, tuple):
                     x, m = e
-                    x, m = str(x), int(m)
+                    if isinstance(m, bool) or not hasattr(m, "__index__"):
+                        raise ValueError(f"multiplicities must be integers, got {m!r}")
+                    x, m = str(x), operator.index(m)
                     if m < 0:
                         raise ValueError("multiplicities must be non-negative")
                 else:

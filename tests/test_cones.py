@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 
+from influencefree import cones
 from influencefree.choimaps import (
     choi_from_conjugation,
     state_eval,
@@ -14,6 +15,7 @@ from influencefree.choimaps import (
 )
 from influencefree.cones import (
     FEAS_TOL,
+    FIRST_BLOCK,
     MEMBERSHIP_ROUNDING,
     SEESAW_ROUNDING,
     WITNESS_MARGIN,
@@ -30,7 +32,14 @@ from influencefree.cones import (
     split_holds,
     witness_holds,
 )
-from influencefree.linalg import DEFAULT_TOL as TOL, frobenius, hermitian_eig, min_eig, partial_transpose
+from influencefree.linalg import (
+    DEFAULT_TOL as TOL,
+    _least_eigh,
+    frobenius,
+    hermitian_eig,
+    min_eig,
+    partial_transpose,
+)
 from influencefree.sampling import random_hermitian, random_psd, random_rank
 
 
@@ -483,6 +492,60 @@ def test_early_stop_polishes_the_first_restart_below(dims):
         if refuted == 10:
             break
     assert refuted == 10
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_first_block_refutes_before_the_other_restarts_are_swept(dims, monkeypatch):
+    # a restart does not depend on its batch: when the first block's first
+    # sweep is below -tol, the pick is that block's lowest restart, run on its
+    # own to its fixed point; otherwise the run is the one a single batch of
+    # all restarts gives, and either way the status is the single batch's
+    picks = whole = 0
+    for k, w in enumerate(seesaw_corpus(dims)):
+        got = stopped_seesaw(w, dims, k, 64, -TOL)
+        first = [r.min_value for r in serial_restarts(w, dims, k, FIRST_BLOCK, 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cones, "FIRST_BLOCK", 64)
+            one_batch = stopped_seesaw(w, dims, k, 64, -TOL)
+            one_batch_status = is_popt(w, dims, seed=k).status
+        if min(first) < -TOL:
+            picks += 1
+            assert got.best_restart == 1 + first.index(min(first)), k
+            want = list(serial_restarts(w, dims, k, got.best_restart, 200))[-1]
+        else:
+            whole += 1
+            want = one_batch
+        assert got.min_value == want.min_value, k
+        assert np.array_equal(got.witness_x, want.witness_x)
+        assert np.array_equal(got.witness_y, want.witness_y)
+        assert (got.best_restart, got.iterations, got.converged) == (
+            want.best_restart, want.iterations, want.converged
+        )
+        verdict = is_popt(w, dims, seed=k)
+        assert verdict.status == one_batch_status, k
+        if verdict.status == "refuted":
+            assert state_eval(w, dims, *verdict.witness) < -TOL, k
+    assert picks and whole, (picks, whole)
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_first_sweep_passes_the_other_restarts_only_without_a_refutation(dims, monkeypatch):
+    # the stacks given to eigh: is_popt's (W, W^Gamma), then two per sweep
+    sizes = []
+
+    def recorded(h):
+        sizes.append(len(h))
+        return _least_eigh(h)
+
+    monkeypatch.setattr(cones, "_least_eigh", recorded)
+    d = dims[0] * dims[1]
+    # every restart is at -1 after one sweep: restart 1 is picked and polished alone
+    assert is_popt(np.diag([1.0] * (d - 1) + [-1.0]), dims, seed=1).status == "refuted"
+    assert sizes[:3] == [2, FIRST_BLOCK, FIRST_BLOCK] and set(sizes[3:]) == {1}, sizes
+    sizes.clear()
+    boundary = product_boundary_operator(np.random.default_rng(sum(dims)), dims)
+    assert is_popt(boundary, dims, seed=1).status == "certified"
+    assert sizes[:5] == [2, FIRST_BLOCK, FIRST_BLOCK, 64 - FIRST_BLOCK, 64 - FIRST_BLOCK], sizes
 
 
 @pytest.mark.parametrize("dims", SEESAW_DIMS)

@@ -120,6 +120,16 @@ def test_estate_weights_multiplicities():
     assert zero.tests == (("u",), ("v",))
 
 
+def test_a_multiplicity_is_an_integer_but_not_a_bool():
+    # int() made 1.5 a set space and dropped u at 0.9, and True counted once
+    for m in (1.5, 0.9, True):
+        with pytest.raises(ValueError, match="multiplicities must be integers"):
+            TestSpace(["u", "v"], [(("u", m), "v")])
+    space = TestSpace(["u", "v"], [(("u", np.int64(2)), "v")])
+    assert space == TestSpace(["u", "v"], [(("u", 2), "v")])
+    assert np.array_equal(space.incidence, [[2, 1]])
+
+
 def test_repeated_outcomes_sum_in_the_constructor_as_in_the_decoder():
     from influencefree.jsonio import testspace_from_document
 
