@@ -634,10 +634,15 @@ def _answer(args):
     return code, fields
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """The command-line parser. When argv starts with a command's name only
+    that command's subparser is added, since parsing reads no other; any
+    other argv gets all of them, for the full usage and help texts."""
     parser = _Parser(prog="influencefree", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, loaders, options) in _COMMANDS.items():
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        handler, loaders, options = _COMMANDS[name]
         sub = subs.add_parser(name, help=handler.__doc__)
         if loaders:
             sub.add_argument("path", nargs="?", default="-", help="input JSON file, - for stdin")
@@ -659,7 +664,7 @@ def _emit(code: int, doc: dict) -> int:
 
 def run(argv) -> int:
     try:
-        code, doc = _answer(build_parser().parse_args(argv))
+        code, doc = _answer(build_parser(argv).parse_args(argv))
     except _UsageError as exc:
         code, doc = EXIT_USAGE, {"verdict": "usage-error", "reason": str(exc)}
     except CapExceededError as exc:

@@ -16,12 +16,15 @@ A one-sided test is named by its incidence row index, any integer but a
 bool. Two-stage enumeration needs set tests and refuses a space with a
 multiplicity above 1. Enumerated two-stage tests are the rows of one boolean
 mask matrix over X x Y (a TwoStageTests), the only form a state is checked
-on: one matrix-vector product. A row's TwoStageTest is built from its two
-indices when it is indexed. The rows of one initiating test are written by
-broadcasting: outcome i of that test takes every response in turn along one
-axis, in itertools.product order. fns_tests writes both directions into one
-buffer of rows padded to whole bytes and keeps the first row of each
-packed-bits key in one pass.
+on: a matrix-vector product over the first _LEAD rows and then one over the
+rest, so a table that fails in the leading block is refused there. A row's
+TwoStageTest is built from its two indices when it is indexed. The rows of
+one initiating test are written by broadcasting: outcome i of that test
+takes every response in turn along one axis, in itertools.product order.
+fns_tests writes both directions into one buffer of rows padded to whole
+bytes, finds the first row of each packed-bits key, and moves those rows
+down inside the buffer, one run of consecutive rows at a time; the masks
+are a read-only view of its first rows.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from .linalg import DEFAULT_TOL, CapExceededError
 from .testspace import TestSpace
 
 Pair = tuple[str, str]
+
+_LEAD = 256  # mask rows summed before the rest, so a failing table is refused early
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,8 @@ class TwoStageTests(Sequence):
     def __init__(self, axes, masks: np.ndarray, heads, block: np.ndarray, code: np.ndarray):
         if not len(masks) == len(block) == len(code):
             raise ValueError(f"{len(masks)} mask rows, {len(block)} blocks and {len(code)} codes")
+        # a row's mask, block and code describe one test, so none may change alone
+        masks.flags.writeable = block.flags.writeable = code.flags.writeable = False
         self.axes, self.masks, self.heads = axes, masks, tuple(heads)
         self.block, self.code = block, code
 
@@ -208,7 +215,6 @@ def _one_direction(direction: str, a: TestSpace, b: TestSpace, cap: int) -> TwoS
     """The two-stage tests of one direction, on unpadded mask rows."""
     masks = np.zeros((_count(direction, a, b, cap), len(a.outcomes) * len(b.outcomes)), bool)
     heads, block, code = _two_stage(direction, a, b, masks)
-    masks.flags.writeable = False
     return TwoStageTests((a.outcomes, b.outcomes), masks, heads, block, code)
 
 
@@ -225,12 +231,13 @@ def backward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTest
 def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
     """Two-stage tests in both directions, deduplicated by outcome set.
 
-    Both directions are enumerated here, and each distinct row of the
-    forward then the backward mask matrix is kept at its first occurrence,
-    in one pass over both, so the forward representative wins on
-    collisions. Constant assignments reproduce the Cartesian tests, which
-    therefore appear exactly once. Each TwoStageTest is built when its row
-    is indexed; the cap applies to each direction.
+    Both directions are enumerated into one buffer, and each distinct row
+    of the forward then the backward rows is kept at its first occurrence,
+    so the forward representative wins on collisions. Constant assignments
+    reproduce the Cartesian tests, which therefore appear exactly once. The
+    kept rows are moved down in place, and the masks are a view of the
+    frozen buffer's first rows. Each TwoStageTest is built when its row is
+    indexed; the cap applies to each direction.
     """
     cells = len(a.outcomes) * len(b.outcomes)
     n = _count("forward", a, b, cap)
@@ -242,8 +249,16 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
     first = np.sort(np.unique(keys, return_index=True)[1])
     block = np.concatenate([block, back_block + len(heads)])[first]
     code = np.concatenate([code, back_code])[first]
-    masks = rows[first, :cells]
-    masks.flags.writeable = False
+    # kept row k moves to row k <= first[k]; on the flat buffer a forward
+    # copy of each run of consecutive kept rows never reads a row it wrote
+    flat, width = rows.reshape(-1), rows.shape[1]
+    starts = np.flatnonzero(np.diff(first, prepend=-2) != 1).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(first)]):
+        src = int(first[lo])
+        if src > lo:
+            flat[lo * width : hi * width] = flat[src * width : (src + hi - lo) * width]
+    rows.flags.writeable = False
+    masks = rows[: len(first), :cells]
     return TwoStageTests((a.outcomes, b.outcomes), masks, heads + back_heads, block, code)
 
 
@@ -330,14 +345,20 @@ def is_state_on_two_stage(omega: ProductState, tests: TwoStageTests, tol: float 
 
     Each sum adds raw table cells through the test's row of the mask
     matrix, never marginals, so this stays an independent check of the
-    influence verdict. `tests` must be a TwoStageTests enumerated on omega's
-    outcome orders; anything else raises ValueError.
+    influence verdict. The first _LEAD rows are summed first and the rest
+    only when all of those hold, so most failing tables are refused after
+    one block; the answer is the same as summing every row at once.
+    `tests` must be a TwoStageTests enumerated on omega's outcome orders;
+    anything else raises ValueError.
     """
     axes = (omega.alice.outcomes, omega.bob.outcomes)
     if not (isinstance(tests, TwoStageTests) and tests.axes == axes):
         raise ValueError("two-stage tests must be a TwoStageTests enumerated on the state's axes")
-    sums = np.einsum("tc,c->t", tests.masks, omega.values.ravel())
-    return bool(np.all(np.abs(sums - 1.0) <= tol))
+    cells = omega.values.ravel()
+    for rows in (tests.masks[:_LEAD], tests.masks[_LEAD:]):
+        if len(rows) and not np.all(np.abs(np.einsum("tc,c->t", rows, cells) - 1.0) <= tol):
+            return False
+    return True
 
 
 def condition(

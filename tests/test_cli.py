@@ -9,7 +9,7 @@ import pytest
 
 from influencefree.acceptance import TIME_BUDGETS
 from influencefree.choimaps import state_eval, swap_operator, unnormalized_q
-from influencefree.cli import run
+from influencefree.cli import _COMMANDS, _UsageError, build_parser, run
 from influencefree.jsonio import matrix_from_document, matrix_to_document
 from influencefree.linalg import partial_transpose
 from influencefree.teleport import antisymmetric_projector
@@ -647,6 +647,35 @@ def test_malformed_and_usage_errors(tmp_path, capsys):
     assert code == 64
     code, doc = invoke(capsys)
     assert code == 64
+
+
+def parse_outcome(parser, argv, capsys):
+    """What parsing argv gives: the namespace, the usage error, or the exit and its text."""
+    try:
+        return vars(parser.parse_args(argv))
+    except _UsageError as exc:
+        return "usage-error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_a_command_parses_as_under_the_full_parser(capsys, name):
+    # argv naming a command builds only that command's subparser
+    assert f"{{{name}}}" in build_parser([name]).format_usage()
+    cases = (
+        [name, "--help"],
+        [name],
+        [name, "in.json", "--tol", "1e-9"],
+        [name, "--tol"],
+        [name, "--seed", "x"],
+        [name, "--no-such-option"],
+        [name, "a.json", "b.json"],
+    )
+    for argv in cases:
+        assert parse_outcome(build_parser(argv), argv, capsys) == parse_outcome(
+            build_parser(), argv, capsys
+        )
 
 
 def test_selftest_runs_every_criterion(capsys):

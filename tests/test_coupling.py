@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from influencefree import coupling
 from influencefree.coupling import (
     DirectionReport,
     InfluenceVerdict,
@@ -529,6 +530,12 @@ def reference_fns(a, b):
 
 CHAIN_ALICE = TestSpace([f"a{i}" for i in range(5)], [("a0", "a1", "a2"), ("a2", "a3", "a4")])
 CHAIN_BOB = TestSpace([f"b{i}" for i in range(4)], [("b0", "b1"), ("b1", "b2"), ("b2", "b3")])
+# Alice repeats her first test, so forward rows repeat within one direction
+REPEAT_ALICE = TestSpace(["x1", "x2", "x3"], [("x1", "x2"), ("x2", "x3"), ("x1", "x2")])
+# each side's singletons nest inside its pair, so the forward row x1 -> {y1},
+# x2 -> {y2} is the backward row y1 -> {x1}, y2 -> {x2}, and not Cartesian
+NESTED_ALICE = TestSpace(["x1", "x2"], [("x1", "x2"), ("x1",), ("x2",)])
+NESTED_BOB = TestSpace(["y1", "y2"], [("y1", "y2"), ("y1",), ("y2",)])
 
 
 def space_pairs():
@@ -541,7 +548,19 @@ def space_pairs():
     ]
     rng = np.random.default_rng(1010)
     pairs += [(random_test_space(rng, "a"), random_test_space(rng, "b")) for _ in range(20)]
+    pairs += [(REPEAT_ALICE, CHAIN_BOB), (NESTED_ALICE, NESTED_BOB)]
     return pairs
+
+
+def test_space_pairs_cover_repeated_tests_and_shared_non_cartesian_rows():
+    pairs = space_pairs()
+    assert any(len(set(s.tests)) < len(s.tests) for pair in pairs for s in pair)
+    shared = False
+    for a, b in pairs:
+        cartesian = {np.outer(e > 0, f > 0).tobytes() for e in a.incidence for f in b.incidence}
+        forward = {m.tobytes() for m in forward_tests(a, b).masks} - cartesian
+        shared |= any(m.tobytes() in forward for m in backward_tests(a, b).masks)
+    assert shared
 
 
 @pytest.mark.parametrize("alice, bob", space_pairs())
@@ -595,6 +614,95 @@ def test_two_stage_tests_as_a_sequence():
             assert len(enumerate_tests(alice, bob)) == 0
             omega = ProductState(alice, bob, {})
             assert is_state_on_two_stage(omega, enumerate_tests(alice, bob))
+
+
+def test_two_stage_tests_are_read_only():
+    alice = TestSpace(["x1", "x2"], [("x1",), ("x2",)])
+    bob = TestSpace(["y1", "y2"], [("y1",), ("y2",)])
+    fwd = forward_tests(alice, bob)
+    second = fwd[1]
+    for tests in (fwd, backward_tests(alice, bob), fns_tests(alice, bob)):
+        for array in (tests.masks, tests.block, tests.code):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[1] = 0
+    # a code rewritten alone would name another test than its mask row marks
+    assert fwd[1] == second
+    # fns masks are a view of the enumeration buffer, which is frozen too
+    fns = fns_tests(REPEAT_ALICE, CHAIN_BOB)
+    assert fns.masks.base is not None
+    with pytest.raises(ValueError):
+        fns.masks.base[0, 0] = True
+
+
+def signalled_table(direction=None, eps=0.01) -> ProductState:
+    """The uniform product on two disjoint Alice tests of 6 outcomes and a
+    Bob chain of three tests of 3, plus eps·(e_a0 - e_a5) ⊗ e_b0 for
+    "bob->alice" or eps·e_a0 ⊗ (e_b0 - e_b1) for "alice->bob". a0, a5 lie in
+    Alice's first test only and b0, b1 in Bob's, so every product test still
+    sums to 1."""
+    labels = [f"a{i}" for i in range(12)]
+    alice = TestSpace(labels, [labels[:6], labels[6:]])
+    bob = TestSpace(
+        [f"b{j}" for j in range(7)], [("b0", "b1", "b2"), ("b2", "b3", "b4"), ("b4", "b5", "b6")]
+    )
+    values = np.full((12, 7), 1 / 18)
+    if direction is not None:
+        values[0, 0] += eps
+        values[(0, 1) if direction == "alice->bob" else (5, 0)] -= eps
+    cells = iproduct(alice.outcomes, bob.outcomes)
+    return ProductState(alice, bob, dict(zip(cells, values.ravel().tolist())))
+
+
+def full_sums(omega, tests):
+    """Every row's sum from one einsum over the whole mask matrix."""
+    return np.einsum("tc,c->t", tests.masks, omega.values.ravel())
+
+
+def subset(tests, rows):
+    """The given rows of an enumeration as a TwoStageTests of their own."""
+    block, code = tests.block[rows], tests.code[rows]
+    return TwoStageTests(tests.axes, tests.masks[rows], tests.heads, block, code)
+
+
+def test_two_stage_check_stops_at_the_first_failing_block(monkeypatch):
+    lead = coupling._LEAD
+    free, to_alice, to_bob = (signalled_table(d) for d in (None, "bob->alice", "alice->bob"))
+    fwd_free = forward_tests(free.alice, free.bob)
+    off = np.abs(full_sums(to_alice, fwd_free) - 1.0) > 1e-10
+    ok_rows, bad = np.flatnonzero(~off), int(np.flatnonzero(off)[0])
+    empty = TestSpace([], [])
+    cases = [
+        # Bob to Alice shows at forward row 1 of 1 458: the leading block decides
+        (to_alice, fwd_free, 1),
+        # Alice to Bob shows only past all 1 458 forward rows of fns: both blocks
+        (to_bob, fns_tests(to_bob.alice, to_bob.bob), 2),
+        (free, fns_tests(free.alice, free.bob), 2),
+        (ProductState(empty, FNS_BOB, {}), fns_tests(empty, FNS_BOB), 0),
+        (free, subset(fwd_free, slice(0, lead)), 1),
+        (free, subset(fwd_free, slice(0, lead + 1)), 2),
+        # a failing row as the last of the leading block, then as the first past it
+        (to_alice, subset(fwd_free, np.append(ok_rows[: lead - 1], bad)), 1),
+        (to_alice, subset(fwd_free, np.append(ok_rows[:lead], bad)), 2),
+    ]
+    first_off = np.flatnonzero(np.abs(full_sums(to_bob, cases[1][1]) - 1.0) > 1e-10)[0]
+    assert (bad, len(fwd_free), len(cases[1][1]), first_off) == (1, 1458, 1476, 1459)
+    answers = [
+        bool(np.all(np.abs(full_sums(omega, tests) - 1.0) <= 1e-10)) for omega, tests, _ in cases
+    ]
+    assert answers == [False, False, True, True, True, True, False, False]
+    einsum, calls = np.einsum, []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(coupling.np, "einsum", counting)
+    for (omega, tests, expected_calls), answer in zip(cases, answers):
+        calls.clear()
+        assert is_state_on_two_stage(omega, tests) == answer
+        assert len(calls) == expected_calls
+        assert sum(calls) <= len(tests)
 
 
 def test_two_stage_verdict_reads_only_tests_enumerated_on_the_states_axes():
