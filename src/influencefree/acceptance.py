@@ -391,7 +391,7 @@ def criterion_9():
 
 @_criterion(10, "bayes-identities", budget=2.0)
 def criterion_10():
-    """Mixture and symmetric Bayes identities hold on every influence-free table."""
+    """Both sides' Bayes mixture identities hold on every influence-free table."""
     problems = []
     worst = 0.0
     count = 0

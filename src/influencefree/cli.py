@@ -1,8 +1,9 @@
 """Command-line front end: one subcommand per check, JSON in and out.
 
-Exit codes: 0 affirmative/member, 1 refuted/negative, 2 inconclusive,
-64 usage error, 65 malformed input.  Every error response carries a one-line
-"reason" field.  Output is deterministic for a fixed input and seed.
+Exit codes: 0 affirmative/member, 1 refuted/negative, 2 inconclusive (also
+past a cap or out of memory), 64 usage error, 65 malformed input.  Every
+error response carries a one-line "reason" field.  Output is deterministic
+for a fixed input and seed.
 
 Each loader and handler imports the library modules it uses, so a request
 loads only those its subcommand needs.  The document codecs and the linear
@@ -366,11 +367,11 @@ def _condition(args, omega, doc):
 
 
 def _bayes_check(args, omega):
-    """mixture and symmetric Bayes consistency residuals"""
+    """Bayes mixture consistency residuals, one per side"""
     from .coupling import bayes_residuals
 
-    mixture_alice, mixture_bob, operational = bayes_residuals(omega, tol=args.tol)
-    residual = max(mixture_alice, mixture_bob, operational)
+    mixture_alice, mixture_bob = bayes_residuals(omega, tol=args.tol)
+    residual = max(mixture_alice, mixture_bob)
     return _yes_no(
         residual <= args.tol,
         "consistent",
@@ -378,7 +379,6 @@ def _bayes_check(args, omega):
         residual=residual,
         mixture_alice=mixture_alice,
         mixture_bob=mixture_bob,
-        operational=operational,
     )
 
 
@@ -669,6 +669,10 @@ def run(argv) -> int:
         code, doc = EXIT_USAGE, {"verdict": "usage-error", "reason": str(exc)}
     except CapExceededError as exc:
         doc = {"verdict": "inconclusive", "reason": str(exc), "required": exc.required}
+        code = EXIT_INCONCLUSIVE
+    except MemoryError as exc:
+        # a failed allocation decides nothing; exit 1 would read as refuted
+        doc = {"verdict": "inconclusive", "reason": str(exc) or "out of memory"}
         code = EXIT_INCONCLUSIVE
     except ValueError as exc:
         code, doc = EXIT_MALFORMED, {"verdict": "malformed-input", "reason": str(exc)}

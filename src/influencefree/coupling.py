@@ -15,16 +15,15 @@ first asked, for the conditioning and Bayes checks.
 A one-sided test is named by its incidence row index, any integer but a
 bool. Two-stage enumeration needs set tests and refuses a space with a
 multiplicity above 1. Enumerated two-stage tests are the rows of one boolean
-mask matrix over X x Y (a TwoStageTests), the only form a state is checked
-on: a matrix-vector product over the first _LEAD rows and then one over the
-rest, so a table that fails in the leading block is refused there. A row's
-TwoStageTest is built from its two indices when it is indexed. The rows of
-one initiating test are written by broadcasting: outcome i of that test
-takes every response in turn along one axis, in itertools.product order.
-fns_tests writes both directions into one buffer of rows padded to whole
-bytes, finds the first row of each packed-bits key, and moves those rows
-down inside the buffer, one run of consecutive rows at a time; the masks
-are a read-only view of its first rows.
+mask matrix over X x Y (a TwoStageTests). A row's TwoStageTest is built from
+its two indices when it is indexed. The rows of one initiating test are
+written by broadcasting: outcome i of that test takes every response in turn
+along one axis, in itertools.product order. fns_tests writes both directions
+into one buffer of rows padded to whole bytes, finds the first row of each
+packed-bits key, and moves those rows down inside the buffer, one run of
+consecutive rows at a time; the masks are a read-only view of its first rows.
+A state is checked on a direction's two-stage tests through its least and
+greatest assignments, two matrix products of the table, not through masks.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ from .linalg import DEFAULT_TOL, CapExceededError
 from .testspace import TestSpace
 
 Pair = tuple[str, str]
-
-_LEAD = 256  # mask rows summed before the rest, so a failing table is refused early
 
 
 @dataclass(frozen=True)
@@ -341,22 +338,27 @@ def is_influence_free(omega: ProductState, tol: float = 1e-10) -> InfluenceVerdi
 
 
 def is_state_on_two_stage(omega: ProductState, tests: TwoStageTests, tol: float = 1e-10) -> bool:
-    """True iff the table sums to 1 over every given two-stage test's outcomes.
+    """True iff the table sums to 1 within tol over every two-stage test of
+    each direction that `tests.heads` names, whichever of its rows `tests`
+    holds: a TwoStageTests built by hand on some rows answers for them all.
 
-    Each sum adds raw table cells through the test's row of the mask
-    matrix, never marginals, so this stays an independent check of the
-    influence verdict. The first _LEAD rows are summed first and the rest
-    only when all of those hold, so most failing tables are refused after
-    one block; the answer is the same as summing every row at once.
-    `tests` must be a TwoStageTests enumerated on omega's outcome orders;
-    anything else raises ValueError.
+    A forward test sums r[x, F_x] over x in an Alice test E, with
+    r = values · B.incidenceᵀ. Each x picks its F_x alone, so over all maps
+    the sums for E run exactly from Σ_x min_F r[x, F] to Σ_x max_F r[x, F],
+    both attained. Backward is the mirror, with r = (A.incidence · values)ᵀ,
+    and fns tests are both. No marginal is read, so this stays a check of
+    the influence verdict by another path. `tests` must be a TwoStageTests
+    enumerated on omega's outcome orders; anything else raises ValueError.
     """
     axes = (omega.alice.outcomes, omega.bob.outcomes)
     if not (isinstance(tests, TwoStageTests) and tests.axes == axes):
         raise ValueError("two-stage tests must be a TwoStageTests enumerated on the state's axes")
-    cells = omega.values.ravel()
-    for rows in (tests.masks[:_LEAD], tests.masks[_LEAD:]):
-        if len(rows) and not np.all(np.abs(np.einsum("tc,c->t", rows, cells) - 1.0) <= tol):
+    a, b, values = omega.alice.incidence, omega.bob.incidence, omega.values
+    for direction in {head[0] for head in tests.heads}:
+        first, r = (a, values @ b.T) if direction == "forward" else (b, (a @ values).T)
+        # an empty r: a side without tests, so there is no two-stage test to sum
+        ends = first @ np.column_stack((r.min(1), r.max(1))) if r.size else 1.0
+        if not np.all(np.abs(ends - 1.0) <= tol):
             return False
     return True
 
@@ -414,8 +416,8 @@ def _mixture_gap(values: np.ndarray, e: np.ndarray, wa, wb, tol: float) -> float
 def operational_bayes_check(omega: ProductState, a: str, b: str) -> float:
     """Symmetric Bayes consistency |w_a(b)·w^A(a) − w_b(a)·w^B(b)|.
 
-    Both sides equal w(a,b) for an influence-free state, so the residual is a
-    pure floating-point quantity there.
+    Both sides are w(a,b) up to rounding on any table, so the residual is a
+    pure floating-point quantity and cannot refute; bayes_residuals omits it.
     """
     i, j = omega.alice.outcome_index(a), omega.bob.outcome_index(b)
     wa, wb = omega.marginals
@@ -426,21 +428,15 @@ def operational_bayes_check(omega: ProductState, a: str, b: str) -> float:
     return abs(v / wa * wa - v / wb * wb)
 
 
-def bayes_residuals(omega: ProductState, tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
-    """Worst bayes_mixture_check over Alice's tests, over Bob's (on the table
-    with the sides swapped), and worst operational_bayes_check over the pairs
-    whose two marginals exceed tol; all three are rounding on a free table.
+def bayes_residuals(omega: ProductState, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Worst bayes_mixture_check over Alice's tests and over Bob's (on the
+    table with the sides swapped); both are rounding on a free table.
     The swapped table is a fresh C-order copy of the transposed values, with
     its marginals computed in that layout rather than read from `marginals`,
-    since `values @ e` and `e @ values.T` round differently. The last
-    residual is one array expression over the pairs, with the same
-    arithmetic as operational_bayes_check."""
+    since `values @ e` and `e @ values.T` round differently."""
     wa, wb = omega.marginals
     mixture_alice = max(_mixture_gap(omega.values, e, wa, wb, tol) for e in omega.alice.incidence)
     t = np.ascontiguousarray(omega.values.T)
     tb, ta = t @ omega.alice.incidence[0], omega.bob.incidence[0] @ t
     mixture_bob = max(_mixture_gap(t, f, tb, ta, tol) for f in omega.bob.incidence)
-    i, j = np.nonzero((wa > tol)[:, None] & (wb > tol))
-    v, wa, wb = omega.values[i, j], wa[i], wb[j]
-    operational = float(np.abs(v / wa * wa - v / wb * wb).max(initial=0.0))
-    return mixture_alice, mixture_bob, operational
+    return mixture_alice, mixture_bob

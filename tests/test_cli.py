@@ -631,6 +631,18 @@ def test_witness_demo(capsys):
     assert doc["popt"]["status"] == "certified"
 
 
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 981. MiB"), MemoryError()])
+def test_a_failed_allocation_is_inconclusive(capsys, monkeypatch, error):
+    # exit 1 would read as refuted; nothing was decided
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("influencefree.teleport.desideratum_violation_demo", fail)
+    code, doc = invoke_strict(capsys, "witness-demo", "--n", "20")
+    assert code == 2
+    assert doc == {"verdict": "inconclusive", "reason": str(error) or "out of memory"}
+
+
 def test_malformed_and_usage_errors(tmp_path, capsys):
     garbled = tmp_path / "g.json"
     garbled.write_text("{not json")

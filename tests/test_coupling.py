@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from influencefree import coupling
 from influencefree.coupling import (
     DirectionReport,
     InfluenceVerdict,
@@ -27,7 +26,7 @@ from influencefree.coupling import (
 )
 from influencefree.linalg import CapExceededError
 from influencefree.sampling import product_state_table, random_test_space, signalling_table
-from influencefree.testspace import TestSpace
+from influencefree.testspace import TestSpace, _vertex_supports
 
 
 def pr_box():
@@ -321,23 +320,16 @@ def test_marginals_are_computed_once_and_read_only():
 
 
 def loop_bayes_residuals(omega, tol):
-    """The three Bayes residuals as explicit loops over tests and outcome pairs."""
+    """The two Bayes mixture residuals as explicit loops over each side's tests."""
     table = {(x, y): omega(x, y) for x in omega.alice.outcomes for y in omega.bob.outcomes}
     flipped = ProductState(omega.bob, omega.alice, {(y, x): v for (x, y), v in table.items()})
     mixture_alice = max(bayes_mixture_check(omega, i, tol) for i in range(len(omega.alice.tests)))
     mixture_bob = max(bayes_mixture_check(flipped, i, tol) for i in range(len(omega.bob.tests)))
-    wa = marginal(omega, "alice", 0)
-    wb = marginal(omega, "bob", 0)
-    operational = 0.0
-    for x in omega.alice.outcomes:
-        for y in omega.bob.outcomes:
-            if wa[x] > tol and wb[y] > tol:
-                operational = max(operational, operational_bayes_check(omega, x, y))
-    return mixture_alice, mixture_bob, operational
+    return mixture_alice, mixture_bob
 
 
 def label_bayes_residuals(alice, bob, table, tol):
-    """The three Bayes residuals by their formulas, from the label table alone.
+    """The two Bayes mixture residuals by their formula, from the label table alone.
 
     Each side's marginal sums table[(x, y)] over the other side's test 0. The
     mixture residual of a side is the worst |sum_a w(a)·(cell(a, y) / w(a)) -
@@ -356,16 +348,7 @@ def label_bayes_residuals(alice, bob, table, tol):
 
     mixture_alice = mixture(alice.tests, wa, bob.outcomes, wb, lambda x, y: table[(x, y)])
     mixture_bob = mixture(bob.tests, wb, alice.outcomes, wa, lambda y, x: table[(x, y)])
-    operational = max(
-        (
-            abs(table[(x, y)] / wa[x] * wa[x] - table[(x, y)] / wb[y] * wb[y])
-            for x in alice.outcomes
-            for y in bob.outcomes
-            if wa[x] > tol and wb[y] > tol
-        ),
-        default=0.0,
-    )
-    return mixture_alice, mixture_bob, operational
+    return mixture_alice, mixture_bob
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
@@ -566,7 +549,6 @@ def test_space_pairs_cover_repeated_tests_and_shared_non_cartesian_rows():
 @pytest.mark.parametrize("alice, bob", space_pairs())
 def test_mask_matrix_enumeration_matches_per_object_reference(alice, bob):
     axes = (alice.outcomes, bob.outcomes)
-    values = np.random.default_rng(7).random(len(alice.outcomes) * len(bob.outcomes))
     fwd = forward_tests(alice, bob)
     cases = (
         (fwd, reference_two_stage("forward", alice, bob)),
@@ -580,11 +562,7 @@ def test_mask_matrix_enumeration_matches_per_object_reference(alice, bob):
         assert len(tests) == len(reference)
         assert tests.axes == axes
         assert not tests.masks.flags.writeable
-        # row for row, the same bool rows the state check's einsum sums, so bit for bit
         assert np.array_equal(tests.masks, ref_masks)
-        assert np.array_equal(
-            np.einsum("tc,c->t", tests.masks, values), np.einsum("tc,c->t", ref_masks, values)
-        )
         assert list(tests) == ref_tests
         for i, ref in enumerate(ref_tests):
             assert tests[i - len(tests)] == ref
@@ -655,54 +633,138 @@ def signalled_table(direction=None, eps=0.01) -> ProductState:
 
 
 def full_sums(omega, tests):
-    """Every row's sum from one einsum over the whole mask matrix."""
-    return np.einsum("tc,c->t", tests.masks, omega.values.ravel())
+    """Every held row's sum of table cells through its mask: the reference
+    a two-stage verdict is checked against."""
+    return tests.masks @ omega.values.ravel()
 
 
-def subset(tests, rows):
-    """The given rows of an enumeration as a TwoStageTests of their own."""
-    block, code = tests.block[rows], tests.code[rows]
-    return TwoStageTests(tests.axes, tests.masks[rows], tests.heads, block, code)
+def mask_verdict(omega, tests, tol=1e-10):
+    return bool(np.all(np.abs(full_sums(omega, tests) - 1.0) <= tol))
 
 
-def test_two_stage_check_stops_at_the_first_failing_block(monkeypatch):
-    lead = coupling._LEAD
+def test_two_stage_verdicts_on_the_signalled_tables():
     free, to_alice, to_bob = (signalled_table(d) for d in (None, "bob->alice", "alice->bob"))
-    fwd_free = forward_tests(free.alice, free.bob)
-    off = np.abs(full_sums(to_alice, fwd_free) - 1.0) > 1e-10
-    ok_rows, bad = np.flatnonzero(~off), int(np.flatnonzero(off)[0])
+    fwd, bwd = forward_tests(free.alice, free.bob), backward_tests(free.alice, free.bob)
+    fns = fns_tests(free.alice, free.bob)
+    # Bob to Alice shows at forward row 1 of 1 458, Alice to Bob only past every forward row of fns
+    first_off = [
+        np.flatnonzero(np.abs(full_sums(omega, tests) - 1.0) > 1e-10)[0]
+        for omega, tests in ((to_alice, fwd), (to_bob, fns))
+    ]
+    assert (len(fwd), len(fns), *first_off) == (1458, 1476, 1, 1459)
     empty = TestSpace([], [])
-    cases = [
-        # Bob to Alice shows at forward row 1 of 1 458: the leading block decides
-        (to_alice, fwd_free, 1),
-        # Alice to Bob shows only past all 1 458 forward rows of fns: both blocks
-        (to_bob, fns_tests(to_bob.alice, to_bob.bob), 2),
-        (free, fns_tests(free.alice, free.bob), 2),
-        (ProductState(empty, FNS_BOB, {}), fns_tests(empty, FNS_BOB), 0),
-        (free, subset(fwd_free, slice(0, lead)), 1),
-        (free, subset(fwd_free, slice(0, lead + 1)), 2),
-        # a failing row as the last of the leading block, then as the first past it
-        (to_alice, subset(fwd_free, np.append(ok_rows[: lead - 1], bad)), 1),
-        (to_alice, subset(fwd_free, np.append(ok_rows[:lead], bad)), 2),
-    ]
-    first_off = np.flatnonzero(np.abs(full_sums(to_bob, cases[1][1]) - 1.0) > 1e-10)[0]
-    assert (bad, len(fwd_free), len(cases[1][1]), first_off) == (1, 1458, 1476, 1459)
-    answers = [
-        bool(np.all(np.abs(full_sums(omega, tests) - 1.0) <= 1e-10)) for omega, tests, _ in cases
-    ]
-    assert answers == [False, False, True, True, True, True, False, False]
-    einsum, calls = np.einsum, []
+    cases = [(omega, tests) for omega in (free, to_alice, to_bob) for tests in (fwd, bwd, fns)]
+    cases.append((ProductState(empty, FNS_BOB, {}), fns_tests(empty, FNS_BOB)))
+    answers = [mask_verdict(omega, tests) for omega, tests in cases]
+    # an influence shows on the tests its receiving side starts, and on fns
+    assert answers == [True, True, True, False, True, False, True, False, False, True]
+    assert [is_state_on_two_stage(omega, tests) for omega, tests in cases] == answers
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[1]))
-        return einsum(*args, **kwargs)
 
-    monkeypatch.setattr(coupling.np, "einsum", counting)
-    for (omega, tests, expected_calls), answer in zip(cases, answers):
-        calls.clear()
-        assert is_state_on_two_stage(omega, tests) == answer
-        assert len(calls) == expected_calls
-        assert sum(calls) <= len(tests)
+def test_rows_held_by_hand_answer_for_their_directions_full_enumeration():
+    free, to_alice = signalled_table(), signalled_table("bob->alice")
+    fwd = forward_tests(free.alice, free.bob)
+    ok = np.flatnonzero(np.abs(full_sums(to_alice, fwd) - 1.0) <= 1e-10)
+
+    def held(rows):
+        return TwoStageTests(fwd.axes, fwd.masks[rows], fwd.heads, fwd.block[rows], fwd.code[rows])
+
+    # a forward test is off when exactly one of a0, a5 takes Bob's first test: 2·2·3**4 of them
+    assert len(ok) == 1458 - 324 and mask_verdict(to_alice, held(ok))
+    for rows in (slice(0, 2), ok, ok[:0]):
+        assert is_state_on_two_stage(free, held(rows))
+        # the forward tests left out are still asked about
+        assert not is_state_on_two_stage(to_alice, held(rows))
+    # heads name no direction, so no test is asked about
+    none = np.zeros(0, np.intp)
+    assert is_state_on_two_stage(to_alice, TwoStageTests(fwd.axes, fwd.masks[:0], (), none, none))
+
+
+@pytest.mark.parametrize("d", [2.0**-20, 2.0**-19])
+@pytest.mark.parametrize("moved", ["both", "low", "high"])
+def test_two_stage_boundary_is_decided_exactly(moved, d):
+    # dyadic cells make every sum exact in any order, and the state admits
+    # product tests off by up to 2**-18: "both" moves the least forward test
+    # to 1 - d and the greatest to 1 + d, "low" only the least and "high"
+    # only the greatest, each tested against tol = 2**-20
+    # Alice's rows over b1, b2, b3, and the sorted sums of the four forward tests
+    a1, a2, sums = {
+        "both": ([0.25 + d, 0.25, 0.5], [0.25, 0.25 - d, 0.5], [1 - d, 1, 1, 1 + d]),
+        "low": ([0.25, 0.25, 0.5 - d], [0.25, 0.25, 0.5], [1 - d, 1 - d, 1, 1]),
+        "high": ([0.25, 0.25, 0.5 + d], [0.25, 0.25, 0.5], [1, 1, 1 + d, 1 + d]),
+    }[moved]
+    alice = TestSpace(["a1", "a2"], [("a1", "a2")])
+    bob = TestSpace(["b1", "b2", "b3"], [("b1", "b2"), ("b3",)])
+    table = {(x, y): v for x, row in (("a1", a1), ("a2", a2)) for y, v in zip(bob.outcomes, row)}
+    omega = ProductState(alice, bob, table, tolerance=2**-18)
+    fwd, bwd = forward_tests(alice, bob), backward_tests(alice, bob)
+    assert sorted(full_sums(omega, fwd).tolist()) == sums
+    accepted = d <= 2**-20
+    # the backward tests see the "both" cells only through Bob's first test, which sums to 1
+    answers = ((fwd, accepted), (bwd, accepted or moved == "both"), (fns_tests(alice, bob), accepted))
+    for tests, answer in answers:
+        assert mask_verdict(omega, tests, tol=2**-20) == answer
+        assert is_state_on_two_stage(omega, tests, tol=2**-20) == answer
+
+
+def vertex_states(space):
+    """The vertices of the space's state polytope, one row each."""
+    a = space.incidence
+    states = [np.linalg.lstsq(a * s, np.ones(len(a)), rcond=None)[0] for s in _vertex_supports(a)]
+    return np.reshape(states, (-1, len(space.outcomes)))
+
+
+def reference_tables(alice, bob, seed):
+    """{"free": ..., "signalling": ...} states on alice x bob, or None when a
+    side admits no state. The free one mixes products of random states. The
+    signalling one is half f1 ⊗ g·s + f2 ⊗ g·(1 - s), whose Alice marginal
+    moves with how Bob's test splits g between f1 and f2, and half its mirror."""
+    va, vb = vertex_states(alice), vertex_states(bob)
+    if not (len(va) and len(vb)):
+        return None
+    rng = np.random.default_rng(seed)
+
+    def state(vertices):
+        return rng.dirichlet(np.ones(len(vertices))) @ vertices
+
+    free = sum(w * np.outer(state(va), state(vb)) for w in rng.dirichlet(np.ones(3)))
+    g, s = state(vb), rng.random(len(bob.outcomes))
+    f, t = state(va), rng.random(len(alice.outcomes))
+    to_alice = np.outer(state(va), g * s) + np.outer(state(va), g * (1 - s))
+    to_bob = np.outer(f * t, state(vb)) + np.outer(f * (1 - t), state(vb))
+    cells = list(iproduct(alice.outcomes, bob.outcomes))
+    return {
+        kind: ProductState(alice, bob, dict(zip(cells, values.ravel().tolist())))
+        for kind, values in (("free", free), ("signalling", (to_alice + to_bob) / 2))
+    }
+
+
+ENUMERATORS = (forward_tests, backward_tests, fns_tests)
+
+
+@pytest.mark.parametrize("kind", ["free", "signalling"])
+@pytest.mark.parametrize("enumerate_tests", ENUMERATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("k", range(len(space_pairs())))
+def test_two_stage_verdict_matches_the_mask_sum(k, enumerate_tests, kind):
+    alice, bob = space_pairs()[k]
+    tables = reference_tables(alice, bob, seed=[1012, k])
+    if tables is None:
+        # only the nested pair, whose sides each admit no state, has no table
+        assert (alice, bob) == (NESTED_ALICE, NESTED_BOB)
+        return
+    omega, tests = tables[kind], enumerate_tests(alice, bob)
+    assert is_state_on_two_stage(omega, tests) == mask_verdict(omega, tests)
+    # an influence-free table is a state on every two-stage test
+    assert is_state_on_two_stage(omega, tests) or kind == "signalling"
+
+
+def test_signalling_reference_tables_are_refused_in_each_direction():
+    refused = {f: 0 for f in ENUMERATORS}
+    for k, (alice, bob) in enumerate(space_pairs()):
+        tables = reference_tables(alice, bob, seed=[1012, k])
+        for f in ENUMERATORS if tables else ():
+            refused[f] += not is_state_on_two_stage(tables["signalling"], f(alice, bob))
+    assert all(refused.values()), refused
 
 
 def test_two_stage_verdict_reads_only_tests_enumerated_on_the_states_axes():

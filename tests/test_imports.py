@@ -1,11 +1,13 @@
 """What `import influencefree` and one CLI request load, the lazy namespace,
-and that each module uses every name it imports."""
+that each module uses every name it imports, and that the benchmark's calls
+into the package still resolve."""
 
 import ast
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import influencefree
 
 LIBRARY = ("linalg", "testspace", "coupling", "choimaps", "cones", "teleport")
 SRC = str(Path(influencefree.__file__).resolve().parents[1])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # runs after the snippet under test and reports the modules it left loaded
 REPORT = """
@@ -135,3 +138,33 @@ def test_every_imported_name_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, sorted(imported - used)
+
+
+def test_every_name_the_benchmark_calls_is_exported():
+    # perfbench imports the package as F; a deleted export would fail only there
+    called = {
+        name for path in PERFBENCH.glob("*.py") for name in re.findall(r"\bF\.(\w+)", path.read_text())
+    }
+    assert {"ProductState", "is_state_on_two_stage", "operational_bayes_check"} <= called
+    assert called <= set(influencefree.__all__), sorted(called - set(influencefree.__all__))
+
+
+def test_every_subcommand_the_benchmark_requests_exists():
+    from influencefree.cli import _COMMANDS
+
+    # each request's argv is a list literal, passed to Request or NonMember or
+    # first bound to a name that is; its first item is the subcommand
+    tree = ast.parse((PERFBENCH / "wl_cli.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("Request", "NonMember")
+    ]
+    argvs = [call.args[1 if call.func.id == "Request" else 0] for call in calls]
+    names = {argv.id for argv in argvs if isinstance(argv, ast.Name)}
+    argvs += [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in names for t in node.targets)
+    ]
+    commands = {argv.elts[0].value for argv in argvs if isinstance(argv, ast.List)}
+    assert {"influence-free", "pivot", "witness-demo"} <= commands
+    assert commands <= set(_COMMANDS), sorted(commands - set(_COMMANDS))
