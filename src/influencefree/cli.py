@@ -335,14 +335,14 @@ def _influence_free(args, omega):
 
 def _fns_tests(args, doc):
     """enumerate two-stage tests of a coupled pair"""
-    from .coupling import _count as _direction_count, fns_tests
+    from .coupling import backward_tests, forward_tests, fns_tests
 
     alice, bob = _coupled_spaces(doc)
     combined = fns_tests(alice, bob, cap=args.cap)
     return EXIT_OK, {
         "verdict": "enumerated",
-        "forward_count": _direction_count("forward", alice, bob, args.cap),
-        "backward_count": _direction_count("backward", alice, bob, args.cap),
+        "forward_count": len(forward_tests(alice, bob, cap=args.cap)),
+        "backward_count": len(backward_tests(alice, bob, cap=args.cap)),
         "fns_count": len(combined),
         "tests": [two_stage_test_to_document(t) for t in combined],
     }

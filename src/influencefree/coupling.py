@@ -14,16 +14,20 @@ state computes its two marginals under the other side's test 0 once, when
 first asked, for the conditioning and Bayes checks.
 A one-sided test is named by its incidence row index, any integer but a
 bool. Two-stage enumeration needs set tests and refuses a space with a
-multiplicity above 1. Enumerated two-stage tests are the rows of one boolean
-mask matrix over X x Y (a TwoStageTests). A row's TwoStageTest is built from
-its two indices when it is indexed. The rows of one initiating test are
-written by broadcasting: outcome i of that test takes every response in turn
-along one axis, in itertools.product order. fns_tests writes both directions
-into one buffer of rows padded to whole bytes, finds the first row of each
-packed-bits key, and moves those rows down inside the buffer, one run of
-consecutive rows at a time; the masks are a read-only view of its first rows.
-A state is checked on a direction's two-stage tests through its least and
-greatest assignments, two matrix products of the table, not through masks.
+multiplicity above 1. An enumeration (a TwoStageTests) names each two-stage
+test by two indices, its initiating test and its place in itertools.product
+order, and builds the test's TwoStageTest when it is indexed. Its boolean
+mask rows over X x Y are one writer's work: the rows of one initiating test
+are written by broadcasting, outcome i of that test taking every response in
+turn along one axis. forward_tests and backward_tests write no row until
+`masks` is first read, so an enumeration that is counted, indexed or checked
+costs its two index arrays only. fns_tests writes both directions at once,
+since finding duplicates reads every row: into one buffer of rows padded to
+whole bytes, it finds the first row of each packed-bits key and moves those
+rows down inside the buffer, one run of consecutive rows at a time; its masks
+are a read-only view of the buffer's first rows. A state is checked on a
+direction's two-stage tests through its least and greatest assignments, two
+matrix products of the table, not through masks.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from itertools import product as iproduct
 from typing import Mapping
 
@@ -129,25 +133,46 @@ class ProductState:
 
 
 class TwoStageTests(Sequence):
-    """Enumerated two-stage tests as rows of one read-only boolean mask matrix.
+    """Enumerated two-stage tests, each named by a head and a code.
 
-    `masks[t]` marks test t's outcome pairs over X x Y, flattened in the
-    (alice, bob) outcome orders `axes`. Row t was written for `heads[block[t]]`,
-    a (direction, initiating test, responding tests) triple, and the base-r
-    digits of `code[t]`, its place in itertools.product order, are the
-    responses picked. Indexing builds the row's TwoStageTest.
+    Row t was enumerated for `heads[block[t]]`, a (direction, initiating
+    test, responding tests) triple, and the base-r digits of `code[t]`, its
+    place in itertools.product order, are the responses picked. Indexing
+    builds the row's TwoStageTest. `masks[t]`, read-only, marks test t's
+    outcome pairs over X x Y, flattened in the (alice, bob) outcome orders
+    `axes`. Masks passed in are kept as given: fns_tests passes the rows it
+    wrote to find duplicates. With None, as forward_tests and backward_tests
+    pass, they are written from the heads by `_two_stage` when first read
+    and kept, so counting, indexing or checking the tests writes no row.
     """
 
-    def __init__(self, axes, masks: np.ndarray, heads, block: np.ndarray, code: np.ndarray):
-        if not len(masks) == len(block) == len(code):
+    def __init__(self, axes, masks: np.ndarray | None, heads, block: np.ndarray, code: np.ndarray):
+        if masks is not None and not len(masks) == len(block) == len(code):
             raise ValueError(f"{len(masks)} mask rows, {len(block)} blocks and {len(code)} codes")
+        if len(block) != len(code):
+            raise ValueError(f"{len(block)} blocks and {len(code)} codes")
         # a row's mask, block and code describe one test, so none may change alone
-        masks.flags.writeable = block.flags.writeable = code.flags.writeable = False
-        self.axes, self.masks, self.heads = axes, masks, tuple(heads)
-        self.block, self.code = block, code
+        block.flags.writeable = code.flags.writeable = False
+        if masks is not None:
+            masks.flags.writeable = False
+            self.masks = masks  # fills the cached property, so nothing is written on read
+        self.axes, self.heads, self.block, self.code = axes, tuple(heads), block, code
+
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """Each row's mask, written on first read: every head's whole block,
+        then only the rows held when they are not all of them."""
+        starts = list(accumulate((len(r) ** len(e) for _, e, r in self.heads), initial=0))
+        rows = np.zeros((starts[-1], len(self.axes[0]) * len(self.axes[1])), bool)
+        _two_stage(self.axes, self.heads, rows)
+        held = np.array(starts[:-1], np.intp)[self.block] + self.code
+        if not np.array_equal(held, np.arange(len(rows))):
+            rows = rows[held]
+        rows.flags.writeable = False
+        return rows
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self.code)
 
     def __getitem__(self, i) -> TwoStageTest:
         i = range(len(self))[operator.index(i)]  # negative i counts from the end
@@ -164,55 +189,63 @@ class TwoStageTests(Sequence):
         return map(self.__getitem__, range(len(self)))
 
 
-def _count(direction: str, a: TestSpace, b: TestSpace, cap: int) -> int:
-    """The number of two-stage tests in one direction, refused above cap;
-    a space with a multiplicity above 1 is refused first."""
+def _heads(direction: str, a: TestSpace, b: TestSpace, cap: int):
+    """One direction's heads, one per initiating test E, and the sizes r^|E|
+    of their blocks, refused when they sum above cap; a space with a
+    multiplicity above 1 is refused first."""
     if a._multiplicities or b._multiplicities:
         raise ValueError("coupled test spaces need set tests, not multisets")
     first, second = (a, b) if direction == "forward" else (b, a)
-    required = sum(len(second.tests) ** len(e) for e in first.tests)
+    heads = [(direction, e, second.tests) for e in first.tests]
+    sizes = [len(second.tests) ** len(e) for e in first.tests]
+    required = sum(sizes)
     if required > cap:
         raise CapExceededError(
             f"{direction} enumeration needs {required} tests, cap is {cap}", required=required
         )
-    return required
+    return heads, sizes
 
 
-def _two_stage(direction: str, a: TestSpace, b: TestSpace, rows: np.ndarray):
-    """Write every initiating test with every map from its outcomes to
-    responding tests into the zeroed bool rows, masks over X x Y in their
-    first |X|·|Y| columns, and return the rows' (heads, block, code) as
-    TwoStageTests holds them."""
-    first, second = (a, b) if direction == "forward" else (b, a)
-    # masks[t, x, y]: outcome x of `first`, y of `second`, in test t; a view of rows
-    masks = rows[:, : len(a.outcomes) * len(b.outcomes)].reshape(
-        len(rows), len(a.outcomes), len(b.outcomes)
-    )
-    if direction == "backward":
-        masks = masks.transpose(0, 2, 1)
-    index = {x: i for i, x in enumerate(first.outcomes)}
-    responses = second.incidence.astype(bool)[:, None]
-    r = len(second.tests)
-    heads, lo = [], 0
-    block, code = np.empty(len(rows), np.intp), np.empty(len(rows), np.intp)
-    for e in first.tests:
-        k = len(e)
+def _block_code(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's head and its place in that head's block, for whole blocks
+    of the given sizes in head order."""
+    starts = list(accumulate(sizes, initial=0))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    return block, np.arange(starts[-1]) - np.array(starts[:-1], np.intp)[block]
+
+
+def _two_stage(axes, heads, rows: np.ndarray) -> None:
+    """Write every head's block, head after head, into the zeroed bool rows,
+    masks over X x Y (outcome orders `axes`) in their first |X|·|Y| columns:
+    the initiating test with every map from its outcomes to the responding
+    tests, in itertools.product order."""
+    cube = rows[:, : len(axes[0]) * len(axes[1])].reshape(len(rows), *map(len, axes))
+    lo, known = 0, None
+    for direction, e, tests in heads:
+        if known != (direction, tests):  # a direction's heads share their responding tests
+            known = (direction, tests)
+            first, second = axes if direction == "forward" else axes[::-1]
+            # masks[t, x, y]: outcome x of the initiating side, y of the responding side
+            masks = cube if direction == "forward" else cube.transpose(0, 2, 1)
+            index = {x: i for i, x in enumerate(first)}
+            # responses[j, 0, y]: y lies in responding test j
+            column = {y: i for i, y in enumerate(second)}
+            responses = np.zeros((len(tests), 1, len(second)), bool)
+            cells = [j * len(second) + column[y] for j, f in enumerate(tests) for y in f]
+            responses.reshape(-1)[cells] = True
+        k, r = len(e), len(tests)
         rows_e = masks[lo : lo + r**k]
         for i, x in enumerate(e):
             # in itertools.product order outcome i's response steps every r**(k-i-1) rows
             view = rows_e.reshape(r**i, r, r ** (k - i - 1), *rows_e.shape[1:])
             view[:, :, :, index[x]] = responses
-        block[lo : lo + r**k], code[lo : lo + r**k] = len(heads), np.arange(r**k)
-        heads.append((direction, e, second.tests))
         lo += r**k
-    return heads, block, code
 
 
 def _one_direction(direction: str, a: TestSpace, b: TestSpace, cap: int) -> TwoStageTests:
-    """The two-stage tests of one direction, on unpadded mask rows."""
-    masks = np.zeros((_count(direction, a, b, cap), len(a.outcomes) * len(b.outcomes)), bool)
-    heads, block, code = _two_stage(direction, a, b, masks)
-    return TwoStageTests((a.outcomes, b.outcomes), masks, heads, block, code)
+    """The two-stage tests of one direction; no mask row is written until read."""
+    heads, sizes = _heads(direction, a, b, cap)
+    return TwoStageTests((a.outcomes, b.outcomes), None, heads, *_block_code(sizes))
 
 
 def forward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
@@ -232,20 +265,21 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
     of the forward then the backward rows is kept at its first occurrence,
     so the forward representative wins on collisions. Constant assignments
     reproduce the Cartesian tests, which therefore appear exactly once. The
+    rows are written at once, since finding duplicates reads them all; the
     kept rows are moved down in place, and the masks are a view of the
     frozen buffer's first rows. Each TwoStageTest is built when its row is
     indexed; the cap applies to each direction.
     """
-    cells = len(a.outcomes) * len(b.outcomes)
-    n = _count("forward", a, b, cap)
+    axes, cells = (a.outcomes, b.outcomes), len(a.outcomes) * len(b.outcomes)
+    heads, sizes = _heads("forward", a, b, cap)
+    back_heads, back_sizes = _heads("backward", a, b, cap)
+    heads, sizes = heads + back_heads, sizes + back_sizes
+    block, code = _block_code(sizes)
     # rows padded with False to whole bytes, so packed flat each row is its own bytes key
-    rows = np.zeros((n + _count("backward", a, b, cap), cells + -cells % 8), bool)
-    heads, block, code = _two_stage("forward", a, b, rows[:n])
-    back_heads, back_block, back_code = _two_stage("backward", a, b, rows[n:])
+    rows = np.zeros((len(block), cells + -cells % 8), bool)
+    _two_stage(axes, heads, rows)
     keys = np.packbits(rows).view(f"V{max(1, rows.shape[1] // 8)}")
     first = np.sort(np.unique(keys, return_index=True)[1])
-    block = np.concatenate([block, back_block + len(heads)])[first]
-    code = np.concatenate([code, back_code])[first]
     # kept row k moves to row k <= first[k]; on the flat buffer a forward
     # copy of each run of consecutive kept rows never reads a row it wrote
     flat, width = rows.reshape(-1), rows.shape[1]
@@ -255,8 +289,7 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
         if src > lo:
             flat[lo * width : hi * width] = flat[src * width : (src + hi - lo) * width]
     rows.flags.writeable = False
-    masks = rows[: len(first), :cells]
-    return TwoStageTests((a.outcomes, b.outcomes), masks, heads + back_heads, block, code)
+    return TwoStageTests(axes, rows[: len(first), :cells], heads, block[first], code[first])
 
 
 def _test_index(space: TestSpace, test) -> int:

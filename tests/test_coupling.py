@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from influencefree import coupling
 from influencefree.coupling import (
     DirectionReport,
     InfluenceVerdict,
@@ -611,6 +612,117 @@ def test_two_stage_tests_are_read_only():
     assert fns.masks.base is not None
     with pytest.raises(ValueError):
         fns.masks.base[0, 0] = True
+
+
+def test_masks_are_written_only_when_read(monkeypatch):
+    calls = []
+    write = coupling._two_stage
+    monkeypatch.setattr(coupling, "_two_stage", lambda *args: calls.append(args) or write(*args))
+    cases = [(*pair, reference_tables(*pair, seed=[1012, k])) for k, pair in enumerate(space_pairs())]
+    free, to_alice = signalled_table(), signalled_table("bob->alice")
+    cases.append((free.alice, free.bob, {"free": free, "signalling": to_alice}))
+    for alice, bob, tables in cases:
+        for enumerate_tests in (forward_tests, backward_tests):
+            tests = enumerate_tests(alice, bob)
+            assert [tests[i] for i in range(len(tests))] == list(tests)
+            for omega in (tables or {}).values():
+                is_state_on_two_stage(omega, tests)
+            assert not calls
+            masks = tests.masks
+            assert len(calls) == 1 and tests.masks is masks and len(calls) == 1
+            eager = np.zeros((len(tests), len(alice.outcomes) * len(bob.outcomes)), bool)
+            write(tests.axes, tests.heads, eager)
+            assert np.array_equal(masks, eager) and not masks.flags.writeable
+            calls.clear()
+    # fns_tests writes its rows at once to find duplicates, and never again
+    fns = fns_tests(free.alice, free.bob)
+    assert len(calls) == 1 and fns.masks.base is not None and len(calls) == 1
+
+
+def test_rows_held_by_hand_are_written_from_their_heads():
+    fns = fns_tests(REPEAT_ALICE, CHAIN_BOB)
+    # rows held out of order, repeated, and of both directions
+    assert [fns.heads[h][0] for h in fns.block[[5, 20]]] == ["forward", "backward"]
+    for rows in ([20, 5, 0, 5], range(3, 9), [], range(len(fns))):
+        rows = np.array(rows, np.intp)
+        held = TwoStageTests(fns.axes, None, fns.heads, fns.block[rows], fns.code[rows])
+        assert list(held) == [fns[i] for i in rows]
+        assert np.array_equal(held.masks, fns.masks[rows]) and not held.masks.flags.writeable
+    with pytest.raises(ValueError, match="2 blocks and 1 codes"):
+        TwoStageTests(fns.axes, None, fns.heads, fns.block[:2], fns.code[:1])
+
+
+# The benchmark's coupled-tables shapes, (structure, test sizes) a side; a
+# chain's tests share one outcome in sequence
+CATALOGUE = (
+    (("disjoint", (2, 2)), ("disjoint", (2, 2))),
+    (("chain", (3, 3, 3)), ("disjoint", (3, 3))),
+    (("disjoint", (4, 4)), ("chain", (3, 3, 3))),
+    (("chain", (4, 4, 4, 4)), ("disjoint", (2, 2, 2))),
+    (("disjoint", (5, 5)), ("chain", (4, 4, 4))),
+    (("disjoint", (4, 4, 4)), ("disjoint", (3, 3, 3, 3))),
+    (("chain", (5, 5, 5)), ("disjoint", (2, 2, 2, 2))),
+    (("disjoint", (6, 6)), ("chain", (3, 3, 3))),
+    (("disjoint", (4,)), ("chain", (3, 3, 3, 3, 3))),
+    (("chain", (3, 3, 3, 3, 3)), ("disjoint", (4, 4, 4))),
+    (("disjoint", (8, 8)), ("disjoint", (3, 3))),
+    (("disjoint", (7, 7)), ("chain", (4, 4, 4))),
+    (("disjoint", (5, 5, 5)), ("chain", (3, 3, 3, 3))),
+)
+
+
+def catalogue_space(side, shape):
+    structure, sizes = shape
+    tests, n = [], 0
+    for i, size in enumerate(sizes):
+        lo = n - (structure == "chain" and i > 0)
+        tests.append([f"{side}{j}" for j in range(lo, lo + size)])
+        n = lo + size
+    return TestSpace([f"{side}{j}" for j in range(n)], tests)
+
+
+CATALOGUE_PAIRS = [(catalogue_space("a", a), catalogue_space("b", b)) for a, b in CATALOGUE]
+
+
+def eager_block_code(direction, a, b):
+    """Each row's head and code as an eager enumeration writes them: head h's
+    r**|E| rows in turn, coded 0 up."""
+    first, second = (a, b) if direction == "forward" else (b, a)
+    sizes = [len(second.tests) ** len(e) for e in first.tests]
+    block = [h for h, n in enumerate(sizes) for _ in range(n)]
+    return np.array(block, np.intp), np.array([c for n in sizes for c in range(n)], np.intp)
+
+
+def test_catalogue_pairs_have_the_benchmark_sizes():
+    sizes = [(len(forward_tests(a, b)), len(backward_tests(a, b))) for a, b in CATALOGUE_PAIRS]
+    assert sizes == [
+        (8, 8), (24, 54), (162, 24), (324, 48), (486, 48), (768, 108), (3072, 36),
+        (1458, 24), (625, 5), (135, 1875), (512, 16), (4374, 48), (3072, 108),
+    ]
+
+
+@pytest.mark.parametrize(
+    "alice, bob",
+    space_pairs() + CATALOGUE_PAIRS + [(TestSpace([], []), FNS_BOB), (FNS_ALICE, TestSpace([], []))],
+)
+def test_block_and_code_match_the_eager_build(alice, bob):
+    fwd, bwd, fns = forward_tests(alice, bob), backward_tests(alice, bob), fns_tests(alice, bob)
+    eager = [eager_block_code(d, alice, bob) for d in ("forward", "backward")]
+    for tests, (block, code) in zip((fwd, bwd), eager):
+        for got, want in ((tests.block, block), (tests.code, code)):
+            assert got.dtype == np.intp and np.array_equal(got, want)
+    # fns keeps the first row of each mask, forward before backward
+    masks = np.concatenate([fwd.masks, bwd.masks])
+    first = {}
+    for i, row in enumerate(masks):
+        first.setdefault(row.tobytes(), i)
+    kept = list(first.values())
+    block = np.concatenate([eager[0][0], eager[1][0] + len(fwd.heads)])
+    code = np.concatenate([eager[0][1], eager[1][1]])
+    assert fns.heads == fwd.heads + bwd.heads
+    for got, want in ((fns.block, block[kept]), (fns.code, code[kept])):
+        assert got.dtype == np.intp and np.array_equal(got, want)
+    assert np.array_equal(fns.masks, masks[kept])
 
 
 def signalled_table(direction=None, eps=0.01) -> ProductState:
