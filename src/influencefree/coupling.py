@@ -19,13 +19,12 @@ test by two indices, its initiating test and its place in itertools.product
 order, and builds the test's TwoStageTest when it is indexed. Its boolean
 mask rows over X x Y are one writer's work: the rows of one initiating test
 are written by broadcasting, outcome i of that test taking every response in
-turn along one axis. forward_tests and backward_tests write no row until
-`masks` is first read, so an enumeration that is counted, indexed or checked
-costs its two index arrays only. fns_tests writes both directions at once,
-since finding duplicates reads every row: into one buffer of rows padded to
-whole bytes, it finds the first row of each packed-bits key and moves those
-rows down inside the buffer, one run of consecutive rows at a time; its masks
-are a read-only view of the buffer's first rows. A state is checked on a
+turn along one axis. No enumeration writes a row until `masks` is first
+read, so one that is counted, indexed or checked costs its two index arrays
+only. fns_tests finds its duplicate rows from the tests, not from masks: a
+row repeats within a direction only through a repeated test, and a backward
+row is a forward one when its tests fit together as one, which only a
+constant pick or tests nested on both sides allow. A state is checked on a
 direction's two-stage tests through its least and greatest assignments, two
 matrix products of the table, not through masks.
 """
@@ -140,10 +139,10 @@ class TwoStageTests(Sequence):
     place in itertools.product order, are the responses picked. Indexing
     builds the row's TwoStageTest. `masks[t]`, read-only, marks test t's
     outcome pairs over X x Y, flattened in the (alice, bob) outcome orders
-    `axes`. Masks passed in are kept as given: fns_tests passes the rows it
-    wrote to find duplicates. With None, as forward_tests and backward_tests
-    pass, they are written from the heads by `_two_stage` when first read
-    and kept, so counting, indexing or checking the tests writes no row.
+    `axes`. Masks passed in are kept as given. With None, as every
+    enumerator passes, they are written from the heads by `_two_stage` when
+    first read and kept, so counting, indexing or checking the tests writes
+    no row.
     """
 
     def __init__(self, axes, masks: np.ndarray | None, heads, block: np.ndarray, code: np.ndarray):
@@ -258,38 +257,56 @@ def backward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTest
     return _one_direction("backward", a, b, cap)
 
 
+def _also_forward(a: TestSpace, b: TestSpace, f: tuple[str, ...]) -> np.ndarray:
+    """Whether each backward row (F, y -> E_y) of Bob test F, in code order,
+    is also a forward row: U = ∪ E_y is an Alice test and, for each x in U,
+    {y in F : x in E_y} is a Bob test. Such a set is a bit pattern, F's first
+    outcome the highest bit, as its pick is the highest digit of the code."""
+    in_e, columns = a.incidence > 0, np.zeros((1, len(a.outcomes)), np.intp)
+    for _ in f:  # columns[t, x]: the pattern of the y whose pick E_y holds x
+        columns = (2 * columns[:, None] + in_e).reshape(-1, len(a.outcomes))
+    bit = {y: 1 << i for i, y in enumerate(reversed(f))}
+    bob_test = np.zeros(1 << len(f), bool)  # and pattern 0, for an x not in U
+    bob_test[[0] + [sum(map(bit.get, g)) for g in b.tests if bit.keys() >= set(g)]] = True
+    # |U Δ E| = |U| - 2 |U ∩ E| + |E|, zero exactly when U is the Alice test E
+    spread = (columns != 0) @ (1 - 2 * a.incidence.T) + a.incidence.sum(1)
+    return (spread == 0).any(1) & bob_test[columns].all(1)
+
+
 def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
     """Two-stage tests in both directions, deduplicated by outcome set.
 
-    Both directions are enumerated into one buffer, and each distinct row
-    of the forward then the backward rows is kept at its first occurrence,
-    so the forward representative wins on collisions. Constant assignments
-    reproduce the Cartesian tests, which therefore appear exactly once. The
-    rows are written at once, since finding duplicates reads them all; the
-    kept rows are moved down in place, and the masks are a view of the
-    frozen buffer's first rows. Each TwoStageTest is built when its row is
-    indexed; the cap applies to each direction.
+    The forward then the backward rows are each kept at the first occurrence
+    of their outcome set, so the forward representative wins on collisions.
+    Duplicates are found from the tests, and no mask row is written until
+    read: within a direction only a repeated test repeats a row, and a
+    backward row is a forward row when its picks are constant, the Cartesian
+    test, which therefore appears exactly once, or when tests nest on both
+    sides and _also_forward says so. The cap applies to each direction.
     """
-    axes, cells = (a.outcomes, b.outcomes), len(a.outcomes) * len(b.outcomes)
     heads, sizes = _heads("forward", a, b, cap)
     back_heads, back_sizes = _heads("backward", a, b, cap)
-    heads, sizes = heads + back_heads, sizes + back_sizes
-    block, code = _block_code(sizes)
-    # rows padded with False to whole bytes, so packed flat each row is its own bytes key
-    rows = np.zeros((len(block), cells + -cells % 8), bool)
-    _two_stage(axes, heads, rows)
-    keys = np.packbits(rows).view(f"V{max(1, rows.shape[1] // 8)}")
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    # kept row k moves to row k <= first[k]; on the flat buffer a forward
-    # copy of each run of consecutive kept rows never reads a row it wrote
-    flat, width = rows.reshape(-1), rows.shape[1]
-    starts = np.flatnonzero(np.diff(first, prepend=-2) != 1).tolist()
-    for lo, hi in zip(starts, starts[1:] + [len(first)]):
-        src = int(first[lo])
-        if src > lo:
-            flat[lo * width : hi * width] = flat[src * width : (src + hi - lo) * width]
-    rows.flags.writeable = False
-    return TwoStageTests(axes, rows[: len(first), :cells], heads, block[first], code[first])
+    block, code = _block_code(sizes + back_sizes)
+    sets = [list(map(frozenset, s.tests)) for s in (a, b)]
+    # a repeated test repeats its first copy's block, or as a response the
+    # row of its block that picks the first copy, a lower digit
+    firsts = [np.array([s.index(e) == j for j, e in enumerate(s)], bool) for s in sets]
+    keep = np.concatenate(firsts)[block]
+    n, starts = sum(sizes), list(accumulate(sizes + back_sizes, initial=0))
+    for rows, responding in ((slice(n), firsts[1]), (slice(n, None), firsts[0])):
+        digits = code[rows]
+        while not responding.all() and digits.any():  # digits 0 pick test 0, a first copy
+            keep[rows] &= responding[digits % len(responding)]
+            digits = digits // len(responding)
+    # the constant pick E_y = E_j, the Cartesian test E_j x F, is coded j (1 + r + ... + r^(|F|-1))
+    r = len(a.tests)
+    repunits = [sum(r**i for i in range(len(f))) for f in b.tests]
+    keep[[lo + j * u for lo, u in zip(starts[len(heads) :], repunits) for j in range(r)]] = False
+    if all(any(e < f for e in s for f in s) for s in sets):  # tests nest on both sides
+        for h in np.unique(block[n:][keep[n:]]).tolist():
+            keep[starts[h] : starts[h + 1]] &= ~_also_forward(a, b, b.tests[h - len(heads)])
+    axes = (a.outcomes, b.outcomes)
+    return TwoStageTests(axes, None, heads + back_heads, block[keep], code[keep])
 
 
 def _test_index(space: TestSpace, test) -> int:

@@ -221,6 +221,22 @@ def test_fns_tests_counts_and_cap(tmp_path, capsys):
     assert doc["required"] == 4
 
 
+def test_fns_tests_lists_a_shared_non_cartesian_test_once(tmp_path, capsys):
+    # each side's singletons nest inside its pair, so x1 -> {y1}, x2 -> {y2}
+    # is also the backward test y1 -> {x1}, y2 -> {x2}
+    nested = {
+        "alice": {"outcomes": ["x1", "x2"], "tests": [["x1", "x2"], ["x1"], ["x2"]]},
+        "bob": {"outcomes": ["y1", "y2"], "tests": [["y1", "y2"], ["y1"], ["y2"]]},
+    }
+    code, doc = invoke(capsys, "fns-tests", write_doc(tmp_path, "nested.json", nested))
+    assert code == 0
+    assert (doc["forward_count"], doc["backward_count"], doc["fns_count"]) == (15, 15, 15)
+    assert len(doc["tests"]) == 15
+    shared = [t for t in doc["tests"] if t["pairs"] == [["x1", "y1"], ["x2", "y2"]]]
+    assert [t["direction"] for t in shared] == ["forward"]
+    assert shared[0]["assignment"] == [["x1", ["y1"]], ["x2", ["y2"]]]
+
+
 def test_verify_state_reads_a_repeated_label_as_a_multiplicity(tmp_path, capsys):
     path = write_doc(
         tmp_path, "repeated.json",

@@ -522,6 +522,16 @@ NESTED_ALICE = TestSpace(["x1", "x2"], [("x1", "x2"), ("x1",), ("x2",)])
 NESTED_BOB = TestSpace(["y1", "y2"], [("y1", "y2"), ("y1",), ("y2",)])
 
 
+def whole_and_singletons(side, n):
+    """One test of all n outcomes, then each outcome alone."""
+    outcomes = [f"{side}{i}" for i in range(n)]
+    return TestSpace(outcomes, [outcomes] + [[x] for x in outcomes])
+
+
+# the same nesting at 5 and 4 outcomes: 3 150 forward and 1 320 backward rows
+WIDE_ALICE, WIDE_BOB = whole_and_singletons("a", 5), whole_and_singletons("b", 4)
+
+
 def space_pairs():
     pairs = [
         (FNS_ALICE, FNS_BOB),
@@ -607,11 +617,10 @@ def test_two_stage_tests_are_read_only():
                 array[1] = 0
     # a code rewritten alone would name another test than its mask row marks
     assert fwd[1] == second
-    # fns masks are a view of the enumeration buffer, which is frozen too
+    # fns masks, gathered from the written blocks since rows repeat, are frozen too
     fns = fns_tests(REPEAT_ALICE, CHAIN_BOB)
-    assert fns.masks.base is not None
     with pytest.raises(ValueError):
-        fns.masks.base[0, 0] = True
+        fns.masks[0, 0] = True
 
 
 def test_masks_are_written_only_when_read(monkeypatch):
@@ -622,7 +631,7 @@ def test_masks_are_written_only_when_read(monkeypatch):
     free, to_alice = signalled_table(), signalled_table("bob->alice")
     cases.append((free.alice, free.bob, {"free": free, "signalling": to_alice}))
     for alice, bob, tables in cases:
-        for enumerate_tests in (forward_tests, backward_tests):
+        for enumerate_tests in (forward_tests, backward_tests, fns_tests):
             tests = enumerate_tests(alice, bob)
             assert [tests[i] for i in range(len(tests))] == list(tests)
             for omega in (tables or {}).values():
@@ -630,13 +639,13 @@ def test_masks_are_written_only_when_read(monkeypatch):
             assert not calls
             masks = tests.masks
             assert len(calls) == 1 and tests.masks is masks and len(calls) == 1
-            eager = np.zeros((len(tests), len(alice.outcomes) * len(bob.outcomes)), bool)
+            # every head's whole block, of which fns holds the rows it keeps
+            sizes = [len(r) ** len(e) for _, e, r in tests.heads]
+            eager = np.zeros((sum(sizes), len(alice.outcomes) * len(bob.outcomes)), bool)
             write(tests.axes, tests.heads, eager)
-            assert np.array_equal(masks, eager) and not masks.flags.writeable
+            held = np.cumsum([0] + sizes[:-1], dtype=np.intp)[tests.block] + tests.code
+            assert np.array_equal(masks, eager[held]) and not masks.flags.writeable
             calls.clear()
-    # fns_tests writes its rows at once to find duplicates, and never again
-    fns = fns_tests(free.alice, free.bob)
-    assert len(calls) == 1 and fns.masks.base is not None and len(calls) == 1
 
 
 def test_rows_held_by_hand_are_written_from_their_heads():
@@ -703,7 +712,10 @@ def test_catalogue_pairs_have_the_benchmark_sizes():
 
 @pytest.mark.parametrize(
     "alice, bob",
-    space_pairs() + CATALOGUE_PAIRS + [(TestSpace([], []), FNS_BOB), (FNS_ALICE, TestSpace([], []))],
+    space_pairs()
+    + CATALOGUE_PAIRS
+    + [(TestSpace([], []), FNS_BOB), (FNS_ALICE, TestSpace([], []))]
+    + [(WIDE_ALICE, WIDE_BOB), (WIDE_BOB, WIDE_ALICE)],
 )
 def test_block_and_code_match_the_eager_build(alice, bob):
     fwd, bwd, fns = forward_tests(alice, bob), backward_tests(alice, bob), fns_tests(alice, bob)
@@ -976,8 +988,21 @@ def test_enumeration_matches_label_reference(alice, bob):
         assert np.array_equal(tests.masks, label_masks(reference, alice, bob))
 
 
+# fns_tests against the label reference on ten seeds' pairs, run in one test
+FNS_REFERENCE_PAIRS = [pair for seed in range(1517, 1527) for pair in seeded_space_pairs(seed, 24)]
+
+
+def test_fns_matches_label_reference_on_ten_seeds():
+    for alice, bob in FNS_REFERENCE_PAIRS:
+        forward, backward = (label_two_stage(d, alice, bob) for d in ("forward", "backward"))
+        reference = label_distinct(forward + backward)
+        fns = fns_tests(alice, bob)
+        assert [repr(t) for t in fns] == [repr(t) for t in reference]
+        assert np.array_equal(fns.masks, label_masks(reference, alice, bob))
+
+
 def test_label_reference_pairs_cover_duplicated_and_nested_tests():
-    pairs = seeded_space_pairs(1517, 24)
+    pairs = FNS_REFERENCE_PAIRS
     sides = [side for pair in pairs for side in pair]
     assert any(len(set(s.tests)) < len(s.tests) for s in sides)
     assert any(set(e) < set(f) for s in sides for e in s.tests for f in s.tests)
@@ -987,3 +1012,10 @@ def test_label_reference_pairs_cover_duplicated_and_nested_tests():
         for forward in (label_two_stage("forward", a, b) for a, b in pairs)
     )
     assert all(len(fns_tests(a, b)) < len(forward_tests(a, b)) + len(backward_tests(a, b)) for a, b in pairs)
+    # and in some pairs (66 of them) a backward row that is not Cartesian is a forward row
+    shared = False
+    for a, b in pairs:
+        cartesian = {frozenset(iproduct(e, f)) for e in a.tests for f in b.tests}
+        forward = {t.outcome_pairs() for t in label_two_stage("forward", a, b)} - cartesian
+        shared |= any(t.outcome_pairs() in forward for t in label_two_stage("backward", a, b))
+    assert shared
