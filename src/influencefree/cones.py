@@ -74,8 +74,8 @@ class SeesawResult:
     witness_x: np.ndarray
     witness_y: np.ndarray
     best_restart: int  # 1-based index of the restart that reached min_value
-    iterations: int
-    converged: bool
+    iterations: int  # sweeps that restart ran: for a pick, up to the sweep that picked it
+    converged: bool  # its last sweep moved it by <= 1e-14·max(1, |value|); a pick rarely has
 
 
 @dataclass
@@ -115,14 +115,14 @@ def popt_minimize(
     seeded random restarts run as one stack: a half-step is one batched
     contraction and one eigh on a (restarts, d, d) stack, and a restart that
     has converged is frozen (the first sweep is two stacks, see
-    _seesaw_sweeps). Every restart runs to its fixed point (or to
-    max_iter sweeps) and the best is returned, ties keeping the lowest
-    restart index. The result is an upper bound on the true minimum over
-    product vectors; a negative value refutes positivity on pure tensors and
-    the witness pair certifies it. W is admitted by linalg._admit.
+    _seesaw_sweeps). Every restart runs to its fixed point (or to max_iter
+    sweeps), unlike in is_popt, and the best is returned, ties keeping the
+    lowest restart index. The result is an upper bound on the true minimum
+    over product vectors; a negative value refutes positivity on pure
+    tensors and the witness pair certifies it. W is admitted by
+    linalg._admit.
     """
-    for _, result in _seesaw_sweeps(_admit(w, dims), dims, seed, restarts, max_iter, -np.inf):
-        pass
+    *_, (_, result) = _seesaw_sweeps(_admit(w, dims), dims, seed, restarts, max_iter, -np.inf)
     return result
 
 
@@ -131,12 +131,10 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
 
     Yields (lowest restart value, None) after each sweep but the last, and
     (lowest restart value, the SeesawResult) after the last. The first
-    sweep after which the lowest value is below stop_below picks that
-    restart (ties to the lowest index); every other restart is frozen where
-    it stands, and the picked one is polished to its own fixed point within
-    the same max_iter sweeps, so min_value is still a see-saw fixed point.
-    The first sweep runs restarts 1 to FIRST_BLOCK as one batch and the
-    rest as a second: if the lowest value of the first batch is already
+    sweep whose lowest value is below stop_below is the last: it picks that
+    restart (ties to the lowest index) as the sweep left it, not at a fixed
+    point. The first sweep runs restarts 1 to FIRST_BLOCK as one batch and
+    the rest as a second: if the lowest value of the first batch is already
     below stop_below, that restart is picked and the rest are never swept
     (value inf, 0 iterations); otherwise the second batch is swept too and
     every restart's arithmetic is what one batch of all would give. With
@@ -160,7 +158,6 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
-    picked = None
     for sweep in range(1, max_iter + 1):
         # a restart does not depend on its batch, so splitting the first sweep changes no value
         split = sweep == 1 and restarts > FIRST_BLOCK
@@ -181,20 +178,23 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
             iterations[rows] += 1
             converged[rows] = done
             lowest = float(value.min())
-            if picked is None and lowest < stop_below:
-                picked = int(np.argmin(value))
+            if lowest < stop_below:
                 break
         live = live[~converged[live]]
-        if picked is not None:
-            live = live[live == picked]
-        if live.size == 0 or sweep == max_iter:
+        if lowest < stop_below or live.size == 0 or sweep == max_iter:
             break
         yield lowest, None
-    # the picked restart is returned even if rounding lifts it above a tie
-    best = int(np.argmin(value)) if picked is None else picked
+    best = int(np.argmin(value))
     yield lowest, SeesawResult(
         float(value[best]), x[best], y[best], best + 1, int(iterations[best]), bool(converged[best])
     )
+
+
+def _check_tolerances(**tolerances) -> None:
+    """Refuse a tolerance that is negative or not finite, as the CLI does."""
+    for name, value in tolerances.items():
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -233,6 +233,7 @@ def decomposable_sum_membership(
     verdict carries the last clipped pair as its certificate. W is admitted
     by linalg._admit.
     """
+    _check_tolerances(tol=tol)
     return _membership(_admit(w, dims), dims, tol, tol, max_iter)[0]
 
 
@@ -399,23 +400,24 @@ def is_popt(
 
     The phases run in this order, each only if the earlier ones decided
     nothing:
-    1. W must be finite, Hermitian and on dims, or ValueError is raised.
-       PSD, then PPT, read from one eigh of the stack (W, W^Gamma):
-       certified (branch psd or ppt).
-    2. The see-saw of _seesaw_sweeps with its stop rule at -tol, one batched
-       sweep at a time. Its first sweep runs the first FIRST_BLOCK restarts
-       alone and picks the lowest of them if it is below -tol, leaving the
-       rest unswept; a refuted verdict may then carry a witness with
-       best_restart <= FIRST_BLOCK where the lowest of all restarts lies
-       elsewhere, but the status is the one a whole first sweep would give.
+    1. tol, feas_tol (finite, >= 0) and W (finite, Hermitian, on dims) are
+       checked first, or ValueError is raised. PSD, then PPT, read from one
+       eigh of the stack (W, W^Gamma): certified (branch psd or ppt).
+    2. The see-saw of _seesaw_sweeps, one batched sweep at a time. It stops
+       at the first sweep whose lowest value is below -tol - rounding
+       (rounding = SEESAW_ROUNDING·max(1, ‖W‖_F)), picking that restart as
+       the sweep left it: its pair refutes, and re-checks below -tol through
+       eigh's rounding. The first sweep runs the first FIRST_BLOCK restarts
+       alone and picks the lowest of them if it is below the stop, leaving
+       the rest unswept: the witness may then have best_restart <=
+       FIRST_BLOCK, but the status is the one a whole first sweep gives.
        The see-saw runs until it stalls: a sweep that is not its last
        lowered the lowest restart value by no more than that value's height
        above -tol, so at its pace the next sweep would not refute. The first
        sweep never counts, since it starts from random vectors. A value
-       within rounding of 0 (SEESAW_ROUNDING·max(1, ‖W‖_F)) does not count
-       either: the see-saw has then settled on the cone's boundary and ends
-       by itself within a few sweeps, sooner than membership would reach
-       the residual of phase 3.
+       within rounding of 0 does not count either: the see-saw has then
+       settled on the cone's boundary and ends by itself within a few
+       sweeps, sooner than membership would reach the residual of phase 3.
     3. At the stall, membership in PSD + PSD^Gamma with an absolute residual
        of at most tol (relative tol / ‖W‖_F, capped at feas_tol). A member
        gives ⟨xy|W|xy⟩ >= -tol on every unit product vector, so no see-saw
@@ -425,10 +427,10 @@ def is_popt(
        stall is looked for when tol < MEMBERSHIP_ROUNDING·‖W‖_F, a residual
        membership does not reach.
     4. Otherwise the see-saw resumes from where it stood and runs to its
-       end. The objective never increases, and once a restart is below -tol
-       only that one is polished to its fixed point, so, up to rounding at
+       stop or end. The objective never increases, so, up to rounding at
        -tol itself, the verdict is the one a run of every restart to
-       convergence would give: refuted, with the product pair as witness.
+       convergence would give: refuted, with the product pair as witness (a
+       value in [-tol - rounding, -tol) stops nothing, but ends refuted).
     5. Otherwise membership at feas_tol (relative to ‖W‖_F), noted in phase
        3 or solved now if the see-saw ended without a stall: certified
        (branch decomposition) on a member, likely else.
@@ -441,28 +443,24 @@ def is_popt(
     min_value is λ_min(W) in the psd branch and None in the ppt branch. In
     the decomposition branch it is the lowest see-saw value at the stall
     when phase 3 certifies, and the converged see-saw value when phase 5
-    does; refuted and likely report the converged value. likely records the
-    membership status in info.
+    does. refuted reports the picked restart's value at the sweep that
+    picked it, or the converged value if nothing was picked; likely
+    reports the converged value and records the membership status in info.
     """
+    _check_tolerances(tol=tol, feas_tol=feas_tol)
     m = _admit(w, dims)
     # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit
     least = _least_eigh(np.stack((m, partial_transpose(m, dims, 1))))[0]
     if least[0] >= -tol:
-        return ConeVerdict(
-            "certified", min_value=float(least[0]),
-            info={"branch": "psd", "psd": True},
-        )
+        return ConeVerdict("certified", min_value=float(least[0]), info={"branch": "psd", "psd": True})
     if least[1] >= -tol:
-        return ConeVerdict(
-            "certified",
-            info={"branch": "ppt", "psd": False},
-        )
+        return ConeVerdict("certified", info={"branch": "ppt", "psd": False})
     membership = None
     norm = frobenius(m)
     asks = tol >= MEMBERSHIP_ROUNDING * norm
     rounding = SEESAW_ROUNDING * max(1.0, norm)
     previous = np.inf
-    for lowest, seesaw in _seesaw_sweeps(m, dims, seed, restarts, max_iter, -tol):
+    for lowest, seesaw in _seesaw_sweeps(m, dims, seed, restarts, max_iter, -tol - rounding):
         stalled = seesaw is None and rounding < lowest and previous - lowest <= lowest + tol
         if asks and stalled:
             asks = False

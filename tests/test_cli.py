@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,6 +536,17 @@ def test_popt_refuted_witness_re_evaluates(tmp_path, capsys):
     x = complex_entries(doc["witness"]["x"])
     y = complex_entries(doc["witness"]["y"])
     assert state_eval(w, (2, 2), x, y) == pytest.approx(doc["min_value"], abs=1e-12)
+
+
+def test_golden_popt_refutation_re_checks_from_its_printed_witness():
+    # the recorded answer alone refutes: its x and y give a value below -tol
+    case = json.loads(Path(__file__).with_name("cli_golden.json").read_text())["popt/refuted"]
+    w, dims = matrix_from_document(case["files"]["doc"])
+    out = case["stdout"]
+    x, y = (complex_entries(out["witness"][side]) for side in ("x", "y"))
+    value = state_eval(w, dims, x, y)
+    assert value < -out["config"]["tol"]
+    assert value == pytest.approx(out["min_value"], abs=1e-12)
 
 
 def test_decompose_member_closes_the_loop(tmp_path, capsys):

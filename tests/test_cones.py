@@ -254,15 +254,17 @@ def stopped_seesaw(w, dims, seed, restarts, stop_below, max_iter=200) -> SeesawR
 
 
 def stopped_seesaw_and_stall(w, dims, seed, restarts, max_iter=200):
-    """One pass of the see-saw with its early stop below -tol: its result, and
-    its first stall. That is the lowest value after the first sweep, not the
-    last, that lowered it by no more than its height above -tol while it was
-    above rounding, or None; None too if tol is below membership's rounding."""
+    """One pass of the see-saw with is_popt's early stop, below -tol by more
+    than rounding: its result, and its first stall. That is the lowest value
+    after the first sweep, not the last, that lowered it by no more than its
+    height above -tol while it was above rounding, or None; None too if tol
+    is below membership's rounding."""
     norm = frobenius(w)
     asks = TOL >= MEMBERSHIP_ROUNDING * norm
+    rounding = SEESAW_ROUNDING * max(1.0, norm)
     stall, previous = None, np.inf
-    for lowest, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, -TOL):
-        above_rounding = lowest > SEESAW_ROUNDING * max(1.0, norm)
+    for lowest, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, -TOL - rounding):
+        above_rounding = lowest > rounding
         if asks and stall is None and result is None and above_rounding and previous - lowest <= lowest + TOL:
             stall = lowest
         previous = lowest
@@ -450,7 +452,7 @@ def test_dual_witness_skip_loses_no_witness():
 
 
 @pytest.mark.parametrize("dims", SEESAW_DIMS)
-def test_early_stop_polishes_the_first_restart_below(dims):
+def test_early_stop_picks_the_first_restart_below(dims):
     refuted = 0
     for k, w in enumerate(seesaw_corpus(dims)):
         full = popt_minimize(w, dims, seed=k, restarts=8)
@@ -465,8 +467,7 @@ def test_early_stop_polishes_the_first_restart_below(dims):
             full.best_restart, full.iterations, full.converged
         )
         # the second threshold sits just above the full minimum, so it is
-        # crossed late; once on the (3, 3) corpus by a restart converging in
-        # that very sweep, which then has nothing left to polish
+        # crossed late, in some cases by a restart converging in that sweep
         for stop in (-TOL, full.min_value * (1.0 - 1e-12)):
             got = stopped_seesaw(w, dims, k, 8, stop)
 
@@ -474,18 +475,21 @@ def test_early_stop_polishes_the_first_restart_below(dims):
                 return popt_minimize(w, dims, seed=k, restarts=8, max_iter=sweeps)
 
             # the restart picked is the lowest (ties to the lowest index)
-            # after the first sweep whose minimum is below the threshold
+            # after the first sweep whose minimum is below the threshold, and
+            # it is returned as that sweep left it: run alone for that many
             first = 1 + bisect.bisect_left(
                 range(1, 201), True, key=lambda s: capped(s).min_value < stop
             )
             assert got.best_restart == capped(first).best_restart
-            want = list(serial_restarts(w, dims, k, got.best_restart, 200))[-1]
-            assert got.converged and want.converged
+            want = list(serial_restarts(w, dims, k, got.best_restart, first))[-1]
             assert got.min_value == want.min_value < stop
             assert np.array_equal(got.witness_x, want.witness_x)
             assert np.array_equal(got.witness_y, want.witness_y)
-            assert got.iterations == want.iterations
-            assert got.min_value >= full.min_value
+            assert got.iterations == want.iterations == first
+            assert got.converged == want.converged
+            # a restart stopped before its fixed point lies above it, up to
+            # the rounding an eigh value may rise by (−swap's ties show it)
+            assert got.min_value >= full.min_value - SEESAW_ROUNDING * max(1.0, frobenius(w))
             value = state_eval(w, dims, got.witness_x, got.witness_y)
             assert value == pytest.approx(got.min_value, abs=1e-12 * max(1.0, abs(value)))
         refuted += 1
@@ -497,8 +501,8 @@ def test_early_stop_polishes_the_first_restart_below(dims):
 @pytest.mark.parametrize("dims", SEESAW_DIMS)
 def test_first_block_refutes_before_the_other_restarts_are_swept(dims, monkeypatch):
     # a restart does not depend on its batch: when the first block's first
-    # sweep is below -tol, the pick is that block's lowest restart, run on its
-    # own to its fixed point; otherwise the run is the one a single batch of
+    # sweep is below -tol, the pick is that block's lowest restart, as its
+    # own first sweep left it; otherwise the run is the one a single batch of
     # all restarts gives, and either way the status is the single batch's
     picks = whole = 0
     for k, w in enumerate(seesaw_corpus(dims)):
@@ -511,7 +515,7 @@ def test_first_block_refutes_before_the_other_restarts_are_swept(dims, monkeypat
         if min(first) < -TOL:
             picks += 1
             assert got.best_restart == 1 + first.index(min(first)), k
-            want = list(serial_restarts(w, dims, k, got.best_restart, 200))[-1]
+            want = list(serial_restarts(w, dims, k, got.best_restart, 1))[-1]
         else:
             whole += 1
             want = one_batch
@@ -528,9 +532,9 @@ def test_first_block_refutes_before_the_other_restarts_are_swept(dims, monkeypat
     assert picks and whole, (picks, whole)
 
 
-@pytest.mark.parametrize("dims", SEESAW_DIMS)
-def test_first_sweep_passes_the_other_restarts_only_without_a_refutation(dims, monkeypatch):
-    # the stacks given to eigh: is_popt's (W, W^Gamma), then two per sweep
+def eigh_stack_sizes(monkeypatch) -> list:
+    """Record the size of every stack given to eigh: is_popt's (W, W^Gamma),
+    then two per sweep, or four in a first sweep that runs both batches."""
     sizes = []
 
     def recorded(h):
@@ -538,14 +542,72 @@ def test_first_sweep_passes_the_other_restarts_only_without_a_refutation(dims, m
         return _least_eigh(h)
 
     monkeypatch.setattr(cones, "_least_eigh", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_first_sweep_passes_the_other_restarts_only_without_a_refutation(dims, monkeypatch):
+    sizes = eigh_stack_sizes(monkeypatch)
     d = dims[0] * dims[1]
-    # every restart is at -1 after one sweep: restart 1 is picked and polished alone
+    # every restart is at -1 after one sweep: restart 1 is picked and the see-saw ends
     assert is_popt(np.diag([1.0] * (d - 1) + [-1.0]), dims, seed=1).status == "refuted"
-    assert sizes[:3] == [2, FIRST_BLOCK, FIRST_BLOCK] and set(sizes[3:]) == {1}, sizes
+    assert sizes == [2, FIRST_BLOCK, FIRST_BLOCK], sizes
     sizes.clear()
     boundary = product_boundary_operator(np.random.default_rng(sum(dims)), dims)
     assert is_popt(boundary, dims, seed=1).status == "certified"
     assert sizes[:5] == [2, FIRST_BLOCK, FIRST_BLOCK, 64 - FIRST_BLOCK, 64 - FIRST_BLOCK], sizes
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_a_value_within_rounding_of_the_stop_runs_on_as_popt_minimize(dims, monkeypatch):
+    # every restart reaches -1e-7 in one sweep, below -tol but above
+    # -tol - rounding (about -2e-6 at this norm): nothing is picked, so the
+    # second batch is swept and the run is popt_minimize's, still refuted
+    d = dims[0] * dims[1]
+    w = np.diag([1e6] * (d - 1) + [-1e-7])
+    assert -TOL - SEESAW_ROUNDING * frobenius(w) < -1e-7 < -TOL
+    plain = popt_minimize(w, dims, seed=1)
+    sizes = eigh_stack_sizes(monkeypatch)
+    verdict = is_popt(w, dims, seed=1)
+    assert verdict.status == "refuted"
+    assert verdict.min_value == plain.min_value
+    assert np.array_equal(verdict.witness[0], plain.witness_x)
+    assert np.array_equal(verdict.witness[1], plain.witness_y)
+    assert verdict.info["best_restart"] == plain.best_restart
+    assert sizes[:5] == [2, FIRST_BLOCK, FIRST_BLOCK, 64 - FIRST_BLOCK, 64 - FIRST_BLOCK], sizes
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_every_refutation_re_checks_below_tol_at_every_norm(dims):
+    # the stop lies below -tol by the see-saw's rounding, so the witness,
+    # evaluated again, is below -tol too
+    refuted = 0
+    for k, w0 in enumerate(seesaw_corpus(dims)):
+        for scale in (1e-3, 1.0, 1e3, 1e5):
+            w = scale * w0
+            verdict = is_popt(w, dims, seed=k)
+            if verdict.status != "refuted":
+                continue
+            refuted += 1
+            assert state_eval(w, dims, *verdict.witness) < -TOL, (k, scale)
+            assert verdict.min_value < -TOL - SEESAW_ROUNDING * max(1.0, frobenius(w)), (k, scale)
+    assert refuted >= 100, refuted
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_cone_solvers_refuse_a_tolerance_that_is_negative_or_not_finite(bad, monkeypatch):
+    # a negative tol would refute a PSD operator, and nan would compare
+    # false everywhere; the check comes before W is even read
+    def unread(*args):
+        raise AssertionError("the operator was read")
+
+    monkeypatch.setattr(cones, "_admit", unread)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        is_popt(0.5 * np.eye(4), (2, 2), seed=1, tol=bad)
+    with pytest.raises(ValueError, match="feas_tol must be a finite number >= 0"):
+        is_popt(np.diag([1.0, 1.0, 1.0, -1.0]), (2, 2), seed=1, feas_tol=bad)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        decomposable_sum_membership(np.eye(4), (2, 2), tol=bad)
 
 
 @pytest.mark.parametrize("dims", SEESAW_DIMS)
