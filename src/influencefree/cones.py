@@ -6,16 +6,19 @@ for a fixed Alice vector the optimal Bob vector is the minimal eigenvector of
 the contracted operator, and alternating the two eigenvector steps is
 monotone non-increasing. Membership in PSD + PSD^Gamma (the decomposable
 cone at the operator level) is a two-block semidefinite program, solved by
-a log-barrier interior-point method in a few dozen Newton steps: its primal
-iterate, clipped into the cones, certifies a member, and its dual estimate
-is a witness in PSD ∩ PPT when W is not one. Whether a conjugation map sheds
-a co-CP part is decided exactly by one eigenvalue.
+a log-barrier interior-point method whose long Newton steps go most of the
+way to the cones' boundary (about 5 to 15 iterates inside the cone and 30
+on its boundary, in 2x2 to 4x4): its primal iterate, clipped into the cones,
+certifies a member, and its dual estimate is a witness in PSD ∩ PPT when W
+is not one. Whether a conjugation map sheds a co-CP part is decided exactly
+by one eigenvalue.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +36,6 @@ from .linalg import (
     frobenius,
     min_eig,
     partial_transpose,
-    psd_part,
 )
 
 FEAS_TOL = 1e-7
@@ -41,6 +43,8 @@ FEAS_TOL = 1e-7
 BARRIER_SHRINK = 16.0
 # Newton decrement below which an iterate counts as centered
 CENTERED = 0.25
+# share of the way to the cones' boundary that a long Newton step goes
+TO_BOUNDARY = 0.9
 # floor of μ relative to ‖W‖_F: below it the Newton system is rounding noise
 BARRIER_FLOOR = 1e-15
 # slack of the witness shift, relative to its Frobenius norm
@@ -219,9 +223,14 @@ def decomposable_sum_membership(
 
     Solves min t subject to X1 = P + tI ⪰ 0 and X2 = (W − P)^Gamma + tI ⪰ 0
     over Hermitian P and real t, whose optimum is <= 0 iff W ∈ K. Each
-    iteration examines the current iterate, then takes one damped Newton
-    step on t/μ − log det X1 − log det X2, and divides μ by BARRIER_SHRINK
-    once the step is short enough to call the iterate centered. It runs on
+    iteration examines the current iterate, read from one eigh of the pair
+    (P, Q^Gamma), then steps along the Newton direction of t/μ − log det X1
+    − log det X2, and divides μ by BARRIER_SHRINK once the Newton decrement
+    δ is below CENTERED. A step with δ < 1 is whole: it stays inside the
+    Dikin ellipsoid, so inside both cones. A longer one goes TO_BOUNDARY of
+    the way to the nearer cone's boundary, but never less than the
+    self-concordant 1/(1 + δ) nor more than 1 (the fraction-to-the-boundary
+    rule, Nocedal & Wright, Numerical Optimization, §19.2). It runs on
     _binary_scaled(W), so every verdict is scale invariant by construction.
 
     member: the cone-clipped pair P_c = psd_part(P), Q_c = Gamma(psd_part(
@@ -274,9 +283,10 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
         )
 
     for it in range(1, max_iter + 1):
-        # P and Q^Gamma: X1 and X2 without their shift tI
-        blocks = np.stack([p, g(m - p)])
-        clipped = psd_part(blocks)
+        # P and Q^Gamma, X1 and X2 without their shift tI, in one eigh: X = V·diag(λ + t)·V†
+        vals, vecs = np.linalg.eigh(_hermitian_part(np.stack([p, g(m - p)])))
+        vecs_h = vecs.conj().swapaxes(1, 2)
+        clipped = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs_h  # psd_part of each
         p_c, q_c = clipped[0], g(clipped[1])
         residual = frobenius(m - p_c - q_c)
         if loose is None and residual <= loose_tol * scale:
@@ -284,10 +294,11 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
         if residual <= tol * scale:
             status = "member"
             break
-        s = np.linalg.inv(blocks + t * eye)
+        d = vals + t
+        s = (vecs / d[:, None, :]) @ vecs_h  # X1⁻¹ and X2⁻¹
         if mu is None:
             # the start is centered in t: the gradient's t-component vanishes
-            mu = 1.0 / np.trace(s, axis1=1, axis2=2).real.sum()
+            mu = 1.0 / (1.0 / d).sum()
         z = _dual_witness(m, -mu * (s[0] + g(s[1])) / 2.0, dims)
         if z is not None:
             status = "refuted"
@@ -295,24 +306,32 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
         if it == max_iter or mu < BARRIER_FLOOR * scale:
             status = "inconclusive"
             break
-        p, t, decrement = _newton_step(p, t, mu, s, gamma)
+        dp, dt, decrement = _newton_step(mu, s, gamma)
+        alpha = 1.0
+        if decrement >= 1.0:
+            # X + α·ΔX stays ⪰ 0 while α·λ_min(D^(-1/2)·V†ΔX·V·D^(-1/2)) > −1 in both blocks,
+            # with ΔX1 = ΔP + Δt·I and ΔX2 = −ΔP^Gamma + Δt·I
+            r = 1.0 / np.sqrt(d)
+            dx = vecs_h @ np.stack([dp, -g(dp)]) @ vecs + dt * eye
+            least = np.linalg.eigvalsh(r[:, :, None] * dx * r[:, None, :])[:, 0].min()
+            if least < 0.0:
+                alpha = max(1.0 / (1.0 + decrement), min(1.0, -TO_BOUNDARY / least))
+        p, t = p + alpha * dp, t + alpha * dt
         if decrement < CENTERED:
             mu /= BARRIER_SHRINK
     last = verdict(status)
     return last, last if loose is None else loose
 
 
-def _newton_step(p, t, mu, s, gamma):
-    """One damped Newton step on t/μ − log det X1 − log det X2 from (P, t).
+def _newton_step(mu, s, gamma):
+    """The Newton direction (ΔP, Δt) of t/μ − log det X1 − log det X2, and its decrement.
 
     s stacks X1⁻¹ and X2⁻¹. The system runs over the n² complex entries of
     P plus t; its matrix maps a Hermitian P to a Hermitian one and t to a
     real number, so the solution is a Hermitian ΔP and a real Δt, the same
-    as in a real Hermitian basis. A step of 1/(1 + decrement) stays inside
-    both cones (the barrier is self-concordant). Returns the new P and t
-    and the Newton decrement.
+    as in a real Hermitian basis.
     """
-    n = p.shape[0]
+    n = s.shape[1]
     nn = n * n
     # kron(S, S^T), the Hessian of −log det X in row-major coordinates
     k = (s[:, :, None, :, None] * s.swapaxes(1, 2)[:, None, :, None, :]).reshape(2, nn, nn)
@@ -327,9 +346,7 @@ def _newton_step(p, t, mu, s, gamma):
     )
     step = np.linalg.solve(h, -grad)
     decrement = float(np.sqrt(max(0.0, -np.vdot(grad, step).real)))
-    alpha = 1.0 if decrement < CENTERED else 1.0 / (1.0 + decrement)
-    dp = step[:nn].reshape(n, n)
-    return p + alpha * _hermitian_part(dp), t + alpha * step[nn].real, decrement
+    return _hermitian_part(step[:nn].reshape(n, n)), step[nn].real, decrement
 
 
 def _dual_witness(m: np.ndarray, r: np.ndarray, dims: Sequence[int]) -> np.ndarray | None:
@@ -429,8 +446,12 @@ def is_popt(
     4. Otherwise the see-saw resumes from where it stood and runs to its
        stop or end. The objective never increases, so, up to rounding at
        -tol itself, the verdict is the one a run of every restart to
-       convergence would give: refuted, with the product pair as witness (a
-       value in [-tol - rounding, -tol) stops nothing, but ends refuted).
+       convergence would give: refuted, with the product pair as witness.
+       A value in [-tol - rounding, -tol) stops nothing, and it may be
+       eigh's rounding of a value >= -tol (rounding exceeds tol once ‖W‖_F
+       is large): it refutes only if <xy|W|xy> < -tol·‖x⊗y‖² holds in
+       exact arithmetic on the floats of W and of the pair, and goes on to
+       phase 5 otherwise.
     5. Otherwise membership at feas_tol (relative to ‖W‖_F), noted in phase
        3 or solved now if the see-saw ended without a stall: certified
        (branch decomposition) on a member, likely else.
@@ -443,9 +464,10 @@ def is_popt(
     min_value is λ_min(W) in the psd branch and None in the ppt branch. In
     the decomposition branch it is the lowest see-saw value at the stall
     when phase 3 certifies, and the converged see-saw value when phase 5
-    does. refuted reports the picked restart's value at the sweep that
-    picked it, or the converged value if nothing was picked; likely
-    reports the converged value and records the membership status in info.
+    does, which may lie in phase 4's band. refuted reports the picked
+    restart's value at the sweep that picked it, or the converged value if
+    nothing was picked; likely reports the converged value and records the
+    membership status in info.
     """
     _check_tolerances(tol=tol, feas_tol=feas_tol)
     m = _admit(w, dims)
@@ -469,7 +491,12 @@ def is_popt(
             if shortcut.status == "member":
                 return _decomposition(lowest, shortcut)
         previous = lowest
-    if seesaw.min_value < -tol:
+    refutes = seesaw.min_value < -tol - rounding  # picked
+    if not refutes and seesaw.min_value < -tol:
+        # a value this close to -tol may be eigh's rounding: the pair decides, exactly
+        value, norm = _exact_product_value(m, seesaw.witness_x, seesaw.witness_y)
+        refutes = value < -Fraction(tol) * norm
+    if refutes:
         return ConeVerdict(
             "refuted", min_value=seesaw.min_value,
             witness=(seesaw.witness_x, seesaw.witness_y),
@@ -483,6 +510,19 @@ def is_popt(
         "likely", min_value=seesaw.min_value,
         info={"psd": False, "membership": membership.status},
     )
+
+
+def _exact_product_value(w, x, y) -> tuple[Fraction, Fraction]:
+    """Re⟨xy|W|xy⟩ and ‖x⊗y‖², in exact arithmetic on the floats of W, x and y."""
+
+    def exact(a):  # real and imaginary parts as arrays of Fractions
+        return (np.vectorize(Fraction, otypes=[object])(part) for part in (a.real, a.imag))
+
+    (xr, xi), (yr, yi), (wr, wi) = (exact(a) for a in (x, y, w))
+    vr = (np.outer(xr, yr) - np.outer(xi, yi)).ravel()  # x ⊗ y
+    vi = (np.outer(xr, yi) + np.outer(xi, yr)).ravel()
+    value = vr @ (wr @ vr - wi @ vi) + vi @ (wr @ vi + wi @ vr)
+    return value, (xr @ xr + xi @ xi) * (yr @ yr + yi @ yi)
 
 
 def _decomposition(min_value: float, membership: ConeVerdict) -> ConeVerdict:

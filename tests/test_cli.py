@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -547,6 +548,45 @@ def test_golden_popt_refutation_re_checks_from_its_printed_witness():
     value = state_eval(w, dims, x, y)
     assert value < -out["config"]["tol"]
     assert value == pytest.approx(out["min_value"], abs=1e-12)
+
+
+def exact_product_value(w, x, y) -> Fraction:
+    """Re⟨xy|W|xy⟩ / ‖x⊗y‖², exact on the floats of W, x and y, summed entry by entry."""
+    v = [
+        (Fraction(a.real) * Fraction(b.real) - Fraction(a.imag) * Fraction(b.imag),
+         Fraction(a.real) * Fraction(b.imag) + Fraction(a.imag) * Fraction(b.real))
+        for a in x for b in y
+    ]
+    # Re(conj(v_i)·W_ij·v_j) with conj(v_i)·v_j = (a_i a_j + b_i b_j) + i(a_i b_j − b_i a_j)
+    value = sum(
+        (ai * aj + bi * bj) * Fraction(w[i, j].real) - (ai * bj - bi * aj) * Fraction(w[i, j].imag)
+        for i, (ai, bi) in enumerate(v) for j, (aj, bj) in enumerate(v)
+    )
+    return value / sum(a * a + b * b for a, b in v)
+
+
+def test_popt_refutes_a_rounded_ppt_operator_only_where_the_printed_witness_holds_exactly(tmp_path, capsys):
+    # the golden popt/ppt operator is PPT up to the rounding of its floats; at
+    # 2^24 and up eigh rounds see-saw values by more than tol, so each value
+    # between -tol - rounding and -tol refutes only if the printed pair does,
+    # in exact arithmetic; seed 3's pair is >= 0 there, and other seeds' pairs
+    # show that the floats really are outside the cone by more than tol
+    case = json.loads(Path(__file__).with_name("cli_golden.json").read_text())["popt/ppt"]
+    w0, dims = matrix_from_document(case["files"]["doc"])
+    for k in (24, 26, 28):
+        w = 2.0**k * w0
+        path = write_doc(tmp_path, f"w{k}.json", matrix_to_document(w, dims))
+        verdicts = []
+        for seed in range(8):
+            code, doc = invoke(capsys, "popt", path, "--seed", str(seed))
+            verdicts.append(doc["verdict"])
+            if doc["verdict"] == "refuted-popt":
+                x, y = (complex_entries(doc["witness"][side]) for side in ("x", "y"))
+                assert exact_product_value(w, x, y) < -doc["config"]["tol"], (k, seed)
+            else:
+                assert (code, doc["verdict"]) == (0, "certified-popt"), (k, seed)
+        assert verdicts[3] == "certified-popt", k
+        assert "refuted-popt" in verdicts, k
 
 
 def test_decompose_member_closes_the_loop(tmp_path, capsys):

@@ -805,6 +805,61 @@ def test_membership_at_a_power_of_two_is_the_same_run_scaled(k):
     assert statuses == {"member", "refuted"}
 
 
+def membership_corpus(dims, kind, count=8):
+    """Seeded W = P + Q^Gamma − c·1 with rank-one P and Q, redrawn until W is
+    neither PSD nor PPT. interior: c = λ_min(Q^Gamma)/4 < 0, so W is inside
+    the cone by a multiple of 1. boundary: c = 0."""
+    rng = np.random.default_rng(90 + 10 * dims[0] + dims[1] + (kind == "boundary"))
+    n = dims[0] * dims[1]
+    while count:
+        phi, chi = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        q_gamma = partial_transpose(np.outer(chi, chi.conj()), dims, 1)
+        w = np.outer(phi, phi.conj()) + q_gamma
+        if kind == "interior":
+            w -= np.linalg.eigvalsh(q_gamma)[0] / 4 * np.eye(n)
+        if max(np.linalg.eigvalsh(w)[0], np.linalg.eigvalsh(partial_transpose(w, dims, 1))[0]) < 0:
+            count -= 1
+            yield w
+
+
+# median iterates on membership_corpus, damped steps (1/(1 + δ) from δ >= CENTERED)
+# -> steps 0.9 of the way to the boundary: interior 8.5, 10.5, 13 -> 6, 5, 5.5 and
+# boundary 38.5, 61, 78 -> 29.5, 32, 31 in 2x2, 2x3 and 3x3
+ITERATE_CEILINGS = {
+    ((2, 2), "interior"): 7, ((2, 3), "interior"): 8, ((3, 3), "interior"): 9,
+    ((2, 2), "boundary"): 34, ((2, 3), "boundary"): 45, ((3, 3), "boundary"): 50,
+}
+
+
+@pytest.mark.parametrize("kind", ["interior", "boundary"])
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_membership_steps_most_of_the_way_to_the_boundary(dims, kind, monkeypatch):
+    # a long step goes 0.9 of the way to the nearer cone's boundary and never
+    # past it: every iterate keeps X1 = P + tI and X2 = Q^Gamma + tI positive
+    # definite, and a run takes fewer iterates than damped steps would
+    newton_step = cones._newton_step
+    inverses = []
+
+    def recorded(mu, s, gamma):
+        inverses.append(s)
+        return newton_step(mu, s, gamma)
+
+    monkeypatch.setattr(cones, "_newton_step", recorded)
+    iterations = []
+    for w in membership_corpus(dims, kind):
+        verdict = decomposable_sum_membership(w, dims)
+        assert verdict.status == "member"
+        assert split_holds(w, dims, verdict.certificate.p, verdict.certificate.q)
+        iterations.append(verdict.info["iterations"])
+        # at tol 0 the same run goes on past its member, so that iterate is stepped from too
+        inverses.clear()
+        decomposable_sum_membership(w, dims, tol=0.0, max_iter=iterations[-1] + 1)
+        assert len(inverses) == iterations[-1]
+        for s in inverses:  # X⁻¹ = V·diag(1/(λ + t))·V† of each block
+            assert np.isfinite(s).all() and np.linalg.eigvalsh(s).min() > 0.0
+    assert np.median(iterations) <= ITERATE_CEILINGS[dims, kind], iterations
+
+
 def _assert_dual_witness(z, w, dims):
     """Z and Z^Gamma are PSD and Tr(ZW) < 0: Z separates W from PSD + PSD^Gamma."""
     assert np.array_equal(z, z.conj().T)
