@@ -16,17 +16,13 @@ A one-sided test is named by its incidence row index, any integer but a
 bool. Two-stage enumeration needs set tests and refuses a space with a
 multiplicity above 1. An enumeration (a TwoStageTests) names each two-stage
 test by two indices, its initiating test and its place in itertools.product
-order, and builds the test's TwoStageTest when it is indexed. Its boolean
-mask rows over X x Y are one writer's work: the rows of one initiating test
-are written by broadcasting, outcome i of that test taking every response in
-turn along one axis. No enumeration writes a row until `masks` is first
-read, so one that is counted, indexed or checked costs its two index arrays
-only. fns_tests finds its duplicate rows from the tests, not from masks: a
-row repeats within a direction only through a repeated test, and a backward
-row is a forward one when its tests fit together as one, which only a
-constant pick or tests nested on both sides allow. A state is checked on a
+order, and builds the test's TwoStageTest when it is indexed; it holds
+nothing else. fns_tests finds its duplicate rows from the tests: a row
+repeats within a direction only through a repeated test, and a backward row
+is a forward one when its tests fit together as one, which only a constant
+pick or tests nested on both sides allow. A state is checked on a
 direction's two-stage tests through its least and greatest assignments, two
-matrix products of the table, not through masks.
+matrix products of the table, without summing any test's cells.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ class TwoStageTest:
     `first` is the initiating side's test; `assignment` maps each of its
     outcomes to the test the responding side then performs. Outcome pairs are
     always stored as (alice outcome, bob outcome) regardless of direction.
-    Row i of an enumeration marks its pairs in `tests.masks[i]`.
     """
 
     direction: str  # "forward" (Alice first) or "backward" (Bob first)
@@ -124,7 +119,11 @@ class ProductState:
     @cached_property
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """(w^A, w^B), read-only: Alice's marginal summed over Bob's test 0 and
-        Bob's summed over Alice's test 0, as marginal(self, side, 0) gives them."""
+        Bob's summed over Alice's test 0, as marginal(self, side, 0) gives them.
+        A side without tests has no test 0, so neither marginal is defined."""
+        for side, space in (("alice", self.alice), ("bob", self.bob)):
+            if not space.tests:
+                raise ValueError(f"{side} has no tests, so the state has no marginals")
         wa = self.values @ self.bob.incidence[0]
         wb = self.alice.incidence[0] @ self.values
         wa.flags.writeable = wb.flags.writeable = False
@@ -137,38 +136,16 @@ class TwoStageTests(Sequence):
     Row t was enumerated for `heads[block[t]]`, a (direction, initiating
     test, responding tests) triple, and the base-r digits of `code[t]`, its
     place in itertools.product order, are the responses picked. Indexing
-    builds the row's TwoStageTest. `masks[t]`, read-only, marks test t's
-    outcome pairs over X x Y, flattened in the (alice, bob) outcome orders
-    `axes`. Masks passed in are kept as given. With None, as every
-    enumerator passes, they are written from the heads by `_two_stage` when
-    first read and kept, so counting, indexing or checking the tests writes
-    no row.
+    builds the row's TwoStageTest, whose outcome_pairs() are its cells.
+    `axes` are the (alice, bob) outcome orders the tests were enumerated on.
     """
 
-    def __init__(self, axes, masks: np.ndarray | None, heads, block: np.ndarray, code: np.ndarray):
-        if masks is not None and not len(masks) == len(block) == len(code):
-            raise ValueError(f"{len(masks)} mask rows, {len(block)} blocks and {len(code)} codes")
+    def __init__(self, axes, heads, block: np.ndarray, code: np.ndarray):
         if len(block) != len(code):
             raise ValueError(f"{len(block)} blocks and {len(code)} codes")
-        # a row's mask, block and code describe one test, so none may change alone
+        # a row's block and code describe one test, so neither may change alone
         block.flags.writeable = code.flags.writeable = False
-        if masks is not None:
-            masks.flags.writeable = False
-            self.masks = masks  # fills the cached property, so nothing is written on read
         self.axes, self.heads, self.block, self.code = axes, tuple(heads), block, code
-
-    @cached_property
-    def masks(self) -> np.ndarray:
-        """Each row's mask, written on first read: every head's whole block,
-        then only the rows held when they are not all of them."""
-        starts = list(accumulate((len(r) ** len(e) for _, e, r in self.heads), initial=0))
-        rows = np.zeros((starts[-1], len(self.axes[0]) * len(self.axes[1])), bool)
-        _two_stage(self.axes, self.heads, rows)
-        held = np.array(starts[:-1], np.intp)[self.block] + self.code
-        if not np.array_equal(held, np.arange(len(rows))):
-            rows = rows[held]
-        rows.flags.writeable = False
-        return rows
 
     def __len__(self) -> int:
         return len(self.code)
@@ -213,38 +190,10 @@ def _block_code(sizes) -> tuple[np.ndarray, np.ndarray]:
     return block, np.arange(starts[-1]) - np.array(starts[:-1], np.intp)[block]
 
 
-def _two_stage(axes, heads, rows: np.ndarray) -> None:
-    """Write every head's block, head after head, into the zeroed bool rows,
-    masks over X x Y (outcome orders `axes`) in their first |X|·|Y| columns:
-    the initiating test with every map from its outcomes to the responding
-    tests, in itertools.product order."""
-    cube = rows[:, : len(axes[0]) * len(axes[1])].reshape(len(rows), *map(len, axes))
-    lo, known = 0, None
-    for direction, e, tests in heads:
-        if known != (direction, tests):  # a direction's heads share their responding tests
-            known = (direction, tests)
-            first, second = axes if direction == "forward" else axes[::-1]
-            # masks[t, x, y]: outcome x of the initiating side, y of the responding side
-            masks = cube if direction == "forward" else cube.transpose(0, 2, 1)
-            index = {x: i for i, x in enumerate(first)}
-            # responses[j, 0, y]: y lies in responding test j
-            column = {y: i for i, y in enumerate(second)}
-            responses = np.zeros((len(tests), 1, len(second)), bool)
-            cells = [j * len(second) + column[y] for j, f in enumerate(tests) for y in f]
-            responses.reshape(-1)[cells] = True
-        k, r = len(e), len(tests)
-        rows_e = masks[lo : lo + r**k]
-        for i, x in enumerate(e):
-            # in itertools.product order outcome i's response steps every r**(k-i-1) rows
-            view = rows_e.reshape(r**i, r, r ** (k - i - 1), *rows_e.shape[1:])
-            view[:, :, :, index[x]] = responses
-        lo += r**k
-
-
 def _one_direction(direction: str, a: TestSpace, b: TestSpace, cap: int) -> TwoStageTests:
-    """The two-stage tests of one direction; no mask row is written until read."""
+    """The two-stage tests of one direction, named by their heads and codes."""
     heads, sizes = _heads(direction, a, b, cap)
-    return TwoStageTests((a.outcomes, b.outcomes), None, heads, *_block_code(sizes))
+    return TwoStageTests((a.outcomes, b.outcomes), heads, *_block_code(sizes))
 
 
 def forward_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
@@ -278,11 +227,11 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
 
     The forward then the backward rows are each kept at the first occurrence
     of their outcome set, so the forward representative wins on collisions.
-    Duplicates are found from the tests, and no mask row is written until
-    read: within a direction only a repeated test repeats a row, and a
-    backward row is a forward row when its picks are constant, the Cartesian
-    test, which therefore appears exactly once, or when tests nest on both
-    sides and _also_forward says so. The cap applies to each direction.
+    Duplicates are found from the tests: within a direction only a repeated
+    test repeats a row, and a backward row is a forward row when its picks
+    are constant, the Cartesian test, which therefore appears exactly once,
+    or when tests nest on both sides and _also_forward says so. The cap
+    applies to each direction.
     """
     heads, sizes = _heads("forward", a, b, cap)
     back_heads, back_sizes = _heads("backward", a, b, cap)
@@ -306,7 +255,7 @@ def fns_tests(a: TestSpace, b: TestSpace, cap: int = 20000) -> TwoStageTests:
         for h in np.unique(block[n:][keep[n:]]).tolist():
             keep[starts[h] : starts[h + 1]] &= ~_also_forward(a, b, b.tests[h - len(heads)])
     axes = (a.outcomes, b.outcomes)
-    return TwoStageTests(axes, None, heads + back_heads, block[keep], code[keep])
+    return TwoStageTests(axes, heads + back_heads, block[keep], code[keep])
 
 
 def _test_index(space: TestSpace, test) -> int:
@@ -370,11 +319,11 @@ def _direction_report(outcomes: tuple[str, ...], sums: np.ndarray) -> DirectionR
     sums[x, k] is the marginal at outcome x under the other side's test k."""
     n = sums.shape[1]
     gaps = np.abs(sums[:, :, None] - sums[:, None, :]).ravel()
+    if not gaps.any():  # no gap above 0, or none at all: a side without tests
+        return DirectionReport(0.0, None, None)
     # each block gaps[x] is symmetric with a zero diagonal, so the first
     # maximum in flat order is the lexicographically first (i, j) with i < j
     k = int(gaps.argmax())
-    if not gaps[k] > 0.0:
-        return DirectionReport(0.0, None, None)
     x, ij = divmod(k, n * n)
     return DirectionReport(float(gaps[k]), outcomes[x], divmod(ij, n))
 

@@ -2,6 +2,7 @@
 
 import bisect
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -396,6 +397,45 @@ def test_is_popt_on_the_boundary_at_large_norms(dims, monkeypatch):
                 assert_shortcut_certificate(w, dims, verdict.certificate)
             else:
                 assert verdict.min_value == full.min_value
+
+
+def exact_value_and_norm(w, x, y) -> tuple[Fraction, Fraction]:
+    """Re⟨xy|W|xy⟩ and ‖x⊗y‖², summed entry by entry in Fractions on the
+    floats of W, x and y."""
+    v = [
+        (Fraction(a.real) * Fraction(b.real) - Fraction(a.imag) * Fraction(b.imag),
+         Fraction(a.real) * Fraction(b.imag) + Fraction(a.imag) * Fraction(b.real))
+        for a in x for b in y
+    ]
+    # Re(conj(v_i)·W_ij·v_j) with conj(v_i)·v_j = (a_i a_j + b_i b_j) + i(a_i b_j − b_i a_j)
+    value = sum(
+        (ai * aj + bi * bj) * Fraction(w[i, j].real) - (ai * bj - bi * aj) * Fraction(w[i, j].imag)
+        for i, (ai, bi) in enumerate(v) for j, (aj, bj) in enumerate(v)
+    )
+    return value, sum(a * a + b * b for a, b in v)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_is_popt_at_the_default_tol_refutes_scaled_boundary_operators_only_exactly(dims):
+    # at 2^k·W the absolute default tol falls inside eigh's rounding, so a
+    # boundary operator's rounded floats may truly leave the cone by more
+    # than tol; each refutation must then hold in exact arithmetic
+    rng = np.random.default_rng(7)
+    refuted = 0
+    for _ in range(3):
+        w0 = product_boundary_operator(rng, dims)
+        for k in (0, 24, 40, 60):
+            w = 2.0**k * w0
+            for seed in range(2):
+                verdict = is_popt(w, dims, seed=seed)
+                if verdict.status == "refuted":
+                    value, norm = exact_value_and_norm(w, *verdict.witness)
+                    assert value < -Fraction(TOL) * norm, (k, seed)
+                    refuted += 1
+                else:
+                    assert verdict.status == "certified", (k, seed)
+                assert verdict.status == "certified" or k > 24, (k, seed)
+    assert refuted
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])

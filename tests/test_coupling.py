@@ -1,5 +1,6 @@
 """Coupled test spaces: products, influence, conditioning, Bayes residuals."""
 
+import math
 from itertools import chain
 from itertools import product as iproduct
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from influencefree import coupling
 from influencefree.coupling import (
     DirectionReport,
     InfluenceVerdict,
@@ -461,10 +461,6 @@ def test_array_verdicts_match_label_brute_force(seed, free):
         sums = [sum(table[p] for p in t.outcome_pairs()) for t in tests]
         expected = all(abs(s - 1.0) <= 1e-10 for s in sums)
         assert is_state_on_two_stage(omega, tests) == expected
-        for t, mask in zip(tests, tests.masks):
-            i, j = np.nonzero(mask.reshape(omega.values.shape))
-            marked = {(alice.outcomes[a], bob.outcomes[b]) for a, b in zip(i, j)}
-            assert marked == t.outcome_pairs()
 
 
 def test_influence_witness_tie_break():
@@ -491,7 +487,7 @@ def reference_two_stage(direction, a, b):
     index = {x: i for i, x in enumerate(first.outcomes)}
     responses = second.incidence.astype(bool)
     out = []
-    for e in first.tests:
+    for e in first.tests if second.tests else ():  # no responding test, no two-stage test
         choices = list(iproduct(range(len(second.tests)), repeat=len(e)))
         masks = np.zeros((len(choices), len(first.outcomes), len(second.outcomes)), bool)
         masks[:, [index[x] for x in e], :] = responses[np.array(choices)]
@@ -552,8 +548,8 @@ def test_space_pairs_cover_repeated_tests_and_shared_non_cartesian_rows():
     shared = False
     for a, b in pairs:
         cartesian = {np.outer(e > 0, f > 0).tobytes() for e in a.incidence for f in b.incidence}
-        forward = {m.tobytes() for m in forward_tests(a, b).masks} - cartesian
-        shared |= any(m.tobytes() in forward for m in backward_tests(a, b).masks)
+        forward = {m.tobytes() for _, m in reference_two_stage("forward", a, b)} - cartesian
+        shared |= any(m.tobytes() in forward for _, m in reference_two_stage("backward", a, b))
     assert shared
 
 
@@ -568,29 +564,21 @@ def test_mask_matrix_enumeration_matches_per_object_reference(alice, bob):
     )
     for tests, reference in cases:
         ref_tests = [t for t, _ in reference]
-        ref_masks = np.array([mask for _, mask in reference]).reshape(len(reference), -1)
         assert isinstance(tests, TwoStageTests)
         assert len(tests) == len(reference)
         assert tests.axes == axes
-        assert not tests.masks.flags.writeable
-        assert np.array_equal(tests.masks, ref_masks)
         assert list(tests) == ref_tests
         for i, ref in enumerate(ref_tests):
             assert tests[i - len(tests)] == ref
-    forward_masks = {mask.tobytes() for mask in fwd.masks}
-    fns = fns_tests(alice, bob)
-    for t, mask in zip(fns, fns.masks):
-        if mask.tobytes() in forward_masks:
+    forward_sets = {t.outcome_pairs() for t in fwd}
+    for t in fns_tests(alice, bob):
+        if t.outcome_pairs() in forward_sets:
             assert t.direction == "forward"
 
 
 def test_two_stage_tests_as_a_sequence():
     fwd, bwd = forward_tests(FNS_ALICE, FNS_BOB), backward_tests(FNS_ALICE, FNS_BOB)
     assert len(fwd) == 4 and fwd[-1] == fwd[3] and bwd[-2] == bwd[0]
-    for tests in (fwd, bwd):
-        assert not tests.masks.flags.writeable
-        with pytest.raises(ValueError):
-            tests.masks[0, 0] = True
     assert list(fwd) == [fwd[i] for i in range(4)]
     for i in (4, -5):
         with pytest.raises(IndexError):
@@ -605,47 +593,39 @@ def test_two_stage_tests_as_a_sequence():
             assert is_state_on_two_stage(omega, enumerate_tests(alice, bob))
 
 
+def test_a_side_without_tests_is_influence_free():
+    # no test on a side leaves no marginal to move, and criterion 5's
+    # equivalence holds; marginals, which read each side's test 0, are refused
+    empty = TestSpace([], [])
+    for alice, bob in ((empty, FNS_BOB), (FNS_ALICE, empty), (empty, empty)):
+        omega = ProductState(alice, bob, {})
+        verdict = is_influence_free(omega)
+        assert verdict == InfluenceVerdict(True, *[DirectionReport(0.0, None, None)] * 2, 0.0)
+        fstate, bstate = (
+            is_state_on_two_stage(omega, f(alice, bob)) for f in (forward_tests, backward_tests)
+        )
+        assert fstate == (verdict.bob_to_alice.max_deviation <= 1e-10)
+        assert bstate == (verdict.alice_to_bob.max_deviation <= 1e-10)
+        assert (fstate and bstate) == verdict.free
+        assert is_state_on_two_stage(omega, fns_tests(alice, bob))
+        side = "alice" if alice is empty else "bob"
+        for read in (lambda: omega.marginals, lambda: bayes_residuals(omega)):
+            with pytest.raises(ValueError, match=f"{side} has no tests"):
+                read()
+
+
 def test_two_stage_tests_are_read_only():
     alice = TestSpace(["x1", "x2"], [("x1",), ("x2",)])
     bob = TestSpace(["y1", "y2"], [("y1",), ("y2",)])
     fwd = forward_tests(alice, bob)
     second = fwd[1]
     for tests in (fwd, backward_tests(alice, bob), fns_tests(alice, bob)):
-        for array in (tests.masks, tests.block, tests.code):
+        for array in (tests.block, tests.code):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[1] = 0
-    # a code rewritten alone would name another test than its mask row marks
+    # a block or code rewritten alone would name another test
     assert fwd[1] == second
-    # fns masks, gathered from the written blocks since rows repeat, are frozen too
-    fns = fns_tests(REPEAT_ALICE, CHAIN_BOB)
-    with pytest.raises(ValueError):
-        fns.masks[0, 0] = True
-
-
-def test_masks_are_written_only_when_read(monkeypatch):
-    calls = []
-    write = coupling._two_stage
-    monkeypatch.setattr(coupling, "_two_stage", lambda *args: calls.append(args) or write(*args))
-    cases = [(*pair, reference_tables(*pair, seed=[1012, k])) for k, pair in enumerate(space_pairs())]
-    free, to_alice = signalled_table(), signalled_table("bob->alice")
-    cases.append((free.alice, free.bob, {"free": free, "signalling": to_alice}))
-    for alice, bob, tables in cases:
-        for enumerate_tests in (forward_tests, backward_tests, fns_tests):
-            tests = enumerate_tests(alice, bob)
-            assert [tests[i] for i in range(len(tests))] == list(tests)
-            for omega in (tables or {}).values():
-                is_state_on_two_stage(omega, tests)
-            assert not calls
-            masks = tests.masks
-            assert len(calls) == 1 and tests.masks is masks and len(calls) == 1
-            # every head's whole block, of which fns holds the rows it keeps
-            sizes = [len(r) ** len(e) for _, e, r in tests.heads]
-            eager = np.zeros((sum(sizes), len(alice.outcomes) * len(bob.outcomes)), bool)
-            write(tests.axes, tests.heads, eager)
-            held = np.cumsum([0] + sizes[:-1], dtype=np.intp)[tests.block] + tests.code
-            assert np.array_equal(masks, eager[held]) and not masks.flags.writeable
-            calls.clear()
 
 
 def test_rows_held_by_hand_are_written_from_their_heads():
@@ -654,11 +634,10 @@ def test_rows_held_by_hand_are_written_from_their_heads():
     assert [fns.heads[h][0] for h in fns.block[[5, 20]]] == ["forward", "backward"]
     for rows in ([20, 5, 0, 5], range(3, 9), [], range(len(fns))):
         rows = np.array(rows, np.intp)
-        held = TwoStageTests(fns.axes, None, fns.heads, fns.block[rows], fns.code[rows])
+        held = TwoStageTests(fns.axes, fns.heads, fns.block[rows], fns.code[rows])
         assert list(held) == [fns[i] for i in rows]
-        assert np.array_equal(held.masks, fns.masks[rows]) and not held.masks.flags.writeable
     with pytest.raises(ValueError, match="2 blocks and 1 codes"):
-        TwoStageTests(fns.axes, None, fns.heads, fns.block[:2], fns.code[:1])
+        TwoStageTests(fns.axes, fns.heads, fns.block[:2], fns.code[:1])
 
 
 # The benchmark's coupled-tables shapes, (structure, test sizes) a side; a
@@ -723,18 +702,17 @@ def test_block_and_code_match_the_eager_build(alice, bob):
     for tests, (block, code) in zip((fwd, bwd), eager):
         for got, want in ((tests.block, block), (tests.code, code)):
             assert got.dtype == np.intp and np.array_equal(got, want)
-    # fns keeps the first row of each mask, forward before backward
-    masks = np.concatenate([fwd.masks, bwd.masks])
+    # fns keeps the first row of each outcome set, forward before backward
+    reference = [r for d in ("forward", "backward") for r in reference_two_stage(d, alice, bob)]
     first = {}
-    for i, row in enumerate(masks):
-        first.setdefault(row.tobytes(), i)
+    for i, (_, mask) in enumerate(reference):
+        first.setdefault(mask.tobytes(), i)
     kept = list(first.values())
     block = np.concatenate([eager[0][0], eager[1][0] + len(fwd.heads)])
     code = np.concatenate([eager[0][1], eager[1][1]])
     assert fns.heads == fwd.heads + bwd.heads
     for got, want in ((fns.block, block[kept]), (fns.code, code[kept])):
         assert got.dtype == np.intp and np.array_equal(got, want)
-    assert np.array_equal(fns.masks, masks[kept])
 
 
 def signalled_table(direction=None, eps=0.01) -> ProductState:
@@ -757,9 +735,11 @@ def signalled_table(direction=None, eps=0.01) -> ProductState:
 
 
 def full_sums(omega, tests):
-    """Every held row's sum of table cells through its mask: the reference
-    a two-stage verdict is checked against."""
-    return tests.masks @ omega.values.ravel()
+    """Every held row's sum of table cells over its outcome_pairs(), rounded
+    once: the reference a two-stage verdict is checked against."""
+    pairs = iproduct(omega.alice.outcomes, omega.bob.outcomes)
+    cells = dict(zip(pairs, omega.values.ravel().tolist()))
+    return np.array([math.fsum(map(cells.__getitem__, t.outcome_pairs())) for t in tests])
 
 
 def mask_verdict(omega, tests, tol=1e-10):
@@ -791,7 +771,7 @@ def test_rows_held_by_hand_answer_for_their_directions_full_enumeration():
     ok = np.flatnonzero(np.abs(full_sums(to_alice, fwd) - 1.0) <= 1e-10)
 
     def held(rows):
-        return TwoStageTests(fwd.axes, fwd.masks[rows], fwd.heads, fwd.block[rows], fwd.code[rows])
+        return TwoStageTests(fwd.axes, fwd.heads, fwd.block[rows], fwd.code[rows])
 
     # a forward test is off when exactly one of a0, a5 takes Bob's first test: 2·2·3**4 of them
     assert len(ok) == 1458 - 324 and mask_verdict(to_alice, held(ok))
@@ -801,7 +781,7 @@ def test_rows_held_by_hand_answer_for_their_directions_full_enumeration():
         assert not is_state_on_two_stage(to_alice, held(rows))
     # heads name no direction, so no test is asked about
     none = np.zeros(0, np.intp)
-    assert is_state_on_two_stage(to_alice, TwoStageTests(fwd.axes, fwd.masks[:0], (), none, none))
+    assert is_state_on_two_stage(to_alice, TwoStageTests(fwd.axes, (), none, none))
 
 
 @pytest.mark.parametrize("d", [2.0**-20, 2.0**-19])
@@ -915,11 +895,11 @@ def test_two_stage_verdict_reads_only_tests_enumerated_on_the_states_axes():
     omega = pr_box()
     none = np.zeros(0, np.intp)
     axes = (omega.alice.outcomes, omega.bob.outcomes)
-    empty = TwoStageTests(axes, np.zeros((0, 16), bool), (), none, none)
+    empty = TwoStageTests(axes, (), none, none)
     assert len(empty) == 0 and list(empty) == []
     assert is_state_on_two_stage(omega, empty)
-    with pytest.raises(ValueError, match="0 mask rows, 1 blocks and 0 codes"):
-        TwoStageTests(axes, np.zeros((0, 16), bool), (), np.zeros(1, np.intp), none)
+    with pytest.raises(ValueError, match="1 blocks and 0 codes"):
+        TwoStageTests(axes, (), np.zeros(1, np.intp), none)
     with pytest.raises(ValueError):
         is_state_on_two_stage(omega, [])
 
@@ -944,13 +924,6 @@ def label_distinct(tests):
             seen.add(t.outcome_pairs())
             kept.append(t)
     return kept
-
-
-def label_masks(tests, a, b):
-    """One row per test, marking its outcome pairs in (alice, bob) label order."""
-    cells = list(iproduct(a.outcomes, b.outcomes))
-    rows = [[p in t.outcome_pairs() for p in cells] for t in tests]
-    return np.array(rows, bool).reshape(len(tests), len(cells))
 
 
 def seeded_space_pairs(seed, count):
@@ -985,7 +958,6 @@ def test_enumeration_matches_label_reference(alice, bob):
     for enumerate_tests, reference in cases:
         tests = enumerate_tests(alice, bob)
         assert [repr(t) for t in tests] == [repr(t) for t in reference]
-        assert np.array_equal(tests.masks, label_masks(reference, alice, bob))
 
 
 # fns_tests against the label reference on ten seeds' pairs, run in one test
@@ -998,7 +970,6 @@ def test_fns_matches_label_reference_on_ten_seeds():
         reference = label_distinct(forward + backward)
         fns = fns_tests(alice, bob)
         assert [repr(t) for t in fns] == [repr(t) for t in reference]
-        assert np.array_equal(fns.masks, label_masks(reference, alice, bob))
 
 
 def test_label_reference_pairs_cover_duplicated_and_nested_tests():
