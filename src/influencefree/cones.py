@@ -53,7 +53,7 @@ WITNESS_MARGIN = 1e-12
 SEESAW_ROUNDING = 1e-12
 # about the least residual membership reaches on the cone's boundary, relative to ‖W‖_F
 MEMBERSHIP_ROUNDING = 1e-13
-# restarts in the first part of the see-saw's first sweep; the rest are swept only if none refutes
+# restarts is_popt sweeps alone first; the rest are swept only if the block decides nothing
 FIRST_BLOCK = 8
 
 
@@ -118,12 +118,11 @@ def popt_minimize(
     the other side's contraction, so the objective never increases. All
     seeded random restarts run as one stack: a half-step is one batched
     contraction and one eigh on a (restarts, d, d) stack, and a restart that
-    has converged is frozen (the first sweep is two stacks, see
-    _seesaw_sweeps). Every restart runs to its fixed point (or to max_iter
-    sweeps), unlike in is_popt, and the best is returned, ties keeping the
-    lowest restart index. The result is an upper bound on the true minimum
-    over product vectors; a negative value refutes positivity on pure
-    tensors and the witness pair certifies it. W is admitted by
+    has converged is frozen. Every restart runs to its fixed point (or to
+    max_iter sweeps), unlike in is_popt, and the best is returned, ties
+    keeping the lowest restart index. The result is an upper bound on the
+    true minimum over product vectors; a negative value refutes positivity
+    on pure tensors and the witness pair certifies it. W is admitted by
     linalg._admit.
     """
     *_, (_, result) = _seesaw_sweeps(_admit(w, dims), dims, seed, restarts, max_iter, -np.inf)
@@ -137,13 +136,14 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     (lowest restart value, the SeesawResult) after the last. The first
     sweep whose lowest value is below stop_below is the last: it picks that
     restart (ties to the lowest index) as the sweep left it, not at a fixed
-    point. The first sweep runs restarts 1 to FIRST_BLOCK as one batch and
-    the rest as a second: if the lowest value of the first batch is already
-    below stop_below, that restart is picked and the rest are never swept
-    (value inf, 0 iterations); otherwise the second batch is swept too and
-    every restart's arithmetic is what one batch of all would give. With
-    stop_below −inf nothing is picked: that is popt_minimize. The arguments
-    are checked at the first next().
+    point. With stop_below −inf nothing is picked: that is popt_minimize.
+    At a yield that picked nothing, the last one included, a larger restart
+    count n may be sent (the send returns None): the restarts up to n join
+    at the next sweep, drawn as the rows past the current ones of the draw
+    that n restarts make, whose first rows are the current restarts' draw.
+    A restart does not depend on its batch and runs to its own fixed point
+    or to max_iter sweeps, so every restart's arithmetic is what one batch
+    of all n would give. The arguments are checked at the first next().
     """
     if restarts < 1:
         raise ValueError(f"the see-saw needs at least one restart, got {restarts}")
@@ -153,45 +153,54 @@ def _seesaw_sweeps(m, dims, seed, restarts, max_iter, stop_below):
     w4 = m.reshape(da, db, da, db)
     # eigh rounds each value to within a few ulps of ‖W‖, not of the value
     slack = SEESAW_ROUNDING * max(1.0, frobenius(m))
-    g = np.random.default_rng(seed).standard_normal((restarts, 2, da))
-    x = g[:, 0] + 1j * g[:, 1]
-    # one dot product per row, summed as a vector norm sums its real and imaginary parts
-    x /= np.sqrt(x.real[:, None] @ x.real[:, :, None] + x.imag[:, None] @ x.imag[:, :, None])[:, 0]
+
+    def start(n):  # the unit starting vectors of the first n restarts
+        g = np.random.default_rng(seed).standard_normal((n, 2, da))
+        x = g[:, 0] + 1j * g[:, 1]
+        # one dot product per row, summed as a vector norm sums its real and imaginary parts
+        norm = np.sqrt(x.real[:, None] @ x.real[:, :, None] + x.imag[:, None] @ x.imag[:, :, None])
+        return x / norm[:, 0]
+
+    x = start(restarts)
     y = np.empty((restarts, db), dtype=complex)
     value = np.full(restarts, np.inf)
     iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     live = np.arange(restarts)
-    for sweep in range(1, max_iter + 1):
-        # a restart does not depend on its batch, so splitting the first sweep changes no value
-        split = sweep == 1 and restarts > FIRST_BLOCK
-        for rows in (live[:FIRST_BLOCK], live[FIRST_BLOCK:]) if split else (live,):
-            xs = x[rows]
-            _, ys = _least_eigh(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
-            # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
-            new_value, xs = _least_eigh(np.einsum("ijkl,rj,rl->rik", w4, ys.conj(), ys))
-            old_value = value[rows]
-            rising = new_value > old_value + slack
-            if rising.any():
-                r = int(np.argmax(rising))
-                raise AssertionError(
-                    f"see-saw objective increased: {old_value[r]} -> {new_value[r]}"
-                )
-            done = old_value - new_value <= 1e-14 * np.maximum(1.0, np.abs(new_value))
-            value[rows], x[rows], y[rows] = new_value, xs, ys
-            iterations[rows] += 1
-            converged[rows] = done
-            lowest = float(value.min())
-            if lowest < stop_below:
-                break
-        live = live[~converged[live]]
-        if lowest < stop_below or live.size == 0 or sweep == max_iter:
-            break
-        yield lowest, None
-    best = int(np.argmin(value))
-    yield lowest, SeesawResult(
-        float(value[best]), x[best], y[best], best + 1, int(iterations[best]), bool(converged[best])
-    )
+    while True:
+        xs = x[live]
+        _, ys = _least_eigh(np.einsum("ijkl,ri,rk->rjl", w4, xs.conj(), xs))
+        # the eigenvalue of the second half-step IS <x_new y|W|x_new y>
+        new_value, xs = _least_eigh(np.einsum("ijkl,rj,rl->rik", w4, ys.conj(), ys))
+        old_value = value[live]
+        rising = new_value > old_value + slack
+        if rising.any():
+            r = int(np.argmax(rising))
+            raise AssertionError(f"see-saw objective increased: {old_value[r]} -> {new_value[r]}")
+        done = old_value - new_value <= 1e-14 * np.maximum(1.0, np.abs(new_value))
+        value[live], x[live], y[live] = new_value, xs, ys
+        iterations[live] += 1
+        converged[live] = done
+        live = live[~done & (iterations[live] < max_iter)]
+        lowest = float(value.min())
+        result = None
+        if lowest < stop_below or live.size == 0:
+            best = int(np.argmin(value))
+            result = SeesawResult(
+                float(value[best]), x[best], y[best], best + 1, int(iterations[best]), bool(converged[best])
+            )
+        grow = yield lowest, result
+        if grow is not None:
+            added = np.arange(len(value), grow)
+            x = np.concatenate((x, start(grow)[added]))
+            y = np.concatenate((y, np.empty((added.size, db), dtype=complex)))
+            value = np.concatenate((value, np.full(added.size, np.inf)))
+            iterations = np.concatenate((iterations, np.zeros(added.size, dtype=int)))
+            converged = np.concatenate((converged, np.zeros(added.size, dtype=bool)))
+            live = np.concatenate((live, added))
+            yield  # the send's reply
+        elif result is not None:
+            return
 
 
 def _check_tolerances(**tolerances) -> None:
@@ -420,54 +429,57 @@ def is_popt(
     1. tol, feas_tol (finite, >= 0) and W (finite, Hermitian, on dims) are
        checked first, or ValueError is raised. PSD, then PPT, read from one
        eigh of the stack (W, W^Gamma): certified (branch psd or ppt).
-    2. The see-saw of _seesaw_sweeps, one batched sweep at a time. It stops
-       at the first sweep whose lowest value is below -tol - rounding
-       (rounding = SEESAW_ROUNDING·max(1, ‖W‖_F)), picking that restart as
-       the sweep left it: its pair refutes, and re-checks below -tol through
-       eigh's rounding. The first sweep runs the first FIRST_BLOCK restarts
-       alone and picks the lowest of them if it is below the stop, leaving
-       the rest unswept: the witness may then have best_restart <=
-       FIRST_BLOCK, but the status is the one a whole first sweep gives.
-       The see-saw runs until it stalls: a sweep that is not its last
-       lowered the lowest restart value by no more than that value's height
-       above -tol, so at its pace the next sweep would not refute. The first
-       sweep never counts, since it starts from random vectors. A value
-       within rounding of 0 does not count either: the see-saw has then
-       settled on the cone's boundary and ends by itself within a few
-       sweeps, sooner than membership would reach the residual of phase 3.
-    3. At the stall, membership in PSD + PSD^Gamma with an absolute residual
-       of at most tol (relative tol / ‖W‖_F, capped at feas_tol). A member
-       gives ⟨xy|W|xy⟩ >= -tol on every unit product vector, so no see-saw
-       could refute it: certified (branch decomposition) without further
-       sweeps. The solver's iterates do not depend on its tol, so the same
-       run also notes the verdict it gives at feas_tol, for phase 5. No
-       stall is looked for when tol < MEMBERSHIP_ROUNDING·‖W‖_F, a residual
-       membership does not reach.
-    4. Otherwise the see-saw resumes from where it stood and runs to its
-       stop or end. The objective never increases, so, up to rounding at
-       -tol itself, the verdict is the one a run of every restart to
-       convergence would give: refuted, with the product pair as witness.
-       A value in [-tol - rounding, -tol) stops nothing, and it may be
-       eigh's rounding of a value >= -tol (rounding exceeds tol once ‖W‖_F
-       is large): it refutes only if <xy|W|xy> < -tol·‖x⊗y‖² holds in
-       exact arithmetic on the floats of W and of the pair, and goes on to
-       phase 5 otherwise.
+    2. The see-saw of _seesaw_sweeps, one batched sweep at a time, on the
+       first FIRST_BLOCK restarts alone. It stops at the first sweep whose
+       lowest value is below -tol - rounding (rounding =
+       SEESAW_ROUNDING·max(1, ‖W‖_F)), picking that restart as the sweep
+       left it: its pair refutes, and re-checks below -tol through eigh's
+       rounding. Otherwise the block runs until it ends (each of its
+       restarts converged or at max_iter sweeps) or stalls: a sweep that
+       is not its last lowered the lowest block value by no more than that
+       value's height above -tol, so at its pace the next sweep would not
+       refute. The first sweep never counts, since it starts from random
+       vectors. A value within rounding of 0 does not count either: the
+       see-saw has then settled on the cone's boundary and ends by itself
+       within a few sweeps, sooner than membership would reach the
+       residual of phase 3.
+    3. At the block's stall or end, if its lowest value is above rounding,
+       membership in PSD + PSD^Gamma with an absolute residual of at most
+       tol (relative tol / ‖W‖_F, capped at feas_tol). A member gives
+       ⟨xy|W|xy⟩ >= -tol on every unit product vector, so no see-saw could
+       refute it: certified (branch decomposition), and the other restarts
+       are never swept. The solver's iterates do not depend on its tol, so
+       the same run also notes the verdict it gives at feas_tol, for phase
+       5. Membership is not asked when tol < MEMBERSHIP_ROUNDING·‖W‖_F, a
+       residual it does not reach.
+    4. Otherwise the other restarts join the block at the next sweep, and
+       the see-saw runs to its stop or end. A restart does not depend on its
+       batch, and the objective never increases, so, up to rounding at -tol
+       itself, the verdict is the one a run of every restart to convergence
+       would give: refuted, with the product pair as witness. A value in
+       [-tol - rounding, -tol) stops nothing, and it may be eigh's rounding
+       of a value >= -tol (rounding exceeds tol once ‖W‖_F is large): it
+       refutes only if <xy|W|xy> < -tol·‖x⊗y‖² holds in exact arithmetic
+       on the floats of W and of the pair, and goes on to phase 5 otherwise.
     5. Otherwise membership at feas_tol (relative to ‖W‖_F), noted in phase
-       3 or solved now if the see-saw ended without a stall: certified
-       (branch decomposition) on a member, likely else.
-    The verdict is the one phases 1, 4 and 5 alone would give; phase 3 only
-    saves sweeps. In 2x2 and 2x3 the positive-on-pure-tensors cone coincides
-    with PSD + PSD^Gamma (Størmer, Woronowicz), so there membership settles
-    every operator the see-saw does not refute, on the cone's boundary too,
-    unless membership_max_iter (a cap on its Newton iterates) runs out.
+       3 or solved now if phase 3 did not run: certified (branch
+       decomposition) on a member, likely else.
+    The verdict is the one phases 1, 4 and 5 alone would give; phases 2 and
+    3 only save sweeps. In 2x2 and 2x3 the positive-on-pure-tensors cone
+    coincides with PSD + PSD^Gamma (Størmer, Woronowicz), so there
+    membership settles every operator the see-saw does not refute, on the
+    cone's boundary too, unless membership_max_iter (a cap on its Newton
+    iterates) runs out.
 
     min_value is λ_min(W) in the psd branch and None in the ppt branch. In
-    the decomposition branch it is the lowest see-saw value at the stall
-    when phase 3 certifies, and the converged see-saw value when phase 5
-    does, which may lie in phase 4's band. refuted reports the picked
-    restart's value at the sweep that picked it, or the converged value if
-    nothing was picked; likely reports the converged value and records the
-    membership status in info.
+    the decomposition branch it is the block's lowest see-saw value at its
+    stall or end when phase 3 certifies, and the converged see-saw value
+    when phase 5 does, which may lie in phase 4's band. refuted reports the
+    picked restart's value at the sweep that picked it, or the converged
+    value if nothing was picked; likely reports the converged value and
+    records the membership status in info. Every branch past phase 1
+    records in info restarts_swept: the block's size when the block
+    decided, restarts else.
     """
     _check_tolerances(tol=tol, feas_tol=feas_tol)
     m = _admit(w, dims)
@@ -481,17 +493,27 @@ def is_popt(
     norm = frobenius(m)
     asks = tol >= MEMBERSHIP_ROUNDING * norm
     rounding = SEESAW_ROUNDING * max(1.0, norm)
-    previous = np.inf
-    for lowest, seesaw in _seesaw_sweeps(m, dims, seed, restarts, max_iter, -tol - rounding):
+    stop = -tol - rounding
+    # the first block is swept alone until it picks, stalls or ends
+    swept = min(restarts, FIRST_BLOCK)
+    sweeps = _seesaw_sweeps(m, dims, seed, swept, max_iter, stop)
+    alone, previous = True, np.inf
+    for lowest, seesaw in sweeps:
         stalled = seesaw is None and rounding < lowest and previous - lowest <= lowest + tol
-        if asks and stalled:
-            asks = False
-            tight = min(feas_tol, tol / norm)
-            shortcut, membership = _membership(m, dims, tight, feas_tol, membership_max_iter)
-            if shortcut.status == "member":
-                return _decomposition(lowest, shortcut)
+        ended = seesaw is not None and lowest >= stop  # without a pick
+        if alone and (stalled or ended):
+            alone = False
+            if asks and rounding < lowest:
+                tight = min(feas_tol, tol / norm)
+                shortcut, membership = _membership(m, dims, tight, feas_tol, membership_max_iter)
+                if shortcut.status == "member":
+                    return _decomposition(lowest, shortcut, swept)
+            if swept < restarts:
+                swept = restarts
+                sweeps.send(swept)
         previous = lowest
-    refutes = seesaw.min_value < -tol - rounding  # picked
+    info = {"psd": False, "restarts_swept": swept}
+    refutes = seesaw.min_value < stop  # picked
     if not refutes and seesaw.min_value < -tol:
         # a value this close to -tol may be eigh's rounding: the pair decides, exactly
         value, norm = _exact_product_value(m, seesaw.witness_x, seesaw.witness_y)
@@ -500,15 +522,15 @@ def is_popt(
         return ConeVerdict(
             "refuted", min_value=seesaw.min_value,
             witness=(seesaw.witness_x, seesaw.witness_y),
-            info={"psd": False, "best_restart": seesaw.best_restart},
+            info={**info, "best_restart": seesaw.best_restart},
         )
     if membership is None:
         membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=membership_max_iter)
     if membership.status == "member":
-        return _decomposition(seesaw.min_value, membership)
+        return _decomposition(seesaw.min_value, membership, swept)
     return ConeVerdict(
         "likely", min_value=seesaw.min_value,
-        info={"psd": False, "membership": membership.status},
+        info={**info, "membership": membership.status},
     )
 
 
@@ -525,12 +547,12 @@ def _exact_product_value(w, x, y) -> tuple[Fraction, Fraction]:
     return value, (xr @ xr + xi @ xi) * (yr @ yr + yi @ yi)
 
 
-def _decomposition(min_value: float, membership: ConeVerdict) -> ConeVerdict:
+def _decomposition(min_value: float, membership: ConeVerdict, swept: int) -> ConeVerdict:
     """is_popt's certified verdict on a member of PSD + PSD^Gamma."""
     return ConeVerdict(
         "certified", min_value=min_value,
         certificate=membership.certificate,
-        info={"branch": "decomposition", "psd": False},
+        info={"branch": "decomposition", "psd": False, "restarts_swept": swept},
     )
 
 

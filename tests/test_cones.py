@@ -41,7 +41,7 @@ from influencefree.linalg import (
     min_eig,
     partial_transpose,
 )
-from influencefree.sampling import random_hermitian, random_psd, random_rank
+from influencefree.sampling import random_hermitian, random_psd, random_rank, random_unitary
 
 
 def boundary_member() -> np.ndarray:
@@ -255,19 +255,27 @@ def stopped_seesaw(w, dims, seed, restarts, stop_below, max_iter=200) -> SeesawR
 
 
 def stopped_seesaw_and_stall(w, dims, seed, restarts, max_iter=200):
-    """One pass of the see-saw with is_popt's early stop, below -tol by more
-    than rounding: its result, and its first stall. That is the lowest value
-    after the first sweep, not the last, that lowered it by no more than its
-    height above -tol while it was above rounding, or None; None too if tol
-    is below membership's rounding."""
+    """One pass of is_popt's see-saw, with its early stop below -tol by more
+    than rounding: the first block of restarts alone until it stalls (a
+    sweep after the first that lowered its lowest value by no more than that
+    value's height above -tol, while above rounding) or ends, then every
+    restart. Returns the result, and the block's lowest value at that stall
+    or end if it is above rounding, or None; None too if the block picked or
+    tol is below membership's rounding."""
     norm = frobenius(w)
     asks = TOL >= MEMBERSHIP_ROUNDING * norm
     rounding = SEESAW_ROUNDING * max(1.0, norm)
-    stall, previous = None, np.inf
-    for lowest, result in _seesaw_sweeps(w, dims, seed, restarts, max_iter, -TOL - rounding):
-        above_rounding = lowest > rounding
-        if asks and stall is None and result is None and above_rounding and previous - lowest <= lowest + TOL:
-            stall = lowest
+    stop = -TOL - rounding
+    sweeps = _seesaw_sweeps(w, dims, seed, min(restarts, FIRST_BLOCK), max_iter, stop)
+    stall, alone, previous = None, True, np.inf
+    for lowest, result in sweeps:
+        stalled = result is None and rounding < lowest and previous - lowest <= lowest + TOL
+        if alone and (stalled or result is not None and lowest >= stop):
+            alone = False
+            if asks and rounding < lowest:
+                stall = lowest
+            if restarts > FIRST_BLOCK:
+                sweeps.send(restarts)
         previous = lowest
     return result, stall
 
@@ -275,7 +283,7 @@ def stopped_seesaw_and_stall(w, dims, seed, restarts, max_iter=200):
 def is_popt_without_shortcut(w, dims, seed, restarts, max_iter=200, membership_max_iter=20000):
     """is_popt's verdict without the membership shortcut: the whole see-saw
     first, then membership at FEAS_TOL. Returns the status, the see-saw
-    result and its first stall (both None in the psd and ppt branches)."""
+    result and the block's stall (both None in the psd and ppt branches)."""
     if is_psd(w) or is_ppt(w, dims):
         return "certified", None, None
     full, stall = stopped_seesaw_and_stall(w, dims, seed, restarts, max_iter)
@@ -287,7 +295,8 @@ def is_popt_without_shortcut(w, dims, seed, restarts, max_iter=200, membership_m
 
 def stall_statuses(monkeypatch) -> list:
     """Record the tight status of every membership run that is_popt starts
-    at a stall, where it asks a tighter tol than the FEAS_TOL it notes."""
+    at the first block's stall or end, where it asks a tighter tol than the
+    FEAS_TOL it notes."""
     statuses = []
 
     def recorded(w, dims, tol, loose_tol, max_iter):
@@ -317,13 +326,13 @@ def test_early_stop_keeps_every_is_popt_verdict(dims, monkeypatch):
     # FEAS_TOL, as the solver's iterates do not depend on its tol
     rng = np.random.default_rng(7 * dims[0] + dims[1])
     cases = [(w, 200) for w in seesaw_corpus(dims)]
-    # with max_iter=2 a stall in the second sweep is in the last one, where
-    # the see-saw has ended and membership is asked at FEAS_TOL alone
+    # with max_iter=2 the first block ends at its second sweep, where
+    # membership is asked before the other restarts are swept
     cases += [(w, 2) for w in seesaw_corpus(dims)[:6]]
     if dims != (3, 3):
         boundary = [product_boundary_operator(rng, dims) for _ in range(11)]
         cases += [(w, 200) for w in boundary[:10]]
-        # with max_iter=1 the first sweep is also the last: nothing to resume
+        # with max_iter=1 the first block ends at its first sweep, before any stall
         d = dims[0] * dims[1]
         cases += [(boundary[10], 1), (np.diag([1.0] * (d - 1) + [-1.0]), 1)]
     calls = stall_statuses(monkeypatch)
@@ -346,7 +355,7 @@ def test_early_stop_keeps_every_is_popt_verdict(dims, monkeypatch):
                 assert (verdict.status == "refuted") == (plain.min_value < -TOL), k
             if full is None:
                 continue
-            # membership is asked at the first stall and only there
+            # membership is asked at the first block's stall or end and only there
             assert (stall is not None) == bool(calls), (k, scale)
             if calls[:1] == ["member"]:
                 paths.add("shortcut")
@@ -541,40 +550,41 @@ def test_early_stop_picks_the_first_restart_below(dims):
 @pytest.mark.parametrize("dims", SEESAW_DIMS)
 def test_first_block_refutes_before_the_other_restarts_are_swept(dims, monkeypatch):
     # a restart does not depend on its batch: when the first block's first
-    # sweep is below -tol, the pick is that block's lowest restart, as its
-    # own first sweep left it; otherwise the run is the one a single batch of
-    # all restarts gives, and either way the status is the single batch's
+    # sweep is below the stop, is_popt picks that block's lowest restart, as
+    # its own first sweep left it, and never sweeps the others; otherwise a
+    # refuting restart is still a restart's state after some sweep, and
+    # either way the status is the one a single batch of all restarts gives
     picks = whole = 0
     for k, w in enumerate(seesaw_corpus(dims)):
-        got = stopped_seesaw(w, dims, k, 64, -TOL)
+        stop = -TOL - SEESAW_ROUNDING * max(1.0, frobenius(w))
         first = [r.min_value for r in serial_restarts(w, dims, k, FIRST_BLOCK, 1)]
         with monkeypatch.context() as patch:
             patch.setattr(cones, "FIRST_BLOCK", 64)
-            one_batch = stopped_seesaw(w, dims, k, 64, -TOL)
             one_batch_status = is_popt(w, dims, seed=k).status
-        if min(first) < -TOL:
-            picks += 1
-            assert got.best_restart == 1 + first.index(min(first)), k
-            want = list(serial_restarts(w, dims, k, got.best_restart, 1))[-1]
-        else:
-            whole += 1
-            want = one_batch
-        assert got.min_value == want.min_value, k
-        assert np.array_equal(got.witness_x, want.witness_x)
-        assert np.array_equal(got.witness_y, want.witness_y)
-        assert (got.best_restart, got.iterations, got.converged) == (
-            want.best_restart, want.iterations, want.converged
-        )
         verdict = is_popt(w, dims, seed=k)
         assert verdict.status == one_batch_status, k
-        if verdict.status == "refuted":
-            assert state_eval(w, dims, *verdict.witness) < -TOL, k
+        if min(first) < stop:
+            picks += 1
+            assert verdict.info["best_restart"] == 1 + first.index(min(first)), k
+            assert verdict.info["restarts_swept"] == FIRST_BLOCK, k
+            want = list(serial_restarts(w, dims, k, verdict.info["best_restart"], 1))[-1]
+        elif verdict.status == "refuted":
+            whole += 1
+            restart = verdict.info["best_restart"]
+            states = (list(serial_restarts(w, dims, k, restart, n))[-1] for n in range(1, 201))
+            want = next(r for r in states if r.min_value == verdict.min_value)
+        else:
+            continue
+        assert verdict.min_value == want.min_value < -TOL, k
+        assert np.array_equal(verdict.witness[0], want.witness_x)
+        assert np.array_equal(verdict.witness[1], want.witness_y)
+        assert state_eval(w, dims, *verdict.witness) < -TOL, k
     assert picks and whole, (picks, whole)
 
 
 def eigh_stack_sizes(monkeypatch) -> list:
     """Record the size of every stack given to eigh: is_popt's (W, W^Gamma),
-    then two per sweep, or four in a first sweep that runs both batches."""
+    then two per sweep."""
     sizes = []
 
     def recorded(h):
@@ -590,19 +600,28 @@ def test_first_sweep_passes_the_other_restarts_only_without_a_refutation(dims, m
     sizes = eigh_stack_sizes(monkeypatch)
     d = dims[0] * dims[1]
     # every restart is at -1 after one sweep: restart 1 is picked and the see-saw ends
-    assert is_popt(np.diag([1.0] * (d - 1) + [-1.0]), dims, seed=1).status == "refuted"
+    verdict = is_popt(np.diag([1.0] * (d - 1) + [-1.0]), dims, seed=1)
+    assert verdict.status == "refuted" and verdict.info["restarts_swept"] == FIRST_BLOCK
     assert sizes == [2, FIRST_BLOCK, FIRST_BLOCK], sizes
     sizes.clear()
+    # the block sweeps alone to its end; unless membership certifies there,
+    # the other restarts are swept after it, every block restart converged
     boundary = product_boundary_operator(np.random.default_rng(sum(dims)), dims)
-    assert is_popt(boundary, dims, seed=1).status == "certified"
-    assert sizes[:5] == [2, FIRST_BLOCK, FIRST_BLOCK, 64 - FIRST_BLOCK, 64 - FIRST_BLOCK], sizes
+    verdict = is_popt(boundary, dims, seed=1)
+    assert verdict.status == "certified"
+    swept = verdict.info["restarts_swept"]
+    alone = sizes.index(64 - FIRST_BLOCK) if swept == 64 else len(sizes)
+    assert swept in (FIRST_BLOCK, 64) and alone > 3, sizes
+    assert sizes[1:alone] == [FIRST_BLOCK] * (alone - 1), sizes
+    assert max(sizes[alone:], default=0) <= 64 - FIRST_BLOCK, sizes
 
 
 @pytest.mark.parametrize("dims", SEESAW_DIMS)
 def test_a_value_within_rounding_of_the_stop_runs_on_as_popt_minimize(dims, monkeypatch):
     # every restart reaches -1e-7 in one sweep, below -tol but above
     # -tol - rounding (about -2e-6 at this norm): nothing is picked, so the
-    # second batch is swept and the run is popt_minimize's, still refuted
+    # block runs to its end, the other restarts are swept after it, and the
+    # run is popt_minimize's, still refuted
     d = dims[0] * dims[1]
     w = np.diag([1e6] * (d - 1) + [-1e-7])
     assert -TOL - SEESAW_ROUNDING * frobenius(w) < -1e-7 < -TOL
@@ -614,7 +633,71 @@ def test_a_value_within_rounding_of_the_stop_runs_on_as_popt_minimize(dims, monk
     assert np.array_equal(verdict.witness[0], plain.witness_x)
     assert np.array_equal(verdict.witness[1], plain.witness_y)
     assert verdict.info["best_restart"] == plain.best_restart
-    assert sizes[:5] == [2, FIRST_BLOCK, FIRST_BLOCK, 64 - FIRST_BLOCK, 64 - FIRST_BLOCK], sizes
+    assert verdict.info["restarts_swept"] == 64
+    assert sizes == [2] + [FIRST_BLOCK] * 4 + [64 - FIRST_BLOCK] * 4, sizes
+
+
+def membership_calls(monkeypatch) -> list:
+    """Record the tol of every membership run is_popt starts: phase 3's at
+    the first block's stall or end, and phase 5's."""
+    calls = []
+
+    def recorded(w, dims, tol, *args):
+        calls.append(tol)
+        return _membership(w, dims, tol, *args)
+
+    monkeypatch.setattr(cones, "_membership", recorded)
+    return calls
+
+
+def test_a_first_block_miss_still_refutes(monkeypatch):
+    # shifted so that popt_minimize's 64 restarts reach -0.02, these two of
+    # 300 draws in 3x3 keep every first-block restart above -tol: the block
+    # decides nothing, and the other restarts, swept after it, refute
+    dims, d = (3, 3), 9
+    rng = np.random.default_rng(5)
+    draws = [random_hermitian(rng, d) for _ in range(300)]
+    calls = membership_calls(monkeypatch)
+    for k in (23, 94):
+        w = draws[k] - (popt_minimize(draws[k], dims, seed=k).min_value + 0.02) * np.eye(d)
+        assert popt_minimize(w, dims, seed=k, restarts=FIRST_BLOCK).min_value >= -TOL, k
+        calls.clear()
+        verdict = is_popt(w, dims, seed=k)
+        assert verdict.status == "refuted", k
+        assert verdict.info["restarts_swept"] == 64 and verdict.info["best_restart"] > FIRST_BLOCK, k
+        assert state_eval(w, dims, *verdict.witness) < -TOL, k
+        assert len(calls) <= 1, k
+
+
+def entangled(rng, dims) -> np.ndarray:
+    """A unit vector with flat Schmidt coefficients in Haar-random local bases."""
+    c = np.zeros(dims, dtype=complex)
+    c[np.arange(min(dims)), np.arange(min(dims))] = 1.0 / np.sqrt(min(dims))
+    return (random_unitary(rng, dims[0]) @ c @ random_unitary(rng, dims[1]).T).ravel()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_a_decomposition_operator_is_certified_by_the_first_block(dims, monkeypatch):
+    # P + Q^Gamma plus a quarter of -λ_min(Q^Gamma) on the identity lies
+    # inside the cone; of those that are neither PSD nor PPT, membership
+    # certifies at the first block's end, and the other restarts are never swept
+    rng = np.random.default_rng(sum(dims))
+    sizes = eigh_stack_sizes(monkeypatch)
+    certified = 0
+    for k in range(40):
+        phi, chi = entangled(rng, dims), entangled(rng, dims)
+        q = partial_transpose(np.outer(chi, chi.conj()), dims, 1)
+        w = np.outer(phi, phi.conj()) + q - 0.25 * np.linalg.eigvalsh(q)[0] * np.eye(len(phi))
+        if is_psd(w) or is_ppt(w, dims):
+            continue
+        certified += 1
+        sizes.clear()
+        verdict = is_popt(w, dims, seed=k)
+        assert verdict.status == "certified" and verdict.info["branch"] == "decomposition", k
+        assert verdict.info["restarts_swept"] == FIRST_BLOCK, k
+        assert 64 - FIRST_BLOCK not in sizes, (k, sizes)
+        assert split_holds(w, dims, verdict.certificate.p, verdict.certificate.q), k
+    assert certified >= 10, certified
 
 
 @pytest.mark.parametrize("dims", SEESAW_DIMS)
