@@ -7,11 +7,11 @@ the contracted operator, and alternating the two eigenvector steps is
 monotone non-increasing. Membership in PSD + PSD^Gamma (the decomposable
 cone at the operator level) is a two-block semidefinite program, solved by
 a log-barrier interior-point method whose long Newton steps go most of the
-way to the cones' boundary (about 5 to 15 iterates inside the cone and 30
-on its boundary, in 2x2 to 4x4): its primal iterate, clipped into the cones,
-certifies a member, and its dual estimate is a witness in PSD ∩ PPT when W
-is not one. Whether a conjugation map sheds a co-CP part is decided exactly
-by one eigenvalue.
+way to the cones' boundary (about 3 to 13 iterates inside the cone and 20
+to 25 on its boundary, in 2x2 to 4x4): its primal iterate, clipped into
+the cones, certifies a member, and its dual estimate is a witness in
+PSD ∩ PPT when W is not one. Whether a conjugation map sheds a co-CP
+part is decided exactly by one eigenvalue.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .linalg import (
 )
 
 FEAS_TOL = 1e-7
-# the barrier parameter μ is divided by this once an iterate is centered
+# the barrier parameter μ is divided by this at the start and after every whole step
 BARRIER_SHRINK = 16.0
-# Newton decrement below which an iterate counts as centered
-CENTERED = 0.25
 # share of the way to the cones' boundary that a long Newton step goes
 TO_BOUNDARY = 0.9
 # floor of μ relative to ‖W‖_F: below it the Newton system is rounding noise
@@ -234,22 +232,26 @@ def decomposable_sum_membership(
     over Hermitian P and real t, whose optimum is <= 0 iff W ∈ K. Each
     iteration examines the current iterate, read from one eigh of the pair
     (P, Q^Gamma), then steps along the Newton direction of t/μ − log det X1
-    − log det X2, and divides μ by BARRIER_SHRINK once the Newton decrement
-    δ is below CENTERED. A step with δ < 1 is whole: it stays inside the
-    Dikin ellipsoid, so inside both cones. A longer one goes TO_BOUNDARY of
-    the way to the nearer cone's boundary, but never less than the
-    self-concordant 1/(1 + δ) nor more than 1 (the fraction-to-the-boundary
-    rule, Nocedal & Wright, Numerical Optimization, §19.2). It runs on
-    _binary_scaled(W), so every verdict is scale invariant by construction.
+    − log det X2, whose Newton decrement is δ. A step with δ < 1 is whole:
+    it stays inside the Dikin ellipsoid, so inside both cones. A longer one
+    goes TO_BOUNDARY of the way to the nearer cone's boundary, but never
+    less than the self-concordant 1/(1 + δ) nor more than 1 (the
+    fraction-to-the-boundary rule, Nocedal & Wright, Numerical Optimization,
+    §19.2). μ starts at μ₀/BARRIER_SHRINK, where μ₀ = 1/Σ 1/λ over the
+    eigenvalues of the starting X1 and X2 centers the start in t, and is
+    divided by BARRIER_SHRINK again after every whole step, which counts as
+    centered. It runs on _binary_scaled(W), W times a power of two, so every
+    verdict is scale invariant by construction.
 
     member: the cone-clipped pair P_c = psd_part(P), Q_c = Gamma(psd_part(
     Q^Gamma)) with Q = W − P meets ‖W − P_c − Q_c‖_F <= tol·‖W‖_F (W = 0 is
     a member at once). refuted: the barrier's dual estimate Z = μ(X1⁻¹ +
     Gamma(X2⁻¹))/2, which sits in K* = PSD ∩ PPT on the central path,
     passes witness_holds. inconclusive: max_iter iterates (the start and
-    max_iter − 1 Newton steps) or μ at its floor BARRIER_FLOOR·‖W‖_F. Every
-    verdict carries the last clipped pair as its certificate. W is admitted
-    by linalg._admit.
+    max_iter − 1 Newton steps) or μ below its floor BARRIER_FLOOR times the
+    Frobenius norm of the binary-scaled W, the same floor relative to ‖W‖_F
+    at every scale. Every verdict carries the last clipped pair as its
+    certificate. W is admitted by linalg._admit.
     """
     _check_tolerances(tol=tol)
     return _membership(_admit(w, dims), dims, tol, tol, max_iter)[0]
@@ -306,8 +308,8 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
         d = vals + t
         s = (vecs / d[:, None, :]) @ vecs_h  # X1⁻¹ and X2⁻¹
         if mu is None:
-            # the start is centered in t: the gradient's t-component vanishes
-            mu = 1.0 / (1.0 / d).sum()
+            # the start is centered in t (the gradient's t-component vanishes), so shrink at once
+            mu = 1.0 / (1.0 / d).sum() / BARRIER_SHRINK
         z = _dual_witness(m, -mu * (s[0] + g(s[1])) / 2.0, dims)
         if z is not None:
             status = "refuted"
@@ -326,7 +328,7 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
             if least < 0.0:
                 alpha = max(1.0 / (1.0 + decrement), min(1.0, -TO_BOUNDARY / least))
         p, t = p + alpha * dp, t + alpha * dt
-        if decrement < CENTERED:
+        if decrement < 1.0:
             mu /= BARRIER_SHRINK
     last = verdict(status)
     return last, last if loose is None else loose
@@ -479,7 +481,9 @@ def is_popt(
     value if nothing was picked; likely reports the converged value and
     records the membership status in info. Every branch past phase 1
     records in info restarts_swept: the block's size when the block
-    decided, restarts else.
+    decided, restarts else. The decomposition branch and likely also record
+    membership_iterations, the iterates of the membership verdict they used:
+    phase 3's at its tight tol, or the one at feas_tol of phase 5.
     """
     _check_tolerances(tol=tol, feas_tol=feas_tol)
     m = _admit(w, dims)
@@ -530,7 +534,10 @@ def is_popt(
         return _decomposition(seesaw.min_value, membership, swept)
     return ConeVerdict(
         "likely", min_value=seesaw.min_value,
-        info={**info, "membership": membership.status},
+        info={
+            **info, "membership": membership.status,
+            "membership_iterations": membership.info["iterations"],
+        },
     )
 
 
@@ -552,7 +559,10 @@ def _decomposition(min_value: float, membership: ConeVerdict, swept: int) -> Con
     return ConeVerdict(
         "certified", min_value=min_value,
         certificate=membership.certificate,
-        info={"branch": "decomposition", "psd": False, "restarts_swept": swept},
+        info={
+            "branch": "decomposition", "psd": False, "restarts_swept": swept,
+            "membership_iterations": membership.info["iterations"],
+        },
     )
 
 

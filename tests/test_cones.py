@@ -828,6 +828,28 @@ def test_is_popt_likely_when_membership_is_starved():
     assert v.info["membership"] == "inconclusive"
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_is_popt_records_the_iterates_of_the_membership_verdict_it_used(dims):
+    # phase 3's certificate comes from its run at the tight tol; phase 5's
+    # certificate, and every likely, from the verdict at FEAS_TOL
+    operators = list(seesaw_corpus(dims))
+    operators += [product_boundary_operator(np.random.default_rng(s), dims) for s in range(4)]
+    if dims == (2, 2):
+        operators.append(boundary_member())
+    seen = set()
+    for k, w in enumerate(operators):
+        for max_iter in (20000, 3):
+            verdict = is_popt(w, dims, seed=k, membership_max_iter=max_iter)
+            if verdict.status != "likely" and verdict.info.get("branch") != "decomposition":
+                continue
+            phase3 = verdict.status == "certified" and verdict.info["restarts_swept"] == FIRST_BLOCK
+            tol = min(FEAS_TOL, TOL / frobenius(w)) if phase3 else FEAS_TOL
+            want = decomposable_sum_membership(w, dims, tol=tol, max_iter=max_iter)
+            assert verdict.info["membership_iterations"] == want.info["iterations"], (k, max_iter)
+            seen.add((verdict.status, phase3))
+    assert seen == {("certified", True), ("certified", False), ("likely", False)}, seen
+
+
 def test_membership_psd_is_instant():
     rng = np.random.default_rng(77)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -945,12 +967,12 @@ def membership_corpus(dims, kind, count=8):
             yield w
 
 
-# median iterates on membership_corpus, damped steps (1/(1 + δ) from δ >= CENTERED)
-# -> steps 0.9 of the way to the boundary: interior 8.5, 10.5, 13 -> 6, 5, 5.5 and
-# boundary 38.5, 61, 78 -> 29.5, 32, 31 in 2x2, 2x3 and 3x3
+# median iterates on membership_corpus in 2x2, 2x3 and 3x3, with μ shrunk at the start
+# and after every whole step (δ < 1): interior 4, 3.5, 4.5 and boundary 16, 22, 23. Each
+# ceiling is one above; shrinking μ only at δ < 1/4 took 6, 5, 5.5 and 29.5, 32, 31
 ITERATE_CEILINGS = {
-    ((2, 2), "interior"): 7, ((2, 3), "interior"): 8, ((3, 3), "interior"): 9,
-    ((2, 2), "boundary"): 34, ((2, 3), "boundary"): 45, ((3, 3), "boundary"): 50,
+    ((2, 2), "interior"): 5, ((2, 3), "interior"): 4.5, ((3, 3), "interior"): 5.5,
+    ((2, 2), "boundary"): 17, ((2, 3), "boundary"): 23, ((3, 3), "boundary"): 24,
 }
 
 
@@ -981,6 +1003,22 @@ def test_membership_steps_most_of_the_way_to_the_boundary(dims, kind, monkeypatc
         for s in inverses:  # X⁻¹ = V·diag(1/(λ + t))·V† of each block
             assert np.isfinite(s).all() and np.linalg.eigvalsh(s).min() > 0.0
     assert np.median(iterations) <= ITERATE_CEILINGS[dims, kind], iterations
+
+
+@pytest.mark.parametrize("dims", SEESAW_DIMS)
+def test_membership_at_tol_zero_stops_at_the_barrier_floor(dims):
+    # no residual meets tol 0 on the cone's boundary, so each run ends when μ
+    # falls below its floor, before max_iter, with its clipped pair at
+    # membership's rounding of W and inside both cones
+    operators = list(membership_corpus(dims, "boundary"))
+    if dims == (2, 2):
+        operators.append(boundary_member())
+    for k, w in enumerate(operators):
+        verdict = decomposable_sum_membership(w, dims, tol=0.0, max_iter=100)
+        assert verdict.status == "inconclusive", k
+        assert verdict.info["iterations"] < 100, k
+        assert verdict.residual <= MEMBERSHIP_ROUNDING * frobenius(w), (k, verdict.residual)
+        assert split_holds(w, dims, verdict.certificate.p, verdict.certificate.q), k
 
 
 def _assert_dual_witness(z, w, dims):
