@@ -6,12 +6,14 @@ for a fixed Alice vector the optimal Bob vector is the minimal eigenvector of
 the contracted operator, and alternating the two eigenvector steps is
 monotone non-increasing. Membership in PSD + PSD^Gamma (the decomposable
 cone at the operator level) is a two-block semidefinite program, solved by
-a log-barrier interior-point method whose long Newton steps go most of the
-way to the cones' boundary (about 3 to 13 iterates inside the cone and 20
-to 25 on its boundary, in 2x2 to 4x4): its primal iterate, clipped into
-the cones, certifies a member, and its dual estimate is a witness in
-PSD ∩ PPT when W is not one. Whether a conjugation map sheds a co-CP
-part is decided exactly by one eigenvalue.
+a log-barrier interior-point method that starts at the midpoint split
+W/2 + W/2 and whose long Newton steps go most of the way to the cones'
+boundary (a PSD or PPT operator is a member at the first iterate, others
+take about 2 to 3 iterates inside the cone and 16 to 22 on its boundary,
+in 2x2 to 4x4): its primal iterate, clipped into the cones, certifies a
+member, and its dual estimate is a witness in PSD ∩ PPT when W is not one.
+Whether a conjugation map sheds a co-CP part is decided exactly by one
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ FEAS_TOL = 1e-7
 BARRIER_SHRINK = 16.0
 # share of the way to the cones' boundary that a long Newton step goes
 TO_BOUNDARY = 0.9
+# the starting shift t above the least eigenvalue of the midpoint split, relative to ‖W‖_F
+START_MARGIN = 0.25
 # floor of μ relative to ‖W‖_F: below it the Newton system is rounding noise
 BARRIER_FLOOR = 1e-15
 # slack of the witness shift, relative to its Frobenius norm
@@ -220,6 +224,11 @@ def _gamma_index(n: int, dims: tuple[int, ...]) -> np.ndarray:
     return index
 
 
+def _pair_eigh(m: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian parts of W and W^Gamma, as one stack."""
+    return np.linalg.eigh(_hermitian_part(np.stack((m, partial_transpose(m, dims, 1)))))
+
+
 def decomposable_sum_membership(
     w,
     dims: Sequence[int],
@@ -229,18 +238,25 @@ def decomposable_sum_membership(
     """Decide W ∈ K = PSD + PSD^Gamma by a log-barrier interior-point method.
 
     Solves min t subject to X1 = P + tI ⪰ 0 and X2 = (W − P)^Gamma + tI ⪰ 0
-    over Hermitian P and real t, whose optimum is <= 0 iff W ∈ K. Each
+    over Hermitian P and real t, whose optimum is <= 0 iff W ∈ K. The run
+    starts from one eigh of the pair (W, W^Gamma). The first iterate
+    examines the splits (W, 0) and (0, W), so a PSD or a PPT W is a member
+    at once, and the midpoint split P = W/2, whose P and Q^Gamma = W^Gamma/2
+    have the same eigenvectors and half the eigenvalues; it keeps the split
+    of least residual, the first of equals. The barrier starts at the
+    midpoint with t = max(0, −λ_min(W/2), −λ_min(W^Gamma/2)) +
+    START_MARGIN·‖W‖_F, so its X1⁻¹ and X2⁻¹ need no second eigh. Each later
     iteration examines the current iterate, read from one eigh of the pair
-    (P, Q^Gamma), then steps along the Newton direction of t/μ − log det X1
-    − log det X2, whose Newton decrement is δ. A step with δ < 1 is whole:
-    it stays inside the Dikin ellipsoid, so inside both cones. A longer one
-    goes TO_BOUNDARY of the way to the nearer cone's boundary, but never
-    less than the self-concordant 1/(1 + δ) nor more than 1 (the
-    fraction-to-the-boundary rule, Nocedal & Wright, Numerical Optimization,
-    §19.2). μ starts at μ₀/BARRIER_SHRINK, where μ₀ = 1/Σ 1/λ over the
-    eigenvalues of the starting X1 and X2 centers the start in t, and is
-    divided by BARRIER_SHRINK again after every whole step, which counts as
-    centered. It runs on _binary_scaled(W), W times a power of two, so every
+    (P, Q^Gamma). An iteration that decides nothing steps along the Newton
+    direction of t/μ − log det X1 − log det X2, whose Newton decrement is
+    δ. A step with δ < 1 is whole: it stays inside the Dikin ellipsoid, so
+    inside both cones. A longer one goes TO_BOUNDARY of the way to the
+    nearer cone's boundary, but never less than the self-concordant
+    1/(1 + δ) nor more than 1 (the fraction-to-the-boundary rule, Nocedal &
+    Wright, Numerical Optimization, §19.2). μ starts at μ₀/BARRIER_SHRINK,
+    where μ₀ = 1/Σ 1/λ over the eigenvalues of the starting X1 and X2
+    centers the start in t, and is divided by BARRIER_SHRINK again after
+    every whole step, which counts as centered. It runs on _binary_scaled(W), W times a power of two, so every
     verdict is scale invariant by construction.
 
     member: the cone-clipped pair P_c = psd_part(P), Q_c = Gamma(psd_part(
@@ -257,12 +273,14 @@ def decomposable_sum_membership(
     return _membership(_admit(w, dims), dims, tol, tol, max_iter)[0]
 
 
-def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVerdict]:
+def _membership(m, dims, tol, loose_tol, max_iter, start=None) -> tuple[ConeVerdict, ConeVerdict]:
     """decomposable_sum_membership of an admitted W at tol, and its verdict at loose_tol >= tol.
 
     The iterates do not depend on the tolerance, so a run at loose_tol ends
     as a member at the first iterate whose residual meets loose_tol, unless
-    the run at tol ends earlier, and then with the same verdict.
+    the run at tol ends earlier, and then with the same verdict: one object
+    for both. start, if given, is _pair_eigh of W before its binary scaling,
+    as is_popt's phase 1 makes it.
     """
     if max_iter < 1:
         raise ValueError(f"membership needs at least one iteration, got {max_iter}")
@@ -275,9 +293,13 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
     m, e = _binary_scaled(m)
     scale = frobenius(m)
     eye = np.eye(n)
-    # start at P = W, so a PSD operator is a member at the first iterate
-    p = m
-    t = max(0.0, -np.linalg.eigvalsh(m)[0]) + scale
+    if start is None:
+        vals, vecs = _pair_eigh(m, dims)
+    else:  # of the unscaled stack: the same bits times 2^e wherever eigh commutes with that
+        vals, vecs = np.ldexp(start[0], -e), start[1]
+    # the midpoint split P = W/2, Q^Gamma = W^Gamma/2 is read from the same eigenvectors
+    p, vals = m / 2.0, vals / 2.0
+    t = max(0.0, -vals[:, 0].min()) + START_MARGIN * scale
     mu = None
     z = None
     loose = None
@@ -294,17 +316,25 @@ def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVer
         )
 
     for it in range(1, max_iter + 1):
-        # P and Q^Gamma, X1 and X2 without their shift tI, in one eigh: X = V·diag(λ + t)·V†
-        vals, vecs = np.linalg.eigh(_hermitian_part(np.stack([p, g(m - p)])))
+        if it > 1:
+            # P and Q^Gamma, X1 and X2 without their shift tI, in one eigh: X = V·diag(λ + t)·V†
+            vals, vecs = np.linalg.eigh(_hermitian_part(np.stack([p, g(m - p)])))
         vecs_h = vecs.conj().swapaxes(1, 2)
         clipped = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs_h  # psd_part of each
         p_c, q_c = clipped[0], g(clipped[1])
         residual = frobenius(m - p_c - q_c)
-        if loose is None and residual <= loose_tol * scale:
-            loose = verdict("member")
+        if it == 1:
+            # twice each half is the split (W, 0) or (0, W): a PSD or a PPT W is a member at once
+            zero = np.zeros_like(m)
+            splits = [(2.0 * p_c, zero), (zero, 2.0 * q_c), (p_c, q_c)]
+            residuals = [frobenius(m - a - b) for a, b in splits[:2]] + [residual]
+            best = int(np.argmin(residuals))  # the first of equals
+            (p_c, q_c), residual = splits[best], residuals[best]
         if residual <= tol * scale:
             status = "member"
             break
+        if loose is None and residual <= loose_tol * scale:
+            loose = verdict("member")
         d = vals + t
         s = (vecs / d[:, None, :]) @ vecs_h  # X1⁻¹ and X2⁻¹
         if mu is None:
@@ -430,7 +460,9 @@ def is_popt(
     nothing:
     1. tol, feas_tol (finite, >= 0) and W (finite, Hermitian, on dims) are
        checked first, or ValueError is raised. PSD, then PPT, read from one
-       eigh of the stack (W, W^Gamma): certified (branch psd or ppt).
+       eigh of the stack (W, W^Gamma): certified (branch psd or ppt). The
+       same eigh starts every membership run of phases 3 and 5, so an
+       is_popt call makes it once.
     2. The see-saw of _seesaw_sweeps, one batched sweep at a time, on the
        first FIRST_BLOCK restarts alone. It stops at the first sweep whose
        lowest value is below -tol - rounding (rounding =
@@ -487,8 +519,10 @@ def is_popt(
     """
     _check_tolerances(tol=tol, feas_tol=feas_tol)
     m = _admit(w, dims)
-    # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit
-    least = _least_eigh(np.stack((m, partial_transpose(m, dims, 1))))[0]
+    # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit,
+    # and the whole of it starts membership
+    start = _pair_eigh(m, dims)
+    least = start[0][:, 0]
     if least[0] >= -tol:
         return ConeVerdict("certified", min_value=float(least[0]), info={"branch": "psd", "psd": True})
     if least[1] >= -tol:
@@ -509,7 +543,7 @@ def is_popt(
             alone = False
             if asks and rounding < lowest:
                 tight = min(feas_tol, tol / norm)
-                shortcut, membership = _membership(m, dims, tight, feas_tol, membership_max_iter)
+                shortcut, membership = _membership(m, dims, tight, feas_tol, membership_max_iter, start)
                 if shortcut.status == "member":
                     return _decomposition(lowest, shortcut, swept)
             if swept < restarts:
@@ -529,7 +563,7 @@ def is_popt(
             info={**info, "best_restart": seesaw.best_restart},
         )
     if membership is None:
-        membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=membership_max_iter)
+        membership = _membership(m, dims, feas_tol, feas_tol, membership_max_iter, start)[0]
     if membership.status == "member":
         return _decomposition(seesaw.min_value, membership, swept)
     return ConeVerdict(
