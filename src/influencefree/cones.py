@@ -224,11 +224,6 @@ def _gamma_index(n: int, dims: tuple[int, ...]) -> np.ndarray:
     return index
 
 
-def _pair_eigh(m: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the Hermitian parts of W and W^Gamma, as one stack."""
-    return np.linalg.eigh(_hermitian_part(np.stack((m, partial_transpose(m, dims, 1)))))
-
-
 def decomposable_sum_membership(
     w,
     dims: Sequence[int],
@@ -238,26 +233,25 @@ def decomposable_sum_membership(
     """Decide W ∈ K = PSD + PSD^Gamma by a log-barrier interior-point method.
 
     Solves min t subject to X1 = P + tI ⪰ 0 and X2 = (W − P)^Gamma + tI ⪰ 0
-    over Hermitian P and real t, whose optimum is <= 0 iff W ∈ K. The run
-    starts from one eigh of the pair (W, W^Gamma). The first iterate
-    examines the splits (W, 0) and (0, W), so a PSD or a PPT W is a member
-    at once, and the midpoint split P = W/2, whose P and Q^Gamma = W^Gamma/2
-    have the same eigenvectors and half the eigenvalues; it keeps the split
-    of least residual, the first of equals. The barrier starts at the
-    midpoint with t = max(0, −λ_min(W/2), −λ_min(W^Gamma/2)) +
-    START_MARGIN·‖W‖_F, so its X1⁻¹ and X2⁻¹ need no second eigh. Each later
+    over Hermitian P and real t, whose optimum is <= 0 iff W ∈ K. Each
     iteration examines the current iterate, read from one eigh of the pair
-    (P, Q^Gamma). An iteration that decides nothing steps along the Newton
-    direction of t/μ − log det X1 − log det X2, whose Newton decrement is
-    δ. A step with δ < 1 is whole: it stays inside the Dikin ellipsoid, so
+    (P, Q^Gamma). The first is the midpoint split P = Q = W/2; twice each of
+    its clipped halves is the split (W, 0) or (0, W), so it also examines
+    those, and a PSD or a PPT W is a member at once. It keeps the split of
+    least residual, the first of equals. The barrier starts at the midpoint
+    with t = max(0, −λ_min(W/2), −λ_min(W^Gamma/2)) + START_MARGIN·‖W‖_F,
+    from the same eigh. An iteration that decides nothing steps along the
+    Newton direction of t/μ − log det X1 − log det X2, whose Newton
+    decrement is δ. A step with δ < 1 is whole: it stays inside the Dikin ellipsoid, so
     inside both cones. A longer one goes TO_BOUNDARY of the way to the
     nearer cone's boundary, but never less than the self-concordant
     1/(1 + δ) nor more than 1 (the fraction-to-the-boundary rule, Nocedal &
     Wright, Numerical Optimization, §19.2). μ starts at μ₀/BARRIER_SHRINK,
     where μ₀ = 1/Σ 1/λ over the eigenvalues of the starting X1 and X2
     centers the start in t, and is divided by BARRIER_SHRINK again after
-    every whole step, which counts as centered. It runs on _binary_scaled(W), W times a power of two, so every
-    verdict is scale invariant by construction.
+    every whole step, which counts as centered. It runs on
+    _binary_scaled(W), W times a power of two, so every verdict is scale
+    invariant by construction.
 
     member: the cone-clipped pair P_c = psd_part(P), Q_c = Gamma(psd_part(
     Q^Gamma)) with Q = W − P meets ‖W − P_c − Q_c‖_F <= tol·‖W‖_F (W = 0 is
@@ -273,14 +267,13 @@ def decomposable_sum_membership(
     return _membership(_admit(w, dims), dims, tol, tol, max_iter)[0]
 
 
-def _membership(m, dims, tol, loose_tol, max_iter, start=None) -> tuple[ConeVerdict, ConeVerdict]:
+def _membership(m, dims, tol, loose_tol, max_iter) -> tuple[ConeVerdict, ConeVerdict]:
     """decomposable_sum_membership of an admitted W at tol, and its verdict at loose_tol >= tol.
 
     The iterates do not depend on the tolerance, so a run at loose_tol ends
     as a member at the first iterate whose residual meets loose_tol, unless
     the run at tol ends earlier, and then with the same verdict: one object
-    for both. start, if given, is _pair_eigh of W before its binary scaling,
-    as is_popt's phase 1 makes it.
+    for both.
     """
     if max_iter < 1:
         raise ValueError(f"membership needs at least one iteration, got {max_iter}")
@@ -293,13 +286,8 @@ def _membership(m, dims, tol, loose_tol, max_iter, start=None) -> tuple[ConeVerd
     m, e = _binary_scaled(m)
     scale = frobenius(m)
     eye = np.eye(n)
-    if start is None:
-        vals, vecs = _pair_eigh(m, dims)
-    else:  # of the unscaled stack: the same bits times 2^e wherever eigh commutes with that
-        vals, vecs = np.ldexp(start[0], -e), start[1]
-    # the midpoint split P = W/2, Q^Gamma = W^Gamma/2 is read from the same eigenvectors
-    p, vals = m / 2.0, vals / 2.0
-    t = max(0.0, -vals[:, 0].min()) + START_MARGIN * scale
+    # start at the midpoint split P = Q = W/2, exactly half of W
+    p = m / 2.0
     mu = None
     z = None
     loose = None
@@ -316,9 +304,8 @@ def _membership(m, dims, tol, loose_tol, max_iter, start=None) -> tuple[ConeVerd
         )
 
     for it in range(1, max_iter + 1):
-        if it > 1:
-            # P and Q^Gamma, X1 and X2 without their shift tI, in one eigh: X = V·diag(λ + t)·V†
-            vals, vecs = np.linalg.eigh(_hermitian_part(np.stack([p, g(m - p)])))
+        # P and Q^Gamma, X1 and X2 without their shift tI, in one eigh: X = V·diag(λ + t)·V†
+        vals, vecs = np.linalg.eigh(_hermitian_part(np.stack([p, g(m - p)])))
         vecs_h = vecs.conj().swapaxes(1, 2)
         clipped = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs_h  # psd_part of each
         p_c, q_c = clipped[0], g(clipped[1])
@@ -330,6 +317,7 @@ def _membership(m, dims, tol, loose_tol, max_iter, start=None) -> tuple[ConeVerd
             residuals = [frobenius(m - a - b) for a, b in splits[:2]] + [residual]
             best = int(np.argmin(residuals))  # the first of equals
             (p_c, q_c), residual = splits[best], residuals[best]
+            t = max(0.0, -vals[:, 0].min()) + START_MARGIN * scale
         if residual <= tol * scale:
             status = "member"
             break
@@ -460,9 +448,7 @@ def is_popt(
     nothing:
     1. tol, feas_tol (finite, >= 0) and W (finite, Hermitian, on dims) are
        checked first, or ValueError is raised. PSD, then PPT, read from one
-       eigh of the stack (W, W^Gamma): certified (branch psd or ppt). The
-       same eigh starts every membership run of phases 3 and 5, so an
-       is_popt call makes it once.
+       eigh of the stack (W, W^Gamma): certified (branch psd or ppt).
     2. The see-saw of _seesaw_sweeps, one batched sweep at a time, on the
        first FIRST_BLOCK restarts alone. It stops at the first sweep whose
        lowest value is below -tol - rounding (rounding =
@@ -519,10 +505,8 @@ def is_popt(
     """
     _check_tolerances(tol=tol, feas_tol=feas_tol)
     m = _admit(w, dims)
-    # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit,
-    # and the whole of it starts membership
-    start = _pair_eigh(m, dims)
-    least = start[0][:, 0]
+    # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit
+    least = _least_eigh(np.stack((m, partial_transpose(m, dims, 1))))[0]
     if least[0] >= -tol:
         return ConeVerdict("certified", min_value=float(least[0]), info={"branch": "psd", "psd": True})
     if least[1] >= -tol:
@@ -543,7 +527,7 @@ def is_popt(
             alone = False
             if asks and rounding < lowest:
                 tight = min(feas_tol, tol / norm)
-                shortcut, membership = _membership(m, dims, tight, feas_tol, membership_max_iter, start)
+                shortcut, membership = _membership(m, dims, tight, feas_tol, membership_max_iter)
                 if shortcut.status == "member":
                     return _decomposition(lowest, shortcut, swept)
             if swept < restarts:
@@ -563,7 +547,7 @@ def is_popt(
             info={**info, "best_restart": seesaw.best_restart},
         )
     if membership is None:
-        membership = _membership(m, dims, feas_tol, feas_tol, membership_max_iter, start)[0]
+        membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=membership_max_iter)
     if membership.status == "member":
         return _decomposition(seesaw.min_value, membership, swept)
     return ConeVerdict(

@@ -299,8 +299,8 @@ def stall_statuses(monkeypatch) -> list:
     FEAS_TOL it notes."""
     statuses = []
 
-    def recorded(w, dims, tol, loose_tol, *args):
-        tight, loose = _membership(w, dims, tol, loose_tol, *args)
+    def recorded(w, dims, tol, loose_tol, max_iter):
+        tight, loose = _membership(w, dims, tol, loose_tol, max_iter)
         if tol < loose_tol:
             statuses.append(tight.status)
         return tight, loose
@@ -485,42 +485,6 @@ def test_a_residual_that_meets_both_tolerances_at_once_gives_one_verdict(dims):
         assert (tight.info["iterations"] == 1) == (k == 0), k
 
 
-@pytest.mark.parametrize("dims", SEESAW_DIMS)
-def test_membership_from_is_popts_eigh_repeats_a_cold_start_bit_for_bit(dims, monkeypatch):
-    # is_popt hands its phase-1 eigh of (W, W^Gamma) to membership; each run
-    # started from it returns what a run that makes its own eigh returns, in
-    # is_popt and on its own at FEAS_TOL, where most of the corpus is refuted
-    runs = []
-
-    def recorded(w, dims, tol, loose_tol, max_iter, start=None):
-        assert start is not None
-        verdicts = _membership(w, dims, tol, loose_tol, max_iter, start)
-        runs.append(((w, dims, tol, loose_tol, max_iter), verdicts))
-        return verdicts
-
-    monkeypatch.setattr(cones, "_membership", recorded)
-    operators = list(seesaw_corpus(dims))
-    operators += membership_corpus(dims, "interior")
-    operators += membership_corpus(dims, "boundary")
-    for k, w in enumerate(operators):
-        for max_iter in (20000, 3):
-            is_popt(w, dims, seed=k, membership_max_iter=max_iter)
-        args = (np.asarray(w, dtype=complex), dims, FEAS_TOL, FEAS_TOL, 20000)
-        runs.append((args, _membership(*args, cones._pair_eigh(*args[:2]))))
-    statuses, witnesses = set(), 0
-    for args, verdicts in runs:
-        for got, cold in zip(verdicts, _membership(*args)):
-            statuses.add(got.status)
-            assert (got.status, got.info, got.residual) == (cold.status, cold.info, cold.residual)
-            assert got.certificate.p.tobytes() == cold.certificate.p.tobytes()
-            assert got.certificate.q.tobytes() == cold.certificate.q.tobytes()
-            assert (got.witness is None) == (cold.witness is None)
-            if got.witness is not None:
-                witnesses += 1
-                assert got.witness.tobytes() == cold.witness.tobytes()
-    assert statuses == {"member", "refuted", "inconclusive"} and witnesses, (statuses, witnesses)
-
-
 def test_dual_witness_skip_loses_no_witness():
     # with Tr(Z0 W) >= 0 and Tr W >= 0 the shifted Z = Z0 + s·I, s >= 0, has
     # Tr(ZW) = Tr(Z0 W) + s·Tr W >= 0, so it could never separate W; every
@@ -634,18 +598,12 @@ def eigh_stack_sizes(monkeypatch) -> list:
     """Record the size of every stack given to eigh: is_popt's (W, W^Gamma),
     then two per sweep."""
     sizes = []
-    pair_eigh = cones._pair_eigh
 
     def recorded(h):
         sizes.append(len(h))
         return _least_eigh(h)
 
-    def recorded_pair(m, dims):
-        sizes.append(2)
-        return pair_eigh(m, dims)
-
     monkeypatch.setattr(cones, "_least_eigh", recorded)
-    monkeypatch.setattr(cones, "_pair_eigh", recorded_pair)
     return sizes
 
 
@@ -1035,10 +993,8 @@ def membership_corpus(dims, kind, count=8):
             yield w
 
 
-# median iterates on membership_corpus in 2x2, 2x3 and 3x3, started at the midpoint split
-# P = W/2: interior 3, 2, 3 and boundary 16, 21, 21. Each ceiling is one above the median,
-# or above the 16 that the start at P = W took in 2x2 boundary, which did not fall; that
-# start took 4, 3.5, 4.5 inside the cone and 16, 22, 23 on its boundary
+# median iterates on membership_corpus in 2x2, 2x3 and 3x3: interior 3, 2, 3 and boundary
+# 16, 21, 21. Each ceiling is the median plus one
 ITERATE_CEILINGS = {
     ((2, 2), "interior"): 4, ((2, 3), "interior"): 3, ((3, 3), "interior"): 4,
     ((2, 2), "boundary"): 17, ((2, 3), "boundary"): 22, ((3, 3), "boundary"): 22,
