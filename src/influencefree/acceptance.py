@@ -58,7 +58,7 @@ from .teleport import (
     pivot_bob,
     pivot_general,
     sandwich_lemma_check,
-    weyl_operator,
+    weyl_basis,
 )
 
 
@@ -175,14 +175,13 @@ def criterion_3():
     for n in (2, 3):
         rng = np.random.default_rng(300 + n)
         ws = [random_hermitian(rng, n * n, trace=1.0) for _ in range(5)]
-        for a in range(n):
-            for b in range(n):
-                v = weyl_operator(n, a, b)
-                for w in ws:
-                    res = pivot_general(w, n, v)
-                    worst = max(worst, res.gap)
-                    if res.gap > 1e-9:
-                        problems.append(f"n={n} weyl({a},{b}): relative gap {res.gap:.3e}")
+        for k, v in enumerate(weyl_basis(n)):
+            a, b = divmod(k, n)
+            for w in ws:
+                res = pivot_general(w, n, v)
+                worst = max(worst, res.gap)
+                if res.gap > 1e-9:
+                    problems.append(f"n={n} weyl({a},{b}): relative gap {res.gap:.3e}")
     return problems, f"worst relative gap {worst:.1e} over the full phase-shift basis"
 
 

@@ -507,6 +507,7 @@ def _pivot(args, w):
         if args.weyl is not None:
             raise _UsageError(f"argument --weyl: not allowed with --side {args.side}")
         report = pivot_alice(w, n) if args.side == "alice" else pivot_bob(w, n)
+        # the floor stays: α·w is quadratic in w (α = Tr M ∝ Tr w), so the gap is not homogeneous in w
         ok = report.frobenius_gap <= args.tol * max(1.0, frobenius(w))
         fields = {"side": args.side, "alpha": report.alpha, "gap": report.frobenius_gap}
     else:

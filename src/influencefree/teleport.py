@@ -14,7 +14,8 @@ products (``_project``): the vector's coefficient matrix applied to w from
 both sides, O(n^5) each, then one n^2 x n^2 product with the inner
 operator, O(n^6).  ``embed_with_entangled_pair`` builds the dense embedding
 and is kept as the independent definition the tests and the acceptance
-criteria compare against.
+criteria compare against.  The Weyl family X^a Z^b is built once, as one
+(n^2, n, n) array, and the witness demo's n^2 + 2 effects as one array.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class PivotReport(NamedTuple):
 
     @property
     def gap(self) -> float:
+        """Relative to max(1, ‖expected‖_F), a floor kept as α·w is quadratic in w (α = Tr M ∝ Tr w)."""
         return self.frobenius_gap / max(1.0, frobenius(self.expected))
 
 
@@ -67,9 +69,13 @@ def twisted_bell_projector(n: int, v: np.ndarray) -> np.ndarray:
     leaves Bob's pair carrying (v^T ox 1) w (conj(v) ox 1); see pivot_general.
     With v = identity this reproduces bell_projector exactly.
     """
-    v = _unitary(v, n)
-    vec = np.conj(v).reshape(n * n)
-    return np.outer(vec, vec.conj()) / n
+    return _twisted_bell_projectors(_unitary(v, n)[None])[0]
+
+
+def _twisted_bell_projectors(vs: np.ndarray) -> np.ndarray:
+    """twisted_bell_projector of each unitary in the (k, n, n) stack vs, taken as given."""
+    vecs = np.conj(vs).reshape(len(vs), -1)
+    return vecs[:, :, None] * vecs.conj()[:, None, :] / vs.shape[-1]
 
 
 def antisymmetric_projector(n: int) -> np.ndarray:
@@ -106,17 +112,21 @@ def sandwich_lemma_check(n: int, x: int, y: int, u: int, v: int) -> np.ndarray:
     return q @ a @ q
 
 
-def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
-    """The unitary X^a Z^b: cyclic shift to the a-th power times phase gradient.
+def _weyl_stack(n: int) -> np.ndarray:
+    """All n^2 unitaries X^a Z^b as one (n^2, n, n) array, X^a Z^b at row a·n + b.
 
-    X|j> = |j+1 mod n> and Z|j> = ω^j|j> with ω = exp(2πi/n), so X^a Z^b sends
-    |j> to ω^(jb)|j+a mod n>: one phase per column, at the row one index
-    array gives.
+    X|j> = |j+1 mod n> and Z|j> = ω^j|j> with ω = exp(2πi/n), so X^a Z^b sends |j> to
+    ω^(jb)|j+a mod n>: one phase per column, at the row one index array gives.
     """
-    j = np.arange(n)
-    v = np.zeros((n, n), dtype=complex)
-    v[(j + a) % n, j] = np.exp(2j * np.pi * (j * b % n) / n)
-    return v
+    a, b, j = np.ogrid[:n, :n, :n]
+    v = np.zeros((n, n, n, n), dtype=complex)
+    v[a, b, (j + a) % n, j] = np.exp(2j * np.pi * (j * b % n) / n)
+    return v.reshape(n * n, n, n)
+
+
+def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
+    """X^a Z^b, with a and b reduced mod n as Python ints, so that any integer is accepted."""
+    return _weyl_stack(n)[int(a) % n * n + int(b) % n]
 
 
 def weyl_basis(n: int) -> list[np.ndarray]:
@@ -125,7 +135,7 @@ def weyl_basis(n: int) -> list[np.ndarray]:
     They are pairwise orthogonal in the Hilbert-Schmidt inner product, with
     Tr(V^dag V') = n on the diagonal.
     """
-    return [weyl_operator(n, a, b) for a in range(n) for b in range(n)]
+    return list(_weyl_stack(n))
 
 
 def _project(w: np.ndarray, inner: np.ndarray, n: int, phi: np.ndarray, side: str) -> np.ndarray:
@@ -291,12 +301,11 @@ def desideratum_violation_demo(n: int = 2, *, seed: int = 2026) -> DesideratumRe
     # Tr[(T ox A) embed(w)] = Tr(M A), as corollary_check computes it on the same projection
     negative_value = float(np.vdot(antisymmetric_projector(n), report.bob_operator).real)
 
-    weyl = weyl_basis(n)
-    bob_effects = np.stack(
-        [antisymmetric_projector(n), symmetric_projector(n)]
-        + [twisted_bell_projector(n, v) for v in weyl]
+    weyl = _weyl_stack(n)
+    bob_effects = np.concatenate(
+        [np.stack([antisymmetric_projector(n), symmetric_projector(n)]), _twisted_bell_projectors(weyl)]
     )
-    weyl_vectors = np.conj(np.stack(weyl)) / np.sqrt(n)
+    weyl_vectors = np.conj(weyl) / np.sqrt(n)
     # column b is effect b transposed and flattened, so a row M_v times it is Tr(M_v b)
     effect_columns = bob_effects.transpose(0, 2, 1).reshape(len(bob_effects), -1).T
 

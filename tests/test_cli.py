@@ -666,6 +666,16 @@ def test_pivot_sides(tmp_path, capsys):
     assert "perfect square" in doc["reason"]
 
 
+def test_pivot_reduces_a_weyl_index_past_int64(tmp_path, capsys):
+    # reduced mod n as a Python int, not an uncaught OverflowError that exits 1 without JSON
+    path = write_doc(tmp_path, "w.json", matrix_to_document(np.eye(4) / 4))
+    a, b = 99999999999999999999999, -(10**30) - 1
+    code, doc = invoke(capsys, "pivot", path, "--side", "general", "--weyl", f"{a},{b}")
+    assert code == 0
+    assert doc["weyl"] == [a % 2, b % 2]
+    assert doc["verdict"] == "identity-holds"
+
+
 def test_corollary_negative_witness(tmp_path, capsys):
     path = write_doc(
         tmp_path, "wb.json",

@@ -222,6 +222,7 @@ def _requests():
         "corollary/huge-not-psd": req(["corollary", *one], {
             "w": mdoc(np.eye(4) / 4), "b": mdoc(1e160 * np.diag([1.0, 1.0, 1.0, -0.5]))}),
         "witness-demo/exhibited": (["witness-demo", "--n", "2", "--seed", "7"], {}),
+        "witness-demo/exhibited-n3": (["witness-demo", "--n", "3", "--seed", "7"], {}),
         "usage/unknown-command": (["no-such-command"], {}),
         "usage/no-command": ([], {}),
         "usage/bad-tol": req(["ppt-check", *one, "--tol", "x"], mdoc(hermitian(4))),

@@ -12,6 +12,8 @@ from influencefree.teleport import (
     corollary_check,
     desideratum_violation_demo,
     _project,
+    _twisted_bell_projectors,
+    _weyl_stack,
     embed_with_entangled_pair,
     pivot_alice,
     pivot_bob,
@@ -96,6 +98,62 @@ def test_weyl_operators():
         for b, vb in enumerate(basis):
             inner = np.trace(va.conj().T @ vb)
             assert inner == pytest.approx(3.0 if a == b else 0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_weyl_stack_is_the_per_entry_formula(n):
+    # the phase in numpy arithmetic, as the builder computes it, so that bytes can be compared
+    want = np.zeros((n * n, n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            for j in range(n):
+                want[a * n + b, (j + a) % n, j] = np.exp(2j * np.pi * np.int64(j * b % n) / n)
+    stack = _weyl_stack(n)
+    assert stack.dtype == want.dtype and stack.tobytes() == want.tobytes()
+    assert b"".join(v.tobytes() for v in weyl_basis(n)) == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_weyl_stack_rows_are_unitary(n):
+    # the demo does not admit its own Weyl operators through _unitary, so this is where they are checked
+    for v in _weyl_stack(n):
+        assert frobenius(v.conj().T @ v - np.eye(n)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_weyl_operator_reduces_any_integer_index(n):
+    k = 10**25
+    for a in range(n):
+        for b in range(n):
+            want = weyl_operator(n, a, b).tobytes()
+            assert weyl_operator(n, a + k * n, b - k * n).tobytes() == want
+            assert weyl_operator(n, a - k * n, b + k * n).tobytes() == want
+    assert np.array_equal(weyl_operator(2, 10**30, 1), weyl_operator(2, 0, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_batched_twisted_projectors_are_the_single_ones(n):
+    # the demo's n^2 effects, from one product over the Weyl stack
+    got = _twisted_bell_projectors(_weyl_stack(n))
+    want = np.stack([twisted_bell_projector(n, v) for v in weyl_basis(n)])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# (alpha, negative_value, psd_replacement_min, product_replacement_min), pinned to
+# the last bit as the per-operator effect builder gave them
+DEMO_VALUES = {
+    2: (0.24999999999999994, -0.12499999999999997, 0.0, 0.0),
+    3: (0.11111111111111113, -0.11111111111111113, 0.0, 0.0),
+    4: (0.0625, -0.09375, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 2026])
+@pytest.mark.parametrize("n", sorted(DEMO_VALUES))
+def test_desideratum_demo_values_are_as_recorded(n, seed):
+    r = desideratum_violation_demo(n, seed=seed)
+    got = (r.alpha, r.negative_value, r.psd_replacement_min, r.product_replacement_min)
+    assert got == DEMO_VALUES[n]
 
 
 @pytest.mark.parametrize("n", [2, 3])
