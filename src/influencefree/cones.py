@@ -4,21 +4,24 @@ PSD and PPT are spectral checks. Positivity on pure tensors (POPT) is
 screened by see-saw minimization of <xy|W|xy> over the two product factors:
 for a fixed Alice vector the optimal Bob vector is the minimal eigenvector of
 the contracted operator, and alternating the two eigenvector steps is
-monotone non-increasing. Membership in PSD + PSD^Gamma (the decomposable
-cone at the operator level) is a two-block semidefinite program, solved by
-a log-barrier interior-point method that starts at the midpoint split
-W/2 + W/2 and whose long Newton steps go most of the way to the cones'
-boundary (a PSD or PPT operator is a member at the first iterate, others
-take about 2 to 3 iterates inside the cone and 16 to 22 on its boundary,
-in 2x2 to 4x4): its primal iterate, clipped into the cones, certifies a
-member, and its dual estimate is a witness in PSD ∩ PPT when W is not one.
-Whether a conjugation map sheds a co-CP part is decided exactly by one
-eigenvalue.
+monotone non-increasing. On a qubit factor, is_popt first reads that minimum
+at the 12 icosahedron vertices of its Bloch sphere in one stacked eigh, and
+at 42, 162 and 642 icosphere vertices before it answers likely. Membership
+in PSD + PSD^Gamma (the decomposable cone at the operator level) is a
+two-block semidefinite program, solved by a log-barrier interior-point
+method that starts at the midpoint split W/2 + W/2 and whose long Newton
+steps go most of the way to the cones' boundary (a PSD or PPT operator is a
+member at the first iterate, others take about 2 to 3 iterates inside the
+cone and 16 to 22 on its boundary, in 2x2 to 4x4): its primal iterate,
+clipped into the cones, certifies a member, and its dual estimate is a
+witness in PSD ∩ PPT when W is not one. Whether a conjugation map sheds a
+co-CP part is decided exactly by one eigenvalue.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -222,6 +225,45 @@ def _gamma_index(n: int, dims: tuple[int, ...]) -> np.ndarray:
     index = partial_transpose(cells, dims, 1).real.astype(np.intp).ravel()
     index.flags.writeable = False
     return index
+
+
+@functools.lru_cache(maxsize=4)
+def _bloch_vertices(level: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Unit qubit vectors x_k at the icosphere's vertices and their flattened conj(x_i)·x_k, read-only.
+
+    Level 0 is the icosahedron: Bloch vectors at the poles z = ±1, then z = ±1/√5 at φ = 2πk/5
+    (upper ring) and 2πk/5 + π/5 (lower ring), with x = (√((1+z)/2), e^{iφ}·√((1−z)/2)), so |0⟩
+    and |1⟩ are exact. Each level adds every edge's normalized midpoint and splits every triangle
+    in four: 42, 162, 642 vertices."""
+    ring = 2 * np.pi * np.arange(5) / 5
+    z, phi = np.repeat([1.0, -1.0, 0.2**0.5, -(0.2**0.5)], [1, 1, 5, 5]), np.r_[0.0, 0.0, ring, ring + np.pi / 5]
+    bloch = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], axis=1)
+    near = bloch @ bloch.T > 0  # neighbours meet at cosine 1/√5, the others at −1/√5 or −1
+    faces = np.array([t for t in itertools.combinations(range(12), 3) if near[np.ix_(t, t)].all()])
+    for _ in range(level):
+        edges, at = np.unique(np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)), axis=0, return_inverse=True)
+        (a, b, c), (ab, bc, ca) = faces.T, len(bloch) + at.reshape(-1, 3).T
+        faces = np.stack([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]).transpose(0, 2, 1).reshape(-1, 3)
+        mid = bloch[edges].sum(axis=1)
+        bloch = np.concatenate((bloch, mid / np.linalg.norm(mid, axis=1, keepdims=True)))
+    phase = np.exp(1j * np.arctan2(bloch[:, 1], bloch[:, 0]))
+    x = np.stack([np.sqrt((1 + bloch[:, 2]) / 2) + 0j, phase * np.sqrt((1 - bloch[:, 2]) / 2)], axis=1)
+    outer = (x.conj()[:, :, None] * x[:, None, :]).reshape(-1, 4)
+    x.flags.writeable = outer.flags.writeable = False
+    return x, outer
+
+
+def _vertex_look(m, dims, level: int) -> tuple[float, tuple, int]:
+    """The least ⟨xy|W|xy⟩ over x at the level's vertices on the qubit factor, Alice's if she has
+    one, from one product and one stacked eigh: the value, its pair (Alice's first), the vertex's index."""
+    x, outer = _bloch_vertices(level)
+    da, db = _check_dims(m, dims)
+    q, d = (0, db) if da == 2 else (1, da)
+    w4 = m.reshape(da, db, da, db).transpose(q, q + 2, 1 - q, 3 - q).reshape(4, d * d)
+    values, ys = _least_eigh((outer @ w4).reshape(len(x), d, d))
+    k = int(np.argmin(values))
+    xk = x[k].copy()  # the caller's own, not a row of the shared read-only table
+    return float(values[k]), ((xk, ys[k]) if q == 0 else (ys[k], xk)), k
 
 
 def decomposable_sum_membership(
@@ -446,22 +488,25 @@ def is_popt(
 
     The phases run in this order, each only if the earlier ones decided
     nothing:
-    1. tol, feas_tol (finite, >= 0) and W (finite, Hermitian, on dims) are
-       checked first, or ValueError is raised. PSD, then PPT, read from one
-       eigh of the stack (W, W^Gamma): certified (branch psd or ppt).
-    2. The see-saw of _seesaw_sweeps, one batched sweep at a time, on the
-       first FIRST_BLOCK restarts alone. It stops at the first sweep whose
-       lowest value is below -tol - rounding (rounding =
-       SEESAW_ROUNDING·max(1, ‖W‖_F)), picking that restart as the sweep
-       left it: its pair refutes, and re-checks below -tol through eigh's
-       rounding. Otherwise the block runs until it ends (each of its
+    1. tol, feas_tol (finite, >= 0), the three counts (>= 1) and W (finite,
+       Hermitian, on dims) are checked first, or ValueError is raised. PSD,
+       then PPT, read from one eigh of (W, W^Gamma): certified (branch psd or ppt).
+    2. On a qubit factor (Alice's if she has one), the vertex look: the
+       least ⟨xy|W|xy⟩ over unit y with x at the 12 icosahedron vertices of
+       the qubit's Bloch sphere, from one stacked eigh. Its pair refutes
+       below -tol - rounding (rounding = SEESAW_ROUNDING·max(1, ‖W‖_F)).
+       Then the see-saw of _seesaw_sweeps, one batched sweep at a time, on
+       the first FIRST_BLOCK restarts alone. It stops at the first sweep
+       whose lowest value is below -tol - rounding, picking that restart as
+       the sweep left it: its pair refutes, and re-checks below -tol through
+       eigh's rounding. Otherwise the block runs until it ends (each of its
        restarts converged or at max_iter sweeps) or stalls: a sweep that
-       is not its last lowered the lowest block value by no more than that
-       value's height above -tol, so at its pace the next sweep would not
-       refute. The first sweep never counts, since it starts from random
-       vectors. A value within rounding of 0 does not count either: the
-       see-saw has then settled on the cone's boundary and ends by itself
-       within a few sweeps, sooner than membership would reach the
+       is not its last lowered the lowest value seen by no more than its
+       height above -tol, so at its pace the next sweep would not refute.
+       Before the first sweep that value is the look's least one, or +inf
+       without a qubit factor. A value within rounding of 0 does not count
+       either: the see-saw has then settled on the cone's boundary and ends
+       by itself within a few sweeps, sooner than membership would reach the
        residual of phase 3.
     3. At the block's stall or end, if its lowest value is above rounding,
        membership in PSD + PSD^Gamma with an absolute residual of at most
@@ -483,27 +528,33 @@ def is_popt(
        on the floats of W and of the pair, and goes on to phase 5 otherwise.
     5. Otherwise membership at feas_tol (relative to ‖W‖_F), noted in phase
        3 or solved now if phase 3 did not run: certified (branch
-       decomposition) on a member, likely else.
-    The verdict is the one phases 1, 4 and 5 alone would give; phases 2 and
-    3 only save sweeps. In 2x2 and 2x3 the positive-on-pure-tensors cone
-    coincides with PSD + PSD^Gamma (Størmer, Woronowicz), so there
-    membership settles every operator the see-saw does not refute, on the
-    cone's boundary too, unless membership_max_iter (a cap on its Newton
-    iterates) runs out.
+       decomposition) on a member. Otherwise, on a qubit factor, icosphere
+       levels 1 to 3, one stacked eigh each, refute by phase 4's rule; likely else.
+    The verdict is the one phases 1, 4 and 5 alone would give, each vertex
+    pair counted as one more restart; phase 3 and the stall only save
+    sweeps. In 2x2 and 2x3 the positive-on-pure-tensors cone coincides with
+    PSD + PSD^Gamma (Størmer, Woronowicz), so there membership settles
+    every operator nothing refutes, on the cone's boundary too, unless
+    membership_max_iter (a cap on its Newton iterates) runs out.
 
     min_value is λ_min(W) in the psd branch and None in the ppt branch. In
     the decomposition branch it is the block's lowest see-saw value at its
     stall or end when phase 3 certifies, and the converged see-saw value
     when phase 5 does, which may lie in phase 4's band. refuted reports the
-    picked restart's value at the sweep that picked it, or the converged
-    value if nothing was picked; likely reports the converged value and
-    records the membership status in info. Every branch past phase 1
-    records in info restarts_swept: the block's size when the block
-    decided, restarts else. The decomposition branch and likely also record
+    look's least vertex value (info vertex, 1-based), the picked restart's value at the
+    sweep that picked it (info best_restart), the converged value if nothing was picked, or a
+    level's least vertex value (info vertex and level); likely reports the converged value and
+    records the membership status and, on a qubit factor, level 3 in info. Every branch past
+    phase 1 records in info restarts_swept: 0 when the look refutes, the block's size when
+    the block decided, restarts else. The decomposition branch and likely also record
     membership_iterations, the iterates of the membership verdict they used:
     phase 3's at its tight tol, or the one at feas_tol of phase 5.
     """
     _check_tolerances(tol=tol, feas_tol=feas_tol)
+    counts = {"restarts": restarts, "max_iter": max_iter, "membership_max_iter": membership_max_iter}
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     m = _admit(w, dims)
     # eigh, not eigvalsh: its eigenvalues are those min_eig reports, bit for bit
     least = _least_eigh(np.stack((m, partial_transpose(m, dims, 1))))[0]
@@ -516,10 +567,15 @@ def is_popt(
     asks = tol >= MEMBERSHIP_ROUNDING * norm
     rounding = SEESAW_ROUNDING * max(1.0, norm)
     stop = -tol - rounding
+    has_qubit = len(dims) == 2 and 2 in dims
+    previous, pair, k = _vertex_look(m, dims, 0) if has_qubit else (np.inf, None, None)
+    if previous < stop:
+        info = {"psd": False, "restarts_swept": 0, "vertex": k + 1}
+        return ConeVerdict("refuted", min_value=previous, witness=pair, info=info)
     # the first block is swept alone until it picks, stalls or ends
     swept = min(restarts, FIRST_BLOCK)
     sweeps = _seesaw_sweeps(m, dims, seed, swept, max_iter, stop)
-    alone, previous = True, np.inf
+    alone = True
     for lowest, seesaw in sweeps:
         stalled = seesaw is None and rounding < lowest and previous - lowest <= lowest + tol
         ended = seesaw is not None and lowest >= stop  # without a pick
@@ -535,21 +591,19 @@ def is_popt(
                 sweeps.send(swept)
         previous = lowest
     info = {"psd": False, "restarts_swept": swept}
-    refutes = seesaw.min_value < stop  # picked
-    if not refutes and seesaw.min_value < -tol:
-        # a value this close to -tol may be eigh's rounding: the pair decides, exactly
-        value, norm = _exact_product_value(m, seesaw.witness_x, seesaw.witness_y)
-        refutes = value < -Fraction(tol) * norm
-    if refutes:
-        return ConeVerdict(
-            "refuted", min_value=seesaw.min_value,
-            witness=(seesaw.witness_x, seesaw.witness_y),
-            info={**info, "best_restart": seesaw.best_restart},
-        )
+    pair = (seesaw.witness_x, seesaw.witness_y)
+    if _refutes(m, seesaw.min_value, pair, stop, tol):
+        info["best_restart"] = seesaw.best_restart
+        return ConeVerdict("refuted", min_value=seesaw.min_value, witness=pair, info=info)
     if membership is None:
         membership = decomposable_sum_membership(m, dims, tol=feas_tol, max_iter=membership_max_iter)
     if membership.status == "member":
         return _decomposition(seesaw.min_value, membership, swept)
+    for level in (1, 2, 3) if has_qubit else ():
+        info["level"] = level
+        value, pair, k = _vertex_look(m, dims, level)
+        if _refutes(m, value, pair, stop, tol):
+            return ConeVerdict("refuted", min_value=value, witness=pair, info={**info, "vertex": k + 1})
     return ConeVerdict(
         "likely", min_value=seesaw.min_value,
         info={
@@ -559,17 +613,21 @@ def is_popt(
     )
 
 
-def _exact_product_value(w, x, y) -> tuple[Fraction, Fraction]:
-    """Re⟨xy|W|xy⟩ and ‖x⊗y‖², in exact arithmetic on the floats of W, x and y."""
+def _refutes(w, value: float, pair, stop: float, tol: float) -> bool:
+    """A product pair's value refutes below stop. In [stop, -tol) it may be eigh's rounding of a
+    value >= -tol: there the pair refutes only if Re⟨xy|W|xy⟩ < -tol·‖x⊗y‖² holds in exact
+    arithmetic on the floats of W, x and y."""
+    if value < stop or value >= -tol:
+        return value < stop
 
     def exact(a):  # real and imaginary parts as arrays of Fractions
         return (np.vectorize(Fraction, otypes=[object])(part) for part in (a.real, a.imag))
 
-    (xr, xi), (yr, yi), (wr, wi) = (exact(a) for a in (x, y, w))
+    (xr, xi), (yr, yi), (wr, wi) = (exact(a) for a in (*pair, w))
     vr = (np.outer(xr, yr) - np.outer(xi, yi)).ravel()  # x ⊗ y
     vi = (np.outer(xr, yi) + np.outer(xi, yr)).ravel()
     value = vr @ (wr @ vr - wi @ vi) + vi @ (wr @ vi + wi @ vr)
-    return value, (xr @ xr + xi @ xi) * (yr @ yr + yi @ yi)
+    return value < -Fraction(tol) * (xr @ xr + xi @ xi) * (yr @ yr + yi @ yi)
 
 
 def _decomposition(min_value: float, membership: ConeVerdict, swept: int) -> ConeVerdict:

@@ -112,21 +112,22 @@ def sandwich_lemma_check(n: int, x: int, y: int, u: int, v: int) -> np.ndarray:
     return q @ a @ q
 
 
-def _weyl_stack(n: int) -> np.ndarray:
-    """All n^2 unitaries X^a Z^b as one (n^2, n, n) array, X^a Z^b at row a·n + b.
+def _weyl_stack(n: int, a=None, b=None) -> np.ndarray:
+    """X^a Z^b for index arrays a, b in [0, n) as one (len(a), n, n) array; all n^2 by default, at row a·n + b.
 
     X|j> = |j+1 mod n> and Z|j> = ω^j|j> with ω = exp(2πi/n), so X^a Z^b sends |j> to
     ω^(jb)|j+a mod n>: one phase per column, at the row one index array gives.
     """
-    a, b, j = np.ogrid[:n, :n, :n]
-    v = np.zeros((n, n, n, n), dtype=complex)
-    v[a, b, (j + a) % n, j] = np.exp(2j * np.pi * (j * b % n) / n)
-    return v.reshape(n * n, n, n)
+    a, b = np.divmod(np.arange(n * n), n) if a is None else (np.asarray(a), np.asarray(b))
+    j = np.arange(n)
+    v = np.zeros((len(a), n, n), dtype=complex)
+    v[np.arange(len(a))[:, None], (j + a[:, None]) % n, j] = np.exp(2j * np.pi * (j * b[:, None] % n) / n)
+    return v
 
 
 def weyl_operator(n: int, a: int, b: int) -> np.ndarray:
     """X^a Z^b, with a and b reduced mod n as Python ints, so that any integer is accepted."""
-    return _weyl_stack(n)[int(a) % n * n + int(b) % n]
+    return _weyl_stack(n, [int(a) % n], [int(b) % n])[0]
 
 
 def weyl_basis(n: int) -> list[np.ndarray]:

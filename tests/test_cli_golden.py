@@ -86,6 +86,7 @@ def _requests():
 
     from influencefree.jsonio import matrix_to_document as mdoc
     from influencefree.linalg import partial_transpose
+    from test_cones import face_centre_operator, swap_factors
 
     rng = np.random.default_rng(20261018)
 
@@ -194,7 +195,11 @@ def _requests():
         "popt/psd": req(["popt", *one, "--seed", "3"], mdoc(psd(4), (2, 2))),
         "popt/ppt": req(["popt", *one, "--seed", "3"], mdoc(partial_transpose(entangled, (2, 2), 1), (2, 2))),
         "popt/decomposition": req(["popt", *one, "--seed", "3"], mdoc(decomposable, (2, 2))),
-        "popt/refuted": req(["popt", *one, "--seed", "3", "--restarts", "8"], mdoc(hermitian(6), (2, 3))),
+        "popt/refuted": req(["popt", *one, "--seed", "3", "--restarts", "8"], mdoc(refuted := hermitian(6), (2, 3))),
+        # the same operator with its factors exchanged: the vertex look reads Bob's qubit
+        "popt/refuted-bob-qubit": req(["popt", *one, "--seed", "3"], mdoc(swap_factors(refuted, (2, 3)), (3, 2))),
+        # its least vertex value is +0.053 and its product minimum -0.05: the see-saw refutes
+        "popt/refuted-face-centre": req(["popt", *one, "--seed", "3"], mdoc(face_centre_operator((2, 2)), (2, 2))),
         "popt/likely": req(["popt", *one, "--seed", "3", "--max-iter", "1", "--feas-tol", "1e-6"], mdoc(decomposable, (2, 2))),
         "popt/missing-seed": req(["popt", *one], mdoc(psd(4), (2, 2))),
         "decompose/member": req(["decompose", *one], mdoc(decomposable, (2, 2))),

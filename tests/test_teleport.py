@@ -1,5 +1,7 @@
 """Four-party embedding, pivot identities, corollary, and the negativity demo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,18 @@ def test_weyl_operator_reduces_any_integer_index(n):
             assert weyl_operator(n, a + k * n, b - k * n).tobytes() == want
             assert weyl_operator(n, a - k * n, b + k * n).tobytes() == want
     assert np.array_equal(weyl_operator(2, 10**30, 1), weyl_operator(2, 0, 1))
+
+
+def test_weyl_operator_builds_only_its_own_row():
+    # all 48² operators of size 48 x 48 would take 85 MB
+    tracemalloc.start()
+    try:
+        v = weyl_operator(48, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert np.array_equal(v, np.roll(np.eye(48), 1, axis=0) @ np.diag(np.exp(2j * np.pi * np.arange(48) / 48)))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
