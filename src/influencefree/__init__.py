@@ -23,9 +23,7 @@ _EXPORTS = {
         "hermitian", "hermitian_eig", "kron", "min_eig", "partial_trace",
         "partial_transpose", "permute_systems", "psd_part",
     ),
-    "testspace": (
-        "TestSpace", "admits_positive_state", "state_check", "weight_space_dimension",
-    ),
+    "testspace": ("TestSpace", "state_check", "weight_space_dimension"),
     "coupling": (
         "DirectionReport", "InfluenceVerdict", "ProductState", "TwoStageTest",
         "TwoStageTests", "backward_tests", "bayes_mixture_check", "bayes_residuals",

@@ -1,6 +1,8 @@
 """Seeded random ensembles for tests and the self-verifying acceptance suite.
 
 Everything takes an explicit numpy Generator; nothing touches global RNG state.
+A side's states are mixtures of its state polytope's vertices, so coupled
+tables sum to 1 over every product test up to rounding.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ import numpy as np
 
 from .coupling import ProductState, is_influence_free
 from .linalg import _hermitian_part
-from .testspace import TestSpace, admits_positive_state
+from .testspace import TestSpace, _vertices
 
 _MIXTURE = 3  # product states per influence-free table
-_STATE_ROUNDS = 4000  # fitting rounds for one side's state
-_SIGNALLING_ROUNDS = 1000  # fitting rounds for a signalling table
 _MIN_DEVIATION = 1e-6  # least marginal deviation of a decisive signalling table
 _MIN_SV = 0.3  # random_rank's nonzero singular values are at least this
 
@@ -79,84 +79,60 @@ def random_test_space(
 def product_state_table(
     rng: np.random.Generator, alice: TestSpace, bob: TestSpace
 ) -> dict[tuple[str, str], float] | None:
-    """Influence-free table: a convex mixture of product states.
+    """Influence-free table: a convex mixture of _MIXTURE product states.
 
-    Component states come from per-test proportional fitting; None if either
-    side's space defeats the fitting (e.g. admits no state at all). Each
-    space is asked once whether it admits a strictly positive state.
+    Each side's states come from _random_state; None if either side admits
+    no strictly positive state.
     """
-    fits = admits_positive_state(alice.incidence) and admits_positive_state(bob.incidence)
+    va = _positive_vertices(alice)
+    vb = None if va is None else _positive_vertices(bob)
+    if vb is None:
+        return None
     weights = rng.dirichlet(np.ones(_MIXTURE))
     table = np.zeros((len(alice.outcomes), len(bob.outcomes)))
     for w in weights:
-        fa = _random_state(rng, alice, fits)
-        fb = _random_state(rng, bob, fits)
-        if fa is None or fb is None:
-            return None
-        # table[x, y] accumulates (w * fa[x]) * fb[y] in mixture order
-        table += np.outer(w * np.array(fa), fb)
+        table += np.outer(w * _random_state(rng, va), _random_state(rng, vb))
     return dict(zip(product(alice.outcomes, bob.outcomes), table.ravel().tolist()))
 
 
-def _test_indices(ts: TestSpace) -> list[list[int]]:
-    """Each test as the list of its outcome indices, in outcome order."""
-    return [np.flatnonzero(row).tolist() for row in ts.incidence]
+def _positive_vertices(ts: TestSpace) -> np.ndarray | None:
+    """The vertices of ts's state polytope, or None unless their supports
+    cover every outcome, that is unless some state is positive everywhere."""
+    vertices = _vertices(ts.incidence)
+    return vertices if (vertices > 0).any(axis=0).all() else None
 
 
-def _fit(values: list[float], tests: list[list[int]], rounds: int) -> list[float] | None:
-    """Gauss–Seidel proportional fitting in place: rescale each test to sum 1 in
-    turn until a round starts with every sum within 1e-13 of 1; None if a test
-    sum is not positive or `rounds` run out."""
-    value = values.__getitem__
-    for _ in range(rounds):
-        worst = 0.0
-        for t in tests:
-            s = sum(map(value, t))
-            if s <= 0:
-                return None
-            worst = max(worst, abs(s - 1.0))
-            for i in t:
-                values[i] /= s
-        if worst < 1e-13:
-            return values
-    return None
-
-
-def _random_state(rng: np.random.Generator, ts: TestSpace, fits: bool) -> list[float] | None:
-    """Random state in outcome order via per-test proportional fitting; None if unsettled.
-
-    The start values are drawn first, so when `fits` is False (a space
-    admits no strictly positive state, and the fit could not settle) the fit
-    is skipped and the rng is left where the fit would have left it.
-    """
-    start = [float(rng.uniform(0.05, 1.0)) for _ in ts.outcomes]
-    if not fits:
-        return None
-    return _fit(start, _test_indices(ts), _STATE_ROUNDS)
+def _random_state(rng: np.random.Generator, vertices: np.ndarray) -> np.ndarray:
+    """A state in outcome order: a Dirichlet mixture of the polytope's vertices,
+    positive everywhere when their supports cover every outcome."""
+    return rng.dirichlet(np.ones(len(vertices))) @ vertices
 
 
 def signalling_table(
     rng: np.random.Generator, alice: TestSpace, bob: TestSpace
 ) -> dict[tuple[str, str], float] | None:
-    """Random table normalized per product test by iterative proportional fitting.
+    """Random state on the Cartesian product that is (generically) signalling.
 
-    Returns a state on the Cartesian product that is (generically) signalling;
-    None if fitting fails in its rounds or the sample comes out too close to
-    influence-free to be a decisive instance. The product tests admit a
-    strictly positive state exactly when both sides do; when one does not,
-    the fit is skipped after its start values are drawn.
+    With f1, f2 and f random states of Alice, g, g1 and g2 of Bob, and s
+    and t uniform in [0, 1] per outcome, f1 ⊗ g·s + f2 ⊗ g·(1 − s) has an
+    Alice marginal that moves with how Bob's test splits g, and its mirror
+    f·t ⊗ g1 + f·(1 − t) ⊗ g2 a Bob marginal that moves with Alice's test.
+    Every product test sums to Σ g = 1 (or Σ f = 1) on each. The table is
+    the first, the second or their average, with chance 1/3 each. None if
+    either side admits no strictly positive state, or the sample comes out
+    too close to influence-free to be a decisive instance.
     """
-    pairs = list(product(alice.outcomes, bob.outcomes))
-    start = rng.uniform(0.05, 1.0, size=len(pairs)).tolist()
-    if not (admits_positive_state(alice.incidence) and admits_positive_state(bob.incidence)):
+    va = _positive_vertices(alice)
+    vb = None if va is None else _positive_vertices(bob)
+    if vb is None:
         return None
-    nb = len(bob.outcomes)
-    tests = product(_test_indices(alice), _test_indices(bob))
-    cells = [[i * nb + j for i, j in product(ea, eb)] for ea, eb in tests]
-    values = _fit(start, cells, _SIGNALLING_ROUNDS)
-    if values is None:
-        return None
-    table = dict(zip(pairs, values))
+    g, s = _random_state(rng, vb), rng.random(len(bob.outcomes))
+    f, t = _random_state(rng, va), rng.random(len(alice.outcomes))
+    to_alice = np.outer(_random_state(rng, va), g * s) + np.outer(_random_state(rng, va), g * (1 - s))
+    to_bob = np.outer(f * t, _random_state(rng, vb)) + np.outer(f * (1 - t), _random_state(rng, vb))
+    share = rng.choice([0.0, 0.5, 1.0])  # to_bob's share: to_alice alone, half each, to_bob alone
+    values = (1 - share) * to_alice + share * to_bob
+    table = dict(zip(product(alice.outcomes, bob.outcomes), values.ravel().tolist()))
     if is_influence_free(ProductState(alice, bob, table)).max_deviation < _MIN_DEVIATION:
         return None
     return table

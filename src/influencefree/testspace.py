@@ -8,9 +8,9 @@ the multiplicities), so a test sum is a matrix-vector product. Tables come
 in as mappings outcome -> float and must be finite.
 
 The states of a space form the polytope {f >= 0 : incidence · f = 1}. One
-enumerator lists the supports of its vertices, column subset by column
-subset, for at most _SUBSET_CAP outcomes; the vertex count and the test for
-a strictly positive state both read those supports.
+enumerator lists its vertices exactly, column subset by column subset, for
+at most _SUBSET_CAP outcomes; the vertex count reads them, and the seeded
+generators draw a space's states as mixtures of them.
 """
 
 from __future__ import annotations
@@ -135,15 +135,15 @@ _SUBSET_CAP = 16  # most outcomes whose column subsets are enumerated
 _SLAB = 4096  # column subsets per batched SVD, which bounds the stack's memory
 
 
-def _vertex_supports(a: np.ndarray) -> np.ndarray:
-    """Supports of the vertices of {f >= 0 : a · f = 1}, one bool row each.
+def _vertices(a: np.ndarray) -> np.ndarray:
+    """Vertices of {f >= 0 : a · f = 1}, one row each, zero off their support.
 
     A vertex is the exact solution on a set S of linearly independent
     columns, positive on S, and its support S determines it. So every
     column subset with |S| <= rank a is taken, as the incidence with the
     other columns zeroed, in slabs of _SLAB with one batched SVD each. The
     singular values above 1e-9 give the rank, and with U and V the
-    least-squares solution; S is kept when the rank is |S| and the solution
+    least-squares solution; it is kept when the rank is |S| and the solution
     is exact and above 1e-9 on every column of S. More than _SUBSET_CAP
     outcomes raise CapExceededError.
     """
@@ -165,23 +165,9 @@ def _vertex_supports(a: np.ndarray) -> np.ndarray:
         gap = (cols @ f[:, :, None])[:, :, 0] - 1.0
         independent = nonzero.sum(axis=1) == slab.sum(axis=1)
         exact = np.linalg.norm(gap, axis=1) <= 1e-9
-        kept.append(slab[independent & exact & ((f > 1e-9) | ~slab).all(axis=1)])
-    return np.concatenate(kept) if kept else np.zeros((0, m), bool)
-
-
-def admits_positive_state(incidence: np.ndarray) -> bool:
-    """True iff some f, positive on every outcome, has incidence · f = 1.
-
-    The states {f >= 0 : incidence · f = 1} form a polytope, and one state
-    is positive everywhere exactly when some state exists and the supports
-    of its vertices cover every outcome that some test contains; an outcome
-    in no test is free to be positive. More than _SUBSET_CAP outcomes raise
-    CapExceededError.
-    """
-    a = np.asarray(incidence, dtype=float)
-    supports = _vertex_supports(a)
-    exists = len(supports) > 0 or len(a) == 0
-    return exists and bool((supports.any(axis=0) | ~a.any(axis=0)).all())
+        keep = independent & exact & ((f > 1e-9) | ~slab).all(axis=1)
+        kept.append(f[keep] * slab[keep])
+    return np.concatenate(kept) if kept else np.zeros((0, m))
 
 
 def weight_space_dimension(ts: TestSpace) -> tuple[int, int]:
@@ -189,13 +175,12 @@ def weight_space_dimension(ts: TestSpace) -> tuple[int, int]:
 
     The constant-sum space is {f : all test-sums equal}; its dimension is
     |X| minus the rank of the test-sum difference constraints. The vertices
-    of {f >= 0, every test-sum = 1} are counted by their supports, which
-    are distinct for distinct vertices. More than _SUBSET_CAP outcomes raise
-    CapExceededError.
+    of {f >= 0, every test-sum = 1} are the rows of _vertices. More than
+    _SUBSET_CAP outcomes raise CapExceededError.
     """
     m = len(ts.outcomes)
     a = ts.incidence
-    vertices = len(_vertex_supports(a))
+    vertices = len(_vertices(a))
     if len(ts.tests) <= 1:
         return m, vertices
     return m - int(np.linalg.matrix_rank(a[1:] - a[0], tol=1e-9)), vertices

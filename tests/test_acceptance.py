@@ -10,6 +10,7 @@ import pytest
 
 from influencefree import acceptance
 from influencefree.acceptance import CRITERIA
+from influencefree.coupling import ProductState, is_influence_free
 
 # The gate reads acceptance.TIME_BUDGETS. This literal copy stays only because
 # perfbench/scoreboard.py parses it from this file; the first test keeps the
@@ -63,10 +64,19 @@ def test_criterion_5_instances_are_pinned():
     # sha256 over each instance's space labels and kind, then each table cell
     # as its labels and the float.hex of its value, in the table's order
     digest = hashlib.sha256()
+    # signalling tables by direction: (Bob to Alice, Alice to Bob) at criterion 5's tolerance
+    directions = {(True, False): 0, (False, True): 0, (True, True): 0}
     for alice, bob, table, kind in acceptance._shared_instances():
         digest.update(repr((alice.outcomes, alice.tests, bob.outcomes, bob.tests, kind)).encode())
         for (x, y), value in table.items():
             digest.update(f"{x} {y} {float(value).hex()}\n".encode())
+        if kind == "signalling":
+            verdict = is_influence_free(ProductState(alice, bob, table), tol=1e-10)
+            reports = (verdict.bob_to_alice, verdict.alice_to_bob)
+            directions[tuple(r.max_deviation > 1e-10 for r in reports)] += 1
     assert digest.hexdigest() == (
-        "baf085178b866ea630f394945e7f894670d7096f5f468ebce0ac264b7d4dad34"
+        "121b333921e11a10d246c5e3477203ae9dee23ed99e12986adedd862c68ac5f2"
     )
+    # one-way tables in each direction and two-way tables all occur
+    assert sum(directions.values()) == 250
+    assert min(directions.values()) >= 25, directions

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from influencefree import acceptance
 from influencefree.coupling import (
     DirectionReport,
     InfluenceVerdict,
@@ -27,7 +28,7 @@ from influencefree.coupling import (
 )
 from influencefree.linalg import CapExceededError
 from influencefree.sampling import product_state_table, random_test_space, signalling_table
-from influencefree.testspace import TestSpace, _vertex_supports
+from influencefree.testspace import TestSpace, _vertices
 
 
 def pr_box():
@@ -434,11 +435,17 @@ def assert_matches_brute_force(report, candidates, best):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
-# influence-free tables whose every marginal gap is at rounding level
+# influence-free tables whose every marginal gap is at rounding level (on
+# 1469 and 25716 exactly 0); on 1498, 63, 3193 and 799 the library and the
+# label scan disagree on whether the largest gap is exactly 0, in each
+# direction and each way round
 @example(1035, True)
 @example(1469, True)
 @example(1498, True)
 @example(25716, True)
+@example(63, True)
+@example(3193, True)
+@example(799, True)
 def test_array_verdicts_match_label_brute_force(seed, free):
     rng = np.random.default_rng(seed)
     alice = random_test_space(rng, "a", max_outcomes=5, max_tests=3, max_test_size=3)
@@ -814,7 +821,7 @@ def test_two_stage_boundary_is_decided_exactly(moved, d):
 def vertex_states(space):
     """The vertices of the space's state polytope, one row each."""
     a = space.incidence
-    states = [np.linalg.lstsq(a * s, np.ones(len(a)), rcond=None)[0] for s in _vertex_supports(a)]
+    states = [np.linalg.lstsq(a * s, np.ones(len(a)), rcond=None)[0] for s in _vertices(a) > 0]
     return np.reshape(states, (-1, len(space.outcomes)))
 
 
@@ -841,6 +848,34 @@ def reference_tables(alice, bob, seed):
         kind: ProductState(alice, bob, dict(zip(cells, values.ravel().tolist())))
         for kind, values in (("free", free), ("signalling", (to_alice + to_bob) / 2))
     }
+
+
+def test_vertices_are_the_least_squares_solutions_on_their_supports():
+    rng = np.random.default_rng(1013)
+    spaces = [side for pair in space_pairs() for side in pair]
+    spaces += [TestSpace(["u", "v", "w"], [[("u", 2), "v"], ["v", ("w", 3)]])]
+    spaces += [random_test_space(rng, "o", max_outcomes=7, max_tests=5, max_test_size=5) for _ in range(100)]
+    for space in spaces:
+        vertices = _vertices(space.incidence)
+        assert vertices.shape == vertex_states(space).shape
+        assert np.abs(vertices - vertex_states(space)).max(initial=0.0) <= 1e-12, space
+
+
+def test_generated_tables_sum_to_one_on_every_product_test():
+    # criterion 5's 500 tables, then draws of both kinds on the pairs here and on multiset sides
+    tables = [(a, b, t) for a, b, t, _ in acceptance._shared_instances()]
+    multiset = TestSpace(["u", "v", "w"], [[("u", 2), "v"], ["v", ("w", 3)]])
+    pairs = space_pairs() + [(multiset, CHAIN_BOB), (FNS_ALICE, multiset)]
+    rng = np.random.default_rng(1014)
+    for (alice, bob), draw in iproduct(pairs, (product_state_table, signalling_table) * 3):
+        table = draw(rng, alice, bob)
+        if table is not None:
+            tables.append((alice, bob, table))
+    assert len(tables) > 550
+    for alice, bob, table in tables:
+        values = np.reshape(list(table.values()), (len(alice.outcomes), len(bob.outcomes)))
+        assert values.min() > 0
+        assert np.abs(alice.incidence @ values @ bob.incidence.T - 1.0).max() <= 1e-14
 
 
 ENUMERATORS = (forward_tests, backward_tests, fns_tests)
@@ -877,7 +912,8 @@ def test_two_stage_verdict_reads_only_tests_enumerated_on_the_states_axes():
     while len(omegas) < 8:
         alice, bob = random_test_space(rng, "a"), random_test_space(rng, "b")
         table = (product_state_table if len(omegas) % 2 else signalling_table)(rng, alice, bob)
-        if table is not None:
+        # reversing Bob's outcomes below must give other axes, so Bob needs two
+        if table is not None and len(bob.outcomes) > 1:
             omegas.append(ProductState(alice, bob, table))
     verdicts = set()
     for omega in omegas:

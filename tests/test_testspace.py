@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from influencefree.linalg import CapExceededError
-from influencefree.sampling import random_test_space
-from influencefree.testspace import (
-    TestSpace,
-    _vertex_supports,
-    admits_positive_state,
-    state_check,
-    weight_space_dimension,
-)
+from influencefree.sampling import _positive_vertices, random_test_space
+from influencefree.testspace import TestSpace, _vertices, state_check, weight_space_dimension
 
 CHAIN = TestSpace(["a", "x", "b"], [("a", "x"), ("x", "b")])
 FIREFLY = TestSpace(["l", "r", "f", "b", "d"], [("l", "r", "d"), ("f", "b", "d")])
@@ -160,11 +154,11 @@ def test_multiset_space_polytope():
     # 2·f(u) + f(v) = 1: the segment from (1/2, 0) to (0, 1)
     space = TestSpace(["u", "v"], [[("u", 2), "v"]])
     assert weight_space_dimension(space) == (2, 2)
-    supports = _vertex_supports(space.incidence)
-    assert sorted(map(tuple, supports.tolist())) == [(False, True), (True, False)]
+    vertices = _vertices(space.incidence)
+    assert sorted(map(tuple, vertices.round(12).tolist())) == [(0.0, 1.0), (0.5, 0.0)]
     assert state_check(space, {"u": 0.5, "v": 0.0})[0]
     assert state_check(space, {"u": 0.0, "v": 1.0})[0]
-    assert admits_positive_state(space.incidence)
+    assert _positive_vertices(space) is not None
 
 
 def test_weight_space_dimension_frozen_values():
@@ -254,25 +248,14 @@ def test_outcome_index_reads_labels():
     ],
 )
 def test_admits_positive_state_on_small_spaces(tests, expected):
+    # the generators' rule: the vertices' supports must cover every outcome
     outcomes = sorted({x for t in tests for x in t})
-    assert admits_positive_state(TestSpace(outcomes, tests).incidence) is expected
-
-
-def test_admits_positive_state_edges():
-    assert admits_positive_state(np.zeros((0, 3)))
-    # an outcome in no test may take any positive value, once some state exists
-    assert admits_positive_state(np.array([[1.0, 1.0, 0.0]]))
-    assert not admits_positive_state(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
-    # a test with no outcome cannot sum to 1
-    assert not admits_positive_state(np.zeros((2, 0)))
-    assert not admits_positive_state(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(CapExceededError) as exc:
-        admits_positive_state(np.ones((1, 17)))
-    assert exc.value.required == 17
+    assert (_positive_vertices(TestSpace(outcomes, tests)) is not None) is expected
 
 
 def test_admits_positive_state_matches_a_linear_program():
-    # the largest t with incidence · f = 1 and f >= t on every outcome is
+    # the generators' rule on the vertices, checked by a linear program: the
+    # largest t with incidence · f = 1 and f >= t on every outcome is
     # positive exactly when a strictly positive state exists
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(77)
@@ -291,5 +274,18 @@ def test_admits_positive_state_matches_a_linear_program():
         )
         feasible = res.status == 0 and -res.fun > 1e-9
         answers.add(feasible)
-        assert admits_positive_state(a) is feasible, ts
+        assert (_positive_vertices(ts) is not None) is feasible, ts
     assert answers == {True, False}
+
+
+def test_vertices_are_states_zero_off_their_support():
+    rng = np.random.default_rng(1717)
+    spaces = [CHAIN, FIREFLY, TestSpace(["u", "v", "w"], [[("u", 2), "v"], ["v", ("w", 3)]])]
+    spaces += [random_test_space(rng, "o", max_outcomes=7, max_tests=5, max_test_size=5) for _ in range(150)]
+    for space in spaces:
+        a, vertices = space.incidence, _vertices(space.incidence)
+        assert vertices.shape[1] == len(space.outcomes)
+        assert np.all(vertices >= 0), space
+        assert np.abs(vertices @ a.T - 1.0).max(initial=0.0) <= 1e-12, space
+        # distinct supports, so distinct vertices
+        assert len({row.tobytes() for row in vertices > 0}) == len(vertices)
